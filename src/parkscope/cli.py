@@ -7,7 +7,7 @@ a negative answer (invalid object, no witness, unrealizable input),
 
 With ``--json`` the output stream carries exactly one JSON document and
 all human-readable diagnostics go to the error stream; identical
-invocations produce byte-identical JSON regardless of thread count.
+invocations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -440,8 +440,9 @@ def _cmd_enumerate(args, out: _Output) -> int:
             args.cone,
             args.corner,
             dedup=args.dedup,
-            threads=args.threads,
         )
+    except ValueError as exc:
+        raise _CliFailure(EXIT_MALFORMED, str(exc)) from exc
     except ResourceLimitError as exc:
         raise _CliFailure(EXIT_RESOURCE, str(exc)) from exc
     payload = {
@@ -483,12 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="machine-readable JSON on stdout; diagnostics stay on stderr",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for enumeration (output independent of the count)",
     )
     common.add_argument(
         "--max-degree",

@@ -27,7 +27,6 @@ park, are filled with one representative completion per white skeleton
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
@@ -743,7 +742,6 @@ def enumerate_monodromies(
     t: int,
     s: int,
     dedup: str = "none",
-    threads: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> EnumerationResult:
     """All valid generic representations at ``(d, t, s)``, up to sheet
@@ -758,7 +756,6 @@ def enumerate_monodromies(
     valid generic representation, and the extracted park never depends
     on the completion choice.  ``dedup`` is ``none``/``raw``,
     ``j_equivalence``/``jequiv``, or ``park_isomorphism``/``park``.
-    Deterministic for any thread count.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -781,30 +778,14 @@ def enumerate_monodromies(
             f"candidate space {total_candidates} exceeds budget {budget}"
         )
 
-    tasks = [(chain, white_xs) for chain in chains for white_xs in white_options]
-
-    def run_chunk(chunk: list) -> list[MonodromyRep]:
-        found = []
-        for chain, white_xs in chunk:
-            corner_moves = []
-            for k in range(len(chain) - 1):
-                corner_moves.append(compose(chain[k], chain[k + 1]))
+    reps = []
+    for chain in chains:
+        corner_moves = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+        for white_xs in white_options:
             components = _white_components(d, list(white_xs) + corner_moves)
             m = _complete_skeleton(d, chain, white_xs, components)
             if m is not None:
-                found.append(m)
-        return found
-
-    workers = max(1, int(threads))
-    if workers == 1 or len(tasks) < 2:
-        reps = run_chunk(tasks)
-    else:
-        chunk_count = min(workers * 4, max(1, len(tasks)))
-        size = (len(tasks) + chunk_count - 1) // chunk_count
-        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-        reps = [m for part in parts for m in part]
+                reps.append(m)
 
     reps.sort(key=_rep_sort_key)
     raw_count = len(reps)

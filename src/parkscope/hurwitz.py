@@ -15,8 +15,7 @@ Two independent engines compute the count: a fast one (class-algebra
 walk for the raw product count, then inclusion-exclusion over the
 anchored orbit to enforce transitivity) and a literal brute-force
 enumerator used as the verification standard.  Results are exact
-``Fraction`` values and are memoized in a small JSON cache, overridable
-through the ``PARKSCOPE_CACHE`` environment variable.
+``Fraction`` values.
 
 ``park_hurwitz`` multiplies the entrance contributions of a park with
 the multinomial interleaving factor of their branch counts; exits do
@@ -25,11 +24,7 @@ not contribute.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
-import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +35,12 @@ from .park import Park, node_signature, validate_park
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
 DEFAULT_DEGREE_BOUND = 6
+
+#: Largest branch count ``b`` that :func:`single_hurwitz` computes.  The
+#: class-algebra walk takes ``b`` steps on integers that grow with ``b``,
+#: so its cost grows faster than linearly; at the bound, the slowest
+#: degree-6 signature ``(1,)*6`` takes about a second.
+BRANCH_COUNT_BOUND = 200
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,12 @@ def _connected_count(shape: tuple[int, ...], b: int) -> int:
     return total
 
 
+def clear_cache() -> None:
+    """Forget the memoized transposition counts (for tests and benchmarks)."""
+    _connected_count.cache_clear()
+    _raw_count.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # brute-force engine (verification standard)
 # ---------------------------------------------------------------------------
@@ -301,109 +308,18 @@ def single_hurwitz_brute(genus: int, degrees, degree_bound: int = DEFAULT_DEGREE
 
 
 # ---------------------------------------------------------------------------
-# persistent memo cache
-# ---------------------------------------------------------------------------
-
-_CACHE_LOCK = threading.Lock()
-_CACHE_MEMORY: dict[str, Fraction] = {}
-_CACHE_LOADED = False
-
-
-def cache_directory() -> str:
-    """Directory of the memo cache; ``PARKSCOPE_CACHE`` overrides."""
-    override = os.environ.get("PARKSCOPE_CACHE")
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "parkscope")
-
-
-def _cache_file() -> str:
-    return os.path.join(cache_directory(), "hurwitz.json")
-
-
-def format_rational(value: Fraction) -> str:
-    """``num/den``, or just ``num`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _cache_key(genus: int, degrees: tuple[int, ...]) -> str:
-    return f"{genus}:{','.join(str(deg) for deg in sorted(degrees))}"
-
-
-def _load_cache_locked() -> None:
-    global _CACHE_LOADED
-    if _CACHE_LOADED:
-        return
-    _CACHE_LOADED = True
-    try:
-        with open(_cache_file(), "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        for key, text in raw.items():
-            if isinstance(key, str) and isinstance(text, str):
-                _CACHE_MEMORY.setdefault(key, parse_rational(text))
-    except (OSError, ValueError):
-        pass  # missing or corrupt cache: recompute
-
-
-def _store_cache_locked() -> None:
-    directory = cache_directory()
-    try:
-        os.makedirs(directory, exist_ok=True)
-        payload = {
-            key: format_rational(value)
-            for key, value in sorted(_CACHE_MEMORY.items())
-        }
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=0, sort_keys=True)
-            os.replace(temp_path, _cache_file())
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass  # read-only environments must not break computation
-
-
-def clear_cache(memory_only: bool = False) -> None:
-    """Forget memoized values (for tests); optionally keep the file."""
-    global _CACHE_LOADED
-    with _CACHE_LOCK:
-        _CACHE_MEMORY.clear()
-        _CACHE_LOADED = memory_only
-        if not memory_only:
-            try:
-                os.unlink(_cache_file())
-            except OSError:
-                pass
-            _CACHE_LOADED = False
-
-
-# ---------------------------------------------------------------------------
 # public computations
 # ---------------------------------------------------------------------------
 
 
 def single_hurwitz(
-    genus: int,
-    degrees,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-    use_cache: bool = True,
+    genus: int, degrees, degree_bound: int = DEFAULT_DEGREE_BOUND
 ) -> Fraction:
     """Exact connected Hurwitz number for one boundary signature.
 
     Impossible signatures give 0; a total degree above ``degree_bound``
-    raises :class:`ResourceLimitError`.  Values are memoized in memory
-    and on disk unless ``use_cache`` is false.
+    or a branch count above :data:`BRANCH_COUNT_BOUND` raises
+    :class:`ResourceLimitError`.
     """
     degs = tuple(sorted(_check_signature(genus, degrees)))
     d = sum(degs)
@@ -412,24 +328,17 @@ def single_hurwitz(
             f"degree {d} exceeds the configured bound {degree_bound}"
         )
     b = branch_count(genus, degs)
-    key = _cache_key(genus, degs)
-    if use_cache:
-        with _CACHE_LOCK:
-            _load_cache_locked()
-            if key in _CACHE_MEMORY:
-                return _CACHE_MEMORY[key]
+    if b > BRANCH_COUNT_BOUND:
+        raise ResourceLimitError(
+            f"branch count {b} exceeds the bound {BRANCH_COUNT_BOUND}"
+        )
     shape = tuple(sorted(degs, reverse=True))
     count = _connected_count(shape, b)
     if count < 0:
         raise ArithmeticError(
             f"internal count for genus={genus} degrees={degs} is negative"
         )
-    value = Fraction(count, centralizer_order(degs))
-    if use_cache:
-        with _CACHE_LOCK:
-            _CACHE_MEMORY[key] = value
-            _store_cache_locked()
-    return value
+    return Fraction(count, centralizer_order(degs))
 
 
 def one_part_oracle(d: int) -> Fraction:

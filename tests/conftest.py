@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,24 @@ from parkscope.park import Park, from_json_dict
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_PARK_PATH = REPO_ROOT / "examples" / "example1_park.json"
 EXAMPLE_REP_PATH = REPO_ROOT / "examples" / "f3_monodromy.json"
+
+
+def run_cli(args, cwd=REPO_ROOT, env=None):
+    """The CLI in a fresh interpreter, importable from any working directory.
+
+    The timeout makes a computation that never ends fail its test instead
+    of hanging the suite.
+    """
+    env = dict(os.environ if env is None else env)
+    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+    return subprocess.run(
+        [sys.executable, "-m", "parkscope.cli", *args],
+        capture_output=True,
+        cwd=str(cwd),
+        env=env,
+        timeout=60,
+    )
 
 
 def make_loop3_rep():
@@ -105,13 +126,3 @@ def example_park() -> Park:
 def example_park_dict() -> dict:
     with open(EXAMPLE_PARK_PATH, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_cache(tmp_path, monkeypatch):
-    """Point the rational-value disk cache at a per-test directory."""
-    from parkscope import hurwitz
-
-    monkeypatch.setenv("PARKSCOPE_CACHE", str(tmp_path / "cache"))
-    hurwitz.clear_cache(memory_only=True)
-    yield

@@ -10,11 +10,8 @@ import copy
 import json
 import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -45,6 +42,7 @@ from conftest import (
     make_chord_rep,
     make_loop3_rep,
     make_two_entrance_rep,
+    run_cli,
 )
 
 
@@ -74,7 +72,7 @@ def test_acceptance_1_single_cover_counts():
         ]
         for g, degrees, expected in cases:
             start = time.monotonic()
-            fast = single_hurwitz(g, degrees, use_cache=False)
+            fast = single_hurwitz(g, degrees)
             brute = single_hurwitz_brute(g, degrees)
             elapsed = time.monotonic() - start
             assert fast == expected, (g, degrees, fast)
@@ -305,26 +303,12 @@ def test_acceptance_7_validator_discrimination():
 # ---------------------------------------------------------------------------
 
 
-def _run_cli(args, cache_dir):
-    env = dict(os.environ)
-    env["PARKSCOPE_CACHE"] = cache_dir
-    return subprocess.run(
-        [sys.executable, "-m", "parkscope.cli", *args],
-        capture_output=True,
-        env=env,
-        cwd=str(Path(__file__).resolve().parent.parent),
-    )
-
-
 def test_acceptance_8_json_determinism(tmp_path):
     def body():
-        cache_dir = str(tmp_path / "cache")
         rep_path = tmp_path / "loop3.json"
         rep_path.write_text(json.dumps(monodromy.to_json_dict(make_loop3_rep())))
         park_path = tmp_path / "loop3_park.json"
-        first = _run_cli(
-            ["extract", str(rep_path), "-o", str(park_path), "--json"], cache_dir
-        )
+        first = run_cli(["extract", str(rep_path), "-o", str(park_path), "--json"])
         assert first.returncode == 0, first.stderr
 
         example = str(EXAMPLE_PARK_PATH)
@@ -340,13 +324,12 @@ def test_acceptance_8_json_determinism(tmp_path):
             (["info", str(rep_path), "--json"], 0),
             (["hurwitz", str(park_path), "--json"], 0),
             (["single-hurwitz", "0", "4", "--json"], 0),
-            (["single-hurwitz", "0", "4", "--json", "--threads", "2"], 0),
             (["isomorphic", example, example, "--json"], 0),
             (["equivalent", str(rep_path), str(rep_path), "--json"], 0),
         ]
         for args, code in commands:
-            one = _run_cli(args, cache_dir)
-            two = _run_cli(args, cache_dir)
+            one = run_cli(args)
+            two = run_cli(args)
             assert one.returncode == code, (args, one.stderr)
             assert two.returncode == code, (args, two.stderr)
             assert one.stdout == two.stdout, args
@@ -366,10 +349,8 @@ def test_acceptance_8_json_determinism(tmp_path):
             "--json",
         ]
         runs = [
-            _run_cli(enum_base + ["--threads", "1"], cache_dir),
-            _run_cli(enum_base + ["--threads", "1"], cache_dir),
-            _run_cli(enum_base + ["--threads", "2"], cache_dir),
-            _run_cli(enum_base + ["--threads", "4"], cache_dir),
+            run_cli(enum_base, env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+            for seed in (0, 1, 4242)
         ]
         for run in runs:
             assert run.returncode == 0, run.stderr

@@ -1,10 +1,11 @@
 """Unit tests for the command-line front end: exit codes and output routing."""
 
 import json
+import os
 
 import pytest
 
-from parkscope import monodromy
+from parkscope import monodromy, monodromy_to_park, park
 from parkscope.cli import main
 
 from conftest import (
@@ -12,6 +13,7 @@ from conftest import (
     EXAMPLE_REP_PATH,
     make_loop3_rep,
     make_unrealizable_rep,
+    run_cli,
 )
 
 
@@ -176,6 +178,30 @@ def test_resource_limits(capsys):
     )
 
 
+@pytest.mark.parametrize("genus,degrees", [("5000", "6"), ("99999999", "2")])
+def test_single_hurwitz_large_genus_is_a_resource_limit(genus, degrees):
+    proc = run_cli(["single-hurwitz", genus, degrees])
+    assert proc.returncode == 3, proc.stderr
+    assert b"branch count" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_cli_writes_nothing_to_disk(tmp_path):
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    park_path = work / "park.json"
+    built = monodromy_to_park(make_loop3_rep())
+    park_path.write_text(json.dumps(park.to_json_dict(built)))
+    # no parkscope setting from the caller may redirect a write
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PARKSCOPE")}
+    env["HOME"] = str(home)
+    for args in (["single-hurwitz", "0", "4"], ["hurwitz", str(park_path)]):
+        proc = run_cli(args, cwd=work, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert sorted(tmp_path.rglob("*")) == [home, work, park_path]
+
+
 def test_isomorphic_self(capsys):
     assert (
         main(["isomorphic", str(EXAMPLE_PARK_PATH), str(EXAMPLE_PARK_PATH)]) == 0
@@ -268,6 +294,16 @@ def test_enumerate_json(capsys):
     assert payload["class_count"] == 1
     rep = payload["classes"][0]["representative"]
     assert rep["degree"] == 2 and len(rep["c"]) == 2
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--degree", "0"), ("--cone", "-1"), ("--corner", "-1")]
+)
+def test_enumerate_out_of_range_counts_are_malformed(option, value, capsys):
+    counts = {"--degree": "3", "--cone": "1", "--corner": "0", option: value}
+    argv = ["enumerate"] + [item for pair in counts.items() for item in pair]
+    assert main(argv) == 2
+    assert "d >= 1, t >= 0, s >= 0" in capsys.readouterr().err
 
 
 def test_json_error_payload(tmp_path, capsys):

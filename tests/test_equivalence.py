@@ -131,16 +131,6 @@ def test_enumeration_dedup_aliases():
         enumerate_monodromies(2, 1, 0, dedup="bogus")
 
 
-def test_enumeration_thread_stability():
-    for dedup in ("raw", "jequiv", "park"):
-        one = enumerate_monodromies(3, 2, 0, dedup=dedup, threads=1)
-        two = enumerate_monodromies(3, 2, 0, dedup=dedup, threads=3)
-        assert [monodromy.to_json_dict(c.representative) for c in one.classes] == [
-            monodromy.to_json_dict(c.representative) for c in two.classes
-        ]
-        assert [c.size for c in one.classes] == [c.size for c in two.classes]
-
-
 def test_enumeration_budget():
     with pytest.raises(ResourceLimitError):
         enumerate_monodromies(3, 2, 0, budget=5)
@@ -181,8 +171,8 @@ def test_classify_groups_conjugates():
     assert members == [(0, 1), (2,)]
 
 
-def test_extracted_parks_serialize_identically_across_threads():
-    for cls in enumerate_monodromies(3, 1, 2, dedup="park", threads=2).classes:
+def test_extracted_parks_serialize_identically():
+    for cls in enumerate_monodromies(3, 1, 2, dedup="park").classes:
         try:
             park = monodromy_to_park(cls.representative)
         except NonRealizableError:

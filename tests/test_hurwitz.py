@@ -1,7 +1,5 @@
-"""Unit tests for exact covering counts and the memo cache."""
+"""Unit tests for exact covering counts."""
 
-import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -16,8 +14,7 @@ from parkscope import (
     single_hurwitz,
     single_hurwitz_brute,
 )
-from parkscope import hurwitz
-from parkscope.hurwitz import centralizer_order, format_rational, parse_rational
+from parkscope.hurwitz import BRANCH_COUNT_BOUND, centralizer_order
 from parkscope.park import from_json_dict, to_json_dict
 
 
@@ -52,7 +49,7 @@ def test_fast_engine_agrees_with_brute_force():
             for genus in (0, 1):
                 if branch_count(genus, degrees) > 6:
                     continue
-                fast = single_hurwitz(genus, degrees, use_cache=False)
+                fast = single_hurwitz(genus, degrees)
                 brute = single_hurwitz_brute(genus, degrees)
                 assert fast == brute, (genus, degrees)
 
@@ -99,6 +96,15 @@ def test_degree_bound_enforced():
     assert single_hurwitz(0, (7,), degree_bound=8) == Fraction(7) ** 4
 
 
+def test_branch_count_bound_enforced():
+    # (3,) forces b = 2g + 2 branch points
+    last = (BRANCH_COUNT_BOUND - 2) // 2
+    assert branch_count(last, (3,)) == BRANCH_COUNT_BOUND
+    assert single_hurwitz(last, (3,)) > 0
+    with pytest.raises(ResourceLimitError):
+        single_hurwitz(last + 1, (3,))
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         single_hurwitz(-1, (2,))
@@ -106,23 +112,6 @@ def test_signature_validation():
         single_hurwitz(0, ())
     with pytest.raises(ValueError):
         single_hurwitz(0, (0,))
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    cache_dir = tmp_path / "hz"
-    monkeypatch.setenv("PARKSCOPE_CACHE", str(cache_dir))
-    hurwitz.clear_cache(memory_only=True)
-    value = single_hurwitz(0, (3, 1))
-    cache_file = cache_dir / "hurwitz.json"
-    assert cache_file.exists()
-    stored = json.loads(cache_file.read_text())
-    assert stored["0:1,3"] == format_rational(value)
-    # a fresh in-memory state must pick the value up from disk
-    hurwitz.clear_cache(memory_only=True)
-    hurwitz._CACHE_LOADED = False
-    assert single_hurwitz(0, (3, 1)) == value
-    assert parse_rational(format_rational(Fraction(3, 2))) == Fraction(3, 2)
-    assert format_rational(Fraction(5)) == "5"
 
 
 def test_park_hurwitz_single_entrance(loop3_park):
