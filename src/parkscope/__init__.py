@@ -14,13 +14,16 @@ Submodules
 ``monodromy``
     The representation record, defining relations, genericity, counts.
 ``park``
-    The park data model, axiom validation, invariants, serialization.
+    The park data model, axiom validation, invariants, serialization,
+    and the park-morphism search.
 ``extraction``
-    Building parks out of representations; involution search.
+    Building parks out of representations; ``find_park_involution``,
+    the park-morphism search from a park to itself with colors swapped.
 ``hurwitz``
     Single and composite Hurwitz numbers, brute-force cross-checks.
 ``equivalence``
-    Park isomorphism, representation equivalence, enumeration.
+    Park isomorphism (the park-morphism search between two parks),
+    representation equivalence, enumeration.
 ``cli``
     The ``parkscope`` command-line front end.
 """

@@ -4,7 +4,9 @@
   between two parks: colors, roles, kinds, degrees, lengths and genus
   weights are preserved, corner labels match up to a cyclic rotation
   (optionally a reflection), fine boundaries correspond, and the map
-  commutes with both park involutions.
+  commutes with both park involutions.  It runs the park-morphism
+  search of :mod:`parkscope.park` once per rotation, the same search
+  that ``find_park_involution`` runs from a park to itself.
 * ``monodromy_equivalent`` decides a sufficient condition for
   topological equivalence of two monodromies: a color-preserving sheet
   relabeling that matches the orbit systems of the ``x`` generators and
@@ -39,7 +41,7 @@ from .monodromy import (
     validate_genericity,
     validate_relations,
 )
-from .park import Park, _ParkIndex, EntranceSignature, rotations_equal, validate_park
+from .park import Park, _park_morphism, _ParkIndex, validate_park
 from .permgroup import (
     Perm,
     blacks,
@@ -120,268 +122,28 @@ def park_isomorphic(
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
     s = p1.corner_points
+    src, dst = _ParkIndex(p1), _ParkIndex(p2)
+    inv1, inv2 = p1.involution, p2.involution
+
+    def twin(cell: str, a: int, b: int) -> tuple[int, int]:
+        return getattr(inv1, cell)[a], getattr(inv2, cell)[b]
+
     rotations = range(s) if s > 0 else range(1)
     reflections = (False, True) if allow_reflection else (False,)
     for reflected in reflections:
         for rotation in rotations:
-            witness = _search_isomorphism(p1, p2, rotation, reflected)
-            if witness is not None:
-                return witness
-    return None
-
-
-def _search_isomorphism(
-    p1: Park, p2: Park, rotation: int, reflected: bool
-) -> ParkIsomorphism | None:
-    s = p1.corner_points
-    ix1, ix2 = _ParkIndex(p1), _ParkIndex(p2)
-    if len(ix1.faces) != len(ix2.faces) or len(ix1.edges) != len(ix2.edges):
-        return None
-    if len(ix1.vertices) != len(ix2.vertices) or len(ix1.nodes) != len(ix2.nodes):
-        return None
-    if len(ix1.gardens) != len(ix2.gardens):
-        return None
-
-    def node_of_face(ix: _ParkIndex, f: int) -> int:
-        return ix.alley_of_face(f)[0].node_id
-
-    def signature(ix: _ParkIndex, park: Park, n: int) -> EntranceSignature:
-        degrees = [ix.faces[a.face_id].degree for a in ix.alleys_of_node(n)]
-        return EntranceSignature.compute(ix.nodes[n].genus, degrees)
-
-    sig1 = {n: signature(ix1, p1, n) for n in ix1.nodes}
-    sig2 = {n: signature(ix2, p2, n) for n in ix2.nodes}
-    inv1, inv2 = p1.involution, p2.involution
-
-    node_map: dict[int, int] = {}
-    face_map: dict[int, int] = {}
-    garden_map: dict[int, int] = {}
-    edge_map: dict[int, int] = {}
-    vertex_map: dict[int, int] = {}
-
-    entrances1 = sorted(n for n, node in ix1.nodes.items() if node.role == "entrance")
-    entrances2 = sorted(n for n, node in ix2.nodes.items() if node.role == "entrance")
-    if len(entrances1) != len(entrances2):
-        return None
-
-    def bind(mapping: dict[int, int], a: int, b: int) -> bool:
-        if a in mapping:
-            return mapping[a] == b
-        if b in mapping.values():
-            return False
-        mapping[a] = b
-        return True
-
-    def garden_compatible(a: int, b: int) -> bool:
-        ga, gb = ix1.gardens[a], ix2.gardens[b]
-        if ga.kind != gb.kind:
-            return False
-        if sorted((f.color, f.degree) for f in ga.faces) != sorted(
-            (f.color, f.degree) for f in gb.faces
-        ):
-            return False
-        if sorted((e.kind, e.length) for e in ga.edges) != sorted(
-            (e.kind, e.length) for e in gb.edges
-        ):
-            return False
-        labels1 = sorted(
-            _rotated_label(v.corner_label, s, rotation, reflected) for v in ga.vertices
-        )
-        labels2 = sorted(v.corner_label for v in gb.vertices)
-        return labels1 == labels2
-
-    white1 = sorted(f for f, face in ix1.faces.items() if face.color == "white")
-
-    def solve_nodes(i: int) -> ParkIsomorphism | None:
-        if i == len(entrances1):
-            return solve_faces(0)
-        a = entrances1[i]
-        saved = dict(node_map)
-        for b in entrances2:
-            if sig1[a] != sig2[b]:
-                continue
-            if not bind(node_map, a, b):
-                continue
-            # commute with the involutions on nodes
-            ia, ib = inv1.nodes.get(a), inv2.nodes.get(b)
-            ok = ia is not None and ib is not None and bind(node_map, ia, ib)
-            if ok:
-                result = solve_nodes(i + 1)
-                if result is not None:
-                    return result
-            node_map.clear()
-            node_map.update(saved)
-        return None
-
-    def solve_faces(i: int) -> ParkIsomorphism | None:
-        if i == len(white1):
-            return solve_remaining_gardens()
-        f = white1[i]
-        face = ix1.faces[f]
-        target_node = node_map[node_of_face(ix1, f)]
-        saved_f = dict(face_map)
-        saved_g = dict(garden_map)
-        for alley in ix2.alleys_of_node(target_node):
-            b = alley.face_id
-            other = ix2.faces[b]
-            if other.color != "white" or other.degree != face.degree:
-                continue
-            if f in face_map or b in face_map.values():
-                if face_map.get(f) != b:
-                    continue
-            ok = bind(face_map, f, b)
-            # black partners forced by involution-commuting
-            if ok:
-                fb, bb = inv1.faces.get(f), inv2.faces.get(b)
-                ok = fb is not None and bb is not None and bind(face_map, fb, bb)
-                if ok and ix1.faces[fb].degree != ix2.faces[bb].degree:
-                    ok = False
-            if ok:
-                ok = _bind_owner(f, face_map[f]) and _bind_owner(
-                    inv1.faces[f], face_map[inv1.faces[f]]
-                )
-            if ok:
-                result = solve_faces(i + 1)
-                if result is not None:
-                    return result
-            face_map.clear()
-            face_map.update(saved_f)
-            garden_map.clear()
-            garden_map.update(saved_g)
-        return None
-
-    def _bind_owner(f1: int, f2: int) -> bool:
-        g1, g2 = ix1.owner_of_face[f1], ix2.owner_of_face[f2]
-        if g1 in garden_map:
-            return garden_map[g1] == g2
-        if g2 in garden_map.values():
-            return False
-        if not garden_compatible(g1, g2):
-            return False
-        garden_map[g1] = g2
-        return True
-
-    def solve_remaining_gardens() -> ParkIsomorphism | None:
-        unbound = sorted(g for g in ix1.gardens if g not in garden_map)
-        if not unbound:
-            for g1, g2 in garden_map.items():
-                i1, i2 = inv1.gardens.get(g1), inv2.gardens.get(g2)
-                if i1 is None or i2 is None or garden_map.get(i1) != i2:
-                    return None
-            ordered = sorted(garden_map.items())
-            return solve_cells(ordered, 0)
-        a = unbound[0]
-        taken = set(garden_map.values())
-        saved = dict(garden_map)
-        for b in sorted(g for g in ix2.gardens if g not in taken):
-            if not garden_compatible(a, b):
-                continue
-            garden_map[a] = b
-            result = solve_remaining_gardens()
-            if result is not None:
-                return result
-            garden_map.clear()
-            garden_map.update(saved)
-        return None
-
-    def solve_cells(pairs: list[tuple[int, int]], gi: int) -> ParkIsomorphism | None:
-        if gi == len(pairs):
-            return finish()
-        a, b = pairs[gi]
-        verts = sorted(v.id for v in ix1.gardens[a].vertices)
-        return solve_vertices(pairs, gi, a, b, verts, 0)
-
-    def solve_vertices(
-        pairs, gi: int, a: int, b: int, verts: list[int], i: int
-    ) -> ParkIsomorphism | None:
-        if i == len(verts):
-            edges = sorted(e.id for e in ix1.gardens[a].edges)
-            return solve_edges(pairs, gi, a, b, edges, 0)
-        v = verts[i]
-        if v in vertex_map:
-            return solve_vertices(pairs, gi, a, b, verts, i + 1)
-        vertex = ix1.vertices[v]
-        want = _rotated_label(vertex.corner_label, s, rotation, reflected)
-        saved = dict(vertex_map)
-        for w in sorted(x.id for x in ix2.gardens[b].vertices):
-            if w in vertex_map.values():
-                continue
-            if ix2.vertices[w].corner_label != want:
-                continue
-            vertex_map[v] = w
-            iv, iw = inv1.vertices.get(v), inv2.vertices.get(w)
-            ok = iv is not None and iw is not None and bind(vertex_map, iv, iw)
-            if ok:
-                result = solve_vertices(pairs, gi, a, b, verts, i + 1)
-                if result is not None:
-                    return result
-            vertex_map.clear()
-            vertex_map.update(saved)
-        return None
-
-    def solve_edges(
-        pairs, gi: int, a: int, b: int, edges: list[int], i: int
-    ) -> ParkIsomorphism | None:
-        if i == len(edges):
-            return solve_cells(pairs, gi + 1)
-        e = edges[i]
-        if e in edge_map:
-            return solve_edges(pairs, gi, a, b, edges, i + 1)
-        edge = ix1.edges[e]
-        saved = dict(edge_map)
-        for h in sorted(x.id for x in ix2.gardens[b].edges):
-            if h in edge_map.values():
-                continue
-            other = ix2.edges[h]
-            if other.kind != edge.kind or other.length != edge.length:
-                continue
-            if edge.kind == "segment":
-                assert edge.ends is not None and other.ends is not None
-                if any(v not in vertex_map for v in edge.ends):
-                    continue
-                if sorted(vertex_map[v] for v in edge.ends) != sorted(other.ends):
-                    continue
-            edge_map[e] = h
-            ie, ih = inv1.edges.get(e), inv2.edges.get(h)
-            ok = ie is not None and ih is not None and bind(edge_map, ie, ih)
-            if ok:
-                result = solve_edges(pairs, gi, a, b, edges, i + 1)
-                if result is not None:
-                    return result
-            edge_map.clear()
-            edge_map.update(saved)
-        return None
-
-    def finish() -> ParkIsomorphism | None:
-        # fine boundaries must correspond entry by entry (up to rotation)
-        for f, face in ix1.faces.items():
-            image = ix2.faces[face_map[f]]
-            if not face.boundary or not image.boundary:
-                continue
-            mapped = tuple(
-                (1 if entry > 0 else -1) * edge_map[abs(entry)]
-                for entry in face.boundary
+            maps = _park_morphism(
+                src,
+                dst,
+                swap=False,
+                label=lambda c: _rotated_label(c, s, rotation, reflected),
+                reverse=reflected,
+                twin=twin,
+                required={},
             )
-            if reflected:
-                mapped = tuple(-entry for entry in reversed(mapped))
-            if not rotations_equal(mapped, image.boundary):
-                return None
-        # involution-commuting on faces (nodes/vertices/edges/gardens were
-        # enforced during binding)
-        for f in ix1.faces:
-            if face_map[inv1.faces[f]] != inv2.faces[face_map[f]]:
-                return None
-        return ParkIsomorphism(
-            rotation=rotation,
-            reflected=reflected,
-            gardens=dict(garden_map),
-            faces=dict(face_map),
-            edges=dict(edge_map),
-            vertices=dict(vertex_map),
-            nodes=dict(node_map),
-        )
-
-    return solve_nodes(0)
+            if maps is not None:
+                return ParkIsomorphism(rotation=rotation, reflected=reflected, **maps)
+    return None
 
 
 # ---------------------------------------------------------------------------

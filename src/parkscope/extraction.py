@@ -20,6 +20,11 @@ Every park ingredient is read off the permutation data:
   the preservation requirements, so assembly only fails when the
   numeric data itself is inconsistent.
 
+``find_park_involution`` recovers an involution for a park given
+without one (hand-authored parks); it runs the park-morphism search of
+:mod:`parkscope.park`, the one behind ``park_isomorphic``, from the
+park to itself with colors swapped.
+
 ``monodromy_to_park`` assembles and validates the full park and
 cross-checks its genus against the one forced by the critical-value
 count, raising :class:`NonRealizableError` when the branching data
@@ -44,6 +49,8 @@ from .park import (
     Involution,
     Park,
     ParkNode,
+    _park_morphism,
+    _ParkIndex,
     genus as park_genus,
     rotations_equal,
     validate_park,
@@ -770,265 +777,57 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
 def find_park_involution(park: Park) -> Involution | None:
     """Search for a structure-preserving color-swapping involution.
 
-    Entrances are matched with exits of equal signature, white faces with
-    black faces of equal degree through compatible gardens, then edges
-    and vertices within each garden pairing; on fine parks the face
-    boundaries must also correspond (reversed, with mapped edges).
-    Declared garden kinds, partners and vertex pairs are respected.
-    Returns the first involution in a fixed search order, or ``None``.
+    This is the park-morphism search from a park to itself with roles
+    and colors swapped, corner labels kept and boundaries read reversed:
+    entrances are matched with exits of equal signature, white faces
+    with black faces of equal degree through compatible gardens, then
+    vertices and edges within each garden pairing, each binding made
+    together with its mirror.  Declared garden partners and vertex pairs
+    are required images, a garden that is no separated-pair member is
+    fixed, and a fixed garden must agree with its kind.  Returns the
+    first involution in a fixed search order, or ``None`` (also for a
+    park whose ids or alleys do not resolve).
     """
-    tables = _SearchTables(park)
-    if not tables.usable():
+    try:
+        index = _ParkIndex(park)
+    except ValueError:
         return None
-    entrances = sorted(n for n, node in tables.nodes.items() if node.role == "entrance")
-    exits = sorted(n for n, node in tables.nodes.items() if node.role == "exit")
-    if len(entrances) != len(exits):
+    if not index.attachments_resolve():
         return None
+    required = {
+        "gardens": {
+            g.id: g.id if g.partner_id is None else g.partner_id
+            for g in park.gardens
+            if g.partner_id is not None or g.kind != "separated_pair_member"
+        },
+        "vertices": {
+            v.id: v.pair_id for v in index.vertices.values() if v.pair_id is not None
+        },
+    }
 
-    node_map: dict[int, int] = {}
-    face_map: dict[int, int] = {}
-    garden_map: dict[int, int] = {}
-    edge_map: dict[int, int] = {}
-    vertex_map: dict[int, int] = {}
-
-    def garden_compatible(a: int, b: int) -> bool:
-        ga, gb = tables.gardens[a], tables.gardens[b]
-        mine = sorted((f.color, f.degree) for f in ga.faces)
-        theirs = sorted(
-            (("white", f.degree) if f.color == "black" else ("black", f.degree))
-            for f in gb.faces
-        )
-        if mine != theirs:
-            return False
-        if sorted((e.kind, e.length) for e in ga.edges) != sorted(
-            (e.kind, e.length) for e in gb.edges
-        ):
-            return False
-        if sorted(v.corner_label for v in ga.vertices) != sorted(
-            v.corner_label for v in gb.vertices
-        ):
-            return False
-        if ga.partner_id is not None and ga.partner_id != b:
-            return False
-        if gb.partner_id is not None and gb.partner_id != a:
-            return False
-        if a == b and ga.kind == "separated_pair_member":
-            return False
-        if a != b and (
-            ga.kind != "separated_pair_member" or gb.kind != "separated_pair_member"
-        ):
-            return False
+    def kinds_hold(maps: dict[str, dict[int, int]]) -> bool:
+        for g_id, image in maps["gardens"].items():
+            garden = index.gardens[g_id]
+            if (image != g_id) != (garden.kind == "separated_pair_member"):
+                return False
+            if image != g_id:
+                continue
+            fixed_edge = any(maps["edges"][e.id] == e.id for e in garden.edges)
+            fixed_vertex = any(maps["vertices"][v.id] == v.id for v in garden.vertices)
+            if garden.kind == "orientable" and not fixed_edge:
+                return False
+            if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
+                return False
         return True
 
-    white_faces = sorted(f for f, face in tables.faces.items() if face.color == "white")
-
-    def solve_nodes(i: int) -> Involution | None:
-        if i == len(entrances):
-            return solve_faces(0)
-        a = entrances[i]
-        for b in exits:
-            if b in node_map:
-                continue
-            if tables.node_sig[a] != tables.node_sig[b]:
-                continue
-            node_map[a] = b
-            node_map[b] = a
-            result = solve_nodes(i + 1)
-            if result is not None:
-                return result
-            del node_map[a], node_map[b]
-        return None
-
-    def solve_faces(i: int) -> Involution | None:
-        if i == len(white_faces):
-            return solve_gardens()
-        f = white_faces[i]
-        face = tables.faces[f]
-        partner_node = node_map[tables.node_of_face[f]]
-        for b in sorted(tables.faces_of_node.get(partner_node, [])):
-            if b in face_map:
-                continue
-            other = tables.faces[b]
-            if other.color != "black" or other.degree != face.degree:
-                continue
-            ga, gb = tables.owner_face[f], tables.owner_face[b]
-            bound_here = False
-            if ga in garden_map:
-                if garden_map[ga] != gb:
-                    continue
-            else:
-                if gb in garden_map:
-                    continue
-                if not garden_compatible(ga, gb):
-                    continue
-                garden_map[ga] = gb
-                garden_map[gb] = ga
-                bound_here = True
-            face_map[f] = b
-            face_map[b] = f
-            result = solve_faces(i + 1)
-            if result is not None:
-                return result
-            del face_map[f], face_map[b]
-            if bound_here:
-                if ga == gb:
-                    del garden_map[ga]
-                else:
-                    del garden_map[ga], garden_map[gb]
-        return None
-
-    def solve_gardens() -> Involution | None:
-        unbound = sorted(g for g in tables.gardens if g not in garden_map)
-        if not unbound:
-            ordered = sorted(
-                {tuple(sorted((g, garden_map[g]))) for g in garden_map}
-            )
-            return solve_cells(ordered, 0)
-        a = unbound[0]
-        for b in unbound:
-            if not garden_compatible(a, b):
-                continue
-            garden_map[a] = b
-            garden_map[b] = a
-            result = solve_gardens()
-            if result is not None:
-                return result
-            if a == b:
-                del garden_map[a]
-            else:
-                del garden_map[a], garden_map[b]
-        return None
-
-    def solve_cells(pairs: list[tuple[int, int]], i: int) -> Involution | None:
-        if i == len(pairs):
-            return finish()
-        a, b = pairs[i]
-        verts_a = sorted(v.id for v in tables.gardens[a].vertices)
-        return solve_vertices(pairs, i, a, b, verts_a, 0)
-
-    def solve_vertices(
-        pairs: list[tuple[int, int]], gi: int, a: int, b: int, verts: list[int], i: int
-    ) -> Involution | None:
-        if i == len(verts):
-            edges_a = sorted(e.id for e in tables.gardens[a].edges)
-            return solve_edges(pairs, gi, a, b, edges_a, 0)
-        v = verts[i]
-        if v in vertex_map:
-            return solve_vertices(pairs, gi, a, b, verts, i + 1)
-        vertex = tables.vertices[v]
-        candidates = sorted(w.id for w in tables.gardens[b].vertices)
-        for w in candidates:
-            if w in vertex_map:
-                continue
-            other = tables.vertices[w]
-            if other.corner_label != vertex.corner_label:
-                continue
-            if vertex.pair_id is not None and vertex.pair_id != w:
-                continue
-            if other.pair_id is not None and other.pair_id != v:
-                continue
-            vertex_map[v] = w
-            vertex_map[w] = v
-            result = solve_vertices(pairs, gi, a, b, verts, i + 1)
-            if result is not None:
-                return result
-            if v == w:
-                del vertex_map[v]
-            else:
-                del vertex_map[v], vertex_map[w]
-        return None
-
-    def solve_edges(
-        pairs: list[tuple[int, int]], gi: int, a: int, b: int, edges: list[int], i: int
-    ) -> Involution | None:
-        if i == len(edges):
-            return solve_cells(pairs, gi + 1)
-        e = edges[i]
-        if e in edge_map:
-            return solve_edges(pairs, gi, a, b, edges, i + 1)
-        edge = tables.edges[e]
-        for h in sorted(x.id for x in tables.gardens[b].edges):
-            if h in edge_map:
-                continue
-            other = tables.edges[h]
-            if other.kind != edge.kind or other.length != edge.length:
-                continue
-            if edge.kind == "segment":
-                assert edge.ends is not None and other.ends is not None
-                mapped = sorted(vertex_map[v] for v in edge.ends)
-                if mapped != sorted(other.ends):
-                    continue
-            edge_map[e] = h
-            edge_map[h] = e
-            result = solve_edges(pairs, gi, a, b, edges, i + 1)
-            if result is not None:
-                return result
-            if e == h:
-                del edge_map[e]
-            else:
-                del edge_map[e], edge_map[h]
-        return None
-
-    def finish() -> Involution | None:
-        # Fine-structure coherence: mapped boundaries must match reversed.
-        for f, face in tables.faces.items():
-            image = tables.faces[face_map[f]]
-            if not face.boundary or not image.boundary:
-                continue
-            mapped = tuple(
-                -(1 if entry > 0 else -1) * edge_map[abs(entry)]
-                for entry in reversed(face.boundary)
-            )
-            if not rotations_equal(mapped, image.boundary):
-                return None
-        for g_id, garden in tables.gardens.items():
-            if garden_map[g_id] != g_id:
-                continue
-            fixed_edge = any(edge_map[e.id] == e.id for e in garden.edges)
-            fixed_vertex = any(vertex_map[v.id] == v.id for v in garden.vertices)
-            if garden.kind == "orientable" and not fixed_edge:
-                return None
-            if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
-                return None
-        return Involution(
-            nodes=dict(node_map),
-            faces=dict(face_map),
-            edges=dict(edge_map),
-            vertices=dict(vertex_map),
-            gardens=dict(garden_map),
-        )
-
-    return solve_nodes(0)
-
-
-class _SearchTables:
-    def __init__(self, park: Park):
-        self.park = park
-        self.gardens = {g.id: g for g in park.gardens}
-        self.faces = {f.id: f for g in park.gardens for f in g.faces}
-        self.edges = {e.id: e for g in park.gardens for e in g.edges}
-        self.vertices = {v.id: v for g in park.gardens for v in g.vertices}
-        self.nodes = {n.id: n for n in park.nodes}
-        self.owner_face = {f.id: g.id for g in park.gardens for f in g.faces}
-        self.owner_edge = {e.id: g.id for g in park.gardens for e in g.edges}
-        self.owner_vertex = {v.id: g.id for g in park.gardens for v in g.vertices}
-        self.node_of_face: dict[int, int] = {}
-        faces_of_node: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a in park.alleys:
-            if a.face_id in self.node_of_face:
-                self.node_of_face[a.face_id] = -1  # duplicate: unusable
-            else:
-                self.node_of_face[a.face_id] = a.node_id
-            faces_of_node.setdefault(a.node_id, []).append(a.face_id)
-        self.faces_of_node = faces_of_node
-        self.node_sig: dict[int, EntranceSignature] = {}
-        for n_id, node in self.nodes.items():
-            degrees = [self.faces[f].degree for f in faces_of_node.get(n_id, []) if f in self.faces]
-            self.node_sig[n_id] = EntranceSignature.compute(node.genus, degrees)
-
-    def usable(self) -> bool:
-        if set(self.node_of_face) != set(self.faces):
-            return False
-        if -1 in self.node_of_face.values():
-            return False
-        return all(faces for faces in self.faces_of_node.values())
+    maps = _park_morphism(
+        index,
+        index,
+        swap=True,
+        label=lambda c: c,
+        reverse=True,
+        twin=lambda cell, a, b: (b, a),
+        required=required,
+        accept=kinds_hold,
+    )
+    return None if maps is None else Involution(**maps)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NonRealizableError, ResourceLimitError
-from .park import Park, node_signature, validate_park
+from .park import Park, _ParkIndex, validate_park
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
 DEFAULT_DEGREE_BOUND = 6
@@ -362,12 +362,13 @@ def park_hurwitz(park: Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fracti
             "park fails validation: "
             + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
         )
+    signatures = _ParkIndex(park).signatures
     branch_counts = []
     total = Fraction(1)
     for node in sorted(park.nodes, key=lambda nd: nd.id):
         if node.role != "entrance":
             continue
-        signature = node_signature(park, node.id)
+        signature = signatures[node.id]
         branch_counts.append(signature.branch_points)
         total *= single_hurwitz(
             signature.genus, signature.degrees, degree_bound=degree_bound

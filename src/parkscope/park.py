@@ -35,13 +35,15 @@ the real locus.  Its cells:
 rule codes; structurally broken references (ids that do not resolve)
 raise ``ValueError`` instead.  The topological invariants
 (``euler_characteristic``, ``genus``, ``total_degree``) and the canonical
-``type_summary`` assume a validated park.
+``type_summary`` assume a validated park.  One private park-morphism
+search serves both ``park_isomorphic`` and ``find_park_involution``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import InconsistencyError, NonRealizableError
 
@@ -353,7 +355,11 @@ class EntranceSignature:
 
 
 class _ParkIndex:
-    """Resolved id tables for a park; raises ValueError on duplicate ids."""
+    """Resolved id tables for a park; raises ValueError on duplicate ids.
+
+    ``faces_of_node`` lists each node's faces in alley order and
+    ``node_of_face`` names the node of each face's last alley.
+    """
 
     def __init__(self, park: Park):
         self.park = park
@@ -366,6 +372,8 @@ class _ParkIndex:
         self.owner_of_face: dict[int, int] = {}
         self.owner_of_edge: dict[int, int] = {}
         self.owner_of_vertex: dict[int, int] = {}
+        self.node_of_face: dict[int, int] = {}
+        self.faces_of_node: dict[int, list[int]] = {}
         for garden in park.gardens:
             self._add(self.gardens, garden.id, garden, "garden")
             for f in garden.faces:
@@ -379,8 +387,11 @@ class _ParkIndex:
                 self.owner_of_vertex[v.id] = garden.id
         for n in park.nodes:
             self._add(self.nodes, n.id, n, "node")
+            self.faces_of_node[n.id] = []
         for a in park.alleys:
             self._add(self.alleys, a.id, a, "alley")
+            self.node_of_face[a.face_id] = a.node_id
+            self.faces_of_node.setdefault(a.node_id, []).append(a.face_id)
 
     @staticmethod
     def _add(table: dict[int, Any], key: int, value: Any, what: str) -> None:
@@ -436,22 +447,233 @@ class _ParkIndex:
                 if value not in table:
                     raise ValueError(f"involution {name} value {value} is not a known id")
 
-    def alleys_of_node(self, node_id: int) -> list[Alley]:
-        return [a for a in self.park.alleys if a.node_id == node_id]
+    def attachments_resolve(self) -> bool:
+        """True when the alleys attach every face exactly once, each to a
+        known node, and leave no node without an alley."""
+        return (
+            sorted(a.face_id for a in self.park.alleys) == sorted(self.faces)
+            and self.faces_of_node.keys() == self.nodes.keys()
+            and all(self.faces_of_node.values())
+        )
 
-    def alley_of_face(self, face_id: int) -> list[Alley]:
-        return [a for a in self.park.alleys if a.face_id == face_id]
+    @cached_property
+    def signatures(self) -> dict[int, EntranceSignature]:
+        """Signature of every node from its genus and attached face degrees."""
+        return {
+            n: EntranceSignature.compute(
+                node.genus, [self.faces[f].degree for f in self.faces_of_node[n]]
+            )
+            for n, node in self.nodes.items()
+        }
 
 
-def node_signature(park: Park, node_id: int) -> EntranceSignature:
-    """Signature of a node from its genus and its attached face degrees."""
-    index = _ParkIndex(park)
-    index.check_references()
-    if node_id not in index.nodes:
-        raise ValueError(f"unknown node id {node_id}")
-    node = index.nodes[node_id]
-    degrees = [index.faces[a.face_id].degree for a in index.alleys_of_node(node_id)]
-    return EntranceSignature.compute(node.genus, degrees)
+#: Cell types in the order the morphism search binds them.
+_CELL_TYPES = ("nodes", "faces", "gardens", "vertices", "edges")
+
+#: One id map per cell type.
+_CellMaps = dict[str, dict[int, int]]
+
+
+def _park_morphism(
+    src: _ParkIndex,
+    dst: _ParkIndex,
+    *,
+    swap: bool,
+    label: Callable[[int], int],
+    reverse: bool,
+    twin: Callable[[str, int, int], tuple[int, int]],
+    required: Mapping[str, Mapping[int, int]],
+    accept: Callable[[_CellMaps], bool] | None = None,
+) -> _CellMaps | None:
+    """The first structure-preserving cell map ``src -> dst``, or ``None``.
+
+    Roles and colors are kept, or swapped when ``swap`` is set; genus
+    signatures, degrees, edge kinds and lengths and garden kinds are kept;
+    corner labels are sent through ``label``.  Every binding ``a -> b`` of
+    one cell type is made together with its twin ``twin(type, a, b)``, and
+    a cell listed in ``required`` may only go to its listed image.  Face
+    boundaries must correspond up to rotation, read reversed and negated
+    when ``reverse`` is set, and the complete maps must pass ``accept``.
+
+    The search order is fixed: entrances by id against target nodes by
+    id; white faces by id against the faces of their node's image, in
+    alley order, binding the faces' gardens on the way; gardens left
+    unbound by id against gardens by id; then, garden pair by garden
+    pair, vertices and edges by id against cells of the image garden.
+    """
+    if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in _CELL_TYPES):
+        return None
+    recolor = {c: opposite_color(c) if swap else c for c in FACE_COLORS}
+    target_role = "exit" if swap else "entrance"
+    entrances = sorted(n for n, node in src.nodes.items() if node.role == "entrance")
+    targets = sorted(n for n, node in dst.nodes.items() if node.role == target_role)
+    if len(entrances) != len(targets):
+        return None
+    whites = sorted(f for f, face in src.faces.items() if face.color == "white")
+    maps: _CellMaps = {t: {} for t in _CELL_TYPES}
+    images: dict[str, set[int]] = {t: set() for t in _CELL_TYPES}
+    trail: list[tuple[str, int]] = []
+
+    def bind(cell: str, a: int, b: int) -> bool:
+        mapping = maps[cell]
+        if a in mapping:
+            return mapping[a] == b
+        if b in images[cell] or required.get(cell, {}).get(a, b) != b:
+            return False
+        mapping[a] = b
+        images[cell].add(b)
+        trail.append((cell, a))
+        return True
+
+    def bind_twins(cell: str, a: int, b: int) -> bool:
+        return bind(cell, a, b) and bind(cell, *twin(cell, a, b))
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            cell, a = trail.pop()
+            images[cell].discard(maps[cell].pop(a))
+
+    def garden_key(garden: Garden, mapped: bool) -> tuple:
+        colors = recolor if mapped else {c: c for c in FACE_COLORS}
+        corners = (v.corner_label for v in garden.vertices)
+        return (
+            garden.kind,
+            sorted((colors[f.color], f.degree) for f in garden.faces),
+            sorted((e.kind, e.length) for e in garden.edges),
+            sorted(map(label, corners) if mapped else corners),
+        )
+
+    src_keys: dict[int, tuple] = {}
+    dst_keys: dict[int, tuple] = {}
+
+    def gardens_fit(a: int, b: int) -> bool:
+        if a not in src_keys:
+            src_keys[a] = garden_key(src.gardens[a], True)
+        if b not in dst_keys:
+            dst_keys[b] = garden_key(dst.gardens[b], False)
+        return src_keys[a] == dst_keys[b]
+
+    def bind_garden(a: int, b: int) -> bool:
+        fits = a in maps["gardens"] or gardens_fit(a, b)
+        return fits and bind_twins("gardens", a, b)
+
+    def solve_nodes(i: int) -> _CellMaps | None:
+        if i == len(entrances):
+            return solve_faces(0)
+        a = entrances[i]
+        mark = len(trail)
+        for b in targets:
+            if b in images["nodes"] or src.signatures[a] != dst.signatures[b]:
+                continue
+            if bind_twins("nodes", a, b):
+                result = solve_nodes(i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def solve_faces(i: int) -> _CellMaps | None:
+        if i == len(whites):
+            return solve_gardens()
+        f = whites[i]
+        face = src.faces[f]
+        color = recolor[face.color]
+        mark = len(trail)
+        for b in dst.faces_of_node[maps["nodes"][src.node_of_face[f]]]:
+            if b in images["faces"]:
+                continue
+            other = dst.faces[b]
+            if other.color != color or other.degree != face.degree:
+                continue
+            if bind_twins("faces", f, b) and bind_garden(
+                src.owner_of_face[f], dst.owner_of_face[b]
+            ):
+                result = solve_faces(i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def solve_gardens() -> _CellMaps | None:
+        unbound = [g for g in sorted(src.gardens) if g not in maps["gardens"]]
+        if not unbound:
+            steps = [
+                (cell, x.id, b)
+                for a, b in sorted(maps["gardens"].items())
+                for cell in ("vertices", "edges")
+                for x in sorted(getattr(src.gardens[a], cell), key=lambda x: x.id)
+            ]
+            return solve_cells(steps, 0)
+        a = unbound[0]
+        mark = len(trail)
+        for b in sorted(dst.gardens):
+            if b in images["gardens"] or not gardens_fit(a, b):
+                continue
+            if bind_twins("gardens", a, b):
+                result = solve_gardens()
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def wanted_shape(cell: str, a: int) -> Any:
+        """The corner label, or kind, length and end images, a's image needs."""
+        if cell == "vertices":
+            return label(src.vertices[a].corner_label)
+        edge, ends = src.edges[a], maps["vertices"]
+        if edge.ends is None:
+            return edge.kind, edge.length, None
+        if any(v not in ends for v in edge.ends):
+            return None
+        return edge.kind, edge.length, sorted(ends[v] for v in edge.ends)
+
+    def shape(cell: str, b: int) -> Any:
+        if cell == "vertices":
+            return dst.vertices[b].corner_label
+        edge = dst.edges[b]
+        return edge.kind, edge.length, None if edge.ends is None else sorted(edge.ends)
+
+    dst_cells: dict[tuple[str, int], list[tuple[int, Any]]] = {}
+
+    def solve_cells(steps: list[tuple[str, int, int]], i: int) -> _CellMaps | None:
+        if i == len(steps):
+            return finish()
+        cell, a, garden = steps[i]
+        if a in maps[cell]:
+            return solve_cells(steps, i + 1)
+        want = wanted_shape(cell, a)
+        if (cell, garden) not in dst_cells:
+            dst_cells[cell, garden] = [
+                (b, shape(cell, b))
+                for b in sorted(x.id for x in getattr(dst.gardens[garden], cell))
+            ]
+        mark = len(trail)
+        for b, has in dst_cells[cell, garden]:
+            if has != want or b in images[cell]:
+                continue
+            if bind_twins(cell, a, b):
+                result = solve_cells(steps, i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def finish() -> _CellMaps | None:
+        edges = maps["edges"]
+        for f, face in src.faces.items():
+            image = dst.faces[maps["faces"][f]]
+            if not face.boundary or not image.boundary:
+                continue
+            mapped = [edges[x] if x > 0 else -edges[-x] for x in face.boundary]
+            if reverse:
+                mapped = [-x for x in reversed(mapped)]
+            if not rotations_equal(mapped, image.boundary):
+                return None
+        if accept is not None and not accept(maps):
+            return None
+        return {t: dict(mapping) for t, mapping in maps.items()}
+
+    return solve_nodes(0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +819,8 @@ def validate_park(park: Park) -> ParkReport:
         if count != 1:
             flag("alley-bijection", f"face {f_id} has {count} alleys, expected exactly 1")
 
-    node_alleys: dict[int, list[Alley]] = {n: [] for n in index.nodes}
-    for a in park.alleys:
-        node_alleys[a.node_id].append(a)
-    for n_id, alleys in node_alleys.items():
-        if not alleys:
+    for n_id, faces in index.faces_of_node.items():
+        if not faces:
             flag("node-alley-presence", f"node {n_id} has no alleys")
 
     # -- node signatures ---------------------------------------------------
@@ -610,8 +829,7 @@ def validate_park(park: Park) -> ParkReport:
         if node.genus < 0:
             flag("signature-arithmetic", f"node {n_id} has negative genus {node.genus}")
             continue
-        degrees = [index.faces[a.face_id].degree for a in node_alleys[n_id]]
-        sig = EntranceSignature.compute(node.genus, degrees)
+        sig = index.signatures[n_id]
         if sig.branch_points < 0:
             flag(
                 "signature-arithmetic",
@@ -866,14 +1084,10 @@ class TopSummary:
 def type_summary(park: Park) -> TopSummary:
     """Compute the canonical :class:`TopSummary` of a validated park."""
     index = _ParkIndex(park)
-    node_alleys: dict[int, list[Alley]] = {n: [] for n in index.nodes}
-    for a in park.alleys:
-        node_alleys[a.node_id].append(a)
     node_sigs = []
     entrance_branch_total = 0
     for n_id, node in sorted(index.nodes.items()):
-        degrees = [index.faces[a.face_id].degree for a in node_alleys[n_id]]
-        sig = EntranceSignature.compute(node.genus, degrees)
+        sig = index.signatures[n_id]
         if node.role == "entrance":
             entrance_branch_total += sig.branch_points
         node_sigs.append(

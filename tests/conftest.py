@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from parkscope import build, monodromy_to_park
+from parkscope import NonRealizableError, build, enumerate_monodromies, monodromy_to_park
 from parkscope.park import Park, from_json_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -126,3 +127,98 @@ def example_park() -> Park:
 def example_park_dict() -> dict:
     with open(EXAMPLE_PARK_PATH, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@lru_cache(maxsize=None)
+def realized_reps(max_degree: int, max_critical: int) -> tuple:
+    """``(rep, park)`` for every enumerated representation with
+    ``d <= max_degree`` and ``t + s <= max_critical`` that has a park."""
+    found = []
+    for d in range(1, max_degree + 1):
+        for t in range(max_critical + 1):
+            for s in range(max_critical + 1 - t):
+                for cls in enumerate_monodromies(d, t, s).classes:
+                    rep = cls.representative
+                    try:
+                        found.append((rep, monodromy_to_park(rep)))
+                    except NonRealizableError:
+                        pass
+    return tuple(found)
+
+
+CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")
+
+
+def _cells(park: Park) -> dict:
+    return {
+        "gardens": {g.id: g for g in park.gardens},
+        "faces": {f.id: f for f in park.all_faces()},
+        "edges": {e.id: e for e in park.all_edges()},
+        "vertices": {v.id: v for v in park.all_vertices()},
+        "nodes": {n.id: n for n in park.nodes},
+    }
+
+
+def check_park_isomorphism(p1: Park, p2: Park, witness) -> None:
+    """Assert that ``witness`` is a park isomorphism ``p1 -> p2``.
+
+    Checks the definition cell by cell, without the search's own tables:
+    bijections, preserved attributes, corner labels through the witness's
+    rotation and reflection, alleys, face boundaries, garden membership
+    and commuting with both involutions.
+    """
+    c1, c2 = _cells(p1), _cells(p2)
+    maps = {name: getattr(witness, name) for name in CELL_TYPES}
+    for name in CELL_TYPES:
+        assert sorted(maps[name]) == sorted(c1[name]), f"{name} map is not total"
+        assert sorted(maps[name].values()) == sorted(c2[name]), f"{name} map is not onto"
+    assert (p1.corner_points, p1.cone_points) == (p2.corner_points, p2.cone_points)
+    s = p1.corner_points
+
+    def corner(label: int) -> int:
+        if s == 0:
+            return label
+        if witness.reflected:
+            return (witness.rotation - (label - 1)) % s + 1
+        return (label - 1 + witness.rotation) % s + 1
+
+    for n, node in c1["nodes"].items():
+        image = c2["nodes"][maps["nodes"][n]]
+        assert (image.role, image.genus) == (node.role, node.genus), f"node {n}"
+    for g, garden in c1["gardens"].items():
+        image = c2["gardens"][maps["gardens"][g]]
+        assert image.kind == garden.kind, f"garden {g}"
+        for name in ("faces", "edges", "vertices"):
+            mapped = sorted(maps[name][x.id] for x in getattr(garden, name))
+            own = sorted(x.id for x in getattr(image, name))
+            assert mapped == own, f"garden {g} {name}"
+    for v, vertex in c1["vertices"].items():
+        image = c2["vertices"][maps["vertices"][v]]
+        assert image.corner_label == corner(vertex.corner_label), f"vertex {v}"
+    for e, edge in c1["edges"].items():
+        image = c2["edges"][maps["edges"][e]]
+        assert (image.kind, image.length) == (edge.kind, edge.length), f"edge {e}"
+        if edge.ends is not None:
+            ends = sorted(maps["vertices"][v] for v in edge.ends)
+            assert ends == sorted(image.ends), f"edge {e} ends"
+    for f, face in c1["faces"].items():
+        image = c2["faces"][maps["faces"][f]]
+        assert (image.color, image.degree) == (face.color, face.degree), f"face {f}"
+        if face.boundary and image.boundary:
+            mapped = [
+                maps["edges"][abs(x)] * (1 if x > 0 else -1) for x in face.boundary
+            ]
+            if witness.reflected:
+                mapped = [-x for x in reversed(mapped)]
+            target = list(image.boundary)
+            assert any(
+                mapped[k:] + mapped[:k] == target for k in range(len(mapped))
+            ), f"face {f} boundary"
+    alleys = sorted(
+        (maps["faces"][a.face_id], maps["nodes"][a.node_id]) for a in p1.alleys
+    )
+    assert alleys == sorted((a.face_id, a.node_id) for a in p2.alleys)
+    for name in CELL_TYPES:
+        inv1, inv2 = getattr(p1.involution, name), getattr(p2.involution, name)
+        for x in c1[name]:
+            assert maps[name][inv1[x]] == inv2[maps[name][x]], f"{name} {x} commute"

@@ -1,5 +1,7 @@
 """Unit tests for relabeling equivalence, park isomorphism, enumeration."""
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -19,7 +21,13 @@ from parkscope import (
 from parkscope import monodromy
 from parkscope.park import to_json_dict
 
-from conftest import make_loop3_rep
+from conftest import (
+    check_park_isomorphism,
+    make_chord_rep,
+    make_loop3_rep,
+    realized_reps,
+    run_cli,
+)
 
 
 def _random_color_preserving(rng, d):
@@ -89,6 +97,7 @@ def test_park_isomorphic_reflexive(loop3_park, chord_park, example_park):
         witness = park_isomorphic(park, park)
         assert witness is not None
         assert witness.rotation == 0 and not witness.reflected
+        check_park_isomorphism(park, park, witness)
 
 
 def test_park_isomorphic_across_conjugation(chord_rep):
@@ -97,7 +106,9 @@ def test_park_isomorphic_across_conjugation(chord_rep):
     for _ in range(5):
         relabel = _random_color_preserving(rng, chord_rep.degree)
         other = monodromy_to_park(conjugate_rep(chord_rep, relabel))
-        assert park_isomorphic(park, other) is not None
+        witness = park_isomorphic(park, other)
+        assert witness is not None
+        check_park_isomorphism(park, other, witness)
 
 
 def test_park_isomorphic_distinguishes():
@@ -106,6 +117,141 @@ def test_park_isomorphic_distinguishes():
     parks = [monodromy_to_park(cls.representative) for cls in classes]
     assert park_isomorphic(parks[0], parks[1]) is None
     assert park_isomorphic(parks[0], parks[1], allow_reflection=True) is None
+
+
+def test_relabeling_sweep_witnesses_check_out():
+    rng = random.Random(8)
+    for rep, park in realized_reps(3, 3):
+        moved = monodromy_to_park(
+            conjugate_rep(rep, _random_color_preserving(rng, rep.degree))
+        )
+        for reflection in (False, True):
+            witness = park_isomorphic(park, moved, allow_reflection=reflection)
+            assert witness is not None
+            check_park_isomorphism(park, moved, witness)
+
+
+def _recornered(park, corner, reverse):
+    """``park`` with every corner label sent through ``corner``; with
+    ``reverse``, every face boundary is also reversed and negated."""
+    gardens = []
+    for g in park.gardens:
+        faces = g.faces
+        if reverse:
+            faces = tuple(
+                dataclasses.replace(f, boundary=tuple(-x for x in reversed(f.boundary)))
+                for f in g.faces
+            )
+        vertices = tuple(
+            dataclasses.replace(v, corner_label=corner(v.corner_label))
+            for v in g.vertices
+        )
+        gardens.append(dataclasses.replace(g, faces=faces, vertices=vertices))
+    return dataclasses.replace(park, gardens=tuple(gardens))
+
+
+def _rotated(park, k):
+    s = park.corner_points
+    return _recornered(park, lambda c: (c - 1 + k) % s + 1, reverse=False)
+
+
+def _reflected(park, r):
+    s = park.corner_points
+    return _recornered(park, lambda c: (r - (c - 1)) % s + 1, reverse=True)
+
+
+def _corner4_rep():
+    """Degree 3, no branch points, four corners (s = 4)."""
+    return build(
+        3,
+        [],
+        [
+            (3, 4, 5, 0, 1, 2),
+            (3, 5, 4, 0, 2, 1),
+            (3, 4, 5, 0, 1, 2),
+            (4, 3, 5, 1, 0, 2),
+            (3, 4, 5, 0, 1, 2),
+        ],
+    )
+
+
+#: ``isomorphic --allow-reflection --json`` witnesses from a park to a
+#: variant of it, pinned so that any change of search order shows.
+PINNED_VARIANT_WITNESSES = {
+    "chord:reflected:1": {
+        "command": "isomorphic",
+        "isomorphic": True,
+        "witness": {
+            "rotation": 1,
+            "reflected": True,
+            "gardens": {"1": 1},
+            "faces": {"1": 1, "2": 2, "3": 3, "4": 4},
+            "edges": {"1": 1, "2": 2, "3": 3, "4": 4},
+            "vertices": {"1": 1, "2": 2},
+            "nodes": {"1": 1, "2": 2, "3": 3, "4": 4},
+        },
+    },
+    "chord:rotated:1": {
+        "command": "isomorphic",
+        "isomorphic": True,
+        "witness": {
+            "rotation": 1,
+            "reflected": False,
+            "gardens": {"1": 1},
+            "faces": {"1": 1, "2": 2, "3": 3, "4": 4},
+            "edges": {"1": 1, "2": 2, "3": 3, "4": 4},
+            "vertices": {"1": 1, "2": 2},
+            "nodes": {"1": 1, "2": 2, "3": 3, "4": 4},
+        },
+    },
+    "corner4:reflected:2": {
+        "command": "isomorphic",
+        "isomorphic": True,
+        "witness": {
+            "rotation": 0,
+            "reflected": True,
+            "gardens": {"1": 1},
+            "faces": {"1": 3, "2": 2, "3": 1, "4": 6, "5": 5, "6": 4},
+            "edges": {"1": 3, "2": 6, "3": 1, "4": 8, "5": 7, "6": 2, "7": 5, "8": 4},
+            "vertices": {"1": 3, "2": 4, "3": 1, "4": 2},
+            "nodes": {"1": 3, "2": 2, "3": 1, "4": 6, "5": 5, "6": 4},
+        },
+    },
+    "corner4:rotated:3": {
+        "command": "isomorphic",
+        "isomorphic": True,
+        "witness": {
+            "rotation": 1,
+            "reflected": False,
+            "gardens": {"1": 1},
+            "faces": {"1": 3, "2": 2, "3": 1, "4": 6, "5": 5, "6": 4},
+            "edges": {"1": 3, "2": 6, "3": 1, "4": 8, "5": 7, "6": 2, "7": 5, "8": 4},
+            "vertices": {"1": 3, "2": 4, "3": 1, "4": 2},
+            "nodes": {"1": 3, "2": 2, "3": 1, "4": 6, "5": 5, "6": 4},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VARIANT_WITNESSES))
+def test_variant_witness_pinned(tmp_path, case):
+    name, variant, amount = case.split(":")
+    rep = {"chord": make_chord_rep, "corner4": _corner4_rep}[name]()
+    park = monodromy_to_park(rep)
+    assert park.corner_points >= 2
+    moved = {"rotated": _rotated, "reflected": _reflected}[variant](park, int(amount))
+    paths = []
+    for label, item in (("park", park), ("variant", moved)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(to_json_dict(item)), encoding="utf-8")
+        paths.append(str(path))
+    proc = run_cli(["isomorphic", *paths, "--allow-reflection", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload == PINNED_VARIANT_WITNESSES[case]
+    witness = park_isomorphic(park, moved, allow_reflection=True)
+    assert witness.reflected == (variant == "reflected")
+    check_park_isomorphism(park, moved, witness)
 
 
 def test_enumeration_counts():
@@ -159,11 +305,12 @@ def test_classify_groups_conjugates():
     other = None
     for cls in enumerate_monodromies(3, 2, 0, dedup="park").classes:
         rep = cls.representative
-        if park_isomorphic(
-            monodromy_to_park(rep), monodromy_to_park(base)
-        ) is None:
+        rep_park, base_park = monodromy_to_park(rep), monodromy_to_park(base)
+        witness = park_isomorphic(rep_park, base_park)
+        if witness is None:
             other = rep
             break
+        check_park_isomorphism(rep_park, base_park, witness)
     assert other is not None
     table = classify([base, moved, other])
     assert len(table.entries) == 2

@@ -1,5 +1,7 @@
 """Unit tests for park extraction from representations."""
 
+import dataclasses
+
 import pytest
 
 from parkscope import (
@@ -16,9 +18,9 @@ from parkscope import (
     total_degree,
     validate_park,
 )
-from parkscope.park import to_json_dict
+from parkscope.park import Alley, to_json_dict
 
-from conftest import make_unrealizable_rep
+from conftest import make_unrealizable_rep, realized_reps
 
 
 def _min_rotation(seq):
@@ -125,7 +127,9 @@ def test_every_edge_has_one_side_of_each_color(chord_park):
 
 
 def test_extracted_involution_is_refound(loop3_park, chord_park, example_park):
-    for park in (loop3_park, chord_park, example_park):
+    swept = [park for _, park in realized_reps(3, 3)]
+    assert len(swept) == 66
+    for park in (loop3_park, chord_park, example_park, *swept):
         found = find_park_involution(park)
         assert found is not None
         assert found.nodes == park.involution.nodes
@@ -133,6 +137,36 @@ def test_extracted_involution_is_refound(loop3_park, chord_park, example_park):
         assert found.edges == park.involution.edges
         assert found.vertices == park.involution.vertices
         assert found.gardens == park.involution.gardens
+        assert validate_park(dataclasses.replace(park, involution=found)).ok
+
+
+def _broken(park, breakage):
+    first = park.alleys[0]
+    if breakage == "duplicate face id":
+        garden = park.gardens[0]
+        copy = dataclasses.replace(garden, faces=garden.faces + garden.faces[:1])
+        return dataclasses.replace(park, gardens=(copy, *park.gardens[1:]))
+    if breakage == "alley to an unknown node":
+        stray = dataclasses.replace(first, node_id=999)
+        return dataclasses.replace(park, alleys=(stray, *park.alleys[1:]))
+    if breakage == "face without an alley":
+        return dataclasses.replace(park, alleys=park.alleys[1:])
+    extra = Alley(id=999, face_id=first.face_id, node_id=first.node_id)
+    return dataclasses.replace(park, alleys=(*park.alleys, extra))
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        "duplicate face id",
+        "alley to an unknown node",
+        "face without an alley",
+        "face with two alleys",
+    ],
+)
+def test_involution_search_on_broken_parks_is_none(chord_park, loop3_park, breakage):
+    for park in (chord_park, loop3_park):
+        assert find_park_involution(_broken(park, breakage)) is None
 
 
 def test_branchless_two_corner_rep_extracts():
