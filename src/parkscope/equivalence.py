@@ -12,6 +12,8 @@
   relabeling that matches the orbit systems of the ``x`` generators and
   conjugates ``e`` and every reflection ``c_i`` of one representation
   onto the other.
+* ``canonical_form`` keys a relabeling-equivalence class by its least
+  serialization, taken one component at a time over relabelings that tie.
 * ``enumerate_monodromies`` generates all valid generic representations
   for small parameters, up to color-preserving relabeling of sheets, and
   deduplicates at three levels: raw, relabeling-equivalence classes, or
@@ -24,14 +26,17 @@ matching (every representation can be relabeled into this form) and
 builds the remaining reflections by composing corner moves; the black
 actions of the ``x`` generators, which never influence the extracted
 park, are filled with one representative completion per white skeleton
-(with a bridging search when needed for transitivity).
+(with a bridging search when needed for transitivity).  Input is
+validated at the public entry points only: enumeration and ``classify``
+key and merge what they have just built through the unvalidated cores
+``_canonical_key`` and ``_park_isomorphism``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
@@ -88,9 +93,6 @@ class ParkIsomorphism:
     vertices: dict[int, int] = field(default_factory=dict)
     nodes: dict[int, int] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return True
-
 
 def _rotated_label(label: int, s: int, rotation: int, reflected: bool) -> int:
     if s == 0:
@@ -119,6 +121,13 @@ def park_isomorphic(
                 "park fails validation: "
                 + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
             )
+    return _park_isomorphism(p1, p2, allow_reflection)
+
+
+def _park_isomorphism(
+    p1: Park, p2: Park, allow_reflection: bool = False
+) -> ParkIsomorphism | None:
+    """:func:`park_isomorphic` on parks known to validate."""
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
     s = p1.corner_points
@@ -157,9 +166,6 @@ class EquivalenceWitness:
 
     mapping: Perm
 
-    def __bool__(self) -> bool:
-        return True
-
 
 def _require_generic(m: MonodromyRep) -> None:
     if not validate_relations(m):
@@ -182,30 +188,17 @@ def monodromy_equivalent(
     """
     _require_generic(m1)
     _require_generic(m2)
-    if (m1.degree, m1.cone_points, m1.corner_points) != (
-        m2.degree,
-        m2.cone_points,
-        m2.corner_points,
-    ):
+    params = (m1.degree, m1.cone_points, m1.corner_points)
+    if params != (m2.degree, m2.cone_points, m2.corner_points):
         raise ValueError("representations have different (degree, cone, corner) parameters")
-    d = m1.degree
     n = m1.ground_size
     orbits1 = orbits(list(m1.x), n)
     orbits2 = {orb for orb in orbits(list(m2.x), n)}
-    c11, c21 = m1.c[0], m2.c[0]
-    for sigma_w in permutations(range(d)):
-        j = [0] * n
-        for w in range(d):
-            j[w] = sigma_w[w]
-        for b in blacks(d):
-            j[b] = c21[j[c11[b]]]
+    for j in _relabelings(m1.c[0], m2.c[0]):
         jt = tuple(j)
-        if compose(compose(jt, m1.e), inverse(jt)) != m2.e:
+        if conjugate(m1.e, jt) != m2.e:
             continue
-        if any(
-            compose(compose(jt, m1.c[k]), inverse(jt)) != m2.c[k]
-            for k in range(len(m1.c))
-        ):
+        if any(conjugate(ck, jt) != m2.c[k] for k, ck in enumerate(m1.c)):
             continue
         if {tuple(sorted(jt[a] for a in orb)) for orb in orbits1} != orbits2:
             continue
@@ -213,32 +206,43 @@ def monodromy_equivalent(
     return None
 
 
+def _relabelings(c_from: Perm, c_to: Perm) -> Iterator[list[int]]:
+    """Each white permutation, in ``permutations`` order, extended to the
+    blacks so that it conjugates the matching ``c_from`` onto ``c_to``."""
+    d = len(c_from) // 2
+    for sigma_w in permutations(range(d)):
+        j = list(sigma_w) + [0] * d
+        for b in blacks(d):
+            j[b] = c_to[j[c_from[b]]]
+        yield j
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 # ---------------------------------------------------------------------------
 
 
-def _transported(m: MonodromyRep, sigma_w: Sequence[int]) -> tuple:
-    """Relabel by ``sigma_w`` on whites, transporting blacks so that the
-    first reflection becomes the standard matching; serialize the
-    relabeling-equivalence invariants (orbit system, e, all c)."""
-    d = m.degree
-    n = m.ground_size
-    std = mirror_matching(d)
-    j = [0] * n
-    for w in range(d):
-        j[w] = sigma_w[w]
-    c1 = m.c[0]
-    for b in blacks(d):
-        j[b] = std[j[c1[b]]]
-    jt = tuple(j)
-    ji = inverse(jt)
-    e_t = compose(compose(jt, m.e), ji)
-    c_t = tuple(compose(compose(jt, ck), ji) for ck in m.c)
-    orbit_t = tuple(
-        sorted(tuple(sorted(jt[a] for a in orb)) for orb in orbits(list(m.x), n))
+def _least(relabelings: list[list[int]], image) -> tuple:
+    """The least ``image(j)`` over ``relabelings``, and the ``j`` reaching it."""
+    images = [image(j) for j in relabelings]
+    best = min(images)
+    return best, [j for j, value in zip(relabelings, images) if value == best]
+
+
+def _canonical_key(m: MonodromyRep) -> str:
+    """:func:`canonical_form` of a representation known to be valid: the
+    least ``(orbit system, e, all c)`` image over the relabelings making
+    the first reflection standard, taken one component at a time over the
+    relabelings that tie so far (tuples compare lexicographically)."""
+    relabelings = list(_relabelings(m.c[0], mirror_matching(m.degree)))
+    orbs = orbits(list(m.x), m.ground_size)
+    orbit_t, relabelings = _least(
+        relabelings,
+        lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
     )
-    return (orbit_t, e_t, c_t)
+    e_t, relabelings = _least(relabelings, lambda j: conjugate(m.e, j))
+    c_t, _ = _least(relabelings, lambda j: tuple(conjugate(ck, j) for ck in m.c))
+    return repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t))
 
 
 def canonical_form(m: MonodromyRep) -> str:
@@ -247,10 +251,11 @@ def canonical_form(m: MonodromyRep) -> str:
     The lexicographically smallest serialization of the class invariants
     (orbit system of the ``x`` generators, ``e``, all reflections) over
     all color-preserving relabelings; equal keys certify equivalence.
+    It is taken in stages (orbit system, then ``e``, then reflections).
+    ``m`` is validated here; enumeration skips that for what it built.
     """
     _require_generic(m)
-    best = min(_transported(m, sigma_w) for sigma_w in permutations(range(m.degree)))
-    return repr((m.degree, m.cone_points, m.corner_points) + best)
+    return _canonical_key(m)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +565,7 @@ def enumerate_monodromies(
 
     grouped: dict[str, list[MonodromyRep]] = {}
     for m in reps:
-        grouped.setdefault(canonical_form(m), []).append(m)
+        grouped.setdefault(_canonical_key(m), []).append(m)
     j_classes = [
         MonodromyClass(
             representative=members[0], size=len(members), members=tuple(members)
@@ -580,14 +585,11 @@ def enumerate_monodromies(
             parks.append((cls, None))
     merged: list[tuple[list[MonodromyClass], Park | None]] = []
     for cls, park in parks:
-        placed = False
-        if park is not None:
-            for bucket in merged:
-                if bucket[1] is not None and park_isomorphic(park, bucket[1]):
-                    bucket[0].append(cls)
-                    placed = True
-                    break
-        if not placed:
+        for bucket, other in merged:
+            if park is not None and other is not None and _park_isomorphism(park, other):
+                bucket.append(cls)
+                break
+        else:
             merged.append(([cls], park))
     classes = []
     for bucket, _park in merged:
@@ -676,7 +678,7 @@ def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
         if all(parks[i] is None for i in indices):
             by_key: dict[str, list[int]] = {}
             for i in indices:
-                by_key.setdefault(canonical_form(reps[i]), []).append(i)
+                by_key.setdefault(_canonical_key(reps[i]), []).append(i)
             for suffix, (key, group) in enumerate(sorted(by_key.items())):
                 entries.append(
                     ClassificationEntry(
@@ -688,13 +690,11 @@ def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
             continue
         sub: list[list[int]] = []
         for i in indices:
-            placed = False
             for group in sub:
-                if park_isomorphic(parks[i], parks[group[0]]):
+                if _park_isomorphism(parks[i], parks[group[0]]):
                     group.append(i)
-                    placed = True
                     break
-            if not placed:
+            else:
                 sub.append([i])
         for suffix, group in enumerate(sub):
             entries.append(

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from parkscope import NonRealizableError, build, enumerate_monodromies, monodromy_to_park
 from parkscope.park import Park, from_json_dict
+from parkscope.permgroup import blacks, compose, inverse, mirror_matching, orbits
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_PARK_PATH = REPO_ROOT / "examples" / "example1_park.json"
@@ -130,20 +132,59 @@ def example_park_dict() -> dict:
 
 
 @lru_cache(maxsize=None)
+def enumerated_reps(max_degree: int, max_critical: int) -> tuple:
+    """Every enumerated representation with ``d <= max_degree`` and
+    ``t + s <= max_critical``, realizable or not."""
+    return tuple(
+        cls.representative
+        for d in range(1, max_degree + 1)
+        for t in range(max_critical + 1)
+        for s in range(max_critical + 1 - t)
+        for cls in enumerate_monodromies(d, t, s).classes
+    )
+
+
+@lru_cache(maxsize=None)
 def realized_reps(max_degree: int, max_critical: int) -> tuple:
     """``(rep, park)`` for every enumerated representation with
     ``d <= max_degree`` and ``t + s <= max_critical`` that has a park."""
     found = []
-    for d in range(1, max_degree + 1):
-        for t in range(max_critical + 1):
-            for s in range(max_critical + 1 - t):
-                for cls in enumerate_monodromies(d, t, s).classes:
-                    rep = cls.representative
-                    try:
-                        found.append((rep, monodromy_to_park(rep)))
-                    except NonRealizableError:
-                        pass
+    for rep in enumerated_reps(max_degree, max_critical):
+        try:
+            found.append((rep, monodromy_to_park(rep)))
+        except NonRealizableError:
+            pass
     return tuple(found)
+
+
+def _transported(m, sigma_w) -> tuple:
+    """Relabel by ``sigma_w`` on whites, transporting blacks so that the
+    first reflection becomes the standard matching; serialize the
+    relabeling-equivalence invariants (orbit system, e, all c)."""
+    d = m.degree
+    n = m.ground_size
+    std = mirror_matching(d)
+    j = [0] * n
+    for w in range(d):
+        j[w] = sigma_w[w]
+    c1 = m.c[0]
+    for b in blacks(d):
+        j[b] = std[j[c1[b]]]
+    jt = tuple(j)
+    ji = inverse(jt)
+    e_t = compose(compose(jt, m.e), ji)
+    c_t = tuple(compose(compose(jt, ck), ji) for ck in m.c)
+    orbit_t = tuple(
+        sorted(tuple(sorted(jt[a] for a in orb)) for orb in orbits(list(m.x), n))
+    )
+    return (orbit_t, e_t, c_t)
+
+
+def canonical_form_brute(m) -> str:
+    """The canonical key as a plain minimum of the whole serialization over
+    all ``d!`` white relabelings: the oracle for ``canonical_form``."""
+    best = min(_transported(m, sigma_w) for sigma_w in permutations(range(m.degree)))
+    return repr((m.degree, m.cone_points, m.corner_points) + best)
 
 
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")

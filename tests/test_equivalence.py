@@ -18,11 +18,13 @@ from parkscope import (
     monodromy_to_park,
     park_isomorphic,
 )
-from parkscope import monodromy
+from parkscope import equivalence, monodromy
 from parkscope.park import to_json_dict
 
 from conftest import (
+    canonical_form_brute,
     check_park_isomorphism,
+    enumerated_reps,
     make_chord_rep,
     make_loop3_rep,
     realized_reps,
@@ -90,6 +92,51 @@ def test_canonical_form_constant_on_classes():
         forms = {canonical_form(member) for member in cls.members}
         assert len(forms) == 1
         assert canonical_form(cls.representative) in forms
+
+
+def test_canonical_form_matches_brute_force():
+    for rep in enumerated_reps(3, 5):
+        assert canonical_form(rep) == canonical_form_brute(rep)
+
+
+def test_canonical_form_matches_brute_force_on_degree_4_sample():
+    pool = [
+        cls.representative
+        for cell in ((4, 1, 4), (4, 2, 2), (4, 1, 3), (4, 3, 1))
+        for cls in enumerate_monodromies(*cell).classes
+    ]
+    for rep in random.Random(41).sample(pool, 300):
+        assert canonical_form(rep) == canonical_form_brute(rep)
+
+
+@pytest.mark.parametrize("dedup", ["jequiv", "park"])
+@pytest.mark.parametrize(
+    "cell", [(3, 2, 2), (3, 3, 1), (4, 2, 0), (4, 1, 2)], ids=lambda c: "%d-%d-%d" % c
+)
+def test_dedup_unchanged_under_brute_force_key(monkeypatch, cell, dedup):
+    fast = enumerate_monodromies(*cell, dedup=dedup)
+    monkeypatch.setattr(equivalence, "_canonical_key", canonical_form_brute)
+    brute = enumerate_monodromies(*cell, dedup=dedup)
+    assert brute.raw_count == fast.raw_count
+    assert [cls.size for cls in brute.classes] == [cls.size for cls in fast.classes]
+    assert [cls.representative for cls in brute.classes] == [
+        cls.representative for cls in fast.classes
+    ]
+    assert [cls.members for cls in brute.classes] == [cls.members for cls in fast.classes]
+
+
+def test_public_entry_points_validate(loop3_park):
+    broken = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
+    with pytest.raises(ValueError):
+        canonical_form(broken)
+    with pytest.raises(ValueError):
+        classify([broken])
+    involution = loop3_park.involution
+    faces_fixed = dataclasses.replace(involution, faces={f: f for f in involution.faces})
+    corrupted = dataclasses.replace(loop3_park, involution=faces_fixed)
+    for pair in ((corrupted, loop3_park), (loop3_park, corrupted)):
+        with pytest.raises(ValueError):
+            park_isomorphic(*pair)
 
 
 def test_park_isomorphic_reflexive(loop3_park, chord_park, example_park):
