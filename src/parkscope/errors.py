@@ -17,7 +17,25 @@ from __future__ import annotations
 
 
 class NonRealizableError(Exception):
-    """Input is valid data but describes no realizable surface."""
+    """Input is valid data but describes no realizable surface.
+
+    When the rejection comes from the genus check, the figures behind it
+    are kept as attributes: ``euler_characteristic`` of the surface the
+    park would close to, its ``built_genus`` and the ``forced_genus`` of
+    the critical-value count.  Each is ``None`` when not computed.
+    """
+
+    def __init__(
+        self,
+        *args: object,
+        euler_characteristic: int | None = None,
+        built_genus: int | None = None,
+        forced_genus: int | None = None,
+    ):
+        super().__init__(*args)
+        self.euler_characteristic = euler_characteristic
+        self.built_genus = built_genus
+        self.forced_genus = forced_genus
 
 
 class ResourceLimitError(Exception):

@@ -25,11 +25,13 @@ without one (hand-authored parks); it runs the park-morphism search of
 :mod:`parkscope.park`, the one behind ``park_isomorphic``, from the
 park to itself with colors swapped.
 
-``monodromy_to_park`` assembles and validates the full park and
-cross-checks its genus against the one forced by the critical-value
-count, raising :class:`NonRealizableError` when the branching data
-cannot produce any surface (odd critical-value count, negative forced
-genus, or an impossible node weight).
+``monodromy_to_park`` checks the genus before it assembles anything:
+the Euler characteristic is read straight off the extracted cells, and
+branching data that cannot close to any surface, or closes to one whose
+genus differs from the one forced by the critical-value count, raises
+:class:`NonRealizableError` (also for an odd critical-value count or an
+impossible node weight).  Only realizable data is assembled into a park
+and validated.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .park import (
     Involution,
     Park,
     ParkNode,
+    _genus_of_characteristic,
     _park_morphism,
     _ParkIndex,
     genus as park_genus,
@@ -450,6 +453,17 @@ class _Extraction:
         geometric = [counts[1]] + [counts[g] for g in range(2, self.s + 1)]
         return min(geometric)
 
+    # -- the closed surface ------------------------------------------------
+
+    def euler_characteristic(self) -> int:
+        """What :func:`parkscope.park.euler_characteristic` gives on the
+        assembled park: vertices minus segment edges, plus ``2 - 2g`` per
+        node, minus one boundary circle per face (each face is one alley)."""
+        segments = sum(1 for chain in self.chains if chain.kind == "segment")
+        nodes = sum(2 - 2 * node.signature.genus for node in self.entrances + self.exit_nodes)
+        faces = len(self.white_cells) + len(self.black_cells)
+        return len(self.vertices) - segments + nodes - faces
+
     # -- gardens -----------------------------------------------------------
 
     def _build_gardens(self) -> None:
@@ -744,11 +758,24 @@ def _min_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
 def monodromy_to_park(m: MonodromyRep) -> Park:
     """Assemble the full park of a valid, generic monodromy.
 
-    The park passes :func:`validate_park` and its genus equals the one
-    forced by the critical-value count; branching data that cannot close
-    to any surface raises :class:`NonRealizableError`.
+    The genus check runs before assembly, on the Euler characteristic of
+    the extracted cells: branching data that cannot close to any surface,
+    or closes to one of another genus than the critical-value count
+    forces, raises :class:`NonRealizableError` with the figures as
+    attributes.  A park that is returned passes :func:`validate_park`.
     """
     ex = _Extraction(m)
+    chi = ex.euler_characteristic()
+    built_genus = _genus_of_characteristic(chi)
+    forced_genus = genus_from_counts(m)
+    if built_genus != forced_genus:
+        raise NonRealizableError(
+            f"the real-locus structure closes to a surface of genus {built_genus}, "
+            f"but the critical-value count forces genus {forced_genus}",
+            euler_characteristic=chi,
+            built_genus=built_genus,
+            forced_genus=forced_genus,
+        )
     assembly = _Assembly(ex)
     involution = assembly.mirror_involution()
     meta = assembly.garden_meta_from(involution)
@@ -759,12 +786,10 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             "assembled park fails validation: "
             + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
         )
-    built_genus = park_genus(park)
-    forced_genus = genus_from_counts(m)
-    if built_genus != forced_genus:
-        raise NonRealizableError(
-            f"the real-locus structure closes to a surface of genus {built_genus}, "
-            f"but the critical-value count forces genus {forced_genus}"
+    assembled_genus = park_genus(park)
+    if assembled_genus != built_genus:
+        raise InconsistencyError(
+            f"assembled park has genus {assembled_genus}, its cells give {built_genus}"
         )
     return park
 

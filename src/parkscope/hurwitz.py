@@ -32,6 +32,7 @@ from itertools import combinations
 
 from .errors import NonRealizableError, ResourceLimitError
 from .park import Park, _ParkIndex, validate_park
+from .permgroup import compose, cycle_type, cycles, inverse, is_transitive
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
 DEFAULT_DEGREE_BOUND = 6
@@ -127,22 +128,6 @@ def _perm_of_type(shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    shape = []
-    for a in range(len(perm)):
-        if seen[a]:
-            continue
-        length = 0
-        b = a
-        while not seen[b]:
-            seen[b] = True
-            b = perm[b]
-            length += 1
-        shape.append(length)
-    return tuple(sorted(shape, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _step_table(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """For each class of ``S_d``: how often a transposition times a class
@@ -155,7 +140,7 @@ def _step_table(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
         for i, j in transpositions:
             moved = list(rep)
             moved[i], moved[j] = moved[j], moved[i]
-            target = _cycle_type(tuple(moved))
+            target = cycle_type(tuple(moved))
             row[target] = row.get(target, 0) + 1
         table[shape] = row
     return table
@@ -245,21 +230,6 @@ def single_hurwitz_brute(genus: int, degrees, degree_bound: int = DEFAULT_DEGREE
         count = 1 if b == 0 else 0
         return Fraction(count, centralizer_order(degs))
 
-    def compose(p, q):
-        return tuple(p[q[a]] for a in range(d))
-
-    def cycles_of(p):
-        seen = [False] * d
-        out = 0
-        for a in range(d):
-            if not seen[a]:
-                out += 1
-                x = a
-                while not seen[x]:
-                    seen[x] = True
-                    x = p[x]
-        return out
-
     identity = tuple(range(d))
     count = 0
 
@@ -267,41 +237,19 @@ def single_hurwitz_brute(genus: int, degrees, degree_bound: int = DEFAULT_DEGREE
         nonlocal count
         # distance pruning: remaining factors must suffice (and have the
         # right parity) to move the partial product onto sigma.
-        need = compose(sigma, _invert(product))
-        distance = d - cycles_of(need)
+        need = compose(sigma, inverse(product))
+        distance = d - len(cycles(need, include_fixed=True))
         remaining = b - level
         if distance > remaining or (remaining - distance) % 2 != 0:
             return
         if level == b:
-            if product == sigma and _transitive(chosen, d):
+            if product == sigma and is_transitive(chosen, d):
                 count += 1
             return
         for tau in transpositions:
             chosen.append(tau)
             rec(level + 1, compose(tau, product), chosen)
             chosen.pop()
-
-    def _invert(p):
-        out = [0] * d
-        for a in range(d):
-            out[p[a]] = a
-        return tuple(out)
-
-    def _transitive(taus, d):
-        parent = list(range(d))
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-        for tau in taus:
-            for a in range(d):
-                if tau[a] > a:
-                    ra, rb = find(a), find(tau[a])
-                    if ra != rb:
-                        parent[ra] = rb
-        root = find(0)
-        return all(find(a) == root for a in range(d))
 
     rec(0, identity, [])
     return Fraction(count, centralizer_order(degs))

@@ -1032,11 +1032,15 @@ def genus(park: Park) -> int:
     Raises :class:`NonRealizableError` when the characteristic is odd or
     exceeds 2, since no closed orientable surface matches.
     """
-    chi = euler_characteristic(park)
+    return _genus_of_characteristic(euler_characteristic(park))
+
+
+def _genus_of_characteristic(chi: int) -> int:
     numerator = 2 - chi
     if numerator < 0 or numerator % 2 != 0:
         raise NonRealizableError(
-            f"no closed orientable surface has Euler characteristic {chi}"
+            f"no closed orientable surface has Euler characteristic {chi}",
+            euler_characteristic=chi,
         )
     return numerator // 2
 

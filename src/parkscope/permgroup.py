@@ -155,7 +155,7 @@ def conjugate(p: Perm, s: Perm) -> Perm:
     ``s[a]`` to ``s[b]``.
 
     >>> conjugate(from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
-    (0, 2, 1)
+    (2, 1, 0)
     """
     if len(p) != len(s):
         raise ValueError(f"size mismatch: {len(p)} vs {len(s)}")
@@ -225,17 +225,17 @@ def cycles(
     else:
         domain = sorted(set(restrict))
         _check_closed(p, domain)
-    seen: set[int] = set()
+    seen = [False] * len(p)
     out: list[tuple[int, ...]] = []
     for start in domain:
-        if start in seen:
+        if seen[start]:
             continue
         cyc = [start]
-        seen.add(start)
+        seen[start] = True
         a = p[start]
         while a != start:
             cyc.append(a)
-            seen.add(a)
+            seen[a] = True
             a = p[a]
         if len(cyc) > 1 or include_fixed:
             out.append(tuple(cyc))
@@ -273,26 +273,6 @@ def cycle_notation(p: Perm) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, elements: Iterable[int]):
-        self.parent = {a: a for a in elements}
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def orbits(
     gens: Sequence[Perm], n: int, restrict: Iterable[int] | None = None
 ) -> list[tuple[int, ...]]:
@@ -306,23 +286,38 @@ def orbits(
     [(0, 1), (2, 3)]
     >>> orbits([], 3)
     [(0,), (1,), (2,)]
+    >>> orbits([from_cycles(6, [(0, 1), (3, 5)])], 6, restrict=range(3, 6))
+    [(3, 5), (4,)]
     """
     if restrict is None:
         domain: Sequence[int] = range(n)
     else:
         domain = sorted(set(restrict))
-    uf = _UnionFind(domain)
     for g in gens:
         if len(g) != n:
             raise ValueError(f"generator acts on {len(g)} elements, expected {n}")
         if restrict is not None:
             _check_closed(g, domain)
-        for a in domain:
-            uf.union(a, g[a])
-    buckets: dict[int, list[int]] = {}
-    for a in domain:
-        buckets.setdefault(uf.find(a), []).append(a)
-    return sorted((tuple(sorted(b)) for b in buckets.values()), key=lambda t: t[0])
+    if not gens:
+        return [(a,) for a in domain]
+    # Walking the domain upwards, each unseen element is the least of its
+    # orbit; the orbit grows by applying every generator to every member.
+    seen = [False] * n
+    out: list[tuple[int, ...]] = []
+    for start in domain:
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for a in orbit:
+            for g in gens:
+                b = g[a]
+                if not seen[b]:
+                    seen[b] = True
+                    orbit.append(b)
+        orbit.sort()
+        out.append(tuple(orbit))
+    return out
 
 
 def is_transitive(gens: Sequence[Perm], n: int) -> bool:

@@ -12,8 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from parkscope import NonRealizableError, build, enumerate_monodromies, monodromy_to_park
-from parkscope.park import Park, from_json_dict
+from parkscope import (
+    InconsistencyError,
+    NonRealizableError,
+    build,
+    enumerate_monodromies,
+    genus_from_counts,
+    monodromy_to_park,
+    validate_park,
+)
+from parkscope.extraction import _Assembly, _Extraction
+from parkscope.park import Park, from_json_dict, genus as park_genus
 from parkscope.permgroup import blacks, compose, inverse, mirror_matching, orbits
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -155,6 +164,35 @@ def realized_reps(max_degree: int, max_critical: int) -> tuple:
         except NonRealizableError:
             pass
     return tuple(found)
+
+
+def assemble_park(m) -> Park:
+    """The full park of a valid generic rep, assembled whether or not it is
+    realizable, and not validated."""
+    assembly = _Assembly(_Extraction(m))
+    involution = assembly.mirror_involution()
+    meta = assembly.garden_meta_from(involution)
+    return assembly.build(involution, meta)
+
+
+def monodromy_to_park_full(m) -> Park:
+    """``monodromy_to_park`` with the genus checked on the assembled,
+    validated park: the oracle for the check before assembly."""
+    park = assemble_park(m)
+    report = validate_park(park)
+    if not report:
+        raise InconsistencyError(
+            "assembled park fails validation: "
+            + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
+        )
+    built_genus = park_genus(park)
+    forced_genus = genus_from_counts(m)
+    if built_genus != forced_genus:
+        raise NonRealizableError(
+            f"the real-locus structure closes to a surface of genus {built_genus}, "
+            f"but the critical-value count forces genus {forced_genus}"
+        )
+    return park
 
 
 def _transported(m, sigma_w) -> tuple:

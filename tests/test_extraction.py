@@ -1,10 +1,12 @@
 """Unit tests for park extraction from representations."""
 
 import dataclasses
+import random
 
 import pytest
 
 from parkscope import (
+    InconsistencyError,
     NonRealizableError,
     build,
     enumerate_monodromies,
@@ -20,7 +22,13 @@ from parkscope import (
 )
 from parkscope.park import Alley, to_json_dict
 
-from conftest import make_unrealizable_rep, realized_reps
+from conftest import (
+    assemble_park,
+    enumerated_reps,
+    make_unrealizable_rep,
+    monodromy_to_park_full,
+    realized_reps,
+)
 
 
 def _min_rotation(seq):
@@ -186,6 +194,61 @@ def test_rejects_odd_characteristic_rep(unrealizable_rep):
     with pytest.raises(NonRealizableError) as err:
         monodromy_to_park(unrealizable_rep)
     assert "Euler characteristic" in str(err.value)
+
+
+def test_rejection_carries_its_figures(unrealizable_rep):
+    with pytest.raises(NonRealizableError) as err:
+        monodromy_to_park(unrealizable_rep)
+    chi = err.value.euler_characteristic
+    assert str(err.value) == f"no closed orientable surface has Euler characteristic {chi}"
+    assert chi % 2 == 1
+    assert (err.value.built_genus, err.value.forced_genus) == (None, None)
+    # a (4,2,2) rep whose real locus closes to a torus, where the count forces a sphere
+    mismatch = build(
+        4,
+        [(0, 1, 3, 2, 4, 5, 6, 7), (0, 1, 3, 2, 4, 5, 6, 7)],
+        [(4, 5, 6, 7, 0, 1, 2, 3), (6, 7, 4, 5, 2, 3, 0, 1), (4, 5, 6, 7, 0, 1, 2, 3)],
+    )
+    with pytest.raises(NonRealizableError) as err:
+        monodromy_to_park(mismatch)
+    assert str(err.value) == (
+        "the real-locus structure closes to a surface of genus 1, "
+        "but the critical-value count forces genus 0"
+    )
+    assert (err.value.euler_characteristic, err.value.built_genus, err.value.forced_genus) == (0, 1, 0)
+
+
+def _outcome(extract, rep):
+    try:
+        return to_json_dict(extract(rep))
+    except (NonRealizableError, InconsistencyError) as exc:
+        return (type(exc), str(exc))
+
+
+def test_genus_check_before_assembly_matches_full_build():
+    """Every d <= 3 rep with t + s <= 5 and a seeded sample of d = 4 reps
+    from a reject-only cell and the mixed cell (4,2,2): the same park, or
+    the same error, as checking the genus on the assembled park."""
+    rng = random.Random(10)
+    reps = list(enumerated_reps(3, 5))
+    for cell in ((4, 0, 3), (4, 2, 2)):
+        cell_reps = [cls.representative for cls in enumerate_monodromies(*cell).classes]
+        reps += rng.sample(cell_reps, min(300, len(cell_reps)))
+    messages = set()
+    for rep in reps:
+        fast = _outcome(monodromy_to_park, rep)
+        assert fast == _outcome(monodromy_to_park_full, rep)
+        if isinstance(fast, dict):
+            continue
+        messages.add(fast[1].split(" ")[1])
+        try:
+            park = assemble_park(rep)
+        except NonRealizableError:
+            continue  # rejected while extracting the cells, before either check
+        # the validation the early rejection skips would have passed
+        assert validate_park(park).ok
+    # odd characteristic, impossible count and genus mismatch all occur
+    assert messages == {"closed", "surface", "real-locus"}
 
 
 def test_rejects_invalid_representation():

@@ -1,5 +1,6 @@
 """Unit tests for tuple permutations and the two-color ground set helpers."""
 
+import doctest
 import random
 
 import pytest
@@ -79,6 +80,34 @@ def test_orbits_and_transitivity():
     ]
     assert not pg.is_transitive([a, b], 4)
     assert pg.is_transitive([a, b, pg.transposition(4, 1, 2)], 4)
+
+
+def test_orbits_and_cycles_reject_bad_generators_and_restrictions():
+    swap01 = pg.transposition(4, 0, 1)
+    with pytest.raises(ValueError, match=r"^generator acts on 3 elements, expected 4$"):
+        pg.orbits([swap01, (0, 1, 2)], 4)
+    # generators are checked in order: the first one's fault is reported
+    with pytest.raises(ValueError, match=r"^restriction set is not closed: 0 maps to 1 outside it$"):
+        pg.orbits([swap01, (0, 1, 2)], 4, restrict=[0, 2])
+    with pytest.raises(ValueError, match=r"^restriction element 7 outside 0\.\.3$"):
+        pg.orbits([swap01], 4, restrict=[7, 0, 1])
+    with pytest.raises(ValueError, match=r"^restriction set is not closed: 1 maps to 0 outside it$"):
+        pg.cycles(swap01, restrict=[1, 2])
+    with pytest.raises(ValueError, match=r"^restriction element 4 outside 0\.\.3$"):
+        pg.cycles(swap01, restrict=[4])
+
+
+def test_orbits_without_generators_are_singletons():
+    assert pg.orbits([], 3) == [(0,), (1,), (2,)]
+    assert pg.orbits([], 0) == []
+    # nothing acts, so nothing checks the restriction against the ground set
+    assert pg.orbits([], 3, restrict=[5, 1, 1]) == [(1,), (5,)]
+
+
+def test_docstring_examples():
+    result = doctest.testmod(pg)
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def test_color_helpers():
