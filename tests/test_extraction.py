@@ -194,15 +194,13 @@ def test_rejects_odd_characteristic_rep(unrealizable_rep):
     with pytest.raises(NonRealizableError) as err:
         monodromy_to_park(unrealizable_rep)
     assert "Euler characteristic" in str(err.value)
-
-
-def test_rejection_carries_its_figures(unrealizable_rep):
-    with pytest.raises(NonRealizableError) as err:
-        monodromy_to_park(unrealizable_rep)
     chi = err.value.euler_characteristic
     assert str(err.value) == f"no closed orientable surface has Euler characteristic {chi}"
     assert chi % 2 == 1
     assert (err.value.built_genus, err.value.forced_genus) == (None, None)
+
+
+def test_rejects_genus_mismatch_rep():
     # a (4,2,2) rep whose real locus closes to a torus, where the count forces a sphere
     mismatch = build(
         4,
