@@ -86,11 +86,18 @@ def _load_monodromy(path: str, max_sheets: int) -> monodromy.MonodromyRep:
     return rep
 
 def _load_park(path: str) -> park.Park:
-    obj = _load_json_file(path)
+    return _parse_park(_load_json_file(path), path)
+
+
+def _parse_park(obj: Any, path: str) -> park.Park:
+    """A park whose shapes parse and whose ids are unique and resolve;
+    anything else is malformed input."""
     try:
-        return park.from_json_dict(obj)
+        built = park.from_json_dict(obj)
+        park._ParkIndex(built).check_references()
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path}: {exc}") from exc
+    return built
 
 
 def _check_sheets(sheets: int, max_sheets: int) -> None:
@@ -179,7 +186,7 @@ def _cmd_extract(args, out: _Output) -> int:
             {"command": "extract", "ok": False},
         )
     try:
-        built = extraction.monodromy_to_park(rep)
+        built = extraction._monodromy_to_park(rep)
     except NonRealizableError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE,
@@ -275,10 +282,7 @@ def _info_monodromy(args, obj: Any, out: _Output) -> int:
 
 
 def _info_park(args, obj: Any, out: _Output) -> int:
-    try:
-        built = park.from_json_dict(obj)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_MALFORMED, f"{args.file}: {exc}") from exc
+    built = _parse_park(obj, args.file)
     report = park.validate_park(built)
     if not report:
         detail = "; ".join(f"{a}: {b}" for a, b in report.violations[:3])

@@ -26,10 +26,13 @@ matching (every representation can be relabeled into this form) and
 builds the remaining reflections by composing corner moves; the black
 actions of the ``x`` generators, which never influence the extracted
 park, are filled with one representative completion per white skeleton
-(with a bridging search when needed for transitivity).  Input is
+(with a bridging search when needed for transitivity).  Enumeration
+validates nothing, because it builds valid generic data: each defining
+relation holds by how the chain and the completions are made, and only
+the transitivity of a disconnected skeleton is checked.  Input is
 validated at the public entry points only: enumeration and ``classify``
-key and merge what they have just built through the unvalidated cores
-``_canonical_key`` and ``_park_isomorphism``.
+extract, key and merge through the unvalidated cores
+``_monodromy_to_park``, ``_canonical_key`` and ``_park_isomorphism``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
-from .extraction import monodromy_to_park
+from .extraction import _monodromy_to_park
 from .monodromy import (
     MonodromyRep,
     build,
@@ -53,12 +56,16 @@ from .permgroup import (
     compose,
     compose_all,
     conjugate,
+    cycles,
+    from_cycles,
     identity,
     inverse,
     is_involution,
     is_matching,
+    is_transitive,
     mirror_matching,
     orbits,
+    whites,
 )
 
 #: Hard ceilings for enumeration, matching the documented interface.
@@ -264,51 +271,25 @@ def canonical_form(m: MonodromyRep) -> str:
 
 
 def _white_transpositions(d: int) -> list[Perm]:
-    n = 2 * d
-    out = []
-    for i, j in combinations(range(d), 2):
-        images = list(range(n))
-        images[i], images[j] = j, i
-        out.append(tuple(images))
-    return out
+    return [from_cycles(2 * d, [pair]) for pair in combinations(range(d), 2)]
 
 
 def _corner_moves(d: int) -> list[Perm]:
     """White actions available to a corner: one transposition or two
     disjoint ones."""
-    singles = _white_transpositions(d)
-    out = list(singles)
-    n = 2 * d
-    for (i, j), (k, l) in combinations(combinations(range(d), 2), 2):
-        if {i, j} & {k, l}:
-            continue
-        images = list(range(n))
-        images[i], images[j] = j, i
-        images[k], images[l] = l, k
-        out.append(tuple(images))
-    return out
+    pairs = combinations(combinations(range(d), 2), 2)
+    doubles = [from_cycles(2 * d, [p, q]) for p, q in pairs if not set(p) & set(q)]
+    return _white_transpositions(d) + doubles
 
 
 def _two_involutions(p: Perm) -> tuple[Perm, Perm]:
     """Factor a permutation as a product of two involutions, ``a o b = p``."""
-    n = len(p)
-    a = list(range(n))
-    b = list(range(n))
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = p[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = p[nxt]
+    a, b = list(range(len(p))), list(range(len(p)))
+    for cycle in cycles(p):
         length = len(cycle)
-        for idx in range(length):
-            b[cycle[idx]] = cycle[(-idx) % length]
-            a[cycle[idx]] = cycle[(1 - idx) % length]
+        for idx, point in enumerate(cycle):
+            b[point] = cycle[(-idx) % length]
+            a[point] = cycle[(1 - idx) % length]
     at, bt = tuple(a), tuple(b)
     assert is_involution(at) and is_involution(bt) and compose(at, bt) == p
     return at, bt
@@ -335,47 +316,19 @@ def _black_involutions(d: int) -> list[Perm]:
     return out
 
 
-def _white_components(d: int, moves: Iterable[Perm]) -> list[list[int]]:
-    """Connected components of the white half under the given moves."""
-    parent = list(range(d))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for move in moves:
-        for w in range(d):
-            if move[w] != w:
-                ra, rb = find(w), find(move[w])
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for w in range(d):
-        groups.setdefault(find(w), []).append(w)
-    return sorted(groups.values())
-
-
 def _chains(d: int, s: int) -> list[list[Perm]]:
     """All reflection chains ``c_1..c_{s+1}`` with standard ``c_1`` and
-    generic corner moves."""
-    c1 = mirror_matching(d)
-    if s == 0:
-        return [[c1]]
-    chains = []
+    generic corner moves: each next reflection is the last one times the
+    move and its mirror image, kept when it is still a matching."""
+    c1, chains = mirror_matching(d), []
     for moves in product(_corner_moves(d), repeat=s):
         chain = [c1]
-        ok = True
         for move in moves:
-            ck = chain[-1]
-            u = compose(move, conjugate(move, ck))
-            nxt = compose(ck, u)
+            nxt = compose(chain[-1], compose(move, conjugate(move, chain[-1])))
             if not is_matching(nxt, d):
-                ok = False
                 break
             chain.append(nxt)
-        if ok:
+        else:
             chains.append(chain)
     return chains
 
@@ -396,84 +349,74 @@ def _black_product_target(
 
 
 def _beta_candidates(
-    d: int, t: int, black_target: Perm, components: list[list[int]]
+    d: int, t: int, black_target: Perm, components: list[tuple[int, ...]]
 ) -> Iterable[tuple[Perm, ...]]:
-    """Black actions to try for the ``x`` generators of one skeleton.
+    """Black actions to try for the ``x`` generators (``t >= 1``) of one
+    skeleton: tuples of black involutions whose product is ``black_target``.
 
-    The product of the candidates always equals ``black_target``.  When
-    the white skeleton is connected one canonical choice suffices (any
-    completion is transitive).  Disconnected skeletons need the black
-    actions to bridge components: impossible for ``t <= 1``; for
-    ``t in (2, 3)`` the free choices are exhausted (the last factor is
-    forced by the product), so the search is exact; for ``t >= 4`` two
-    free involutions are wired into a path through all components, which
-    always succeeds.
+    With the skeleton's white transpositions and its chain, each candidate
+    is valid and generic data by construction:
+
+    * ``x`` is an involution: a white transposition times a black
+      involution (identities, ``_two_involutions``, ``_black_involutions``,
+      path swaps, a ``last`` factor that passed ``is_involution``; the
+      forced factor of a connected ``t = 1`` skeleton only when it is one);
+    * ``c`` and the corner elements are involutions, since ``_chains``
+      keeps only matchings and a corner element is a move times its mirror;
+    * the word holds because ``build`` derives ``e``;
+    * the seam holds because the black product is the target of
+      ``_black_product_target``;
+    * genericity holds through ``_white_transpositions``, ``_corner_moves``
+      and the ``is_matching`` filter in ``_chains``;
+    * transitivity holds for a connected skeleton (``c[1]`` joins each
+      black to a white) and for ``t >= 4``, where two free involutions
+      wire the black mates of all components into a path.  Disconnected
+      skeletons yield nothing for ``t = 1`` and every completion for
+      ``t in (2, 3)`` (the last factor is forced); the caller checks
+      which of those bridges the components.
     """
     n = 2 * d
     if len(components) == 1:
-        if t == 1:
-            yield (black_target,)
-        elif t >= 2:
+        if t >= 2:
             first, second = _two_involutions(black_target)
             yield tuple([identity(n)] * (t - 2) + [first, second])
-        else:
-            yield ()
-        return
-    if t <= 1:
-        return
-    if t == 2:
-        for gamma in _black_involutions(d):
-            last = compose(gamma, black_target)
+        elif is_involution(black_target):
+            yield (black_target,)
+    elif t in (2, 3):
+        for gammas in product(_black_involutions(d), repeat=t - 1):
+            last = black_target
+            for gamma in gammas:
+                last = compose(gamma, last)
             if is_involution(last):
-                yield (gamma, last)
-        return
-    if t == 3:
-        pool = _black_involutions(d)
-        for gamma1 in pool:
-            partial = compose(gamma1, black_target)
-            for gamma2 in pool:
-                last = compose(gamma2, partial)
-                if is_involution(last):
-                    yield (gamma1, gamma2, last)
-        return
-    # t >= 4: chain the components into a path using two free involutions
-    reps = [d + comp[0] for comp in components]
-    first_images = list(range(n))
-    for i in range(0, len(reps) - 1, 2):
-        a, b = reps[i], reps[i + 1]
-        first_images[a], first_images[b] = b, a
-    second_images = list(range(n))
-    for i in range(1, len(reps) - 1, 2):
-        a, b = reps[i], reps[i + 1]
-        second_images[a], second_images[b] = b, a
-    gamma1, gamma2 = tuple(first_images), tuple(second_images)
-    remainder = compose(gamma2, compose(gamma1, black_target))
-    first, second = _two_involutions(remainder)
-    yield tuple([gamma1, gamma2] + [identity(n)] * (t - 4) + [first, second])
+                yield gammas + (last,)
+    elif t >= 4:
+        mates = [d + comp[0] for comp in components]
+        path = list(zip(mates, mates[1:]))
+        gamma1, gamma2 = from_cycles(n, path[0::2]), from_cycles(n, path[1::2])
+        first, second = _two_involutions(compose(gamma2, compose(gamma1, black_target)))
+        yield tuple([gamma1, gamma2] + [identity(n)] * (t - 4) + [first, second])
 
 
 def _complete_skeleton(
     d: int,
     chain: list[Perm],
     white_xs: tuple[Perm, ...],
-    components: list[list[int]],
+    components: list[tuple[int, ...]],
 ) -> MonodromyRep | None:
     """Build one valid representation from a white skeleton, or ``None``
-    when no valid completion exists."""
+    when no valid completion exists.  Only the transitivity of a
+    disconnected skeleton is checked (see ``_beta_candidates``); with
+    ``t = 0`` the seam needs the last reflection to equal the first."""
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
             return None
-        m = build(d, [], chain)
-        if validate_relations(m) and validate_genericity(m):
-            return m
-        return None
+        return build(d, [], chain)
     black_target = _black_product_target(d, chain, white_xs)
     for betas in _beta_candidates(d, t, black_target, components):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
-        m = build(d, xs, chain)
-        if validate_relations(m) and validate_genericity(m):
-            return m
+        if len(components) == 1 or is_transitive(xs + chain, 2 * d):
+            return build(d, xs, chain)
     return None
 
 
@@ -523,6 +466,14 @@ def enumerate_monodromies(
     valid generic representation, and the extracted park never depends
     on the completion choice.  ``dedup`` is ``none``/``raw``,
     ``j_equivalence``/``jequiv``, or ``park_isomorphism``/``park``.
+
+    Nothing here is validated: ``x``, ``c`` and the corner elements are
+    generic involutions by how ``_chains`` and ``_beta_candidates`` make
+    them, the word holds because ``build`` derives ``e``, the seam through
+    ``_black_product_target``, and transitivity for connected skeletons
+    and ``t >= 4`` bridging; ``_complete_skeleton`` checks it for the rest.
+    ``dedup`` goes through the unvalidated ``_canonical_key``,
+    ``_monodromy_to_park`` and ``_park_isomorphism``.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -549,7 +500,7 @@ def enumerate_monodromies(
     for chain in chains:
         corner_moves = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
         for white_xs in white_options:
-            components = _white_components(d, list(white_xs) + corner_moves)
+            components = orbits(list(white_xs) + corner_moves, 2 * d, restrict=whites(d))
             m = _complete_skeleton(d, chain, white_xs, components)
             if m is not None:
                 reps.append(m)
@@ -580,7 +531,7 @@ def enumerate_monodromies(
     parks: list[tuple[MonodromyClass, Park | None]] = []
     for cls in j_classes:
         try:
-            parks.append((cls, monodromy_to_park(cls.representative)))
+            parks.append((cls, _monodromy_to_park(cls.representative)))
         except NonRealizableError:
             parks.append((cls, None))
     merged: list[tuple[list[MonodromyClass], Park | None]] = []
@@ -632,18 +583,6 @@ class ClassificationTable:
             ]
         }
 
-    def render_text(self) -> str:
-        lines = []
-        width = max([len(e.label) for e in self.entries], default=5)
-        header = f"{'class':<{width}}  size  members"
-        lines.append(header)
-        for entry in self.entries:
-            members = ",".join(str(i) for i in entry.member_indices)
-            lines.append(
-                f"{entry.label:<{width}}  {len(entry.member_indices):>4}  {members}"
-            )
-        return "\n".join(lines)
-
 
 def _invariant_label(m: MonodromyRep, park: Park | None) -> str:
     if park is None:
@@ -666,7 +605,7 @@ def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
     parks: list[Park | None] = []
     for m in reps:
         try:
-            parks.append(monodromy_to_park(m))
+            parks.append(_monodromy_to_park(m))
         except NonRealizableError:
             parks.append(None)
     buckets: dict[str, list[int]] = {}

@@ -32,6 +32,11 @@ genus differs from the one forced by the critical-value count, raises
 :class:`NonRealizableError` (also for an odd critical-value count or an
 impossible node weight).  Only realizable data is assembled into a park
 and validated.
+
+Representations are validated at the public entry points only
+(``monodromy_to_park`` and the ``extract_*`` functions);
+``_monodromy_to_park`` is the unvalidated core for callers that built or
+validated the data themselves.
 """
 
 from __future__ import annotations
@@ -172,10 +177,10 @@ def _require_valid_generic(m: MonodromyRep) -> None:
 
 
 class _Extraction:
-    """One-shot computation of every park ingredient for a monodromy."""
+    """One-shot computation of every park ingredient for a monodromy
+    known to be valid and generic."""
 
     def __init__(self, m: MonodromyRep):
-        _require_valid_generic(m)
         self.m = m
         self.d = m.degree
         self.n = m.ground_size
@@ -500,6 +505,7 @@ def extract_faces(m: MonodromyRep) -> tuple[list[FaceCell], list[FaceCell]]:
     reflection.  Both lists are ordered by smallest element and both
     degree totals sum to the covering degree.
     """
+    _require_valid_generic(m)
     ex = _Extraction(m)
     return list(ex.white_cells), list(ex.black_cells)
 
@@ -512,12 +518,14 @@ def extract_nodes(m: MonodromyRep) -> tuple[list[NodeCell], list[NodeCell]]:
     carries circles, degrees, branch count and the genus these force (a
     negative or fractional genus raises :class:`NonRealizableError`).
     """
+    _require_valid_generic(m)
     ex = _Extraction(m)
     return list(ex.entrances), list(ex.exit_nodes)
 
 
 def extract_alleys(m: MonodromyRep) -> list[AlleyCell]:
     """One attachment per face, joining it to its entrance or exit."""
+    _require_valid_generic(m)
     ex = _Extraction(m)
     out = [AlleyCell(cell, ex.entrance_of_cell[cell]) for cell in ex.white_cells]
     out.extend(AlleyCell(cell, ex.exit_of_cell[cell]) for cell in ex.black_cells)
@@ -530,6 +538,7 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
     Each garden lists its faces, its edges as lift chains with lengths,
     and its vertices; components are ordered by smallest element.
     """
+    _require_valid_generic(m)
     ex = _Extraction(m)
     out = []
     for g_idx, orbit in enumerate(ex.garden_orbits):
@@ -763,7 +772,16 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     or closes to one of another genus than the critical-value count
     forces, raises :class:`NonRealizableError` with the figures as
     attributes.  A park that is returned passes :func:`validate_park`.
+    ``m`` is validated here; enumeration and ``classify`` skip that for
+    data they built or validated themselves.
     """
+    _require_valid_generic(m)
+    return _monodromy_to_park(m)
+
+
+def _monodromy_to_park(m: MonodromyRep) -> Park:
+    """:func:`monodromy_to_park` of a representation known to be valid
+    and generic."""
     ex = _Extraction(m)
     chi = ex.euler_characteristic()
     built_genus = _genus_of_characteristic(chi)

@@ -1204,7 +1204,7 @@ def from_json_dict(obj: Any) -> Park:
         if not isinstance(g, dict):
             raise ValueError("each garden must be an object")
         faces = []
-        for f in g.get("faces", []):
+        for f in _list_field(g, "faces"):
             if not isinstance(f, dict):
                 raise ValueError("each face must be an object")
             faces.append(
@@ -1212,14 +1212,16 @@ def from_json_dict(obj: Any) -> Park:
                     id=f.get("id"),
                     color=f.get("color"),
                     degree=f.get("degree"),
-                    boundary=tuple(f.get("boundary", ())),
+                    boundary=tuple(_list_field(f, "boundary")),
                 )
             )
         edges = []
-        for e in g.get("edges", []):
+        for e in _list_field(g, "edges"):
             if not isinstance(e, dict):
                 raise ValueError("each edge must be an object")
             ends = e.get("ends")
+            if ends is not None and not isinstance(ends, list):
+                raise ValueError("'ends' must be a list")
             edges.append(
                 GardenEdge(
                     id=e.get("id"),
@@ -1229,7 +1231,7 @@ def from_json_dict(obj: Any) -> Park:
                 )
             )
         vertices = []
-        for v in g.get("vertices", []):
+        for v in _list_field(g, "vertices"):
             if not isinstance(v, dict):
                 raise ValueError("each vertex must be an object")
             vertices.append(
@@ -1279,6 +1281,13 @@ def from_json_dict(obj: Any) -> Park:
         alleys=alleys,
         involution=involution,
     )
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list")
+    return value
 
 
 def _bad_entry(what: str, value: Any) -> bool:

@@ -21,7 +21,9 @@ from parkscope import (
     monodromy_to_park,
     validate_park,
 )
-from parkscope.extraction import _Assembly, _Extraction
+from parkscope.equivalence import _beta_candidates, _black_product_target
+from parkscope.extraction import _Assembly, _Extraction, _require_valid_generic
+from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Park, from_json_dict, genus as park_genus
 from parkscope.permgroup import blacks, compose, inverse, mirror_matching, orbits
 
@@ -168,7 +170,8 @@ def realized_reps(max_degree: int, max_critical: int) -> tuple:
 
 def assemble_park(m) -> Park:
     """The full park of a valid generic rep, assembled whether or not it is
-    realizable, and not validated."""
+    realizable; the rep is validated, the park is not."""
+    _require_valid_generic(m)
     assembly = _Assembly(_Extraction(m))
     involution = assembly.mirror_involution()
     meta = assembly.garden_meta_from(involution)
@@ -193,6 +196,28 @@ def monodromy_to_park_full(m) -> Park:
             f"but the critical-value count forces genus {forced_genus}"
         )
     return park
+
+
+def complete_skeleton_validated(d, chain, white_xs, components):
+    """``equivalence._complete_skeleton`` that trusts no construction: the
+    first completion candidate passing ``validate_relations`` and
+    ``validate_genericity`` in full, or ``None``.  The oracle for the
+    enumerator's valid-by-construction path."""
+    t = len(white_xs)
+    if t == 0:
+        if chain[-1] != chain[0] or len(components) > 1:
+            return None
+        m = build(d, [], chain)
+        if validate_relations(m) and validate_genericity(m):
+            return m
+        return None
+    black_target = _black_product_target(d, chain, white_xs)
+    for betas in _beta_candidates(d, t, black_target, components):
+        xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
+        m = build(d, xs, chain)
+        if validate_relations(m) and validate_genericity(m):
+            return m
+    return None
 
 
 def _transported(m, sigma_w) -> tuple:

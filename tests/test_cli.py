@@ -314,3 +314,32 @@ def test_json_error_payload(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert "error" in payload
     assert captured.err.strip() != ""
+
+
+def _dangling_node(obj):
+    obj["alleys"][0]["node"] = 99
+
+
+def _duplicate_face_id(obj):
+    obj["gardens"][1]["faces"][0]["id"] = obj["gardens"][0]["faces"][0]["id"]
+
+
+def _edges_not_a_list(obj):
+    obj["gardens"][0]["edges"] = False
+
+
+@pytest.mark.parametrize(
+    "mutate", [_dangling_node, _duplicate_face_id, _edges_not_a_list], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("command", ["validate-park", "info", "hurwitz", "isomorphic"])
+def test_malformed_park_is_exit_2(tmp_path, capsys, command, mutate):
+    obj = json.loads(EXAMPLE_PARK_PATH.read_text())
+    mutate(obj)
+    path = tmp_path / "park.json"
+    path.write_text(json.dumps(obj))
+    args = [command, str(path)]
+    if command == "isomorphic":
+        args.append(str(EXAMPLE_PARK_PATH))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: ") and "Traceback" not in err

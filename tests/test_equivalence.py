@@ -14,16 +14,21 @@ from parkscope import (
     classify,
     conjugate_rep,
     enumerate_monodromies,
+    extract_alleys,
+    extract_faces,
+    extract_gardens,
+    extract_nodes,
     monodromy_equivalent,
     monodromy_to_park,
     park_isomorphic,
 )
-from parkscope import equivalence, monodromy
+from parkscope import equivalence, extraction, monodromy
 from parkscope.park import to_json_dict
 
 from conftest import (
     canonical_form_brute,
     check_park_isomorphism,
+    complete_skeleton_validated,
     enumerated_reps,
     make_chord_rep,
     make_loop3_rep,
@@ -127,10 +132,17 @@ def test_dedup_unchanged_under_brute_force_key(monkeypatch, cell, dedup):
 
 def test_public_entry_points_validate(loop3_park):
     broken = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
-    with pytest.raises(ValueError):
-        canonical_form(broken)
-    with pytest.raises(ValueError):
-        classify([broken])
+    for entry in (
+        canonical_form,
+        lambda m: classify([m]),
+        monodromy_to_park,
+        extract_faces,
+        extract_nodes,
+        extract_alleys,
+        extract_gardens,
+    ):
+        with pytest.raises(ValueError):
+            entry(broken)
     involution = loop3_park.involution
     faces_fixed = dataclasses.replace(involution, faces={f: f for f in involution.faces})
     corrupted = dataclasses.replace(loop3_park, involution=faces_fixed)
@@ -336,6 +348,43 @@ def test_enumerated_members_are_valid():
             assert monodromy.validate_relations(member).ok
             assert monodromy.validate_genericity(member).ok
         assert cls.size == len(cls.members)
+
+
+ORACLE_CELLS = [
+    (d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)
+] + [(4, 4, 0), (4, 2, 2), (5, 4, 0)]
+
+
+def test_enumeration_matches_validated_completion(monkeypatch):
+    built = {cell: enumerate_monodromies(*cell) for cell in ORACLE_CELLS}
+    monkeypatch.setattr(equivalence, "_complete_skeleton", complete_skeleton_validated)
+    for cell in ORACLE_CELLS:
+        reps = [cls.representative for cls in built[cell].classes]
+        oracle = enumerate_monodromies(*cell)
+        assert reps == [cls.representative for cls in oracle.classes], cell
+        for rep in reps:
+            assert monodromy.validate_relations(rep).ok, (cell, rep)
+            assert monodromy.validate_genericity(rep).ok, (cell, rep)
+
+
+@pytest.mark.parametrize("cell", [(3, 2, 2), (4, 2, 0)], ids=lambda c: "%d-%d-%d" % c)
+def test_enumeration_calls_no_validator(monkeypatch, cell):
+    expected = enumerate_monodromies(*cell, dedup="park")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration called a validator")
+
+    for module in (equivalence, extraction):
+        monkeypatch.setattr(module, "validate_relations", refuse)
+        monkeypatch.setattr(module, "validate_genericity", refuse)
+    result = enumerate_monodromies(*cell, dedup="park")
+    assert result.raw_count == expected.raw_count
+    assert [cls.representative for cls in result.classes] == [
+        cls.representative for cls in expected.classes
+    ]
+    assert [cls.members for cls in result.classes] == [
+        cls.members for cls in expected.classes
+    ]
 
 
 def test_unrealizable_class_kept_separate(unrealizable_rep):

@@ -1,11 +1,35 @@
 """Property tests drawn by Hypothesis (skipped when it is not installed)."""
 
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
 import pytest
 
-from parkscope import canonical_form, conjugate_rep, monodromy_to_park, park_isomorphic
+from parkscope import (
+    canonical_form,
+    conjugate_rep,
+    monodromy,
+    monodromy_to_park,
+    park,
+    park_isomorphic,
+)
+from parkscope.cli import main
 from parkscope.permgroup import cycles, orbits
 
-from conftest import check_park_isomorphism, enumerated_reps, realized_reps
+from conftest import (
+    EXAMPLE_PARK_PATH,
+    EXAMPLE_REP_PATH,
+    check_park_isomorphism,
+    enumerated_reps,
+    make_chord_rep,
+    make_two_entrance_rep,
+    make_unrealizable_rep,
+    realized_reps,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -80,3 +104,75 @@ def test_orbits_and_cycles_match_fixed_point_closure(data):
     for p in gens:
         got = cycles(p, restrict=restrict, include_fixed=include_fixed)
         assert got == _naive_cycles(p, domain, include_fixed)
+
+
+_REP_DOCUMENTS = [json.loads(EXAMPLE_REP_PATH.read_text())] + [
+    monodromy.to_json_dict(make()) for make in (make_chord_rep, make_unrealizable_rep)
+]
+_PARK_DOCUMENTS = [json.loads(EXAMPLE_PARK_PATH.read_text())] + [
+    park.to_json_dict(monodromy_to_park(make())) for make in (make_chord_rep, make_two_entrance_rep)
+]
+_REP_COMMANDS = ("validate", "extract", "info", "equivalent")
+_PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
+_WORDS = ("", "1", "white", "black", "segment", "loop", "entrance", "exit", "orientable")
+_KEYS = ("id", "kind", "faces", "edges", "ends", "boundary", "degree", "node", "x", "c", "s")
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([10**9, -(10**9), 2**70]),
+    st.floats(-2, 5),
+    st.sampled_from(_WORDS),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _slots(obj, out):
+    """Every (container, key) of a JSON document, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        out.append((obj, key))
+        _slots(value, out)
+    return out
+
+
+def _mutate(data, obj):
+    container, key = data.draw(st.sampled_from(_slots(obj, [])))
+    action = data.draw(st.sampled_from(["replace", "delete", "nudge", "copy"]))
+    value = container[key]
+    if action == "delete":
+        del container[key]
+    elif action == "nudge" and isinstance(value, int) and not isinstance(value, bool):
+        container[key] = value + data.draw(st.sampled_from([-1, 1, 2]))
+    elif action == "copy":
+        donor, donor_key = data.draw(st.sampled_from(_slots(obj, [])))
+        container[key] = copy.deepcopy(donor[donor_key])
+    else:
+        container[key] = data.draw(_VALUES)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(data=st.data())
+def test_cli_survives_mutated_files(data):
+    park_side = data.draw(st.booleans())
+    original = data.draw(st.sampled_from(_PARK_DOCUMENTS if park_side else _REP_DOCUMENTS))
+    mutated = copy.deepcopy(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if _slots(mutated, []):
+            _mutate(data, mutated)
+    command = data.draw(st.sampled_from(_PARK_COMMANDS if park_side else _REP_COMMANDS))
+    with tempfile.TemporaryDirectory() as work:
+        paths = [os.path.join(work, name) for name in ("mutated.json", "original.json")]
+        for path, doc in zip(paths, (mutated, original)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        args = [command] + paths[: 2 if command in ("equivalent", "isomorphic") else 1]
+        if data.draw(st.booleans()):
+            args.append("--json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
