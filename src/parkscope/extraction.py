@@ -25,13 +25,18 @@ without one (hand-authored parks); it runs the park-morphism search of
 :mod:`parkscope.park`, the one behind ``park_isomorphic``, from the
 park to itself with colors swapped.
 
-``monodromy_to_park`` checks the genus before it assembles anything:
-the Euler characteristic is read straight off the extracted cells, and
-branching data that cannot close to any surface, or closes to one whose
-genus differs from the one forced by the critical-value count, raises
-:class:`NonRealizableError` (also for an odd critical-value count or an
-impossible node weight).  Only realizable data is assembled into a park
-and validated.
+``monodromy_to_park`` runs in four stages:
+
+1. **cheap cells** -- faces, entrances and vertices, which is all the
+   Euler characteristic needs (exits mirror entrances, and every vertex
+   has four ends, so there are exactly twice as many segment edges as
+   vertices);
+2. **genus check** -- branching data that cannot close to any surface,
+   or closes to one whose genus differs from the one forced by the
+   critical-value count, raises :class:`NonRealizableError` (also for an
+   odd critical-value count or an impossible node weight);
+3. **exits, boundary walk and gardens**, for realizable data only;
+4. **assembly** into a park, which is validated.
 
 Representations are validated at the public entry points only
 (``monodromy_to_park`` and the ``extract_*`` functions);
@@ -177,8 +182,15 @@ def _require_valid_generic(m: MonodromyRep) -> None:
 
 
 class _Extraction:
-    """One-shot computation of every park ingredient for a monodromy
-    known to be valid and generic."""
+    """The park ingredients of a monodromy known to be valid and generic,
+    in two stages.
+
+    The constructor builds the cheap cells: faces, entrances and the
+    corner vertices, enough for :meth:`euler_characteristic` and so for
+    the genus check.  :meth:`finish` builds the rest -- exits, the
+    boundary walk with its edges, and the gardens -- which assembly and
+    the ``extract_*`` functions need.
+    """
 
     def __init__(self, m: MonodromyRep):
         self.m = m
@@ -190,10 +202,24 @@ class _Extraction:
         self.c = list(m.c)
         self._build_faces()
         self._build_entrances()
-        self._build_exits()
         self._build_corners()
+
+    def finish(self) -> _Extraction:
+        """Build exits, the boundary walk and the gardens; returns ``self``.
+
+        Raises :class:`InconsistencyError` when an exit does not mirror
+        its entrance or the segment edges are not twice the vertices, the
+        two facts :meth:`euler_characteristic` rests on.
+        """
+        self._build_exits()
         self._build_walk()
+        segments = sum(1 for chain in self.chains if chain.kind == "segment")
+        if segments != 2 * len(self.vertices):
+            raise InconsistencyError(
+                f"{segments} segment edges join {len(self.vertices)} four-ended vertices"
+            )
         self._build_gardens()
+        return self
 
     # -- faces -------------------------------------------------------------
 
@@ -462,12 +488,17 @@ class _Extraction:
 
     def euler_characteristic(self) -> int:
         """What :func:`parkscope.park.euler_characteristic` gives on the
-        assembled park: vertices minus segment edges, plus ``2 - 2g`` per
-        node, minus one boundary circle per face (each face is one alley)."""
-        segments = sum(1 for chain in self.chains if chain.kind == "segment")
-        nodes = sum(2 - 2 * node.signature.genus for node in self.entrances + self.exit_nodes)
+        assembled park, from the cheap cells alone.
+
+        On the park it is vertices minus segment edges, plus ``2 - 2g``
+        per node, minus one boundary circle per face (each face is one
+        alley).  Exits mirror entrances and segments number twice the
+        vertices (:meth:`finish` checks both), which leaves twice the
+        entrances' ``2 - 2g``, minus the vertices, minus the faces.
+        """
+        entrances = sum(2 - 2 * node.signature.genus for node in self.entrances)
         faces = len(self.white_cells) + len(self.black_cells)
-        return len(self.vertices) - segments + nodes - faces
+        return 2 * entrances - len(self.vertices) - faces
 
     # -- gardens -----------------------------------------------------------
 
@@ -506,7 +537,7 @@ def extract_faces(m: MonodromyRep) -> tuple[list[FaceCell], list[FaceCell]]:
     degree totals sum to the covering degree.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m)
+    ex = _Extraction(m).finish()
     return list(ex.white_cells), list(ex.black_cells)
 
 
@@ -519,14 +550,14 @@ def extract_nodes(m: MonodromyRep) -> tuple[list[NodeCell], list[NodeCell]]:
     negative or fractional genus raises :class:`NonRealizableError`).
     """
     _require_valid_generic(m)
-    ex = _Extraction(m)
+    ex = _Extraction(m).finish()
     return list(ex.entrances), list(ex.exit_nodes)
 
 
 def extract_alleys(m: MonodromyRep) -> list[AlleyCell]:
     """One attachment per face, joining it to its entrance or exit."""
     _require_valid_generic(m)
-    ex = _Extraction(m)
+    ex = _Extraction(m).finish()
     out = [AlleyCell(cell, ex.entrance_of_cell[cell]) for cell in ex.white_cells]
     out.extend(AlleyCell(cell, ex.exit_of_cell[cell]) for cell in ex.black_cells)
     return out
@@ -539,7 +570,7 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
     and its vertices; components are ordered by smallest element.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m)
+    ex = _Extraction(m).finish()
     out = []
     for g_idx, orbit in enumerate(ex.garden_orbits):
         faces = tuple(
@@ -767,11 +798,13 @@ def _min_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
 def monodromy_to_park(m: MonodromyRep) -> Park:
     """Assemble the full park of a valid, generic monodromy.
 
-    The genus check runs before assembly, on the Euler characteristic of
-    the extracted cells: branching data that cannot close to any surface,
-    or closes to one of another genus than the critical-value count
-    forces, raises :class:`NonRealizableError` with the figures as
-    attributes.  A park that is returned passes :func:`validate_park`.
+    The stages run in order: the cheap cells (faces, entrances,
+    vertices); the genus check on their Euler characteristic, where
+    branching data that cannot close to any surface, or closes to one of
+    another genus than the critical-value count forces, raises
+    :class:`NonRealizableError` with the figures as attributes; then the
+    exits, boundary walk and gardens, for realizable data only; then
+    assembly.  A park that is returned passes :func:`validate_park`.
     ``m`` is validated here; enumeration and ``classify`` skip that for
     data they built or validated themselves.
     """
@@ -794,7 +827,7 @@ def _monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    assembly = _Assembly(ex)
+    assembly = _Assembly(ex.finish())
     involution = assembly.mirror_involution()
     meta = assembly.garden_meta_from(involution)
     park = assembly.build(involution, meta)

@@ -169,10 +169,11 @@ def realized_reps(max_degree: int, max_critical: int) -> tuple:
 
 
 def assemble_park(m) -> Park:
-    """The full park of a valid generic rep, assembled whether or not it is
-    realizable; the rep is validated, the park is not."""
+    """The full park of a valid generic rep, every extraction stage built
+    and assembled whether or not it is realizable; the rep is validated,
+    the park is not."""
     _require_valid_generic(m)
-    assembly = _Assembly(_Extraction(m))
+    assembly = _Assembly(_Extraction(m).finish())
     involution = assembly.mirror_involution()
     meta = assembly.garden_meta_from(involution)
     return assembly.build(involution, meta)

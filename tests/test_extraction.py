@@ -20,7 +20,8 @@ from parkscope import (
     total_degree,
     validate_park,
 )
-from parkscope.park import Alley, to_json_dict
+from parkscope.extraction import _Extraction
+from parkscope.park import Alley, euler_characteristic, to_json_dict
 
 from conftest import (
     assemble_park,
@@ -200,15 +201,19 @@ def test_rejects_odd_characteristic_rep(unrealizable_rep):
     assert (err.value.built_genus, err.value.forced_genus) == (None, None)
 
 
-def test_rejects_genus_mismatch_rep():
-    # a (4,2,2) rep whose real locus closes to a torus, where the count forces a sphere
-    mismatch = build(
+def _genus_mismatch_rep():
+    """A (4,2,2) rep whose real locus closes to a torus, where the count
+    forces a sphere."""
+    return build(
         4,
         [(0, 1, 3, 2, 4, 5, 6, 7), (0, 1, 3, 2, 4, 5, 6, 7)],
         [(4, 5, 6, 7, 0, 1, 2, 3), (6, 7, 4, 5, 2, 3, 0, 1), (4, 5, 6, 7, 0, 1, 2, 3)],
     )
+
+
+def test_rejects_genus_mismatch_rep():
     with pytest.raises(NonRealizableError) as err:
-        monodromy_to_park(mismatch)
+        monodromy_to_park(_genus_mismatch_rep())
     assert str(err.value) == (
         "the real-locus structure closes to a surface of genus 1, "
         "but the critical-value count forces genus 0"
@@ -247,6 +252,69 @@ def test_genus_check_before_assembly_matches_full_build():
         assert validate_park(park).ok
     # odd characteristic, impossible count and genus mismatch all occur
     assert messages == {"closed", "surface", "real-locus"}
+
+
+def test_cheap_characteristic_invariants():
+    """Every d <= 3 rep with t + s <= 5, all of (4,0,3) and a seeded
+    sample of (4,2,2), realized or not, fully extracted: the facts the
+    characteristic from the cheap cells rests on."""
+    rng = random.Random(12)
+    reps = list(enumerated_reps(3, 5))
+    reps += [cls.representative for cls in enumerate_monodromies(4, 0, 3).classes]
+    cell_reps = [cls.representative for cls in enumerate_monodromies(4, 2, 2).classes]
+    reps += rng.sample(cell_reps, min(300, len(cell_reps)))
+    assembled = 0
+    for rep in reps:
+        try:
+            park = assemble_park(rep)
+        except NonRealizableError:
+            continue  # an impossible node weight, found with the cheap cells
+        ex = _Extraction(rep).finish()
+        # every vertex has four ends and every segment two
+        segments = [e for e in park.all_edges() if e.kind == "segment"]
+        assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(ex.vertices)
+        # entrances and exits pair off, one to one, with equal signatures
+        assert sorted(n.orbit for n in ex.exit_paired_with) == sorted(
+            n.orbit for n in ex.entrances
+        )
+        assert sorted(n.orbit for n in ex.exit_paired_with.values()) == sorted(
+            n.orbit for n in ex.exit_nodes
+        )
+        for entrance, exit_node in ex.exit_paired_with.items():
+            assert exit_node.signature == entrance.signature
+        assert _Extraction(rep).euler_characteristic() == euler_characteristic(park)
+        assembled += 1
+    assert assembled > 0
+
+
+def test_rejected_reps_never_reach_the_walk(monkeypatch):
+    """A rejected rep raises from the cheap cells: with the exits, the
+    boundary walk and the gardens broken, every rep of three reject-only
+    cells, and a genus mismatch, raises exactly as before."""
+    reps = [
+        cls.representative
+        for cell in ((3, 2, 1), (3, 1, 3), (4, 0, 3))
+        for cls in enumerate_monodromies(*cell).classes
+    ]
+    reps.append(_genus_mismatch_rep())
+
+    def rejections():
+        out = []
+        for rep in reps:
+            with pytest.raises(NonRealizableError) as err:
+                monodromy_to_park(rep)
+            exc = err.value
+            out.append((str(exc), exc.euler_characteristic, exc.built_genus, exc.forced_genus))
+        return out
+
+    expected = rejections()
+
+    def unreachable(self):
+        raise AssertionError("a rejected rep reached a finishing stage")
+
+    for stage in ("_build_exits", "_build_walk", "_build_gardens"):
+        monkeypatch.setattr(_Extraction, stage, unreachable)
+    assert rejections() == expected
 
 
 def test_rejects_invalid_representation():
