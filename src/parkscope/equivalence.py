@@ -14,6 +14,10 @@
   onto the other.
 * ``canonical_form`` keys a relabeling-equivalence class by its least
   serialization, taken one component at a time over relabelings that tie.
+  The key engine works on a batch: the relabelings are built once per
+  distinct ``c[1]``, the orbit-system and ``e`` stages run once per
+  distinct ``(c[1], x, e)``, and each representation runs only the last
+  stage (all ``c``) over the relabelings that tie.
 * ``enumerate_monodromies`` generates all valid generic representations
   for small parameters, up to color-preserving relabeling of sheets, and
   deduplicates at three levels: raw, relabeling-equivalence classes, or
@@ -32,7 +36,8 @@ relation holds by how the chain and the completions are made, and only
 the transitivity of a disconnected skeleton is checked.  Input is
 validated at the public entry points only: enumeration and ``classify``
 extract, key and merge through the unvalidated cores
-``_monodromy_to_park``, ``_canonical_key`` and ``_park_isomorphism``.
+``_monodromy_to_park``, ``_canonical_keys`` and ``_park_isomorphism``.
+The park merge compares only parks with equal ``_merge_signature``.
 """
 
 from __future__ import annotations
@@ -162,6 +167,28 @@ def _park_isomorphism(
     return None
 
 
+def _merge_signature(park: Park) -> tuple:
+    """An invariant that isomorphic parks share: the sorted node
+    ``(role, genus, circles, degrees)`` and the sorted per-garden
+    ``(kind, face (color, degree)s, edge (kind, length)s, vertex count)``.
+    It holds no ids and no corner labels, which an isomorphism may rotate."""
+    signatures = _ParkIndex(park).signatures
+    nodes = []
+    for node in park.nodes:
+        sig = signatures[node.id]
+        nodes.append((node.role, sig.genus, sig.circles, sig.degrees))
+    gardens = sorted(
+        (
+            g.kind,
+            tuple(sorted((f.color, f.degree) for f in g.faces)),
+            tuple(sorted((e.kind, e.length) for e in g.edges)),
+            len(g.vertices),
+        )
+        for g in park.gardens
+    )
+    return tuple(sorted(nodes)), tuple(gardens)
+
+
 # ---------------------------------------------------------------------------
 # monodromy equivalence (sufficient condition)
 # ---------------------------------------------------------------------------
@@ -236,20 +263,36 @@ def _least(relabelings: list[list[int]], image) -> tuple:
     return best, [j for j, value in zip(relabelings, images) if value == best]
 
 
-def _canonical_key(m: MonodromyRep) -> str:
-    """:func:`canonical_form` of a representation known to be valid: the
-    least ``(orbit system, e, all c)`` image over the relabelings making
-    the first reflection standard, taken one component at a time over the
-    relabelings that tie so far (tuples compare lexicographically)."""
-    relabelings = list(_relabelings(m.c[0], mirror_matching(m.degree)))
-    orbs = orbits(list(m.x), m.ground_size)
-    orbit_t, relabelings = _least(
-        relabelings,
-        lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
-    )
-    e_t, relabelings = _least(relabelings, lambda j: conjugate(m.e, j))
-    c_t, _ = _least(relabelings, lambda j: tuple(conjugate(ck, j) for ck in m.c))
-    return repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t))
+def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
+    """:func:`canonical_form` of each representation, known to be valid, in
+    input order: the least ``(orbit system, e, all c)`` image over the
+    relabelings making the first reflection standard, taken one component
+    at a time over the relabelings that tie so far (tuples compare
+    lexicographically).
+
+    The relabelings depend only on ``c[1]`` and the first two stages only
+    on ``(c[1], x, e)``, so those are computed once per distinct value and
+    each representation runs only the last stage over the relabelings that
+    tie.  Keys are yielded one at a time, never held together.
+    """
+    relabelings: dict[Perm, list[list[int]]] = {}
+    heads: dict[tuple, tuple] = {}
+    for m in reps:
+        c1 = m.c[0]
+        head = (c1, m.x, m.e)
+        if head not in heads:
+            if c1 not in relabelings:
+                relabelings[c1] = list(_relabelings(c1, mirror_matching(m.degree)))
+            orbs = orbits(list(m.x), m.ground_size)
+            orbit_t, tied = _least(
+                relabelings[c1],
+                lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
+            )
+            e_t, tied = _least(tied, lambda j: conjugate(m.e, j))
+            heads[head] = orbit_t, e_t, tied
+        orbit_t, e_t, tied = heads[head]
+        c_t, _ = _least(tied, lambda j: tuple(conjugate(ck, j) for ck in m.c))
+        yield repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t))
 
 
 def canonical_form(m: MonodromyRep) -> str:
@@ -258,11 +301,14 @@ def canonical_form(m: MonodromyRep) -> str:
     The lexicographically smallest serialization of the class invariants
     (orbit system of the ``x`` generators, ``e``, all reflections) over
     all color-preserving relabelings; equal keys certify equivalence.
-    It is taken in stages (orbit system, then ``e``, then reflections).
-    ``m`` is validated here; enumeration skips that for what it built.
+    It is taken in stages (orbit system, then ``e``, then reflections) by
+    the batch engine that enumeration and ``classify`` use, which shares
+    the first two stages among representations with the same
+    ``(c[1], x, e)``.  ``m`` is validated here; enumeration skips that for
+    what it built.
     """
     _require_generic(m)
-    return _canonical_key(m)
+    return next(_canonical_keys((m,)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +518,11 @@ def enumerate_monodromies(
     them, the word holds because ``build`` derives ``e``, the seam through
     ``_black_product_target``, and transitivity for connected skeletons
     and ``t >= 4`` bridging; ``_complete_skeleton`` checks it for the rest.
-    ``dedup`` goes through the unvalidated ``_canonical_key``,
-    ``_monodromy_to_park`` and ``_park_isomorphism``.
+    ``dedup`` goes through the unvalidated ``_canonical_keys``,
+    ``_monodromy_to_park`` and ``_park_isomorphism``.  The keys are taken
+    in one batch, once per distinct ``(c[1], x, e)`` for the first two
+    stages; the park merge compares each class's park only with earlier
+    parks of equal signature, so classes keep their first-seen order.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -515,8 +564,8 @@ def enumerate_monodromies(
         return EnumerationResult(d, t, s, mode, classes, raw_count)
 
     grouped: dict[str, list[MonodromyRep]] = {}
-    for m in reps:
-        grouped.setdefault(_canonical_key(m), []).append(m)
+    for m, key in zip(reps, _canonical_keys(reps)):
+        grouped.setdefault(key, []).append(m)
     j_classes = [
         MonodromyClass(
             representative=members[0], size=len(members), members=tuple(members)
@@ -527,23 +576,26 @@ def enumerate_monodromies(
         return EnumerationResult(d, t, s, mode, tuple(j_classes), raw_count)
 
     # park_isomorphism: merge relabeling classes whose representative
-    # parks are isomorphic; unrealizable classes stay separate.
-    parks: list[tuple[MonodromyClass, Park | None]] = []
+    # parks are isomorphic, comparing only parks with equal signatures;
+    # unrealizable classes stay separate.  ``merged`` keeps first-seen order.
+    merged: list[list[MonodromyClass]] = []
+    by_signature: dict[tuple, list[tuple[list[MonodromyClass], Park]]] = {}
     for cls in j_classes:
         try:
-            parks.append((cls, _monodromy_to_park(cls.representative)))
+            park = _monodromy_to_park(cls.representative)
         except NonRealizableError:
-            parks.append((cls, None))
-    merged: list[tuple[list[MonodromyClass], Park | None]] = []
-    for cls, park in parks:
-        for bucket, other in merged:
-            if park is not None and other is not None and _park_isomorphism(park, other):
+            merged.append([cls])
+            continue
+        same = by_signature.setdefault(_merge_signature(park), [])
+        for bucket, other in same:
+            if _park_isomorphism(park, other):
                 bucket.append(cls)
                 break
         else:
-            merged.append(([cls], park))
+            merged.append([cls])
+            same.append((merged[-1], park))
     classes = []
-    for bucket, _park in merged:
+    for bucket in merged:
         members = tuple(m for cls in bucket for m in cls.members)
         classes.append(
             MonodromyClass(
@@ -616,8 +668,8 @@ def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
         indices = buckets[label]
         if all(parks[i] is None for i in indices):
             by_key: dict[str, list[int]] = {}
-            for i in indices:
-                by_key.setdefault(_canonical_key(reps[i]), []).append(i)
+            for i, key in zip(indices, _canonical_keys(reps[i] for i in indices)):
+                by_key.setdefault(key, []).append(i)
             for suffix, (key, group) in enumerate(sorted(by_key.items())):
                 entries.append(
                     ClassificationEntry(

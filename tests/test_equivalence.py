@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -23,6 +24,7 @@ from parkscope import (
     park_isomorphic,
 )
 from parkscope import equivalence, extraction, monodromy
+from parkscope import permgroup as pg
 from parkscope.park import to_json_dict
 
 from conftest import (
@@ -62,8 +64,6 @@ def test_conjugate_pair_witness_verifies(loop3_rep, chord_rep):
             assert carried.e == moved.e
             assert carried.c == moved.c
             # the branch generators only need to match as an orbit system
-            from parkscope import permgroup as pg
-
             def orbit_partition(m):
                 return sorted(
                     tuple(sorted(o))
@@ -104,30 +104,159 @@ def test_canonical_form_matches_brute_force():
         assert canonical_form(rep) == canonical_form_brute(rep)
 
 
-def test_canonical_form_matches_brute_force_on_degree_4_sample():
+def _degree_4_sample() -> list:
+    """A seeded sample of 300 representations from four degree-4 cells."""
     pool = [
         cls.representative
         for cell in ((4, 1, 4), (4, 2, 2), (4, 1, 3), (4, 3, 1))
         for cls in enumerate_monodromies(*cell).classes
     ]
-    for rep in random.Random(41).sample(pool, 300):
+    return random.Random(41).sample(pool, 300)
+
+
+def test_canonical_form_matches_brute_force_on_degree_4_sample():
+    for rep in _degree_4_sample():
         assert canonical_form(rep) == canonical_form_brute(rep)
+
+
+def test_batch_keys_match_brute_force_per_cell():
+    for d in (1, 2, 3):
+        for t in range(6):
+            for s in range(6 - t):
+                reps = [cls.representative for cls in enumerate_monodromies(d, t, s).classes]
+                keys = list(equivalence._canonical_keys(reps))
+                assert keys == [canonical_form_brute(m) for m in reps], (d, t, s)
+
+
+def test_batch_keys_match_brute_force_on_degree_4_sample():
+    reps = _degree_4_sample()
+    assert list(equivalence._canonical_keys(reps)) == [
+        canonical_form_brute(m) for m in reps
+    ]
+
+
+def _black_relabeling_fixing_x(m):
+    """A relabeling that moves blacks only, is not the identity and fixes
+    every ``x`` (so also ``e``), or ``None`` when there is none."""
+    d = m.degree
+    for sigma_b in permutations(range(d, 2 * d)):
+        j = tuple(range(d)) + sigma_b
+        if j != tuple(range(2 * d)) and all(pg.conjugate(x, j) == x for x in m.x):
+            return j
+    return None
+
+
+def test_batch_keys_keep_apart_what_the_head_shares():
+    # Unrealizable reps, so that ``classify`` groups them by key: each
+    # with a copy whose first reflection is not standard, in shuffled order.
+    rng = random.Random(31)
+    batch = []
+    for cell in ((3, 2, 3), (3, 1, 3)):
+        for cls in enumerate_monodromies(*cell).classes:
+            rep = cls.representative
+            relabel = _black_relabeling_fixing_x(rep) or _random_color_preserving(rng, 3)
+            batch += [rep, conjugate_rep(rep, relabel)]
+    rng.shuffle(batch)
+    keys = list(equivalence._canonical_keys(batch))
+    assert keys == [canonical_form_brute(m) for m in batch]
+
+    # the batch holds what the head grouping must not merge: equal
+    # (c[1], x, e) with different keys, equal (x, e) with different c[1],
+    # and equal c[1] and orbit system with different e and keys
+    orbit_systems = [tuple(pg.orbits(list(m.x), m.ground_size)) for m in batch]
+    pairs = list(combinations(range(len(batch)), 2))
+    assert any(
+        (batch[a].c[0], batch[a].x, batch[a].e) == (batch[b].c[0], batch[b].x, batch[b].e)
+        and keys[a] != keys[b]
+        for a, b in pairs
+    )
+    assert any(
+        (batch[a].x, batch[a].e) == (batch[b].x, batch[b].e)
+        and batch[a].c[0] != batch[b].c[0]
+        for a, b in pairs
+    )
+    assert any(
+        (batch[a].c[0], orbit_systems[a]) == (batch[b].c[0], orbit_systems[b])
+        and batch[a].e != batch[b].e
+        and keys[a] != keys[b]
+        for a, b in pairs
+    )
+    assert any(m.c[0] != pg.mirror_matching(3) for m in batch)
+
+    table = classify(batch)
+    assert sorted(i for entry in table.entries for i in entry.member_indices) == list(
+        range(len(batch))
+    )
+    entry_keys = []
+    for entry in table.entries:
+        assert entry.label.startswith("unrealizable")
+        group_keys = {keys[i] for i in entry.member_indices}
+        assert len(group_keys) == 1
+        entry_keys += group_keys
+    assert len(set(entry_keys)) == len(entry_keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("dedup", ["jequiv", "park"])
 @pytest.mark.parametrize(
-    "cell", [(3, 2, 2), (3, 3, 1), (4, 2, 0), (4, 1, 2)], ids=lambda c: "%d-%d-%d" % c
+    "cell",
+    [(3, 2, 2), (3, 3, 1), (4, 2, 0), (4, 1, 2), (3, 1, 4)],
+    ids=lambda c: "%d-%d-%d" % c,
 )
 def test_dedup_unchanged_under_brute_force_key(monkeypatch, cell, dedup):
     fast = enumerate_monodromies(*cell, dedup=dedup)
-    monkeypatch.setattr(equivalence, "_canonical_key", canonical_form_brute)
+    keyed = []
+
+    def brute_keys(reps):
+        for m in reps:
+            keyed.append(m)
+            yield canonical_form_brute(m)
+
+    monkeypatch.setattr(equivalence, "_canonical_keys", brute_keys)
     brute = enumerate_monodromies(*cell, dedup=dedup)
+    assert len(keyed) == brute.raw_count
     assert brute.raw_count == fast.raw_count
     assert [cls.size for cls in brute.classes] == [cls.size for cls in fast.classes]
     assert [cls.representative for cls in brute.classes] == [
         cls.representative for cls in fast.classes
     ]
     assert [cls.members for cls in brute.classes] == [cls.members for cls in fast.classes]
+
+
+@pytest.mark.parametrize(
+    "cell", [(3, 1, 4), (3, 2, 2), (4, 3, 0), (4, 1, 2)], ids=lambda c: "%d-%d-%d" % c
+)
+def test_park_merge_signature_buckets_only_what_cannot_match(cell):
+    parks = []
+    for cls in enumerate_monodromies(*cell, dedup="jequiv").classes:
+        try:
+            parks.append((cls, monodromy_to_park(cls.representative)))
+        except NonRealizableError:
+            parks.append((cls, None))
+    realized = [park for _, park in parks if park is not None]
+    signatures = [equivalence._merge_signature(park) for park in realized]
+    for a, b in combinations(range(len(realized)), 2):
+        if equivalence._park_isomorphism(realized[a], realized[b]):
+            assert signatures[a] == signatures[b], cell
+    for park, signature in zip(realized, signatures):
+        # no corner label enters the signature, which merges across rotations
+        unlabeled = _recornered(park, lambda c: 1, reverse=False)
+        assert equivalence._merge_signature(unlabeled) == signature
+    # oracle: the plain pairwise merge over the same parks
+    merged = []
+    for cls, park in parks:
+        for bucket, other in merged:
+            if park is not None and other is not None and park_isomorphic(park, other):
+                bucket.append(cls)
+                break
+        else:
+            merged.append(([cls], park))
+    result = enumerate_monodromies(*cell, dedup="park")
+    assert [cls.representative for cls in result.classes] == [
+        bucket[0].representative for bucket, _ in merged
+    ]
+    assert [cls.members for cls in result.classes] == [
+        tuple(m for cls in bucket for m in cls.members) for bucket, _ in merged
+    ]
 
 
 def test_public_entry_points_validate(loop3_park):
