@@ -27,7 +27,8 @@
 
 The enumeration fixes the first reflection to the standard color
 matching (every representation can be relabeled into this form) and
-builds the remaining reflections by composing corner moves; the black
+builds the remaining reflections by composing corner moves, depth first
+from shared prefixes; the black
 actions of the ``x`` generators, which never influence the extracted
 park, are filled with one representative completion per white skeleton
 (with a bridging search when needed for transitivity).  Enumeration
@@ -37,7 +38,12 @@ the transitivity of a disconnected skeleton is checked.  Input is
 validated at the public entry points only: enumeration and ``classify``
 extract, key and merge through the unvalidated cores
 ``_monodromy_to_park``, ``_canonical_keys`` and ``_park_isomorphism``.
-The park merge compares only parks with equal ``_merge_signature``.
+Enumeration and ``classify`` merge parks through one helper,
+``_isomorphism_groups``, which searches a park only against earlier parks
+of equal ``_merge_signature``: an invariant of park isomorphism built from
+the corner labels (least over the global rotations), the labels at the
+ends of each edge, each face boundary up to rotation and each node's
+faces with their gardens.  The search still decides every merge.
 """
 
 from __future__ import annotations
@@ -168,25 +174,93 @@ def _park_isomorphism(
 
 
 def _merge_signature(park: Park) -> tuple:
-    """An invariant that isomorphic parks share: the sorted node
-    ``(role, genus, circles, degrees)`` and the sorted per-garden
-    ``(kind, face (color, degree)s, edge (kind, length)s, vertex count)``.
-    It holds no ids and no corner labels, which an isomorphism may rotate."""
-    signatures = _ParkIndex(park).signatures
-    nodes = []
-    for node in park.nodes:
-        sig = signatures[node.id]
-        nodes.append((node.role, sig.genus, sig.circles, sig.degrees))
-    gardens = sorted(
-        (
-            g.kind,
-            tuple(sorted((f.color, f.degree) for f in g.faces)),
-            tuple(sorted((e.kind, e.length) for e in g.edges)),
-            len(g.vertices),
+    """An invariant that parks isomorphic up to a corner rotation share.
+
+    It is the least, over the ``s`` global rotations of the corner labels,
+    of the sorted nodes and the sorted gardens, where
+
+    * an edge is its kind, length and the sorted labels at its ends;
+    * a face is its color, degree and boundary, the boundary taken as the
+      least cyclic rotation of its (edge, sign) entries;
+    * a garden is its kind, sorted faces, sorted edges and sorted labels;
+    * a node is its role and genus with its attached faces, each together
+      with its garden.
+
+    That is what :func:`_park_isomorphism` keeps without a reflection, for
+    the fine parks extraction builds, so parks of unequal signature never
+    match.  It holds no ids."""
+    s = park.corner_points
+    index = _ParkIndex(park)
+
+    def described(rotation: int) -> tuple:
+        labels = {
+            v: _rotated_label(vertex.corner_label, s, rotation, False)
+            for v, vertex in index.vertices.items()
+        }
+        edges = {
+            e: (edge.kind, edge.length, tuple(sorted(labels[v] for v in edge.ends or ())))
+            for e, edge in index.edges.items()
+        }
+        faces = {}
+        for f, face in index.faces.items():
+            entries = tuple(edges[abs(x)] + (x > 0,) for x in face.boundary)
+            least = min((entries[k:] + entries[:k] for k in range(len(entries))), default=())
+            faces[f] = face.color, face.degree, least
+        gardens = {
+            g: (
+                garden.kind,
+                tuple(sorted(faces[f.id] for f in garden.faces)),
+                tuple(sorted(edges[e.id] for e in garden.edges)),
+                tuple(sorted(labels[v.id] for v in garden.vertices)),
+            )
+            for g, garden in index.gardens.items()
+        }
+        nodes = sorted(
+            (
+                node.role,
+                node.genus,
+                tuple(
+                    sorted(
+                        (faces[f], gardens[index.owner_of_face[f]])
+                        for f in index.faces_of_node[n]
+                    )
+                ),
+            )
+            for n, node in index.nodes.items()
         )
-        for g in park.gardens
-    )
-    return tuple(sorted(nodes)), tuple(gardens)
+        return tuple(nodes), tuple(sorted(gardens.values()))
+
+    return min(described(rotation) for rotation in range(s or 1))
+
+
+def _park_or_none(m: MonodromyRep) -> Park | None:
+    """The park of a valid generic ``m``, or ``None`` when it has none."""
+    try:
+        return _monodromy_to_park(m)
+    except NonRealizableError:
+        return None
+
+
+def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[list]:
+    """Group the items whose parks are isomorphic, in first-seen order; an
+    item without a park stays alone.  Each park is searched against the
+    first park of every earlier group of equal ``_merge_signature`` only,
+    so the groups are those of a plain first-match pairwise merge."""
+    groups: list[list] = []
+    by_signature: dict[tuple, list[tuple[list, Park]]] = {}
+    for item, park in items:
+        if park is None:
+            groups.append([item])
+            continue
+        same = by_signature.setdefault(_merge_signature(park), [])
+        for group, other in same:
+            if _park_isomorphism(park, other):
+                group.append(item)
+                break
+        else:
+            groups.append([item])
+            same.append((groups[-1], park))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +439,24 @@ def _black_involutions(d: int) -> list[Perm]:
 def _chains(d: int, s: int) -> list[list[Perm]]:
     """All reflection chains ``c_1..c_{s+1}`` with standard ``c_1`` and
     generic corner moves: each next reflection is the last one times the
-    move and its mirror image, kept when it is still a matching."""
-    c1, chains = mirror_matching(d), []
-    for moves in product(_corner_moves(d), repeat=s):
-        chain = [c1]
-        for move in moves:
-            nxt = compose(chain[-1], compose(move, conjugate(move, chain[-1])))
-            if not is_matching(nxt, d):
-                break
-            chain.append(nxt)
-        else:
+    move and its mirror image, kept when it is still a matching.
+
+    Chains grow depth first from shared prefixes, trying the moves in
+    ``_corner_moves`` order, so they come out in the lexicographic order
+    of their move sequences and each prefix is computed once."""
+    moves, chains = _corner_moves(d), []
+
+    def extend(chain: list[Perm]) -> None:
+        if len(chain) == s + 1:
             chains.append(chain)
+            return
+        last = chain[-1]
+        for move in moves:
+            nxt = compose(last, compose(move, conjugate(move, last)))
+            if is_matching(nxt, d):
+                extend(chain + [nxt])
+
+    extend([mirror_matching(d)])
     return chains
 
 
@@ -519,10 +600,12 @@ def enumerate_monodromies(
     ``_black_product_target``, and transitivity for connected skeletons
     and ``t >= 4`` bridging; ``_complete_skeleton`` checks it for the rest.
     ``dedup`` goes through the unvalidated ``_canonical_keys``,
-    ``_monodromy_to_park`` and ``_park_isomorphism``.  The keys are taken
-    in one batch, once per distinct ``(c[1], x, e)`` for the first two
-    stages; the park merge compares each class's park only with earlier
-    parks of equal signature, so classes keep their first-seen order.
+    ``_monodromy_to_park`` and ``_park_isomorphism``.  The chains grow
+    depth first from shared prefixes.  The keys are taken in one batch,
+    once per distinct ``(c[1], x, e)`` for the first two stages; the park
+    merge searches each class's park only against earlier parks of equal
+    ``_merge_signature`` (see ``_isomorphism_groups``), so classes keep
+    their first-seen order.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -576,24 +659,10 @@ def enumerate_monodromies(
         return EnumerationResult(d, t, s, mode, tuple(j_classes), raw_count)
 
     # park_isomorphism: merge relabeling classes whose representative
-    # parks are isomorphic, comparing only parks with equal signatures;
-    # unrealizable classes stay separate.  ``merged`` keeps first-seen order.
-    merged: list[list[MonodromyClass]] = []
-    by_signature: dict[tuple, list[tuple[list[MonodromyClass], Park]]] = {}
-    for cls in j_classes:
-        try:
-            park = _monodromy_to_park(cls.representative)
-        except NonRealizableError:
-            merged.append([cls])
-            continue
-        same = by_signature.setdefault(_merge_signature(park), [])
-        for bucket, other in same:
-            if _park_isomorphism(park, other):
-                bucket.append(cls)
-                break
-        else:
-            merged.append([cls])
-            same.append((merged[-1], park))
+    # parks are isomorphic; unrealizable classes stay separate.
+    merged = _isomorphism_groups(
+        (cls, _park_or_none(cls.representative)) for cls in j_classes
+    )
     classes = []
     for bucket in merged:
         members = tuple(m for cls in bucket for m in cls.members)
@@ -651,15 +720,12 @@ def _invariant_label(m: MonodromyRep, park: Park | None) -> str:
 
 def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
     """Partition representations by coarse park invariants refined by
-    park isomorphism; unrealizable ones group by their relabeling class."""
+    park isomorphism; unrealizable ones group by their relabeling class.
+    Groups keep first-seen order; the park merge is the one enumeration
+    uses (``_isomorphism_groups``)."""
     for m in reps:
         _require_generic(m)
-    parks: list[Park | None] = []
-    for m in reps:
-        try:
-            parks.append(_monodromy_to_park(m))
-        except NonRealizableError:
-            parks.append(None)
+    parks = [_park_or_none(m) for m in reps]
     buckets: dict[str, list[int]] = {}
     for idx, m in enumerate(reps):
         buckets.setdefault(_invariant_label(m, parks[idx]), []).append(idx)
@@ -679,14 +745,7 @@ def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
                     )
                 )
             continue
-        sub: list[list[int]] = []
-        for i in indices:
-            for group in sub:
-                if _park_isomorphism(parks[i], parks[group[0]]):
-                    group.append(i)
-                    break
-            else:
-                sub.append([i])
+        sub = _isomorphism_groups((i, parks[i]) for i in indices)
         for suffix, group in enumerate(sub):
             entries.append(
                 ClassificationEntry(

@@ -52,14 +52,15 @@ class MonodromyRep:
 
     Fields mirror the JSON schema: ``x`` has one permutation per cone
     point, ``c`` has ``corner_points + 1`` boundary reflections, ``e`` is
-    stored explicitly but is redundant given ``x`` (see :func:`derive_e`).
-    Construction validates shapes only; the defining conditions are
+    stored explicitly but is redundant given ``x`` (see :func:`derive_e`);
+    ``e=None`` stores the derived value.  Construction coerces each
+    generator once and validates shapes only; the defining conditions are
     checked separately by :func:`validate_relations`.
     """
 
     degree: int
     x: tuple[Perm, ...]
-    e: Perm
+    e: Perm | None
     c: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
@@ -71,7 +72,10 @@ class MonodromyRep:
             raise ValueError(f"degree must be a positive integer, got {self.degree!r}")
         n = 2 * self.degree
         object.__setattr__(self, "x", tuple(pg.as_perm(p, n) for p in self.x))
-        object.__setattr__(self, "e", pg.as_perm(self.e, n))
+        if self.e is None:
+            object.__setattr__(self, "e", derive_e(self.x, self.degree))
+        else:
+            object.__setattr__(self, "e", pg.as_perm(self.e, n))
         object.__setattr__(self, "c", tuple(pg.as_perm(p, n) for p in self.c))
         if not self.c:
             raise ValueError(
@@ -133,15 +137,7 @@ def build(
     A supplied ``e`` is stored as given; whether it matches the derived
     value is part of :func:`validate_relations` (the word condition).
     """
-    n = 2 * degree if isinstance(degree, int) and not isinstance(degree, bool) else None
-    xs = tuple(pg.as_perm(p, n) for p in x)
-    if e is None:
-        if n is None:
-            raise ValueError(f"degree must be a positive integer, got {degree!r}")
-        e_perm = derive_e(xs, degree)
-    else:
-        e_perm = pg.as_perm(e, n)
-    return MonodromyRep(degree=degree, x=xs, e=e_perm, c=tuple(tuple(p) for p in c))
+    return MonodromyRep(degree=degree, x=x, e=e, c=c)
 
 
 def conjugate_rep(m: MonodromyRep, relabel: Perm) -> MonodromyRep:

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -21,11 +21,19 @@ from parkscope import (
     monodromy_to_park,
     validate_park,
 )
-from parkscope.equivalence import _beta_candidates, _black_product_target
+from parkscope.equivalence import _beta_candidates, _black_product_target, _corner_moves
 from parkscope.extraction import _Assembly, _Extraction, _require_valid_generic
 from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Park, from_json_dict, genus as park_genus
-from parkscope.permgroup import blacks, compose, inverse, mirror_matching, orbits
+from parkscope.permgroup import (
+    blacks,
+    compose,
+    conjugate,
+    inverse,
+    is_matching,
+    mirror_matching,
+    orbits,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_PARK_PATH = REPO_ROOT / "examples" / "example1_park.json"
@@ -197,6 +205,23 @@ def monodromy_to_park_full(m) -> Park:
             f"but the critical-value count forces genus {forced_genus}"
         )
     return park
+
+
+def chains_product_brute(d, s):
+    """Every reflection chain rebuilt from ``c_1`` for each move sequence
+    in ``product`` order, stopping at the first move that leaves the
+    matchings: the oracle for the depth-first ``equivalence._chains``."""
+    c1, chains = mirror_matching(d), []
+    for moves in product(_corner_moves(d), repeat=s):
+        chain = [c1]
+        for move in moves:
+            nxt = compose(chain[-1], compose(move, conjugate(move, chain[-1])))
+            if not is_matching(nxt, d):
+                break
+            chain.append(nxt)
+        else:
+            chains.append(chain)
+    return chains
 
 
 def complete_skeleton_validated(d, chain, white_xs, components):

@@ -29,6 +29,7 @@ from parkscope.park import to_json_dict
 
 from conftest import (
     canonical_form_brute,
+    chains_product_brute,
     check_park_isomorphism,
     complete_skeleton_validated,
     enumerated_reps,
@@ -223,7 +224,9 @@ def test_dedup_unchanged_under_brute_force_key(monkeypatch, cell, dedup):
 
 
 @pytest.mark.parametrize(
-    "cell", [(3, 1, 4), (3, 2, 2), (4, 3, 0), (4, 1, 2)], ids=lambda c: "%d-%d-%d" % c
+    "cell",
+    [(3, 1, 4), (3, 2, 2), (4, 3, 0), (4, 1, 2), (4, 2, 2)],
+    ids=lambda c: "%d-%d-%d" % c,
 )
 def test_park_merge_signature_buckets_only_what_cannot_match(cell):
     parks = []
@@ -235,12 +238,18 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
     realized = [park for _, park in parks if park is not None]
     signatures = [equivalence._merge_signature(park) for park in realized]
     for a, b in combinations(range(len(realized)), 2):
-        if equivalence._park_isomorphism(realized[a], realized[b]):
-            assert signatures[a] == signatures[b], cell
+        matched = equivalence._park_isomorphism(realized[a], realized[b]) is not None
+        # equal for every match; on these cells also apart for every miss,
+        # so the merge runs no search that cannot succeed
+        assert (signatures[a] == signatures[b]) == matched, cell
+    s = cell[2]
     for park, signature in zip(realized, signatures):
-        # no corner label enters the signature, which merges across rotations
-        unlabeled = _recornered(park, lambda c: 1, reverse=False)
-        assert equivalence._merge_signature(unlabeled) == signature
+        # the merge matches across global cyclic rotations of the corner
+        # labels, so the signature must not change under any of them
+        for rotation in range(1, s):
+            rotated = _recornered(park, lambda c: (c - 1 + rotation) % s + 1, reverse=False)
+            assert equivalence._park_isomorphism(rotated, park)
+            assert equivalence._merge_signature(rotated) == signature
     # oracle: the plain pairwise merge over the same parks
     merged = []
     for cls, park in parks:
@@ -451,6 +460,23 @@ def test_enumeration_counts():
     assert enumerate_monodromies(3, 1, 2, dedup="jequiv").class_count == 4
     assert enumerate_monodromies(3, 1, 2, dedup="park").class_count == 2
     assert enumerate_monodromies(3, 0, 4, dedup="park").class_count == 2
+
+
+@pytest.mark.parametrize(
+    "cell, raw, classes",
+    [((4, 1, 4), 15120, 641), ((4, 3, 0), 216, 4), ((4, 2, 1), 300, 9)],
+    ids=lambda v: "%d-%d-%d" % v if isinstance(v, tuple) else None,
+)
+def test_degree_4_park_dedup_counts(cell, raw, classes):
+    result = enumerate_monodromies(*cell, dedup="park")
+    assert (result.raw_count, result.class_count) == (raw, classes)
+
+
+@pytest.mark.parametrize(
+    "d, s", [(d, s) for d in (1, 2, 3) for s in range(6)] + [(4, s) for s in range(5)]
+)
+def test_chains_match_product_order(d, s):
+    assert equivalence._chains(d, s) == chains_product_brute(d, s)
 
 
 def test_enumeration_dedup_aliases():

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from parkscope import (
     park_isomorphic,
 )
 from parkscope.cli import main
+from parkscope.equivalence import _merge_signature, _park_isomorphism
 from parkscope.permgroup import cycles, orbits
 
 from conftest import (
@@ -57,6 +59,89 @@ def test_canonical_form_invariant_under_relabeling(data):
     black = data.draw(st.permutations(range(d)))
     moved = conjugate_rep(rep, tuple(white) + tuple(d + b for b in black))
     assert canonical_form(moved) == canonical_form(rep)
+
+
+def _renumbered(data, p):
+    """``p`` with every cell id sent to a fresh random one and the cells
+    of each kind in a random order."""
+    ids = {}
+    for kind, cells in (
+        ("gardens", p.gardens),
+        ("faces", p.all_faces()),
+        ("edges", p.all_edges()),
+        ("vertices", p.all_vertices()),
+        ("nodes", p.nodes),
+        ("alleys", p.alleys),
+    ):
+        n = len(cells)
+        fresh = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True))
+        ids[kind] = dict(zip((cell.id for cell in cells), fresh))
+
+    def new(kind, old):
+        return None if old is None else ids[kind][old]
+
+    def shuffled(cells):
+        return tuple(data.draw(st.permutations(cells)))
+
+    gardens = [
+        dataclasses.replace(
+            g,
+            id=new("gardens", g.id),
+            partner_id=new("gardens", g.partner_id),
+            faces=shuffled([
+                dataclasses.replace(
+                    f,
+                    id=new("faces", f.id),
+                    boundary=tuple(new("edges", abs(x)) * (1 if x > 0 else -1) for x in f.boundary),
+                )
+                for f in g.faces
+            ]),
+            edges=shuffled([
+                dataclasses.replace(
+                    e,
+                    id=new("edges", e.id),
+                    ends=None if e.ends is None else tuple(new("vertices", v) for v in e.ends),
+                )
+                for e in g.edges
+            ]),
+            vertices=shuffled([
+                dataclasses.replace(
+                    v, id=new("vertices", v.id), pair_id=new("vertices", v.pair_id)
+                )
+                for v in g.vertices
+            ]),
+        )
+        for g in p.gardens
+    ]
+    involution = park.Involution(**{
+        kind: {ids[kind][a]: ids[kind][b] for a, b in getattr(p.involution, kind).items()}
+        for kind in ("nodes", "faces", "edges", "vertices", "gardens")
+    })
+    return dataclasses.replace(
+        p,
+        gardens=shuffled(gardens),
+        nodes=shuffled([dataclasses.replace(n, id=new("nodes", n.id)) for n in p.nodes]),
+        alleys=shuffled([
+            dataclasses.replace(
+                a,
+                id=new("alleys", a.id),
+                face_id=new("faces", a.face_id),
+                node_id=new("nodes", a.node_id),
+            )
+            for a in p.alleys
+        ]),
+        involution=involution,
+    )
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_merge_signature_invariant_under_renumbering(data):
+    _, original = data.draw(st.sampled_from(realized_reps(3, 5)))
+    moved = _renumbered(data, original)
+    assert park.validate_park(moved)
+    assert _park_isomorphism(original, moved) is not None
+    assert _merge_signature(moved) == _merge_signature(original)
 
 
 def _closure(gens, a):
