@@ -146,10 +146,18 @@ def _park_isomorphism(
     p1: Park, p2: Park, allow_reflection: bool = False
 ) -> ParkIsomorphism | None:
     """:func:`park_isomorphic` on parks known to validate."""
+    return _index_isomorphism(_ParkIndex(p1), _ParkIndex(p2), allow_reflection)
+
+
+def _index_isomorphism(
+    src: _ParkIndex, dst: _ParkIndex, allow_reflection: bool = False
+) -> ParkIsomorphism | None:
+    """:func:`_park_isomorphism` on the parks' indexes, which the park
+    merge builds once per park."""
+    p1, p2 = src.park, dst.park
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
     s = p1.corner_points
-    src, dst = _ParkIndex(p1), _ParkIndex(p2)
     inv1, inv2 = p1.involution, p2.involution
 
     def twin(cell: str, a: int, b: int) -> tuple[int, int]:
@@ -173,7 +181,7 @@ def _park_isomorphism(
     return None
 
 
-def _merge_signature(park: Park) -> tuple:
+def _merge_signature(index: _ParkIndex) -> tuple:
     """An invariant that parks isomorphic up to a corner rotation share.
 
     It is the least, over the ``s`` global rotations of the corner labels,
@@ -188,9 +196,8 @@ def _merge_signature(park: Park) -> tuple:
 
     That is what :func:`_park_isomorphism` keeps without a reflection, for
     the fine parks extraction builds, so parks of unequal signature never
-    match.  It holds no ids."""
-    s = park.corner_points
-    index = _ParkIndex(park)
+    match.  It holds no ids.  ``index`` is the park's ``_ParkIndex``."""
+    s = index.park.corner_points
 
     def described(rotation: int) -> tuple:
         labels = {
@@ -245,21 +252,23 @@ def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[lis
     """Group the items whose parks are isomorphic, in first-seen order; an
     item without a park stays alone.  Each park is searched against the
     first park of every earlier group of equal ``_merge_signature`` only,
-    so the groups are those of a plain first-match pairwise merge."""
+    so the groups are those of a plain first-match pairwise merge.  Each
+    park is indexed once, for its signature and all of its searches."""
     groups: list[list] = []
-    by_signature: dict[tuple, list[tuple[list, Park]]] = {}
+    by_signature: dict[tuple, list[tuple[list, _ParkIndex]]] = {}
     for item, park in items:
         if park is None:
             groups.append([item])
             continue
-        same = by_signature.setdefault(_merge_signature(park), [])
+        index = _ParkIndex(park)
+        same = by_signature.setdefault(_merge_signature(index), [])
         for group, other in same:
-            if _park_isomorphism(park, other):
+            if _index_isomorphism(index, other):
                 group.append(item)
                 break
         else:
             groups.append([item])
-            same.append((groups[-1], park))
+            same.append((groups[-1], index))
     return groups
 
 

@@ -24,7 +24,7 @@ from parkscope import (
 from parkscope.equivalence import _beta_candidates, _black_product_target, _corner_moves
 from parkscope.extraction import _Assembly, _Extraction, _require_valid_generic
 from parkscope.monodromy import validate_genericity, validate_relations
-from parkscope.park import Park, from_json_dict, genus as park_genus
+from parkscope.park import Park, from_json_dict, genus as park_genus, rotations_equal
 from parkscope.permgroup import (
     blacks,
     compose,
@@ -204,6 +204,78 @@ def monodromy_to_park_full(m) -> Park:
             f"the real-locus structure closes to a surface of genus {built_genus}, "
             f"but the critical-value count forces genus {forced_genus}"
         )
+    return park
+
+
+def exits_from_orbits(ex):
+    """The exits of a finished ``_Extraction`` built from scratch: the
+    orbits of the ``c_1``-conjugated ``x`` on the black half, their faces,
+    and each entrance paired with the exit on its reflected orbit, of
+    equal signature.  Returns ``(exit_nodes, exit_of_cell,
+    exit_paired_with)``, the oracle for the mirrored exits."""
+    c1 = ex.c[0]
+    reflected = [conjugate(x, c1) for x in ex.m.x]
+    nodes, of_cell = ex._node_cells("exit", reflected, blacks(ex.d), ex.black_cells, ex.t)
+    by_orbit = {node.orbit: node for node in nodes}
+    paired = {}
+    for node in ex.entrances:
+        partner = by_orbit.get(tuple(sorted(c1[a] for a in node.orbit)))
+        assert partner is not None and partner.signature == node.signature, node
+        paired[node] = partner
+    return nodes, of_cell, paired
+
+
+def check_extraction(m) -> Park | None:
+    """Assert every fact the realized path of extraction builds on without
+    checking, for a valid generic ``m``; return its park, or ``None`` when
+    it has none.
+
+    Each walk cycle of the black side, cut at its vertex crossings, sweeps
+    a white-side chain: a segment in the same order, a loop up to
+    rotation.  Every arc carries ``d`` lifts.  No face, edge or vertex
+    straddles two gardens.  The mirrored exits equal the exits built from
+    orbits.  A realized park passes ``validate_park``.
+    """
+    try:
+        ex = _Extraction(m).finish()
+    except NonRealizableError:
+        return None  # an impossible node weight, found with the cheap cells
+    visited = set()
+    for a0 in blacks(ex.d):
+        for i0 in range(1, ex.s + 2):
+            start = (i0, a0)
+            if start in visited:
+                continue
+            cycle = [start]
+            item = ex._succ(start)
+            while item != start:
+                cycle.append(item)
+                item = ex._succ(item)
+            visited.update(cycle)
+            runs, _ = ex._split_runs(cycle)
+            for run in runs:
+                lifts = tuple(ex._lift(i, a) for i, a in run)
+                chain = ex.edge_of_lift.get(lifts[0])
+                assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
+                if chain.kind == "segment":
+                    assert lifts == chain.lifts, run
+                else:
+                    assert rotations_equal(lifts, chain.lifts), run
+    for i in range(1, ex.s + 2):
+        assert sum(1 for lift in ex.edge_of_lift if lift[0] == i) == ex.d, f"arc {i}"
+    for cell in ex.white_cells + ex.black_cells:
+        assert len({ex.garden_of[a] for a in cell.elements}) == 1, cell
+    for chain in ex.chains:
+        assert len({ex.garden_of[a] for lift in chain.lifts for a in lift[1:]}) == 1, chain
+    for vertex in ex.vertices:
+        assert len({ex.garden_of[a] for a in vertex.elements}) == 1, vertex
+    assert exits_from_orbits(ex) == (ex.exit_nodes, ex.exit_of_cell, ex.exit_paired_with)
+    try:
+        park = monodromy_to_park(m)
+    except NonRealizableError:
+        return None
+    report = validate_park(park)
+    assert report, report.violations
     return park
 
 

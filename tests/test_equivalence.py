@@ -25,7 +25,7 @@ from parkscope import (
 )
 from parkscope import equivalence, extraction, monodromy
 from parkscope import permgroup as pg
-from parkscope.park import to_json_dict
+from parkscope.park import _ParkIndex, to_json_dict
 
 from conftest import (
     canonical_form_brute,
@@ -236,7 +236,7 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
         except NonRealizableError:
             parks.append((cls, None))
     realized = [park for _, park in parks if park is not None]
-    signatures = [equivalence._merge_signature(park) for park in realized]
+    signatures = [equivalence._merge_signature(_ParkIndex(park)) for park in realized]
     for a, b in combinations(range(len(realized)), 2):
         matched = equivalence._park_isomorphism(realized[a], realized[b]) is not None
         # equal for every match; on these cells also apart for every miss,
@@ -249,7 +249,7 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
         for rotation in range(1, s):
             rotated = _recornered(park, lambda c: (c - 1 + rotation) % s + 1, reverse=False)
             assert equivalence._park_isomorphism(rotated, park)
-            assert equivalence._merge_signature(rotated) == signature
+            assert equivalence._merge_signature(_ParkIndex(rotated)) == signature
     # oracle: the plain pairwise merge over the same parks
     merged = []
     for cls, park in parks:

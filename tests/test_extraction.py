@@ -20,12 +20,15 @@ from parkscope import (
     total_degree,
     validate_park,
 )
-from parkscope.extraction import _Extraction
+from parkscope import extraction, park as park_module
+from parkscope.extraction import _Extraction, _monodromy_to_park
 from parkscope.park import Alley, euler_characteristic, to_json_dict
 
 from conftest import (
     assemble_park,
+    check_extraction,
     enumerated_reps,
+    exits_from_orbits,
     make_unrealizable_rep,
     monodromy_to_park_full,
     realized_reps,
@@ -273,18 +276,57 @@ def test_cheap_characteristic_invariants():
         # every vertex has four ends and every segment two
         segments = [e for e in park.all_edges() if e.kind == "segment"]
         assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(ex.vertices)
-        # entrances and exits pair off, one to one, with equal signatures
-        assert sorted(n.orbit for n in ex.exit_paired_with) == sorted(
+        # entrances and the exits built from orbits pair off, one to one,
+        # with equal signatures
+        exit_nodes, _, exit_paired_with = exits_from_orbits(ex)
+        assert sorted(n.orbit for n in exit_paired_with) == sorted(
             n.orbit for n in ex.entrances
         )
-        assert sorted(n.orbit for n in ex.exit_paired_with.values()) == sorted(
-            n.orbit for n in ex.exit_nodes
+        assert sorted(n.orbit for n in exit_paired_with.values()) == sorted(
+            n.orbit for n in exit_nodes
         )
-        for entrance, exit_node in ex.exit_paired_with.items():
+        for entrance, exit_node in exit_paired_with.items():
             assert exit_node.signature == entrance.signature
         assert _Extraction(rep).euler_characteristic() == euler_characteristic(park)
         assembled += 1
     assert assembled > 0
+
+
+def test_trusted_extraction_facts_hold():
+    """The checks the realized path leaves out, on every d <= 3 rep with
+    t + s <= 5, all of (4,0,3), (4,3,0) and (4,4,0), and a seeded sample
+    of (4,2,2): black runs match white chains, arcs carry d lifts, no cell
+    straddles gardens, exits from orbits equal the mirrored ones, and
+    every realized park validates."""
+    rng = random.Random(12)
+    reps = list(enumerated_reps(3, 5))
+    for cell in ((4, 0, 3), (4, 3, 0), (4, 4, 0)):
+        reps += [cls.representative for cls in enumerate_monodromies(*cell).classes]
+    cell_reps = [cls.representative for cls in enumerate_monodromies(4, 2, 2).classes]
+    reps += rng.sample(cell_reps, min(300, len(cell_reps)))
+    realized = sum(check_extraction(rep) is not None for rep in reps)
+    assert realized > 0
+
+
+def test_realized_path_calls_no_validator(monkeypatch):
+    """Extraction trusts the park it assembles: with ``validate_park``
+    raising, every rep of (3,2,2) and (4,3,0) extracts to the same park,
+    or the same error, through both entry points."""
+    reps = [
+        cls.representative
+        for cell in ((3, 2, 2), (4, 3, 0))
+        for cls in enumerate_monodromies(*cell).classes
+    ]
+    entries = (_monodromy_to_park, monodromy_to_park)
+    expected = [_outcome(entry, rep) for rep in reps for entry in entries]
+    assert any(isinstance(outcome, dict) for outcome in expected)
+
+    def validator_called(park):
+        raise AssertionError("the realized path called validate_park")
+
+    monkeypatch.setattr(extraction, "validate_park", validator_called, raising=False)
+    monkeypatch.setattr(park_module, "validate_park", validator_called)
+    assert [_outcome(entry, rep) for rep in reps for entry in entries] == expected
 
 
 def test_rejected_reps_never_reach_the_walk(monkeypatch):

@@ -20,6 +20,7 @@ from parkscope import (
 )
 from parkscope.cli import main
 from parkscope.equivalence import _merge_signature, _park_isomorphism
+from parkscope.park import _ParkIndex
 from parkscope.permgroup import cycles, orbits
 
 from conftest import (
@@ -141,7 +142,7 @@ def test_merge_signature_invariant_under_renumbering(data):
     moved = _renumbered(data, original)
     assert park.validate_park(moved)
     assert _park_isomorphism(original, moved) is not None
-    assert _merge_signature(moved) == _merge_signature(original)
+    assert _merge_signature(_ParkIndex(moved)) == _merge_signature(_ParkIndex(original))
 
 
 def _closure(gens, a):
