@@ -1,6 +1,8 @@
 """Unit tests for park extraction from representations."""
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -363,6 +365,31 @@ def test_rejects_invalid_representation():
     broken_seam = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
     with pytest.raises(ValueError):
         monodromy_to_park(broken_seam)
+
+
+#: SHA-256 over the per-rep digests of :func:`test_park_bytes_are_pinned`.
+GOLDEN_PARK_DIGEST = "82fc38f496ff1a79f489b397321557b6809a5e0011eeea4201ec4b1c05570b49"
+
+
+def test_park_bytes_are_pinned():
+    """Every park byte and every rejection message, pinned: for each rep
+    of every d <= 3 cell with t + s <= 5, then (4,3,0) and (4,4,0), in
+    enumeration order, the SHA-256 of the park's sorted-key JSON or of the
+    ``NonRealizableError`` message, folded into one digest."""
+    reps = list(enumerated_reps(3, 5))
+    for cell in ((4, 3, 0), (4, 4, 0)):
+        reps += [cls.representative for cls in enumerate_monodromies(*cell).classes]
+    digest = hashlib.sha256()
+    realized = 0
+    for rep in reps:
+        try:
+            text = json.dumps(to_json_dict(monodromy_to_park(rep)), sort_keys=True)
+            realized += 1
+        except NonRealizableError as exc:
+            text = str(exc)
+        digest.update(hashlib.sha256(text.encode()).digest())
+    assert (len(reps), realized) == (3114, 2496)
+    assert digest.hexdigest() == GOLDEN_PARK_DIGEST
 
 
 def test_extraction_is_deterministic(chord_rep):
