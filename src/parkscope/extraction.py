@@ -15,12 +15,12 @@ Every park ingredient is read off the permutation data:
   corner orbits), edges (maximal chains of reflection-arc lifts, read off
   a boundary walk of the white side, which the black side sweeps
   reversed) and integer edge lengths;
-* **involution** -- the canonical mirror pairing: each entrance with the
-  exit carrying its reflected orbit, each white face with its reflected
-  black face, every edge, vertex and garden with itself.  This pairing
-  is the first candidate of the involution search and always satisfies
-  the preservation requirements, so assembly only fails when the
-  numeric data itself is inconsistent.
+* **involution** -- the mirror pairing under ``c_1``: each entrance with
+  the exit carrying its reflected orbit, each white face with its
+  reflected black face, and the identity on edges, vertices and gardens.
+  Every garden therefore has a fixed edge and is ``orientable``, with no
+  partner, and no vertex names a pair; the other garden kinds occur only
+  in hand-authored parks.
 
 ``find_park_involution`` recovers an involution for a park given
 without one (hand-authored parks); it runs the park-morphism search of
@@ -349,12 +349,6 @@ class _Extraction:
         b = self.c[i - 1][a]
         return (i, min(a, b), max(a, b))
 
-    def _succ(self, item: Item) -> Item:
-        i, a = item
-        if i <= self.s:
-            return (i + 1, a)
-        return (1, self.e[a])
-
     def _build_walk(self) -> None:
         s = self.s
         # Seam coherence: stepping the white flank with e and mirroring by
@@ -364,31 +358,15 @@ class _Extraction:
                 raise InconsistencyError(
                     f"seam gluing is inconsistent at white element {w}"
                 )
-        # A walk cycle keeps its color, since e does; the black side sweeps
-        # the same edges the other way, so the white side alone gives them.
-        visited: set[Item] = set()
-        runs: list[list[Item]] = []
-        closed_runs: set[int] = set()  # indices into runs
-        self.face_run_sequence: dict[FaceCell, list[list[Item]]] = {}
-        for a0 in whites(self.d):
-            for i0 in range(1, s + 2):
-                start = (i0, a0)
-                if start in visited:
-                    continue
-                cycle = [start]
-                visited.add(start)
-                item = self._succ(start)
-                while item != start:
-                    cycle.append(item)
-                    visited.add(item)
-                    item = self._succ(item)
-                cycle_runs, is_loop = self._split_runs(cycle)
-                self.face_run_sequence[self.white_cell_of[a0]] = cycle_runs
-                for run in cycle_runs:
-                    if is_loop:
-                        closed_runs.add(len(runs))
-                    runs.append(run)
-        self._assemble_edges(runs, closed_runs)
+        # The walk crosses arcs 1..s+1 at each element, then steps by e, so
+        # each white face is one walk cycle.  The black side sweeps the same
+        # edges the other way, so the white side alone gives them.
+        runs: list[tuple[FaceCell, list[Item], bool]] = []
+        for cell in self.white_cells:
+            cycle = [(i, a) for a in cell.elements for i in range(1, s + 2)]
+            cycle_runs, is_loop = self._split_runs(cycle)
+            runs.extend((cell, run, is_loop) for run in cycle_runs)
+        self._assemble_edges(runs)
 
     def _split_runs(self, cycle: list[Item]) -> tuple[list[list[Item]], bool]:
         """Cut one walk cycle at its vertex crossings.
@@ -417,12 +395,14 @@ class _Extraction:
         # Runs are listed in walk order, starting after the first crossing.
         return runs, False
 
-    def _assemble_edges(self, runs: list[list[Item]], closed_runs: set[int]) -> None:
+    def _assemble_edges(self, runs: list[tuple[FaceCell, list[Item], bool]]) -> None:
         chains: list[EdgeChain] = []
         self.edge_of_lift: dict[Lift, EdgeChain] = {}
-        for r_idx, run in enumerate(runs):
+        # Each white face's chains in walk order: its boundary.
+        self.face_chains: dict[FaceCell, list[EdgeChain]] = {}
+        for cell, run, is_loop in runs:
             lifts = tuple(self._lift(i, a) for i, a in run)
-            if r_idx in closed_runs:
+            if is_loop:
                 kind = "loop"
                 ends = None
             else:
@@ -438,6 +418,7 @@ class _Extraction:
                 ends = (start.key, end.key)
             chain = EdgeChain(lifts, kind, self._chain_length(lifts), ends)
             chains.append(chain)
+            self.face_chains.setdefault(cell, []).append(chain)
             for lift in lifts:
                 if lift in self.edge_of_lift:
                     raise InconsistencyError(f"arc lift {lift} lies on two edges")
@@ -476,11 +457,23 @@ class _Extraction:
 
     def _build_gardens(self) -> None:
         components = orbits([self.e] + self.c, self.n)
-        self.garden_orbits = components
         self.garden_of: dict[int, int] = {}
         for g_idx, orbit in enumerate(components):
             for a in orbit:
                 self.garden_of[a] = g_idx
+        # One pass puts each face, edge and vertex into its garden, in the
+        # order of the extraction's lists, which is the park's id order.
+        members: list[tuple[list, list, list]] = [([], [], []) for _ in components]
+        for cell in self.white_cells + self.black_cells:
+            members[self.garden_of[cell.key]][0].append(cell)
+        for chain in self.chains:
+            members[self.garden_of[chain.lifts[0][1]]][1].append(chain)
+        for vertex in self.vertices:
+            members[self.garden_of[vertex.elements[0]]][2].append(vertex)
+        self.gardens = [
+            GardenCell(orbit, tuple(faces), tuple(edges), tuple(vertices))
+            for orbit, (faces, edges, vertices) in zip(components, members)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +524,7 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
     and its vertices; components are ordered by smallest element.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m).finish()
-    out = []
-    for g_idx, orbit in enumerate(ex.garden_orbits):
-        faces = tuple(
-            cell
-            for cell in sorted(ex.white_cells + ex.black_cells, key=lambda c: c.key)
-            if ex.garden_of[cell.key] == g_idx
-        )
-        edges = tuple(
-            chain
-            for chain in ex.chains
-            if ex.garden_of[chain.lifts[0][1]] == g_idx
-        )
-        vertices = tuple(
-            vertex for vertex in ex.vertices if ex.garden_of[vertex.elements[0]] == g_idx
-        )
-        out.append(GardenCell(orbit, faces, edges, vertices))
-    return out
+    return list(_Extraction(m).finish().gardens)
 
 
 # ---------------------------------------------------------------------------
@@ -556,198 +532,93 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
 # ---------------------------------------------------------------------------
 
 
-class _Assembly:
-    """Id assignment and Park construction for one extraction."""
+def _assemble(ex: _Extraction) -> Park:
+    """The park of a finished extraction, with its mirror involution.
 
-    def __init__(self, ex: _Extraction):
-        self.ex = ex
-        self._assign_ids()
-
-    def _assign_ids(self) -> None:
-        ex = self.ex
-        self.face_ids: dict[FaceCell, int] = {}
-        for idx, cell in enumerate(
-            sorted(ex.white_cells, key=lambda c: c.key)
-            + sorted(ex.black_cells, key=lambda c: c.key),
-            start=1,
-        ):
-            self.face_ids[cell] = idx
-        self.edge_ids: dict[tuple[Lift, ...], int] = {}
-        for idx, chain in enumerate(ex.chains, start=1):
-            self.edge_ids[chain.lifts] = idx
-        self.vertex_ids: dict[tuple[int, int], int] = {}
-        for idx, vertex in enumerate(ex.vertices, start=1):
-            self.vertex_ids[vertex.key] = idx
-        self.entrance_ids: dict[NodeCell, int] = {}
-        for idx, node in enumerate(
-            sorted(ex.entrances, key=lambda nd: nd.orbit), start=1
-        ):
-            self.entrance_ids[node] = idx
-        offset = len(ex.entrances)
-        self.exit_ids: dict[NodeCell, int] = {}
-        for idx, node in enumerate(
-            sorted(ex.exit_nodes, key=lambda nd: nd.orbit), start=offset + 1
-        ):
-            self.exit_ids[node] = idx
-        self.node_pairing: dict[int, int] = {}
-        for entrance in ex.entrances:
-            a = self.entrance_ids[entrance]
-            b = self.exit_ids[ex.exit_paired_with[entrance]]
-            self.node_pairing[a] = b
-            self.node_pairing[b] = a
-
-    def _boundaries(self) -> dict[FaceCell, tuple[int, ...]]:
-        out: dict[FaceCell, tuple[int, ...]] = {}
-        for cell in self.ex.white_cells:
-            ids = []
-            for run in self.ex.face_run_sequence[cell]:
-                lifts = tuple(self.ex._lift(i, a) for i, a in run)
-                chain = self.ex.edge_of_lift[lifts[0]]
-                ids.append(self.edge_ids[chain.lifts])
-            out[cell] = _min_rotation(tuple(ids))
-            # The mirror face sweeps the same chains the opposite way.
-            mirror = self.ex.mirror_cell[cell]
-            out[mirror] = _min_rotation(tuple(-eid for eid in reversed(ids)))
-        return out
-
-    def mirror_involution(self) -> Involution:
-        """The canonical pairing: reflected faces and nodes, fixed cells."""
-        ex = self.ex
-        face_map: dict[int, int] = {}
-        for cell in ex.white_cells:
-            mirror = ex.mirror_cell[cell]
-            face_map[self.face_ids[cell]] = self.face_ids[mirror]
-            face_map[self.face_ids[mirror]] = self.face_ids[cell]
-        edge_map = {
-            self.edge_ids[chain.lifts]: self.edge_ids[chain.lifts]
-            for chain in ex.chains
-        }
-        vertex_map = {v_id: v_id for v_id in self.vertex_ids.values()}
-        garden_map = {g + 1: g + 1 for g in range(len(ex.garden_orbits))}
-        return Involution(
-            nodes=dict(self.node_pairing),
+    Ids count from 1 in the extraction's orders: white then black faces,
+    chains, vertices, entrances then exits.  A face's boundary is its
+    chains in walk order, a black face's the reversed boundary of the
+    white face it mirrors.  The involution pairs each white face with its
+    mirror and each entrance with its exit, and fixes every edge, vertex
+    and garden, so every garden is orientable.
+    """
+    face_ids = {
+        cell: idx for idx, cell in enumerate(ex.white_cells + ex.black_cells, start=1)
+    }
+    edge_ids = {chain.lifts: idx for idx, chain in enumerate(ex.chains, start=1)}
+    vertex_ids = {vertex.key: idx for idx, vertex in enumerate(ex.vertices, start=1)}
+    node_ids = {node: idx for idx, node in enumerate(ex.entrances, start=1)}
+    node_ids.update(
+        (node, idx) for idx, node in enumerate(ex.exit_nodes, start=len(ex.entrances) + 1)
+    )
+    node_map: dict[int, int] = {}
+    for entrance in ex.entrances:
+        a, b = node_ids[entrance], node_ids[ex.exit_paired_with[entrance]]
+        node_map[a], node_map[b] = b, a
+    boundaries: dict[FaceCell, tuple[int, ...]] = {}
+    face_map: dict[int, int] = {}
+    for cell in ex.white_cells:
+        ids = tuple(edge_ids[chain.lifts] for chain in ex.face_chains[cell])
+        mirror = ex.mirror_cell[cell]
+        boundaries[cell] = _min_rotation(ids)
+        boundaries[mirror] = _min_rotation(tuple(-eid for eid in reversed(ids)))
+        a, b = face_ids[cell], face_ids[mirror]
+        face_map[a], face_map[b] = b, a
+    gardens = tuple(
+        Garden(
+            id=g_id,
+            kind="orientable",
+            faces=tuple(
+                Face(
+                    id=face_ids[cell],
+                    color=cell.color,
+                    degree=cell.degree,
+                    boundary=boundaries[cell],
+                )
+                for cell in garden.faces
+            ),
+            edges=tuple(
+                GardenEdge(
+                    id=edge_ids[chain.lifts],
+                    length=chain.length,
+                    kind=chain.kind,
+                    ends=None
+                    if chain.ends is None
+                    else (vertex_ids[chain.ends[0]], vertex_ids[chain.ends[1]]),
+                )
+                for chain in garden.edges
+            ),
+            vertices=tuple(
+                GardenVertex(id=vertex_ids[vertex.key], corner_label=vertex.corner)
+                for vertex in garden.vertices
+            ),
+        )
+        for g_id, garden in enumerate(ex.gardens, start=1)
+    )
+    nodes = tuple(
+        ParkNode(id=node_ids[node], role=node.role, genus=node.signature.genus)
+        for node in ex.entrances + ex.exit_nodes
+    )
+    # Faces are numbered in list order, one alley each, so alley ids follow.
+    node_of_cell = {**ex.entrance_of_cell, **ex.exit_of_cell}
+    alleys = tuple(
+        Alley(id=face_id, face_id=face_id, node_id=node_ids[node_of_cell[cell]])
+        for cell, face_id in face_ids.items()
+    )
+    return Park(
+        corner_points=ex.s,
+        cone_points=ex.t,
+        gardens=gardens,
+        nodes=nodes,
+        alleys=alleys,
+        involution=Involution(
+            nodes=node_map,
             faces=face_map,
-            edges=edge_map,
-            vertices=vertex_map,
-            gardens=garden_map,
-        )
-
-    def garden_meta_from(self, involution: Involution) -> dict[int, tuple[str, int | None]]:
-        ex = self.ex
-        meta: dict[int, tuple[str, int | None]] = {}
-        edges_of_garden: dict[int, list[int]] = {g + 1: [] for g in range(len(ex.garden_orbits))}
-        for chain in ex.chains:
-            g_id = ex.garden_of[chain.lifts[0][1]] + 1
-            edges_of_garden[g_id].append(self.edge_ids[chain.lifts])
-        vertices_of_garden: dict[int, list[int]] = {g + 1: [] for g in range(len(ex.garden_orbits))}
-        for vertex in ex.vertices:
-            g_id = ex.garden_of[vertex.elements[0]] + 1
-            vertices_of_garden[g_id].append(self.vertex_ids[vertex.key])
-        for g_id in edges_of_garden:
-            image = involution.gardens[g_id]
-            if image != g_id:
-                meta[g_id] = ("separated_pair_member", image)
-                continue
-            fixed_edge = any(involution.edges[e] == e for e in edges_of_garden[g_id])
-            fixed_vertex = any(involution.vertices[v] == v for v in vertices_of_garden[g_id])
-            if fixed_edge:
-                meta[g_id] = ("orientable", None)
-            elif not fixed_vertex:
-                meta[g_id] = ("non_orientable", None)
-            else:
-                raise InconsistencyError(
-                    f"garden {g_id} has a fixed vertex but no fixed edge"
-                )
-        return meta
-
-    def build(self, involution: Involution, garden_meta: dict[int, tuple[str, int | None]]) -> Park:
-        ex = self.ex
-        boundaries = self._boundaries()
-        vertex_pair = involution.vertices
-        gardens = []
-        for g_idx, orbit in enumerate(ex.garden_orbits):
-            g_id = g_idx + 1
-            kind, partner = garden_meta[g_id]
-            faces = []
-            for cell in sorted(ex.white_cells + ex.black_cells, key=lambda c: (c.color != "white", c.key)):
-                if ex.garden_of[cell.key] != g_idx:
-                    continue
-                faces.append(
-                    Face(
-                        id=self.face_ids[cell],
-                        color=cell.color,
-                        degree=cell.degree,
-                        boundary=boundaries[cell],
-                    )
-                )
-            edges = []
-            for chain in ex.chains:
-                if ex.garden_of[chain.lifts[0][1]] != g_idx:
-                    continue
-                ends = None
-                if chain.kind == "segment":
-                    assert chain.ends is not None
-                    ends = (
-                        self.vertex_ids[chain.ends[0]],
-                        self.vertex_ids[chain.ends[1]],
-                    )
-                edges.append(
-                    GardenEdge(
-                        id=self.edge_ids[chain.lifts],
-                        length=chain.length,
-                        kind=chain.kind,
-                        ends=ends,
-                    )
-                )
-            vertices = []
-            for vertex in ex.vertices:
-                if ex.garden_of[vertex.elements[0]] != g_idx:
-                    continue
-                v_id = self.vertex_ids[vertex.key]
-                mirror = vertex_pair.get(v_id, v_id)
-                vertices.append(
-                    GardenVertex(
-                        id=v_id,
-                        corner_label=vertex.corner,
-                        pair_id=mirror if mirror != v_id else None,
-                    )
-                )
-            gardens.append(
-                Garden(
-                    id=g_id,
-                    kind=kind,
-                    faces=tuple(faces),
-                    edges=tuple(edges),
-                    vertices=tuple(vertices),
-                    partner_id=partner,
-                )
-            )
-        nodes = [
-            ParkNode(id=self.entrance_ids[node], role="entrance", genus=node.signature.genus)
-            for node in ex.entrances
-        ] + [
-            ParkNode(id=self.exit_ids[node], role="exit", genus=node.signature.genus)
-            for node in ex.exit_nodes
-        ]
-        nodes.sort(key=lambda nd: nd.id)
-        alleys = []
-        pairs = [
-            (self.face_ids[cell], self.entrance_ids[ex.entrance_of_cell[cell]])
-            for cell in ex.white_cells
-        ] + [
-            (self.face_ids[cell], self.exit_ids[ex.exit_of_cell[cell]])
-            for cell in ex.black_cells
-        ]
-        for idx, (face_id, node_id) in enumerate(sorted(pairs), start=1):
-            alleys.append(Alley(id=idx, face_id=face_id, node_id=node_id))
-        return Park(
-            corner_points=ex.s,
-            cone_points=ex.t,
-            gardens=tuple(gardens),
-            nodes=tuple(nodes),
-            alleys=tuple(alleys),
-            involution=involution,
-        )
+            edges={eid: eid for eid in edge_ids.values()},
+            vertices={vid: vid for vid in vertex_ids.values()},
+            gardens={g.id: g.id for g in gardens},
+        ),
+    )
 
 
 def _min_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -789,10 +660,7 @@ def _monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    assembly = _Assembly(ex.finish())
-    involution = assembly.mirror_involution()
-    meta = assembly.garden_meta_from(involution)
-    park = assembly.build(involution, meta)
+    park = _assemble(ex.finish())
     assembled_genus = park_genus(park)
     if assembled_genus != built_genus:
         raise InconsistencyError(

@@ -5,7 +5,11 @@ the real locus.  Its cells:
 
 * **gardens** -- connected pieces of the neighborhood of the real-locus
   preimage.  Each garden carries a graph (vertices and edges) plus the
-  faces glued onto it.
+  faces glued onto it, and a kind from ``GARDEN_KINDS``: ``orientable``,
+  ``non_orientable`` or ``separated_pair_member``.  Extraction yields
+  only ``orientable`` gardens; the other two kinds occur only in
+  hand-authored parks, such as the separated pair of
+  ``examples/example1_park.json``.
 * **vertices** -- critical points lying over real critical values.  Each
   carries a ``corner_label`` in ``1..s`` giving which real critical value
   (in cyclic order) it sits over, and is incident to exactly four

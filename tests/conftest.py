@@ -22,7 +22,7 @@ from parkscope import (
     validate_park,
 )
 from parkscope.equivalence import _beta_candidates, _black_product_target, _corner_moves
-from parkscope.extraction import _Assembly, _Extraction, _require_valid_generic
+from parkscope.extraction import _assemble, _Extraction, _require_valid_generic
 from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Park, from_json_dict, genus as park_genus, rotations_equal
 from parkscope.permgroup import (
@@ -33,6 +33,7 @@ from parkscope.permgroup import (
     is_matching,
     mirror_matching,
     orbits,
+    whites,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -181,10 +182,7 @@ def assemble_park(m) -> Park:
     and assembled whether or not it is realizable; the rep is validated,
     the park is not."""
     _require_valid_generic(m)
-    assembly = _Assembly(_Extraction(m).finish())
-    involution = assembly.mirror_involution()
-    meta = assembly.garden_meta_from(involution)
-    return assembly.build(involution, meta)
+    return _assemble(_Extraction(m).finish())
 
 
 def monodromy_to_park_full(m) -> Park:
@@ -225,42 +223,57 @@ def exits_from_orbits(ex):
     return nodes, of_cell, paired
 
 
+def walk_cycles(ex, half):
+    """The cycles of the boundary walk of a finished ``_Extraction`` through
+    the elements of ``half``: at each element the walk crosses arcs
+    ``1..s+1``, then steps by ``e``.  Each cycle starts at its first item
+    in (element, arc) order."""
+    visited, out = set(), []
+    for a0 in half:
+        for i0 in range(1, ex.s + 2):
+            item, cycle = (i0, a0), []
+            while item not in visited:
+                visited.add(item)
+                cycle.append(item)
+                i, a = item
+                item = (i + 1, a) if i <= ex.s else (1, ex.e[a])
+            if cycle:
+                out.append(cycle)
+    return out
+
+
 def check_extraction(m) -> Park | None:
     """Assert every fact the realized path of extraction builds on without
     checking, for a valid generic ``m``; return its park, or ``None`` when
     it has none.
 
-    Each walk cycle of the black side, cut at its vertex crossings, sweeps
-    a white-side chain: a segment in the same order, a loop up to
-    rotation.  Every arc carries ``d`` lifts.  No face, edge or vertex
-    straddles two gardens.  The mirrored exits equal the exits built from
-    orbits.  A realized park passes ``validate_park``.
+    Each white walk cycle, cut at its vertex crossings, is the chain list
+    of its face.  Each walk cycle of the black side sweeps a white-side
+    chain: a segment in the same order, a loop up to rotation.  Every arc
+    carries ``d`` lifts.  No face, edge or vertex straddles two gardens.
+    The mirrored exits equal the exits built from orbits.  A realized park
+    passes ``validate_park``; its gardens are all orientable, unpartnered
+    and have an edge each, no vertex names a pair, and the involution
+    fixes every edge, vertex and garden.
     """
     try:
         ex = _Extraction(m).finish()
     except NonRealizableError:
         return None  # an impossible node weight, found with the cheap cells
-    visited = set()
-    for a0 in blacks(ex.d):
-        for i0 in range(1, ex.s + 2):
-            start = (i0, a0)
-            if start in visited:
-                continue
-            cycle = [start]
-            item = ex._succ(start)
-            while item != start:
-                cycle.append(item)
-                item = ex._succ(item)
-            visited.update(cycle)
-            runs, _ = ex._split_runs(cycle)
-            for run in runs:
-                lifts = tuple(ex._lift(i, a) for i, a in run)
-                chain = ex.edge_of_lift.get(lifts[0])
-                assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
-                if chain.kind == "segment":
-                    assert lifts == chain.lifts, run
-                else:
-                    assert rotations_equal(lifts, chain.lifts), run
+    for cycle in walk_cycles(ex, whites(ex.d)):
+        runs, _ = ex._split_runs(cycle)
+        chains = [ex.edge_of_lift[ex._lift(*run[0])] for run in runs]
+        assert chains == ex.face_chains[ex.white_cell_of[cycle[0][1]]], cycle
+    for cycle in walk_cycles(ex, blacks(ex.d)):
+        runs, _ = ex._split_runs(cycle)
+        for run in runs:
+            lifts = tuple(ex._lift(i, a) for i, a in run)
+            chain = ex.edge_of_lift.get(lifts[0])
+            assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
+            if chain.kind == "segment":
+                assert lifts == chain.lifts, run
+            else:
+                assert rotations_equal(lifts, chain.lifts), run
     for i in range(1, ex.s + 2):
         assert sum(1 for lift in ex.edge_of_lift if lift[0] == i) == ex.d, f"arc {i}"
     for cell in ex.white_cells + ex.black_cells:
@@ -276,6 +289,12 @@ def check_extraction(m) -> Park | None:
         return None
     report = validate_park(park)
     assert report, report.violations
+    for garden in park.gardens:
+        assert (garden.kind, garden.partner_id) == ("orientable", None), garden.id
+        assert garden.edges, garden.id
+    assert all(vertex.pair_id is None for vertex in park.all_vertices())
+    for name in ("edges", "vertices", "gardens"):
+        assert all(k == v for k, v in getattr(park.involution, name).items()), name
     return park
 
 
