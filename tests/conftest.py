@@ -250,7 +250,8 @@ def check_extraction(m) -> Park | None:
     Each white walk cycle, cut at its vertex crossings, is the chain list
     of its face.  Each walk cycle of the black side sweeps a white-side
     chain: a segment in the same order, a loop up to rotation.  Every arc
-    carries ``d`` lifts.  No face, edge or vertex straddles two gardens.
+    carries ``d`` lifts.  No face, edge or vertex straddles two gardens,
+    and each garden lists the cells that one filter per garden finds.
     The mirrored exits equal the exits built from orbits.  A realized park
     passes ``validate_park``; its gardens are all orientable, unpartnered
     and have an edge each, no vertex names a pair, and the involution
@@ -282,6 +283,17 @@ def check_extraction(m) -> Park | None:
         assert len({ex.garden_of[a] for lift in chain.lifts for a in lift[1:]}) == 1, chain
     for vertex in ex.vertices:
         assert len({ex.garden_of[a] for a in vertex.elements}) == 1, vertex
+    faces = ex.white_cells + ex.black_cells
+    for g_idx, garden in enumerate(ex.gardens):  # the one-pass grouping, filtered
+        assert garden.faces == tuple(
+            cell for cell in faces if ex.garden_of[cell.key] == g_idx
+        )
+        assert garden.edges == tuple(
+            chain for chain in ex.chains if ex.garden_of[chain.lifts[0][1]] == g_idx
+        )
+        assert garden.vertices == tuple(
+            vertex for vertex in ex.vertices if ex.garden_of[vertex.elements[0]] == g_idx
+        )
     assert exits_from_orbits(ex) == (ex.exit_nodes, ex.exit_of_cell, ex.exit_paired_with)
     try:
         park = monodromy_to_park(m)
