@@ -60,7 +60,7 @@ from .monodromy import (
     validate_genericity,
     validate_relations,
 )
-from .park import Park, _park_morphism, _ParkIndex, validate_park
+from .park import Park, _park_morphism, _ParkIndex, _validated_index
 from .permgroup import (
     Perm,
     blacks,
@@ -132,14 +132,7 @@ def park_isomorphic(
     park involutions.  Returns the first witness in a fixed search
     order, or ``None``.  Both parks must validate.
     """
-    for park in (p1, p2):
-        report = validate_park(park)
-        if not report:
-            raise ValueError(
-                "park fails validation: "
-                + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
-            )
-    return _park_isomorphism(p1, p2, allow_reflection)
+    return _index_isomorphism(_validated_index(p1), _validated_index(p2), allow_reflection)
 
 
 def _park_isomorphism(
@@ -419,9 +412,7 @@ def _two_involutions(p: Perm) -> tuple[Perm, Perm]:
         for idx, point in enumerate(cycle):
             b[point] = cycle[(-idx) % length]
             a[point] = cycle[(1 - idx) % length]
-    at, bt = tuple(a), tuple(b)
-    assert is_involution(at) and is_involution(bt) and compose(at, bt) == p
-    return at, bt
+    return tuple(a), tuple(b)
 
 
 def _black_involutions(d: int) -> list[Perm]:

@@ -43,10 +43,18 @@ park to itself with colors swapped.
 Representations are validated at the public entry points only
 (``monodromy_to_park`` and the ``extract_*`` functions);
 ``_monodromy_to_park`` is the unvalidated core for callers that built or
-validated the data themselves.  The assembled park is trusted: that it
-passes ``validate_park``, that the black side of the walk sweeps the
-white side's edges and that no cell straddles two gardens are facts the
-construction guarantees, pinned by the tests rather than re-checked.
+validated the data themselves.  Valid generic input is trusted, and so
+is the park assembled from it.  These facts hold by construction and
+are pinned by the tests rather than re-checked: ``c_1`` carries each
+white face onto one black face; each white face lies inside one
+entrance orbit, and the entrances' branch counts sum to ``t``; corner
+orbits have size 2 or 4; each run of the walk ends on vertices and
+crosses arc 1 and arc ``s + 1`` equally often; the black side of the
+walk sweeps the white side's edges; no cell straddles two gardens; and
+the park passes ``validate_park``.  Four checks remain, on what the
+construction relies on rather than implies: twice as many segments as
+vertices, the seam gluing, no arc lift on two edges, and the assembled
+genus.
 """
 
 from __future__ import annotations
@@ -66,12 +74,13 @@ from .park import (
     Involution,
     Park,
     ParkNode,
+    _garden_kind_violation,
     _genus_of_characteristic,
     _park_morphism,
     _ParkIndex,
     genus as park_genus,
 )
-from .permgroup import Perm, blacks, conjugate, cycles, orbits, whites
+from .permgroup import blacks, conjugate, cycles, orbits, whites
 
 #: An arc lift: (arc index 1..s+1, smaller element, larger element).
 Lift = tuple[int, int, int]
@@ -239,74 +248,42 @@ class _Extraction:
             FaceCell("black", cyc)
             for cyc in cycles(mirror_e, restrict=blacks(d), include_fixed=True)
         ]
-        self.white_cell_of: dict[int, FaceCell] = {}
-        for cell in self.white_cells:
-            for a in cell.elements:
-                self.white_cell_of[a] = cell
-        black_cell_of: dict[int, FaceCell] = {}
-        for cell in self.black_cells:
-            for a in cell.elements:
-                black_cell_of[a] = cell
-        self.black_cell_of = black_cell_of
-        # Each black face is the reflected image of exactly one white face.
-        self.mirror_cell: dict[FaceCell, FaceCell] = {}
-        for cell in self.white_cells:
-            image = black_cell_of[c1[cell.elements[0]]]
-            if {c1[a] for a in cell.elements} != set(image.elements):
-                raise InconsistencyError(
-                    f"reflection does not map face {cell.elements} onto a black face"
-                )
-            self.mirror_cell[cell] = image
+        # c_1 is a matching, so it carries each cycle of e on the whites
+        # onto a cycle of c_1 e c_1 on the blacks: each black face is the
+        # reflected image of exactly one white face.
+        black_cell_of = {a: cell for cell in self.black_cells for a in cell.elements}
+        self.mirror_cell: dict[FaceCell, FaceCell] = {
+            cell: black_cell_of[c1[cell.elements[0]]] for cell in self.white_cells
+        }
 
     # -- entrances and exits ------------------------------------------------
 
-    def _node_cells(
-        self,
-        role: str,
-        generators: list[Perm],
-        restrict: range,
-        face_cells: list[FaceCell],
-        branch_total: int,
-    ) -> tuple[list[NodeCell], dict[FaceCell, NodeCell]]:
-        node_orbits = orbits(generators, self.n, restrict=restrict)
-        supports = [{a for a in restrict if g[a] != a} for g in generators]
-        nodes: list[NodeCell] = []
-        cell_to_node: dict[FaceCell, NodeCell] = {}
-        for orbit in node_orbits:
-            members = set(orbit)
-            inside = [cell for cell in face_cells if cell.key in members]
-            for cell in inside:
-                if not set(cell.elements) <= members:
-                    raise InconsistencyError(
-                        f"closing-permutation cycle {cell.elements} leaks out of "
-                        f"generator orbit {orbit}"
-                    )
-            b = sum(1 for sup in supports if sup and sup <= members)
-            k = len(inside)
-            degree_sum = sum(cell.degree for cell in inside)
-            numerator = b + 2 - k - degree_sum
+    def _build_entrances(self) -> None:
+        # e is the inverse of the x word, so each white face lies inside one
+        # x-orbit; each x moves one white pair, which lies in one orbit, so
+        # the orbits' branch counts sum to t.
+        white = whites(self.d)
+        node_orbits = orbits(list(self.m.x), self.n, restrict=white)
+        orbit_of = {a: k for k, orbit in enumerate(node_orbits) for a in orbit}
+        branches = Counter(orbit_of[next(a for a in white if x[a] != a)] for x in self.m.x)
+        inside: list[list[FaceCell]] = [[] for _ in node_orbits]
+        for cell in self.white_cells:
+            inside[orbit_of[cell.key]].append(cell)
+        self.entrances: list[NodeCell] = []
+        self.entrance_of_cell: dict[FaceCell, NodeCell] = {}
+        for k, orbit in enumerate(node_orbits):
+            degrees = [cell.degree for cell in inside[k]]
+            numerator = branches[k] + 2 - len(degrees) - sum(degrees)
             if numerator < 0 or numerator % 2 != 0:
                 raise NonRealizableError(
-                    f"{role} orbit {orbit} would need genus {numerator}/2"
+                    f"entrance orbit {orbit} would need genus {numerator}/2"
                 )
-            signature = EntranceSignature.compute(
-                numerator // 2, [cell.degree for cell in inside]
+            node = NodeCell(
+                "entrance", orbit, EntranceSignature.compute(numerator // 2, degrees)
             )
-            node = NodeCell(role, orbit, signature)
-            nodes.append(node)
-            for cell in inside:
-                cell_to_node[cell] = node
-        total_b = sum(node.signature.branch_points for node in nodes)
-        if total_b != branch_total:
-            raise InconsistencyError(
-                f"{role} branch counts sum to {total_b}, expected {branch_total}"
-            )
-        return nodes, cell_to_node
-
-    def _build_entrances(self) -> None:
-        self.entrances, self.entrance_of_cell = self._node_cells(
-            "entrance", list(self.m.x), whites(self.d), self.white_cells, self.t
-        )
+            self.entrances.append(node)
+            for cell in inside[k]:
+                self.entrance_of_cell[cell] = node
 
     def _build_exits(self) -> None:
         # The reflection c_1 conjugates each x into its reflected action,
@@ -328,13 +305,11 @@ class _Extraction:
     def _build_corners(self) -> None:
         self.vertex_elements: dict[int, dict[int, VertexCell]] = {}
         self.vertices: list[VertexCell] = []
+        # c_{k-1} c_k is a generic corner move, so the orbits of the two
+        # matchings have size 2 or 4; the size-four ones are the vertices.
         for k in range(1, self.s + 1):
             table: dict[int, VertexCell] = {}
             for orbit in orbits([self.c[k - 1], self.c[k]], self.n):
-                if len(orbit) not in (2, 4):
-                    raise InconsistencyError(
-                        f"corner {k} orbit {orbit} has size {len(orbit)}"
-                    )
                 if len(orbit) == 4:
                     vertex = VertexCell(k, orbit)
                     self.vertices.append(vertex)
@@ -406,17 +381,18 @@ class _Extraction:
                 kind = "loop"
                 ends = None
             else:
+                # A run starts just past a vertex crossing and ends on one.
                 kind = "segment"
-                i1, a1 = run[0]
-                im, am = run[-1]
-                start = self.vertex_elements.get(i1 - 1, {}).get(a1)
-                end = self.vertex_elements.get(im, {}).get(am)
-                if start is None or end is None or not 2 <= i1 or not im <= self.s:
-                    raise InconsistencyError(
-                        f"chain run {run} does not terminate at vertices"
-                    )
-                ends = (start.key, end.key)
-            chain = EdgeChain(lifts, kind, self._chain_length(lifts), ends)
+                (i1, a1), (im, am) = run[0], run[-1]
+                ends = (
+                    self.vertex_elements[i1 - 1][a1].key,
+                    self.vertex_elements[im][am].key,
+                )
+            # Arc s+1 is arc 1 across the seam, and every run crosses both
+            # equally often, so the length counts over arcs 1..s only.
+            counts = Counter(i for i, _, _ in lifts)
+            length = min((counts[i] for i in range(1, self.s + 1)), default=len(lifts))
+            chain = EdgeChain(lifts, kind, length, ends)
             chains.append(chain)
             self.face_chains.setdefault(cell, []).append(chain)
             for lift in lifts:
@@ -424,17 +400,6 @@ class _Extraction:
                     raise InconsistencyError(f"arc lift {lift} lies on two edges")
                 self.edge_of_lift[lift] = chain
         self.chains = sorted(chains, key=lambda chain: chain.key)
-
-    def _chain_length(self, lifts: tuple[Lift, ...]) -> int:
-        counts = Counter(lift[0] for lift in lifts)
-        if self.s == 0:
-            return len(lifts)
-        if counts[1] != counts[self.s + 1]:
-            raise InconsistencyError(
-                f"chain {lifts} covers arc 1 and the seam-glued arc unequally"
-            )
-        geometric = [counts[1]] + [counts[g] for g in range(2, self.s + 1)]
-        return min(geometric)
 
     # -- the closed surface ------------------------------------------------
 
@@ -683,9 +648,10 @@ def find_park_involution(park: Park) -> Involution | None:
     with black faces of equal degree through compatible gardens, then
     vertices and edges within each garden pairing, each binding made
     together with its mirror.  Declared garden partners and vertex pairs
-    are required images, a garden that is no separated-pair member is
-    fixed, and a fixed garden must agree with its kind.  Returns the
-    first involution in a fixed search order, or ``None`` (also for a
+    are required images, and every garden must pass the garden-kind rule
+    of ``validate_park``: only a separated-pair member moves, and only to
+    its partner, and a fixed garden must agree with its kind.  Returns
+    the first involution in a fixed search order, or ``None`` (also for a
     park whose ids or alleys do not resolve).
     """
     try:
@@ -706,19 +672,11 @@ def find_park_involution(park: Park) -> Involution | None:
     }
 
     def kinds_hold(maps: dict[str, dict[int, int]]) -> bool:
-        for g_id, image in maps["gardens"].items():
-            garden = index.gardens[g_id]
-            if (image != g_id) != (garden.kind == "separated_pair_member"):
-                return False
-            if image != g_id:
-                continue
-            fixed_edge = any(maps["edges"][e.id] == e.id for e in garden.edges)
-            fixed_vertex = any(maps["vertices"][v.id] == v.id for v in garden.vertices)
-            if garden.kind == "orientable" and not fixed_edge:
-                return False
-            if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
-                return False
-        return True
+        edges, vertices = maps["edges"], maps["vertices"]
+        return all(
+            _garden_kind_violation(index.gardens[g_id], image, edges, vertices) is None
+            for g_id, image in maps["gardens"].items()
+        )
 
     maps = _park_morphism(
         index,

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import NonRealizableError, ResourceLimitError
-from .park import Park, _ParkIndex, validate_park
+from .park import Park, _validated_index
 from .permgroup import compose, cycle_type, cycles, inverse, is_transitive
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
@@ -304,13 +304,7 @@ def park_hurwitz(park: Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fracti
     deliberately not multiplied in: the entrance data already determines
     the exit side through the involution.
     """
-    report = validate_park(park)
-    if not report:
-        raise ValueError(
-            "park fails validation: "
-            + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
-        )
-    signatures = _ParkIndex(park).signatures
+    signatures = _validated_index(park).signatures
     branch_counts = []
     total = Fraction(1)
     for node in sorted(park.nodes, key=lambda nd: nd.id):

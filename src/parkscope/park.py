@@ -706,7 +706,26 @@ def validate_park(park: Park) -> ParkReport:
     Checks that need face boundary data (the four-edge-ends rule and
     opposite-color adjacency) run only when the park is fine.
     """
+    return _index_report(_ParkIndex(park))
+
+
+def _validated_index(park: Park) -> _ParkIndex:
+    """The index of a park that passes :func:`validate_park`; raises
+    ``ValueError`` naming the first violations otherwise.  The one gate of
+    the public functions that take parks."""
     index = _ParkIndex(park)
+    report = _index_report(index)
+    if not report:
+        raise ValueError(
+            "park fails validation: "
+            + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
+        )
+    return index
+
+
+def _index_report(index: _ParkIndex) -> ParkReport:
+    """:func:`validate_park` on the park's index."""
+    park = index.park
     index.check_references()
     violations: list[tuple[str, str]] = []
 
@@ -954,8 +973,6 @@ def validate_park(park: Park) -> ParkReport:
                         f"vertex {v_id} declares pair {vertex.pair_id} but the "
                         f"involution sends it to {inv.vertices[v_id]}",
                     )
-            elif inv.vertices[v_id] == v_id:
-                pass  # fixed vertex with no declared pair: consistent
         alley_lookup = {(a.face_id, a.node_id) for a in park.alleys}
         for a in park.alleys:
             mapped = (inv.faces[a.face_id], inv.nodes[a.node_id])
@@ -966,43 +983,39 @@ def validate_park(park: Park) -> ParkReport:
                     f"to node {mapped[1]}",
                 )
         for g_id, garden in index.gardens.items():
-            image_id = inv.gardens[g_id]
-            if image_id != g_id:
-                if garden.kind != "separated_pair_member":
-                    flag(
-                        "involution-structure",
-                        f"involution swaps garden {g_id} with {image_id} but its "
-                        f"kind is {garden.kind}",
-                    )
-                elif garden.partner_id != image_id:
-                    flag(
-                        "involution-structure",
-                        f"garden {g_id} partners {garden.partner_id} but the "
-                        f"involution sends it to {image_id}",
-                    )
-            else:
-                if garden.kind == "separated_pair_member":
-                    flag(
-                        "involution-structure",
-                        f"involution fixes garden {g_id} of kind separated_pair_member",
-                    )
-                else:
-                    fixed_edge = any(inv.edges[e.id] == e.id for e in garden.edges)
-                    fixed_vertex = any(inv.vertices[v.id] == v.id for v in garden.vertices)
-                    if garden.kind == "orientable" and not fixed_edge:
-                        flag(
-                            "involution-structure",
-                            f"garden {g_id} is marked orientable but the involution "
-                            "fixes none of its edges",
-                        )
-                    if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
-                        flag(
-                            "involution-structure",
-                            f"garden {g_id} is marked non_orientable but the "
-                            "involution fixes one of its cells",
-                        )
+            detail = _garden_kind_violation(garden, inv.gardens[g_id], inv.edges, inv.vertices)
+            if detail is not None:
+                flag("involution-structure", detail)
 
     return ParkReport(ok=not violations, violations=tuple(violations))
+
+
+def _garden_kind_violation(
+    garden: Garden, image_id: int, edges: Mapping[int, int], vertices: Mapping[int, int]
+) -> str | None:
+    """How an involution that sends ``garden`` to ``image_id``, with these
+    edge and vertex maps, breaks the garden's kind, or ``None``: only a
+    separated-pair member moves, and to its partner; an orientable garden
+    fixes an edge; a non-orientable one fixes no edge and no vertex."""
+    g_id = garden.id
+    if image_id != g_id:
+        if garden.kind != "separated_pair_member":
+            return f"involution swaps garden {g_id} with {image_id} but its kind is {garden.kind}"
+        if garden.partner_id != image_id:
+            return (
+                f"garden {g_id} partners {garden.partner_id} but the "
+                f"involution sends it to {image_id}"
+            )
+        return None
+    if garden.kind == "separated_pair_member":
+        return f"involution fixes garden {g_id} of kind separated_pair_member"
+    fixed_edge = any(edges[e.id] == e.id for e in garden.edges)
+    fixed_vertex = any(vertices[v.id] == v.id for v in garden.vertices)
+    if garden.kind == "orientable" and not fixed_edge:
+        return f"garden {g_id} is marked orientable but the involution fixes none of its edges"
+    if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
+        return f"garden {g_id} is marked non_orientable but the involution fixes one of its cells"
+    return None
 
 
 # ---------------------------------------------------------------------------

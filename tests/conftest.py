@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
@@ -22,13 +23,26 @@ from parkscope import (
     validate_park,
 )
 from parkscope.equivalence import _beta_candidates, _black_product_target, _corner_moves
-from parkscope.extraction import _assemble, _Extraction, _require_valid_generic
+from parkscope.extraction import (
+    FaceCell,
+    NodeCell,
+    _assemble,
+    _Extraction,
+    _require_valid_generic,
+)
 from parkscope.monodromy import validate_genericity, validate_relations
-from parkscope.park import Park, from_json_dict, genus as park_genus, rotations_equal
+from parkscope.park import (
+    EntranceSignature,
+    Park,
+    from_json_dict,
+    genus as park_genus,
+    rotations_equal,
+)
 from parkscope.permgroup import (
     blacks,
     compose,
     conjugate,
+    cycles,
     inverse,
     is_matching,
     mirror_matching,
@@ -205,15 +219,55 @@ def monodromy_to_park_full(m) -> Park:
     return park
 
 
+def orbit_weights(m, reflected=False):
+    """For each orbit of the ``x`` on the white half, or with ``reflected``
+    of the ``c_1``-conjugated ``x`` on the black half: the orbit, the
+    faces (cycles of ``e``, or of ``c_1 e c_1``) inside it, and twice the
+    genus its branch count and faces force, ``b + 2 - k - sum(degrees)``.
+    Asserts that each ``x`` moves one pair of the half, that no face leaks
+    out of its orbit, and that the branch counts sum to ``t``."""
+    c1 = m.c[0]
+    xs, e, half, color = list(m.x), m.e, whites(m.degree), "white"
+    if reflected:
+        xs = [conjugate(x, c1) for x in xs]
+        e, half, color = conjugate(m.e, c1), blacks(m.degree), "black"
+    faces = [FaceCell(color, cyc) for cyc in cycles(e, restrict=half, include_fixed=True)]
+    pairs = [{a for a in half if x[a] != a} for x in xs]
+    assert all(len(pair) == 2 for pair in pairs), pairs
+    out, total = [], 0
+    for orbit in orbits(xs, m.ground_size, restrict=half):
+        members = set(orbit)
+        inside = [face for face in faces if set(face.elements) & members]
+        assert all(set(face.elements) <= members for face in inside), orbit
+        branches = sum(1 for pair in pairs if pair <= members)
+        total += branches
+        out.append((orbit, inside, branches + 2 - len(inside) - sum(f.degree for f in inside)))
+    assert total == m.cone_points
+    return out
+
+
+def nodes_from_weights(role, weights):
+    """``(nodes, node_of_face)`` for orbit weights that are all even and
+    non-negative."""
+    nodes, of_face = [], {}
+    for orbit, faces, numerator in weights:
+        assert numerator >= 0 and numerator % 2 == 0, orbit
+        signature = EntranceSignature.compute(numerator // 2, [f.degree for f in faces])
+        node = NodeCell(role, orbit, signature)
+        nodes.append(node)
+        of_face.update((face, node) for face in faces)
+    return nodes, of_face
+
+
 def exits_from_orbits(ex):
     """The exits of a finished ``_Extraction`` built from scratch: the
-    orbits of the ``c_1``-conjugated ``x`` on the black half, their faces,
-    and each entrance paired with the exit on its reflected orbit, of
-    equal signature.  Returns ``(exit_nodes, exit_of_cell,
-    exit_paired_with)``, the oracle for the mirrored exits."""
+    orbits of the ``c_1``-conjugated ``x`` on the black half, the black
+    faces of ``c_1 e c_1`` inside each, their signatures from the branch
+    count and face degrees, and each entrance paired with the exit on its
+    reflected orbit, of equal signature.  Returns ``(exit_nodes,
+    exit_of_cell, exit_paired_with)``, the oracle for the mirrored exits."""
     c1 = ex.c[0]
-    reflected = [conjugate(x, c1) for x in ex.m.x]
-    nodes, of_cell = ex._node_cells("exit", reflected, blacks(ex.d), ex.black_cells, ex.t)
+    nodes, of_cell = nodes_from_weights("exit", orbit_weights(ex.m, reflected=True))
     by_orbit = {node.orbit: node for node in nodes}
     paired = {}
     for node in ex.entrances:
@@ -221,6 +275,25 @@ def exits_from_orbits(ex):
         assert partner is not None and partner.signature == node.signature, node
         paired[node] = partner
     return nodes, of_cell, paired
+
+
+def lift(ex, i, a):
+    """The lift of arc ``i`` through ``a``: the pair ``c_i`` swaps there."""
+    b = ex.c[i - 1][a]
+    return (i, min(a, b), max(a, b))
+
+
+def corner_vertices(ex):
+    """Each element of a size-four orbit of ``<c_{k-1}, c_k>``, keyed by
+    ``(k, element)``, mapped to its vertex key ``(k, least element)``.
+    Asserts that every such orbit has size 2 or 4."""
+    out = {}
+    for k in range(1, ex.s + 1):
+        for orbit in orbits([ex.c[k - 1], ex.c[k]], ex.n):
+            assert len(orbit) in (2, 4), (k, orbit)
+            if len(orbit) == 4:
+                out.update(((k, a), (k, orbit[0])) for a in orbit)
+    return out
 
 
 def walk_cycles(ex, half):
@@ -242,39 +315,91 @@ def walk_cycles(ex, half):
     return out
 
 
+def split_runs(cycle, vertex_of):
+    """A walk cycle cut just after each vertex crossing, in walk order
+    from the first crossing; a cycle without one is a single loop run,
+    rotated to its least item."""
+    breaks = [j for j, item in enumerate(cycle) if item in vertex_of]
+    if not breaks:
+        pivot = cycle.index(min(cycle))
+        return [cycle[pivot:] + cycle[:pivot]]
+    ordered = cycle[breaks[0] + 1 :] + cycle[: breaks[0] + 1]
+    runs, run = [], []
+    for item in ordered:
+        run.append(item)
+        if item in vertex_of:
+            runs.append(run)
+            run = []
+    return runs
+
+
 def check_extraction(m) -> Park | None:
     """Assert every fact the realized path of extraction builds on without
     checking, for a valid generic ``m``; return its park, or ``None`` when
     it has none.
 
-    Each white walk cycle, cut at its vertex crossings, is the chain list
-    of its face.  Each walk cycle of the black side sweeps a white-side
-    chain: a segment in the same order, a loop up to rotation.  Every arc
-    carries ``d`` lifts.  No face, edge or vertex straddles two gardens,
-    and each garden lists the cells that one filter per garden finds.
-    The mirrored exits equal the exits built from orbits.  A realized park
-    passes ``validate_park``; its gardens are all orientable, unpartnered
-    and have an edge each, no vertex names a pair, and the involution
-    fixes every edge, vertex and garden.
+    The entrances, or the rejection of an impossible node weight, are
+    those ``orbit_weights`` finds: each white face lies inside its
+    entrance's orbit, each ``x`` moves one white pair inside one orbit,
+    and the branch counts sum to ``t``.  ``c_1`` carries each white face
+    onto one black face, each black face the image of one white face.
+    Every corner orbit has size 2 or 4, and the size-four ones are the
+    vertices.  Each white walk cycle, cut at its vertex crossings, is the
+    chain list of its face, and each segment starts and ends on the
+    vertices it names.  Each walk cycle of the black side sweeps a
+    white-side chain: a segment in the same order, a loop up to rotation.
+    Every chain crosses arc 1 and arc ``s + 1`` equally often, and its
+    length is its least count over arcs ``1..s``.  Every arc carries ``d``
+    lifts.  No face, edge or vertex straddles two gardens, and each garden
+    lists the cells that one filter per garden finds.  The mirrored exits
+    equal the exits built from orbits.  A realized park passes
+    ``validate_park``; its gardens are all orientable, unpartnered and
+    have an edge each, no vertex names a pair, and the involution fixes
+    every edge, vertex and garden.
     """
+    weights = orbit_weights(m)
+    impossible = [(orbit, num) for orbit, _, num in weights if num < 0 or num % 2]
     try:
         ex = _Extraction(m).finish()
-    except NonRealizableError:
-        return None  # an impossible node weight, found with the cheap cells
+    except NonRealizableError as exc:
+        # an impossible node weight, found with the cheap cells
+        assert impossible, exc
+        orbit, numerator = impossible[0]
+        assert str(exc) == f"entrance orbit {orbit} would need genus {numerator}/2"
+        return None
+    assert (ex.entrances, ex.entrance_of_cell) == nodes_from_weights("entrance", weights)
+    c1 = ex.c[0]
+    for cell, image in ex.mirror_cell.items():
+        assert {c1[a] for a in cell.elements} == set(image.elements), cell
+    assert sorted(ex.mirror_cell, key=lambda cell: cell.key) == ex.white_cells
+    assert sorted(ex.mirror_cell.values(), key=lambda cell: cell.key) == ex.black_cells
+    vertex_of = corner_vertices(ex)
+    assert vertex_of == {
+        (vertex.corner, a): vertex.key for vertex in ex.vertices for a in vertex.elements
+    }
+    faces_by_key = {cell.key: cell for cell in ex.white_cells}
     for cycle in walk_cycles(ex, whites(ex.d)):
-        runs, _ = ex._split_runs(cycle)
-        chains = [ex.edge_of_lift[ex._lift(*run[0])] for run in runs]
-        assert chains == ex.face_chains[ex.white_cell_of[cycle[0][1]]], cycle
+        runs = split_runs(cycle, vertex_of)
+        chains = [ex.edge_of_lift[lift(ex, *run[0])] for run in runs]
+        assert chains == ex.face_chains[faces_by_key[cycle[0][1]]], cycle
+        for run, chain in zip(runs, chains):
+            if chain.kind == "segment":
+                (i1, a1), last = run[0], run[-1]
+                assert chain.ends == (vertex_of[(i1 - 1, a1)], vertex_of[last]), run
     for cycle in walk_cycles(ex, blacks(ex.d)):
-        runs, _ = ex._split_runs(cycle)
-        for run in runs:
-            lifts = tuple(ex._lift(i, a) for i, a in run)
+        for run in split_runs(cycle, vertex_of):
+            lifts = tuple(lift(ex, i, a) for i, a in run)
             chain = ex.edge_of_lift.get(lifts[0])
             assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
             if chain.kind == "segment":
                 assert lifts == chain.lifts, run
             else:
                 assert rotations_equal(lifts, chain.lifts), run
+    for chain in ex.chains:
+        counts = Counter(i for i, _, _ in chain.lifts)
+        assert counts[1] == counts[ex.s + 1], chain
+        arcs = [counts[i] for i in range(1, ex.s + 1)] or [len(chain.lifts)]
+        assert chain.length == min(arcs), chain
     for i in range(1, ex.s + 2):
         assert sum(1 for lift in ex.edge_of_lift if lift[0] == i) == ex.d, f"arc {i}"
     for cell in ex.white_cells + ex.black_cells:

@@ -479,6 +479,16 @@ def test_chains_match_product_order(d, s):
     assert equivalence._chains(d, s) == chains_product_brute(d, s)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_two_involutions_factor_every_permutation(n):
+    """``_two_involutions(p)`` gives involutions ``a``, ``b`` with ``a``
+    after ``b`` equal to ``p``, for every permutation of ``range(n)``."""
+    for p in permutations(range(n)):
+        a, b = equivalence._two_involutions(p)
+        assert all(a[a[i]] == i and b[b[i]] == i for i in range(n)), p
+        assert tuple(a[b[i]] for i in range(n)) == p, p
+
+
 def test_enumeration_dedup_aliases():
     by_alias = {
         alias: enumerate_monodromies(3, 2, 0, dedup=alias).class_count

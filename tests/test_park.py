@@ -1,6 +1,7 @@
 """Unit tests for the park data model, axiom validation and invariants."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from parkscope import (
     NonRealizableError,
     euler_characteristic,
+    find_park_involution,
     genus,
+    park_hurwitz,
+    park_isomorphic,
     total_degree,
     type_summary,
     validate_park,
@@ -165,6 +169,93 @@ def test_validator_flags_pair_partner(example_park_dict):
     report = validate_park(park)
     assert not report.ok
     assert any(code == "pair-mirror" for code, _ in report.violations)
+
+
+def _garden(obj, g_id):
+    return obj["gardens"][g_id - 1]
+
+
+@pytest.mark.parametrize(
+    "change, kind_messages, has_involution",
+    [
+        (
+            lambda obj: obj["involution"]["gardens"].update({"3": 4, "4": 3}),
+            [
+                "involution swaps garden 3 with 4 but its kind is orientable",
+                "involution swaps garden 4 with 3 but its kind is orientable",
+            ],
+            True,
+        ),
+        (
+            lambda obj: obj["involution"]["gardens"].update({"1": 1, "2": 2}),
+            [
+                "involution fixes garden 1 of kind separated_pair_member",
+                "involution fixes garden 2 of kind separated_pair_member",
+            ],
+            True,
+        ),
+        (
+            lambda obj: _garden(obj, 1).update(partner=3),
+            ["garden 1 partners 3 but the involution sends it to 2"],
+            False,
+        ),
+        (
+            lambda obj: [_garden(obj, g_id).update(partner=None) for g_id in (1, 2)],
+            [
+                "garden 1 partners None but the involution sends it to 2",
+                "garden 2 partners None but the involution sends it to 1",
+            ],
+            False,
+        ),
+        (
+            lambda obj: _garden(obj, 3).update(kind="non_orientable"),
+            ["garden 3 is marked non_orientable but the involution fixes one of its cells"],
+            False,
+        ),
+        (
+            lambda obj: obj["involution"]["edges"].update({"3": 4, "4": 3}),
+            [
+                "garden 3 is marked orientable but the involution fixes none of its edges",
+                "garden 4 is marked orientable but the involution fixes none of its edges",
+            ],
+            True,
+        ),
+    ],
+    ids=[
+        "orientable gardens swapped",
+        "pair members fixed",
+        "pair member sent off its partner",
+        "pair members without partners",
+        "non-orientable garden with a fixed edge",
+        "orientable gardens without a fixed edge",
+    ],
+)
+def test_garden_kind_rule(example_park_dict, change, kind_messages, has_involution):
+    """One garden-kind rule behind ``validate_park`` and
+    ``find_park_involution``: the validator's last violations are the
+    rule's, word for word; the involution search finds an involution only
+    when the kinds and partners allow one; and the park functions reject
+    the park with the validator's first violations."""
+    park = _mutated(example_park_dict, change)
+    report = validate_park(park)
+    expected = tuple(("involution-structure", message) for message in kind_messages)
+    assert report.violations[-len(expected) :] == expected
+    found = find_park_involution(park)
+    assert (found is not None) == has_involution
+    if found is not None:
+        assert validate_park(dataclasses.replace(park, involution=found)).ok
+    gate = "park fails validation: " + "; ".join(
+        f"{code}: {detail}" for code, detail in report.violations[:3]
+    )
+    shipped = from_json_dict(example_park_dict)
+    for call in (
+        lambda: park_hurwitz(park),
+        lambda: park_isomorphic(park, shipped),
+        lambda: park_isomorphic(shipped, park),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == gate
 
 
 def test_validator_raises_on_dangling_reference(example_park_dict):
