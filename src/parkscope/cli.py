@@ -85,19 +85,19 @@ def _load_monodromy(path: str, max_sheets: int) -> monodromy.MonodromyRep:
     _check_sheets(2 * rep.degree, max_sheets)
     return rep
 
-def _load_park(path: str) -> park.Park:
+def _load_park(path: str) -> park._ParkIndex:
     return _parse_park(_load_json_file(path), path)
 
 
-def _parse_park(obj: Any, path: str) -> park.Park:
-    """A park whose shapes parse and whose ids are unique and resolve;
-    anything else is malformed input."""
+def _parse_park(obj: Any, path: str) -> park._ParkIndex:
+    """The index of a park whose shapes parse and whose ids are unique and
+    resolve; anything else is malformed input."""
     try:
-        built = park.from_json_dict(obj)
-        park._ParkIndex(built).check_references()
+        index = park._ParkIndex(park.from_json_dict(obj))
+        index.check_references()
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path}: {exc}") from exc
-    return built
+    return index
 
 
 def _check_sheets(sheets: int, max_sheets: int) -> None:
@@ -220,8 +220,7 @@ def _cmd_extract(args, out: _Output) -> int:
 
 
 def _cmd_validate_park(args, out: _Output) -> int:
-    built = _load_park(args.park)
-    report = park.validate_park(built)
+    report = park._index_report(_load_park(args.park))
     payload = {
         "command": "validate-park",
         "ok": report.ok,
@@ -282,8 +281,8 @@ def _info_monodromy(args, obj: Any, out: _Output) -> int:
 
 
 def _info_park(args, obj: Any, out: _Output) -> int:
-    built = _parse_park(obj, args.file)
-    report = park.validate_park(built)
+    index = _parse_park(obj, args.file)
+    report = park._index_report(index)
     if not report:
         detail = "; ".join(f"{a}: {b}" for a, b in report.violations[:3])
         raise _CliFailure(
@@ -291,6 +290,7 @@ def _info_park(args, obj: Any, out: _Output) -> int:
             f"{args.file}: park fails validation ({detail})",
             {"command": "info", "schema": "park", "ok": False},
         )
+    built = index.park
     summary = park.type_summary(built)
     payload = {
         "command": "info",
@@ -316,7 +316,7 @@ def _info_park(args, obj: Any, out: _Output) -> int:
 
 
 def _cmd_hurwitz(args, out: _Output) -> int:
-    built = _load_park(args.park)
+    built = _load_park(args.park).park
     try:
         value = hurwitz.park_hurwitz(built, degree_bound=args.max_degree)
     except ValueError as exc:
@@ -367,8 +367,8 @@ def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
 
 
 def _cmd_isomorphic(args, out: _Output) -> int:
-    first = _load_park(args.park_a)
-    second = _load_park(args.park_b)
+    first = _load_park(args.park_a).park
+    second = _load_park(args.park_b).park
     try:
         witness = equivalence.park_isomorphic(
             first, second, allow_reflection=args.allow_reflection

@@ -56,18 +56,20 @@ from .errors import NonRealizableError, ResourceLimitError
 from .extraction import _monodromy_to_park
 from .monodromy import (
     MonodromyRep,
-    build,
+    _trusted,
+    derive_e,
     validate_genericity,
     validate_relations,
 )
 from .park import Park, _park_morphism, _ParkIndex, _validated_index
 from .permgroup import (
     Perm,
+    _cycles,
+    _orbits,
     blacks,
     compose,
     compose_all,
     conjugate,
-    cycles,
     from_cycles,
     identity,
     inverse,
@@ -407,7 +409,7 @@ def _corner_moves(d: int) -> list[Perm]:
 def _two_involutions(p: Perm) -> tuple[Perm, Perm]:
     """Factor a permutation as a product of two involutions, ``a o b = p``."""
     a, b = list(range(len(p))), list(range(len(p)))
-    for cycle in cycles(p):
+    for cycle in _cycles(p, range(len(p)), False):
         length = len(cycle)
         for idx, point in enumerate(cycle):
             b[point] = cycle[(-idx) % length]
@@ -490,7 +492,7 @@ def _beta_candidates(
       forced factor of a connected ``t = 1`` skeleton only when it is one);
     * ``c`` and the corner elements are involutions, since ``_chains``
       keeps only matchings and a corner element is a move times its mirror;
-    * the word holds because ``build`` derives ``e``;
+    * the word holds because ``e`` comes from ``derive_e``;
     * the seam holds because the black product is the target of
       ``_black_product_target``;
     * genericity holds through ``_white_transpositions``, ``_corner_moves``
@@ -538,12 +540,14 @@ def _complete_skeleton(
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
             return None
-        return build(d, [], chain)
+        return _trusted(MonodromyRep, degree=d, x=(), e=derive_e((), d), c=tuple(chain))
     black_target = _black_product_target(d, chain, white_xs)
     for betas in _beta_candidates(d, t, black_target, components):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
         if len(components) == 1 or is_transitive(xs + chain, 2 * d):
-            return build(d, xs, chain)
+            return _trusted(
+                MonodromyRep, degree=d, x=tuple(xs), e=derive_e(xs, d), c=tuple(chain)
+            )
     return None
 
 
@@ -590,22 +594,25 @@ def enumerate_monodromies(
     completion per white skeleton: canonical when the skeleton already
     connects the sheets, otherwise a bridging completion found by an
     exact search.  A skeleton is emitted if and only if it extends to a
-    valid generic representation, and the extracted park never depends
-    on the completion choice.  ``dedup`` is ``none``/``raw``,
+    valid generic representation.  The extracted park is meant not to
+    depend on the completion choice, but no test checks that yet (ROADMAP
+    item 1, the brute-force model oracle).  ``dedup`` is ``none``/``raw``,
     ``j_equivalence``/``jequiv``, or ``park_isomorphism``/``park``.
 
-    Nothing here is validated: ``x``, ``c`` and the corner elements are
-    generic involutions by how ``_chains`` and ``_beta_candidates`` make
-    them, the word holds because ``build`` derives ``e``, the seam through
-    ``_black_product_target``, and transitivity for connected skeletons
-    and ``t >= 4`` bridging; ``_complete_skeleton`` checks it for the rest.
-    ``dedup`` goes through the unvalidated ``_canonical_keys``,
-    ``_monodromy_to_park`` and ``_park_isomorphism``.  The chains grow
-    depth first from shared prefixes.  The keys are taken in one batch,
-    once per distinct ``(c[1], x, e)`` for the first two stages; the park
-    merge searches each class's park only against earlier parks of equal
-    ``_merge_signature`` (see ``_isomorphism_groups``), so classes keep
-    their first-seen order.
+    Nothing here is validated, down to the records: ``x``, ``c`` and the
+    corner elements are generic involutions by how ``_chains`` and
+    ``_beta_candidates`` make them, the word holds because ``e`` comes from
+    ``derive_e``, the seam through ``_black_product_target``, and
+    transitivity for connected skeletons and ``t >= 4`` bridging;
+    ``_complete_skeleton`` checks it for the rest and builds each
+    representation through ``monodromy._trusted``.  Orbits and cycles come
+    from the unchecked ``permgroup`` cores.  ``dedup`` goes through the
+    unvalidated ``_canonical_keys``, ``_monodromy_to_park`` and
+    ``_park_isomorphism``.  The chains grow depth first from shared
+    prefixes.  The keys are taken in one batch, once per distinct
+    ``(c[1], x, e)`` for the first two stages; the park merge searches each
+    class's park only against earlier parks of equal ``_merge_signature``
+    (see ``_isomorphism_groups``), so classes keep their first-seen order.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -632,7 +639,7 @@ def enumerate_monodromies(
     for chain in chains:
         corner_moves = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
         for white_xs in white_options:
-            components = orbits(list(white_xs) + corner_moves, 2 * d, restrict=whites(d))
+            components = _orbits(list(white_xs) + corner_moves, 2 * d, whites(d))
             m = _complete_skeleton(d, chain, white_xs, components)
             if m is not None:
                 reps.append(m)

@@ -44,17 +44,19 @@ Representations are validated at the public entry points only
 (``monodromy_to_park`` and the ``extract_*`` functions);
 ``_monodromy_to_park`` is the unvalidated core for callers that built or
 validated the data themselves.  Valid generic input is trusted, and so
-is the park assembled from it.  These facts hold by construction and
-are pinned by the tests rather than re-checked: ``c_1`` carries each
-white face onto one black face; each white face lies inside one
-entrance orbit, and the entrances' branch counts sum to ``t``; corner
-orbits have size 2 or 4; each run of the walk ends on vertices and
-crosses arc 1 and arc ``s + 1`` equally often; the black side of the
-walk sweeps the white side's edges; no cell straddles two gardens; and
-the park passes ``validate_park``.  Four checks remain, on what the
-construction relies on rather than implies: twice as many segments as
-vertices, the seam gluing, no arc lift on two edges, and the assembled
-genus.
+is the park assembled from it: the ``_build_*`` stages use the unchecked
+``permgroup`` cores, and ``_assemble`` makes the park records through
+``monodromy._trusted``.  These facts hold by construction and are pinned
+by the tests rather than re-checked: ``c_1`` carries each white face
+onto one black face; each white face lies inside one entrance orbit, and
+the entrances' branch counts sum to ``t``; corner orbits have size 2 or
+4; each run of the walk ends on vertices and crosses arc 1 and arc
+``s + 1`` equally often; the black side of the walk sweeps the white
+side's edges; no cell straddles two gardens; and the park passes
+``validate_park`` and equals its JSON round trip.  Four checks remain,
+on what the construction relies on rather than implies: twice as many
+segments as vertices, the seam gluing, no arc lift on two edges, and the
+assembled genus.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, NonRealizableError
-from .monodromy import MonodromyRep, genus_from_counts, validate_genericity, validate_relations
+from .monodromy import (
+    MonodromyRep, _trusted, genus_from_counts, validate_genericity, validate_relations
+)
 from .park import (
     Alley,
     EntranceSignature,
@@ -80,7 +84,7 @@ from .park import (
     _ParkIndex,
     genus as park_genus,
 )
-from .permgroup import blacks, conjugate, cycles, orbits, whites
+from .permgroup import _cycles, _orbits, blacks, conjugate, whites
 
 #: An arc lift: (arc index 1..s+1, smaller element, larger element).
 Lift = tuple[int, int, int]
@@ -239,15 +243,9 @@ class _Extraction:
     def _build_faces(self) -> None:
         d = self.d
         c1 = self.c[0]
-        self.white_cells = [
-            FaceCell("white", cyc)
-            for cyc in cycles(self.e, restrict=whites(d), include_fixed=True)
-        ]
+        self.white_cells = [FaceCell("white", cyc) for cyc in _cycles(self.e, whites(d), True)]
         mirror_e = conjugate(self.e, c1)
-        self.black_cells = [
-            FaceCell("black", cyc)
-            for cyc in cycles(mirror_e, restrict=blacks(d), include_fixed=True)
-        ]
+        self.black_cells = [FaceCell("black", cyc) for cyc in _cycles(mirror_e, blacks(d), True)]
         # c_1 is a matching, so it carries each cycle of e on the whites
         # onto a cycle of c_1 e c_1 on the blacks: each black face is the
         # reflected image of exactly one white face.
@@ -263,7 +261,7 @@ class _Extraction:
         # x-orbit; each x moves one white pair, which lies in one orbit, so
         # the orbits' branch counts sum to t.
         white = whites(self.d)
-        node_orbits = orbits(list(self.m.x), self.n, restrict=white)
+        node_orbits = _orbits(self.m.x, self.n, white)
         orbit_of = {a: k for k, orbit in enumerate(node_orbits) for a in orbit}
         branches = Counter(orbit_of[next(a for a in white if x[a] != a)] for x in self.m.x)
         inside: list[list[FaceCell]] = [[] for _ in node_orbits]
@@ -309,7 +307,7 @@ class _Extraction:
         # matchings have size 2 or 4; the size-four ones are the vertices.
         for k in range(1, self.s + 1):
             table: dict[int, VertexCell] = {}
-            for orbit in orbits([self.c[k - 1], self.c[k]], self.n):
+            for orbit in _orbits([self.c[k - 1], self.c[k]], self.n, range(self.n)):
                 if len(orbit) == 4:
                     vertex = VertexCell(k, orbit)
                     self.vertices.append(vertex)
@@ -421,7 +419,7 @@ class _Extraction:
     # -- gardens -----------------------------------------------------------
 
     def _build_gardens(self) -> None:
-        components = orbits([self.e] + self.c, self.n)
+        components = _orbits([self.e] + self.c, self.n, range(self.n))
         self.garden_of: dict[int, int] = {}
         for g_idx, orbit in enumerate(components):
             for a in orbit:
@@ -505,7 +503,7 @@ def _assemble(ex: _Extraction) -> Park:
     chains in walk order, a black face's the reversed boundary of the
     white face it mirrors.  The involution pairs each white face with its
     mirror and each entrance with its exit, and fixes every edge, vertex
-    and garden, so every garden is orientable.
+    and garden, so every garden is orientable.  Records go through ``_trusted``.
     """
     face_ids = {
         cell: idx for idx, cell in enumerate(ex.white_cells + ex.black_cells, start=1)
@@ -530,11 +528,13 @@ def _assemble(ex: _Extraction) -> Park:
         a, b = face_ids[cell], face_ids[mirror]
         face_map[a], face_map[b] = b, a
     gardens = tuple(
-        Garden(
+        _trusted(
+            Garden,
             id=g_id,
             kind="orientable",
             faces=tuple(
-                Face(
+                _trusted(
+                    Face,
                     id=face_ids[cell],
                     color=cell.color,
                     degree=cell.degree,
@@ -543,7 +543,8 @@ def _assemble(ex: _Extraction) -> Park:
                 for cell in garden.faces
             ),
             edges=tuple(
-                GardenEdge(
+                _trusted(
+                    GardenEdge,
                     id=edge_ids[chain.lifts],
                     length=chain.length,
                     kind=chain.kind,
@@ -554,29 +555,37 @@ def _assemble(ex: _Extraction) -> Park:
                 for chain in garden.edges
             ),
             vertices=tuple(
-                GardenVertex(id=vertex_ids[vertex.key], corner_label=vertex.corner)
+                _trusted(
+                    GardenVertex,
+                    id=vertex_ids[vertex.key],
+                    corner_label=vertex.corner,
+                    pair_id=None,
+                )
                 for vertex in garden.vertices
             ),
+            partner_id=None,
         )
         for g_id, garden in enumerate(ex.gardens, start=1)
     )
     nodes = tuple(
-        ParkNode(id=node_ids[node], role=node.role, genus=node.signature.genus)
+        _trusted(ParkNode, id=node_ids[node], role=node.role, genus=node.signature.genus)
         for node in ex.entrances + ex.exit_nodes
     )
     # Faces are numbered in list order, one alley each, so alley ids follow.
     node_of_cell = {**ex.entrance_of_cell, **ex.exit_of_cell}
     alleys = tuple(
-        Alley(id=face_id, face_id=face_id, node_id=node_ids[node_of_cell[cell]])
+        _trusted(Alley, id=face_id, face_id=face_id, node_id=node_ids[node_of_cell[cell]])
         for cell, face_id in face_ids.items()
     )
-    return Park(
+    return _trusted(
+        Park,
         corner_points=ex.s,
         cone_points=ex.t,
         gardens=gardens,
         nodes=nodes,
         alleys=alleys,
-        involution=Involution(
+        involution=_trusted(
+            Involution,
             nodes=node_map,
             faces=face_map,
             edges={eid: eid for eid in edge_ids.values()},

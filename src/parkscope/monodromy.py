@@ -40,7 +40,6 @@ from . import permgroup as pg
 from .errors import NonRealizableError
 from .permgroup import Perm
 
-
 # ---------------------------------------------------------------------------
 # the representation
 # ---------------------------------------------------------------------------
@@ -55,7 +54,8 @@ class MonodromyRep:
     stored explicitly but is redundant given ``x`` (see :func:`derive_e`);
     ``e=None`` stores the derived value.  Construction coerces each
     generator once and validates shapes only; the defining conditions are
-    checked separately by :func:`validate_relations`.
+    checked separately by :func:`validate_relations`.  Enumeration builds
+    its own representations through :func:`_trusted` instead, unchecked.
     """
 
     degree: int
@@ -115,6 +115,17 @@ class MonodromyRep:
                 f"corner index {k} outside 1..{self.corner_points}"
             )
         return pg.compose(self.c[k - 1], self.c[k])
+
+
+def _trusted(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass ``cls`` with every field set as
+    given and no ``__post_init__`` run.  Only for records the library built
+    itself, whose fields are already the tuples, ints and dicts that the
+    checked constructor would make; a missing field raises ``KeyError``."""
+    record = object.__new__(cls)
+    for name in cls.__dataclass_fields__:
+        object.__setattr__(record, name, fields[name])
+    return record
 
 
 def derive_e(x: Sequence[Perm], degree: int) -> Perm:

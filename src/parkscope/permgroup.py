@@ -225,6 +225,11 @@ def cycles(
     else:
         domain = sorted(set(restrict))
         _check_closed(p, domain)
+    return _cycles(p, domain, include_fixed)
+
+
+def _cycles(p: Perm, domain: Sequence[int], include_fixed: bool) -> list[tuple[int, ...]]:
+    """:func:`cycles` on an increasing ``domain`` closed under ``p``, unchecked."""
     seen = [False] * len(p)
     out: list[tuple[int, ...]] = []
     for start in domain:
@@ -298,6 +303,11 @@ def orbits(
             raise ValueError(f"generator acts on {len(g)} elements, expected {n}")
         if restrict is not None:
             _check_closed(g, domain)
+    return _orbits(gens, n, domain)
+
+
+def _orbits(gens: Sequence[Perm], n: int, domain: Sequence[int]) -> list[tuple[int, ...]]:
+    """:func:`orbits` on an increasing ``domain`` closed under ``gens``, unchecked."""
     if not gens:
         return [(a,) for a in domain]
     # Walking the domain upwards, each unseen element is the least of its

@@ -552,6 +552,20 @@ def test_enumeration_calls_no_validator(monkeypatch, cell):
     ]
 
 
+def test_enumerated_reps_equal_checked_build():
+    """Enumeration builds its reps unchecked, through ``monodromy._trusted``:
+    on every cell with d <= 3 and t + s <= 5, each one equals what the
+    checked constructor makes of its fields, with ``e`` given or derived,
+    hashes alike, and holds tuples of ints."""
+    for m in enumerated_reps(3, 5):
+        rebuilt = build(m.degree, m.x, m.c, m.e)
+        assert m == rebuilt == build(m.degree, m.x, m.c)
+        assert hash(m) == hash(rebuilt)
+        assert type(m.x) is tuple and type(m.c) is tuple
+        for p in (*m.x, m.e, *m.c):
+            assert type(p) is tuple and all(type(a) is int for a in p)
+
+
 def test_unrealizable_class_kept_separate(unrealizable_rep):
     result = enumerate_monodromies(2, 1, 1, dedup="park")
     assert result.class_count == 1

@@ -24,7 +24,7 @@ from parkscope import (
 )
 from parkscope import extraction, park as park_module
 from parkscope.extraction import _Extraction, _monodromy_to_park
-from parkscope.park import Alley, euler_characteristic, to_json_dict
+from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
 
 from conftest import (
     assemble_park,
@@ -390,6 +390,20 @@ def test_park_bytes_are_pinned():
         digest.update(hashlib.sha256(text.encode()).digest())
     assert (len(reps), realized) == (3114, 2496)
     assert digest.hexdigest() == GOLDEN_PARK_DIGEST
+
+
+def test_assembled_parks_equal_their_json_round_trip():
+    """``_assemble`` builds every park record unchecked, through
+    ``monodromy._trusted``: each park of the pinned sweep equals the park
+    that the checked constructors make from its JSON, so no field holds a
+    list, say, where they would make a tuple."""
+    parks = [park for _, park in realized_reps(3, 5)]
+    for cell in ((4, 3, 0), (4, 4, 0)):
+        reps = [cls.representative for cls in enumerate_monodromies(*cell).classes]
+        parks += [monodromy_to_park(rep) for rep in reps]
+    assert len(parks) == 2496
+    for park in parks:
+        assert park == from_json_dict(to_json_dict(park))
 
 
 def test_extraction_is_deterministic(chord_rep):

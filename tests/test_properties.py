@@ -21,7 +21,7 @@ from parkscope import (
 from parkscope.cli import main
 from parkscope.equivalence import _merge_signature, _park_isomorphism
 from parkscope.park import _ParkIndex
-from parkscope.permgroup import cycles, orbits
+from parkscope.permgroup import _cycles, _orbits, cycles, orbits
 
 from conftest import (
     EXAMPLE_PARK_PATH,
@@ -190,6 +190,26 @@ def test_orbits_and_cycles_match_fixed_point_closure(data):
     for p in gens:
         got = cycles(p, restrict=restrict, include_fixed=include_fixed)
         assert got == _naive_cycles(p, domain, include_fixed)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(data=st.data())
+def test_orbit_and_cycle_cores_match_checked_functions(data):
+    """The unchecked cores ``_orbits`` and ``_cycles`` give what ``orbits``
+    and ``cycles`` give on the whole ground set and on a closed restriction."""
+    n = data.draw(st.integers(0, 8))
+    gens = data.draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+    include_fixed = data.draw(st.booleans())
+    everything = orbits(gens, n)
+    chosen = data.draw(st.lists(st.sampled_from(everything), unique=True)) if everything else []
+    restrict = data.draw(st.permutations([a for orbit in chosen for a in orbit]))
+    domain = sorted(restrict)
+    assert _orbits(gens, n, range(n)) == orbits(gens, n)
+    assert _orbits(gens, n, domain) == orbits(gens, n, restrict=restrict)
+    for p in gens:
+        assert _cycles(p, range(n), include_fixed) == cycles(p, include_fixed=include_fixed)
+        got = _cycles(p, domain, include_fixed)
+        assert got == cycles(p, restrict=restrict, include_fixed=include_fixed)
 
 
 _REP_DOCUMENTS = [json.loads(EXAMPLE_REP_PATH.read_text())] + [
