@@ -291,7 +291,14 @@ def _info_park(args, obj: Any, out: _Output) -> int:
             {"command": "info", "schema": "park", "ok": False},
         )
     built = index.park
-    summary = park.type_summary(built)
+    try:
+        summary = park.type_summary(built)
+    except NonRealizableError as exc:
+        raise _CliFailure(
+            EXIT_NEGATIVE,
+            f"{args.file}: {exc}",
+            {"command": "info", "schema": "park", "ok": False},
+        ) from exc
     payload = {
         "command": "info",
         "schema": "park",

@@ -37,7 +37,7 @@ relation holds by how the chain and the completions are made, and only
 the transitivity of a disconnected skeleton is checked.  Input is
 validated at the public entry points only: enumeration and ``classify``
 extract, key and merge through the unvalidated cores
-``_monodromy_to_park``, ``_canonical_keys`` and ``_park_isomorphism``.
+``_monodromy_to_park``, ``_canonical_keys`` and ``_index_isomorphism``.
 Enumeration and ``classify`` merge parks through one helper,
 ``_isomorphism_groups``, which searches a park only against earlier parks
 of equal ``_merge_signature``: an invariant of park isomorphism built from
@@ -137,18 +137,11 @@ def park_isomorphic(
     return _index_isomorphism(_validated_index(p1), _validated_index(p2), allow_reflection)
 
 
-def _park_isomorphism(
-    p1: Park, p2: Park, allow_reflection: bool = False
-) -> ParkIsomorphism | None:
-    """:func:`park_isomorphic` on parks known to validate."""
-    return _index_isomorphism(_ParkIndex(p1), _ParkIndex(p2), allow_reflection)
-
-
 def _index_isomorphism(
     src: _ParkIndex, dst: _ParkIndex, allow_reflection: bool = False
 ) -> ParkIsomorphism | None:
-    """:func:`_park_isomorphism` on the parks' indexes, which the park
-    merge builds once per park."""
+    """:func:`park_isomorphic` on the indexes of parks known to validate,
+    which the park merge builds once per park."""
     p1, p2 = src.park, dst.park
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
@@ -189,7 +182,7 @@ def _merge_signature(index: _ParkIndex) -> tuple:
     * a node is its role and genus with its attached faces, each together
       with its garden.
 
-    That is what :func:`_park_isomorphism` keeps without a reflection, for
+    That is what :func:`_index_isomorphism` keeps without a reflection, for
     the fine parks extraction builds, so parks of unequal signature never
     match.  It holds no ids.  ``index`` is the park's ``_ParkIndex``."""
     s = index.park.corner_points
@@ -608,7 +601,7 @@ def enumerate_monodromies(
     representation through ``monodromy._trusted``.  Orbits and cycles come
     from the unchecked ``permgroup`` cores.  ``dedup`` goes through the
     unvalidated ``_canonical_keys``, ``_monodromy_to_park`` and
-    ``_park_isomorphism``.  The chains grow depth first from shared
+    ``_index_isomorphism``.  The chains grow depth first from shared
     prefixes.  The keys are taken in one batch, once per distinct
     ``(c[1], x, e)`` for the first two stages; the park merge searches each
     class's park only against earlier parks of equal ``_merge_signature``

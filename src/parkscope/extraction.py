@@ -38,25 +38,24 @@ park to itself with colors swapped.
    critical-value count, raises :class:`NonRealizableError` (also for an
    odd critical-value count or an impossible node weight);
 3. **exits, boundary walk and gardens**, for realizable data only;
-4. **assembly** into a park, whose genus is checked against the cells'.
+4. **assembly** into a park.
 
 Representations are validated at the public entry points only
 (``monodromy_to_park`` and the ``extract_*`` functions);
 ``_monodromy_to_park`` is the unvalidated core for callers that built or
-validated the data themselves.  Valid generic input is trusted, and so
-is the park assembled from it: the ``_build_*`` stages use the unchecked
-``permgroup`` cores, and ``_assemble`` makes the park records through
-``monodromy._trusted``.  These facts hold by construction and are pinned
-by the tests rather than re-checked: ``c_1`` carries each white face
-onto one black face; each white face lies inside one entrance orbit, and
-the entrances' branch counts sum to ``t``; corner orbits have size 2 or
-4; each run of the walk ends on vertices and crosses arc 1 and arc
-``s + 1`` equally often; the black side of the walk sweeps the white
+validated the data themselves.  Past that gate nothing is re-checked: the
+``_build_*`` stages use the unchecked ``permgroup`` cores, and
+``_assemble`` makes the park records through ``monodromy._trusted``.
+What valid generic input and the construction imply is pinned by the
+tests instead: ``c_1`` carries each white face onto one black face; each
+white face lies inside one entrance orbit, and the entrances' branch
+counts sum to ``t``; corner orbits have size 2 or 4, and segments number
+twice the vertices; the seam relation holds at every element; the walk's
+runs end on vertices, cross arc 1 and arc ``s + 1`` equally often and
+hold each arc lift once; the black side of the walk sweeps the white
 side's edges; no cell straddles two gardens; and the park passes
-``validate_park`` and equals its JSON round trip.  Four checks remain,
-on what the construction relies on rather than implies: twice as many
-segments as vertices, the seam gluing, no arc lift on two edges, and the
-assembled genus.
+``validate_park``, equals its JSON round trip and has the genus of the
+cheap cells.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, NonRealizableError
+from .errors import NonRealizableError
 from .monodromy import (
     MonodromyRep, _trusted, genus_from_counts, validate_genericity, validate_relations
 )
@@ -82,7 +81,6 @@ from .park import (
     _genus_of_characteristic,
     _park_morphism,
     _ParkIndex,
-    genus as park_genus,
 )
 from .permgroup import _cycles, _orbits, blacks, conjugate, whites
 
@@ -221,20 +219,9 @@ class _Extraction:
         self._build_corners()
 
     def finish(self) -> _Extraction:
-        """Build exits, the boundary walk and the gardens; returns ``self``.
-
-        Raises :class:`InconsistencyError` when the segment edges are not
-        twice the vertices.  That, and the exits mirroring the entrances,
-        which holds by construction, is what :meth:`euler_characteristic`
-        rests on.
-        """
+        """Build exits, the boundary walk and the gardens; returns ``self``."""
         self._build_exits()
         self._build_walk()
-        segments = sum(1 for chain in self.chains if chain.kind == "segment")
-        if segments != 2 * len(self.vertices):
-            raise InconsistencyError(
-                f"{segments} segment edges join {len(self.vertices)} four-ended vertices"
-            )
         self._build_gardens()
         return self
 
@@ -318,28 +305,39 @@ class _Extraction:
 
     # -- the boundary walk, runs, edges and face boundaries -----------------
 
-    def _lift(self, i: int, a: int) -> Lift:
-        b = self.c[i - 1][a]
-        return (i, min(a, b), max(a, b))
-
     def _build_walk(self) -> None:
         s = self.s
-        # Seam coherence: stepping the white flank with e and mirroring by
-        # c_1 matches stepping the black flank with e directly.
-        for w in whites(self.d):
-            if self.c[0][self.e[w]] != self.e[self.c[s][w]]:
-                raise InconsistencyError(
-                    f"seam gluing is inconsistent at white element {w}"
-                )
         # The walk crosses arcs 1..s+1 at each element, then steps by e, so
-        # each white face is one walk cycle.  The black side sweeps the same
-        # edges the other way, so the white side alone gives them.
-        runs: list[tuple[FaceCell, list[Item], bool]] = []
+        # each white face is one walk cycle, and its runs in walk order are
+        # its chains: its boundary.  The black side sweeps the same edges
+        # the other way, so the white side alone gives them.
+        chains: list[EdgeChain] = []
+        self.face_chains: dict[FaceCell, list[EdgeChain]] = {}
         for cell in self.white_cells:
             cycle = [(i, a) for a in cell.elements for i in range(1, s + 2)]
-            cycle_runs, is_loop = self._split_runs(cycle)
-            runs.extend((cell, run, is_loop) for run in cycle_runs)
-        self._assemble_edges(runs)
+            runs, is_loop = self._split_runs(cycle)
+            for run in runs:
+                # A white element is the smaller end of its lift.
+                lifts = tuple((i, a, self.c[i - 1][a]) for i, a in run)
+                if is_loop:
+                    kind = "loop"
+                    ends = None
+                else:
+                    # A run starts just past a vertex crossing and ends on one.
+                    kind = "segment"
+                    (i1, a1), (im, am) = run[0], run[-1]
+                    ends = (
+                        self.vertex_elements[i1 - 1][a1].key,
+                        self.vertex_elements[im][am].key,
+                    )
+                # Arc s+1 is arc 1 across the seam, and every run crosses both
+                # equally often, so the length counts over arcs 1..s only.
+                counts = Counter(i for i, _, _ in lifts)
+                length = min((counts[i] for i in range(1, s + 1)), default=len(lifts))
+                chain = EdgeChain(lifts, kind, length, ends)
+                chains.append(chain)
+                self.face_chains.setdefault(cell, []).append(chain)
+        self.chains = sorted(chains, key=lambda chain: chain.key)
 
     def _split_runs(self, cycle: list[Item]) -> tuple[list[list[Item]], bool]:
         """Cut one walk cycle at its vertex crossings.
@@ -368,37 +366,6 @@ class _Extraction:
         # Runs are listed in walk order, starting after the first crossing.
         return runs, False
 
-    def _assemble_edges(self, runs: list[tuple[FaceCell, list[Item], bool]]) -> None:
-        chains: list[EdgeChain] = []
-        self.edge_of_lift: dict[Lift, EdgeChain] = {}
-        # Each white face's chains in walk order: its boundary.
-        self.face_chains: dict[FaceCell, list[EdgeChain]] = {}
-        for cell, run, is_loop in runs:
-            lifts = tuple(self._lift(i, a) for i, a in run)
-            if is_loop:
-                kind = "loop"
-                ends = None
-            else:
-                # A run starts just past a vertex crossing and ends on one.
-                kind = "segment"
-                (i1, a1), (im, am) = run[0], run[-1]
-                ends = (
-                    self.vertex_elements[i1 - 1][a1].key,
-                    self.vertex_elements[im][am].key,
-                )
-            # Arc s+1 is arc 1 across the seam, and every run crosses both
-            # equally often, so the length counts over arcs 1..s only.
-            counts = Counter(i for i, _, _ in lifts)
-            length = min((counts[i] for i in range(1, self.s + 1)), default=len(lifts))
-            chain = EdgeChain(lifts, kind, length, ends)
-            chains.append(chain)
-            self.face_chains.setdefault(cell, []).append(chain)
-            for lift in lifts:
-                if lift in self.edge_of_lift:
-                    raise InconsistencyError(f"arc lift {lift} lies on two edges")
-                self.edge_of_lift[lift] = chain
-        self.chains = sorted(chains, key=lambda chain: chain.key)
-
     # -- the closed surface ------------------------------------------------
 
     def euler_characteristic(self) -> int:
@@ -407,10 +374,9 @@ class _Extraction:
 
         On the park it is vertices minus segment edges, plus ``2 - 2g``
         per node, minus one boundary circle per face (each face is one
-        alley).  Exits mirror entrances by construction and segments
-        number twice the vertices (:meth:`finish` checks it), which
-        leaves twice the entrances' ``2 - 2g``, minus the vertices, minus
-        the faces.
+        alley).  Exits mirror entrances and segments number twice the
+        vertices, both by construction, which leaves twice the entrances'
+        ``2 - 2g``, minus the vertices, minus the faces.
         """
         entrances = sum(2 - 2 * node.signature.genus for node in self.entrances)
         faces = len(self.white_cells) + len(self.black_cells)
@@ -634,13 +600,7 @@ def _monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    park = _assemble(ex.finish())
-    assembled_genus = park_genus(park)
-    if assembled_genus != built_genus:
-        raise InconsistencyError(
-            f"assembled park has genus {assembled_genus}, its cells give {built_genus}"
-        )
-    return park
+    return _assemble(ex.finish())
 
 
 # ---------------------------------------------------------------------------

@@ -706,7 +706,9 @@ def validate_park(park: Park) -> ParkReport:
     Checks that need face boundary data (the four-edge-ends rule and
     opposite-color adjacency) run only when the park is fine.
     """
-    return _index_report(_ParkIndex(park))
+    index = _ParkIndex(park)
+    index.check_references()
+    return _index_report(index)
 
 
 def _validated_index(park: Park) -> _ParkIndex:
@@ -714,6 +716,7 @@ def _validated_index(park: Park) -> _ParkIndex:
     ``ValueError`` naming the first violations otherwise.  The one gate of
     the public functions that take parks."""
     index = _ParkIndex(park)
+    index.check_references()
     report = _index_report(index)
     if not report:
         raise ValueError(
@@ -724,9 +727,8 @@ def _validated_index(park: Park) -> _ParkIndex:
 
 
 def _index_report(index: _ParkIndex) -> ParkReport:
-    """:func:`validate_park` on the park's index."""
+    """:func:`validate_park` on a park index whose references resolve."""
     park = index.park
-    index.check_references()
     violations: list[tuple[str, str]] = []
 
     def flag(code: str, detail: str) -> None:

@@ -34,6 +34,8 @@ from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import (
     EntranceSignature,
     Park,
+    _genus_of_characteristic,
+    euler_characteristic as park_euler_characteristic,
     from_json_dict,
     genus as park_genus,
     rotations_equal,
@@ -344,16 +346,19 @@ def check_extraction(m) -> Park | None:
     and the branch counts sum to ``t``.  ``c_1`` carries each white face
     onto one black face, each black face the image of one white face.
     Every corner orbit has size 2 or 4, and the size-four ones are the
-    vertices.  Each white walk cycle, cut at its vertex crossings, is the
-    chain list of its face, and each segment starts and ends on the
-    vertices it names.  Each walk cycle of the black side sweeps a
-    white-side chain: a segment in the same order, a loop up to rotation.
-    Every chain crosses arc 1 and arc ``s + 1`` equally often, and its
-    length is its least count over arcs ``1..s``.  Every arc carries ``d``
-    lifts.  No face, edge or vertex straddles two gardens, and each garden
-    lists the cells that one filter per garden finds.  The mirrored exits
+    vertices; segments number twice the vertices.  The seam relation
+    ``c_1 = e c_{s+1} e^-1`` holds at every element.  Each lift of each
+    arc lies on exactly one chain.  Each white walk cycle, cut at its
+    vertex crossings, is the chain list of its face, and each segment
+    starts and ends on the vertices it names.  Each walk cycle of the
+    black side sweeps a white-side chain: a segment in the same order, a
+    loop up to rotation.  Every chain crosses arc 1 and arc ``s + 1``
+    equally often, and its length is its least count over arcs ``1..s``.
+    No face, edge or vertex straddles two gardens, and each garden lists
+    the cells that one filter per garden finds.  The mirrored exits
     equal the exits built from orbits.  A realized park passes
-    ``validate_park``; its gardens are all orientable, unpartnered and
+    ``validate_park`` and has the Euler characteristic, so the genus, of
+    the cheap cells; its gardens are all orientable, unpartnered and
     have an edge each, no vertex names a pair, and the involution fixes
     every edge, vertex and garden.
     """
@@ -377,10 +382,18 @@ def check_extraction(m) -> Park | None:
     assert vertex_of == {
         (vertex.corner, a): vertex.key for vertex in ex.vertices for a in vertex.elements
     }
+    assert sum(chain.kind == "segment" for chain in ex.chains) == 2 * len(ex.vertices)
+    for a in range(ex.n):  # the seam relation c_1 = e c_{s+1} e^-1
+        assert c1[ex.e[a]] == ex.e[ex.c[ex.s][a]], a
+    chain_of = {item: chain for chain in ex.chains for item in chain.lifts}
+    assert len(chain_of) == sum(len(chain.lifts) for chain in ex.chains)
+    assert set(chain_of) == {
+        lift(ex, i, a) for i in range(1, ex.s + 2) for a in whites(ex.d)
+    }
     faces_by_key = {cell.key: cell for cell in ex.white_cells}
     for cycle in walk_cycles(ex, whites(ex.d)):
         runs = split_runs(cycle, vertex_of)
-        chains = [ex.edge_of_lift[lift(ex, *run[0])] for run in runs]
+        chains = [chain_of[lift(ex, *run[0])] for run in runs]
         assert chains == ex.face_chains[faces_by_key[cycle[0][1]]], cycle
         for run, chain in zip(runs, chains):
             if chain.kind == "segment":
@@ -389,7 +402,7 @@ def check_extraction(m) -> Park | None:
     for cycle in walk_cycles(ex, blacks(ex.d)):
         for run in split_runs(cycle, vertex_of):
             lifts = tuple(lift(ex, i, a) for i, a in run)
-            chain = ex.edge_of_lift.get(lifts[0])
+            chain = chain_of.get(lifts[0])
             assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
             if chain.kind == "segment":
                 assert lifts == chain.lifts, run
@@ -400,8 +413,6 @@ def check_extraction(m) -> Park | None:
         assert counts[1] == counts[ex.s + 1], chain
         arcs = [counts[i] for i in range(1, ex.s + 1)] or [len(chain.lifts)]
         assert chain.length == min(arcs), chain
-    for i in range(1, ex.s + 2):
-        assert sum(1 for lift in ex.edge_of_lift if lift[0] == i) == ex.d, f"arc {i}"
     for cell in ex.white_cells + ex.black_cells:
         assert len({ex.garden_of[a] for a in cell.elements}) == 1, cell
     for chain in ex.chains:
@@ -426,6 +437,8 @@ def check_extraction(m) -> Park | None:
         return None
     report = validate_park(park)
     assert report, report.violations
+    assert park_euler_characteristic(park) == ex.euler_characteristic()
+    assert park_genus(park) == _genus_of_characteristic(ex.euler_characteristic())
     for garden in park.gardens:
         assert (garden.kind, garden.partner_id) == ("orientable", None), garden.id
         assert garden.edges, garden.id

@@ -13,6 +13,7 @@ from conftest import (
     EXAMPLE_REP_PATH,
     make_loop3_rep,
     make_unrealizable_rep,
+    realized_reps,
     run_cli,
 )
 
@@ -119,6 +120,33 @@ def test_info_json_fields(capsys):
     assert (payload["degree"], payload["genus"]) == (4, 1)
     assert payload["critical_values"] == 8
     assert len(payload["node_signatures"]) == 4
+
+
+def test_info_park_closing_to_no_surface(tmp_path, capsys):
+    """A coarse park that validates but whose Euler characteristic, 3, no
+    closed orientable surface has: ``info`` answers no, never a traceback."""
+    built = next(
+        found
+        for rep, found in realized_reps(3, 3)
+        if (rep.degree, rep.cone_points, rep.corner_points) == (3, 1, 2)
+    )
+    obj = park.to_json_dict(built)
+    for garden in obj["gardens"]:
+        for face in garden["faces"]:
+            face["boundary"] = []
+    obj["gardens"][0]["vertices"].append({"id": 99, "corner": 1, "pair": None})
+    obj["involution"]["vertices"]["99"] = 99
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate-park", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["info", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    message = f"{path}: no closed orientable surface has Euler characteristic 3"
+    assert json.loads(captured.out) == {
+        "command": "info", "schema": "park", "ok": False, "error": message
+    }
+    assert captured.err.strip() == message
 
 
 def test_info_unknown_schema(tmp_path, capsys):

@@ -236,19 +236,20 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
         except NonRealizableError:
             parks.append((cls, None))
     realized = [park for _, park in parks if park is not None]
-    signatures = [equivalence._merge_signature(_ParkIndex(park)) for park in realized]
+    indexes = [_ParkIndex(park) for park in realized]
+    signatures = [equivalence._merge_signature(index) for index in indexes]
     for a, b in combinations(range(len(realized)), 2):
-        matched = equivalence._park_isomorphism(realized[a], realized[b]) is not None
+        matched = equivalence._index_isomorphism(indexes[a], indexes[b]) is not None
         # equal for every match; on these cells also apart for every miss,
         # so the merge runs no search that cannot succeed
         assert (signatures[a] == signatures[b]) == matched, cell
     s = cell[2]
-    for park, signature in zip(realized, signatures):
+    for park, index, signature in zip(realized, indexes, signatures):
         # the merge matches across global cyclic rotations of the corner
         # labels, so the signature must not change under any of them
         for rotation in range(1, s):
             rotated = _recornered(park, lambda c: (c - 1 + rotation) % s + 1, reverse=False)
-            assert equivalence._park_isomorphism(rotated, park)
+            assert equivalence._index_isomorphism(_ParkIndex(rotated), index)
             assert equivalence._merge_signature(_ParkIndex(rotated)) == signature
     # oracle: the plain pairwise merge over the same parks
     merged = []

@@ -1,8 +1,11 @@
 """The README's code examples run as written."""
 
 import re
+import shlex
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, run_cli
+
+CLI = "python3 -m parkscope.cli "
 
 
 def test_readme_python_blocks_run():
@@ -13,3 +16,32 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec", optimize=0), {})
+
+
+def test_readme_shell_examples_run(tmp_path):
+    """Every CLI command of the README's ``sh`` blocks exits 0, with
+    ``/tmp/park.json`` moved into a temporary directory, and prints the
+    ``# ...`` lines below it; a last line ending in ``...`` is a prefix of
+    the rest of the output."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    examples: list[tuple[str, list[str]]] = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith(CLI):
+                examples.append((line, []))
+            elif line.startswith("# ") and examples:
+                examples[-1][1].append(line[2:])
+    assert len(examples) == 7
+    park_path = str(tmp_path / "park.json")
+    for command, expected in examples:
+        args = shlex.split(command.replace("/tmp/park.json", park_path))[3:]
+        result = run_cli(args)
+        assert result.returncode == 0, (command, result.stderr)
+        out = result.stdout.decode()
+        if not expected:
+            continue
+        wanted = "\n".join(expected)
+        if wanted.endswith("..."):
+            assert out.startswith(wanted[:-3].rstrip()), (command, out)
+        else:
+            assert out == wanted + "\n", (command, out)
