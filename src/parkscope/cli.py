@@ -175,8 +175,7 @@ def _cmd_validate(args, out: _Output) -> int:
 
 def _cmd_extract(args, out: _Output) -> int:
     rep = _load_monodromy(args.monodromy, args.max_sheets)
-    relations = monodromy.validate_relations(rep)
-    genericity = monodromy.validate_genericity(rep)
+    relations, genericity = monodromy._generic_reports(rep)
     if not (relations and genericity):
         problems = list(relations.failures) + list(genericity.violations)
         detail = "; ".join(f"{a}: {b}" for a, b in problems[:3])
@@ -186,7 +185,7 @@ def _cmd_extract(args, out: _Output) -> int:
             {"command": "extract", "ok": False},
         )
     try:
-        built = extraction._monodromy_to_park(rep)
+        built = extraction.monodromy_to_park(rep)
     except NonRealizableError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE,

@@ -34,10 +34,13 @@ park, are filled with one representative completion per white skeleton
 (with a bridging search when needed for transitivity).  Enumeration
 validates nothing, because it builds valid generic data: each defining
 relation holds by how the chain and the completions are made, and only
-the transitivity of a disconnected skeleton is checked.  Input is
-validated at the public entry points only: enumeration and ``classify``
-extract, key and merge through the unvalidated cores
-``_monodromy_to_park``, ``_canonical_keys`` and ``_index_isomorphism``.
+the transitivity of a disconnected skeleton is checked; the
+representations it builds are marked valid and generic.  Input is
+validated at the public entry points, once per representation (see
+``monodromy._generic_reports``): enumeration and ``classify`` extract
+through the public ``monodromy_to_park``, which sees their marks and
+checks nothing again, and key and merge through the unvalidated cores
+``_canonical_keys`` and ``_index_isomorphism``.
 Enumeration and ``classify`` merge parks through one helper,
 ``_isomorphism_groups``, which searches a park only against earlier parks
 of equal ``_merge_signature``: an invariant of park isomorphism built from
@@ -53,14 +56,8 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
-from .extraction import _monodromy_to_park
-from .monodromy import (
-    MonodromyRep,
-    _trusted,
-    derive_e,
-    validate_genericity,
-    validate_relations,
-)
+from .extraction import monodromy_to_park
+from .monodromy import MonodromyRep, _generic_reports, _generic_trusted
 from .park import Park, _park_morphism, _ParkIndex, _validated_index
 from .permgroup import (
     Perm,
@@ -231,7 +228,7 @@ def _merge_signature(index: _ParkIndex) -> tuple:
 def _park_or_none(m: MonodromyRep) -> Park | None:
     """The park of a valid generic ``m``, or ``None`` when it has none."""
     try:
-        return _monodromy_to_park(m)
+        return monodromy_to_park(m)
     except NonRealizableError:
         return None
 
@@ -273,9 +270,10 @@ class EquivalenceWitness:
 
 
 def _require_generic(m: MonodromyRep) -> None:
-    if not validate_relations(m):
+    relations, genericity = _generic_reports(m)
+    if not relations:
         raise ValueError("representation fails relation validation")
-    if not validate_genericity(m):
+    if not genericity:
         raise ValueError("representation is not generic")
 
 
@@ -375,8 +373,9 @@ def canonical_form(m: MonodromyRep) -> str:
     It is taken in stages (orbit system, then ``e``, then reflections) by
     the batch engine that enumeration and ``classify`` use, which shares
     the first two stages among representations with the same
-    ``(c[1], x, e)``.  ``m`` is validated here; enumeration skips that for
-    what it built.
+    ``(c[1], x, e)``.  ``m`` is validated here, once: a rep that
+    enumeration built, or that passed an earlier public gate, is not
+    checked again.
     """
     _require_generic(m)
     return next(_canonical_keys((m,)))
@@ -533,14 +532,12 @@ def _complete_skeleton(
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
             return None
-        return _trusted(MonodromyRep, degree=d, x=(), e=derive_e((), d), c=tuple(chain))
+        return _generic_trusted(d, (), tuple(chain))
     black_target = _black_product_target(d, chain, white_xs)
     for betas in _beta_candidates(d, t, black_target, components):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
         if len(components) == 1 or is_transitive(xs + chain, 2 * d):
-            return _trusted(
-                MonodromyRep, degree=d, x=tuple(xs), e=derive_e(xs, d), c=tuple(chain)
-            )
+            return _generic_trusted(d, tuple(xs), tuple(chain))
     return None
 
 
@@ -598,11 +595,12 @@ def enumerate_monodromies(
     ``derive_e``, the seam through ``_black_product_target``, and
     transitivity for connected skeletons and ``t >= 4`` bridging;
     ``_complete_skeleton`` checks it for the rest and builds each
-    representation through ``monodromy._trusted``.  Orbits and cycles come
-    from the unchecked ``permgroup`` cores.  ``dedup`` goes through the
-    unvalidated ``_canonical_keys``, ``_monodromy_to_park`` and
-    ``_index_isomorphism``.  The chains grow depth first from shared
-    prefixes.  The keys are taken in one batch, once per distinct
+    representation through ``monodromy._generic_trusted``, unchecked and
+    marked valid and generic.  Orbits and cycles come from the unchecked ``permgroup``
+    cores.  ``dedup`` goes through the unvalidated ``_canonical_keys`` and
+    ``_index_isomorphism``, and through ``monodromy_to_park``, which checks
+    nothing on a marked representation.  The chains grow depth first from
+    shared prefixes.  The keys are taken in one batch, once per distinct
     ``(c[1], x, e)`` for the first two stages; the park merge searches each
     class's park only against earlier parks of equal ``_merge_signature``
     (see ``_isomorphism_groups``), so classes keep their first-seen order.

@@ -41,11 +41,13 @@ park to itself with colors swapped.
 4. **assembly** into a park.
 
 Representations are validated at the public entry points only
-(``monodromy_to_park`` and the ``extract_*`` functions);
-``_monodromy_to_park`` is the unvalidated core for callers that built or
-validated the data themselves.  Past that gate nothing is re-checked: the
-``_build_*`` stages use the unchecked ``permgroup`` cores, and
-``_assemble`` makes the park records through ``monodromy._trusted``.
+(``monodromy_to_park`` and the ``extract_*`` functions), through
+``monodromy._generic_reports``, which checks each representation once:
+the ones enumeration builds arrive marked valid and generic, and any
+other is marked the first time it passes.  Past that gate nothing is
+re-checked: the ``_build_*`` stages use the unchecked ``permgroup``
+cores, and ``_assemble`` makes the park records through
+``monodromy._trusted``.
 What valid generic input and the construction imply is pinned by the
 tests instead: ``c_1`` carries each white face onto one black face; each
 white face lies inside one entrance orbit, and the entrances' branch
@@ -64,9 +66,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NonRealizableError
-from .monodromy import (
-    MonodromyRep, _trusted, genus_from_counts, validate_genericity, validate_relations
-)
+from .monodromy import MonodromyRep, _generic_reports, _trusted, genus_from_counts
 from .park import (
     Alley,
     EntranceSignature,
@@ -176,13 +176,12 @@ class GardenCell:
 
 
 def _require_valid_generic(m: MonodromyRep) -> None:
-    rel = validate_relations(m)
+    rel, gen = _generic_reports(m)
     if not rel:
         raise ValueError(
             "monodromy fails relation validation: "
             + "; ".join(f"{label}: {detail}" for label, detail in rel.failures[:3])
         )
-    gen = validate_genericity(m, mode="geometric")
     if not gen:
         raise ValueError(
             "monodromy is not generic: "
@@ -578,16 +577,11 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     exits, boundary walk and gardens, for realizable data only; then
     assembly.  A park that is returned passes :func:`validate_park`; the
     tests pin that, so it is not re-checked here.
-    ``m`` is validated here; enumeration and ``classify`` skip that for
-    data they built or validated themselves.
+    ``m`` is validated here, and each rep is checked once: a rep that
+    enumeration built, or that passed an earlier public gate, is not
+    checked again.
     """
     _require_valid_generic(m)
-    return _monodromy_to_park(m)
-
-
-def _monodromy_to_park(m: MonodromyRep) -> Park:
-    """:func:`monodromy_to_park` of a representation known to be valid
-    and generic."""
     ex = _Extraction(m)
     chi = ex.euler_characteristic()
     built_genus = _genus_of_characteristic(chi)

@@ -55,13 +55,24 @@ class MonodromyRep:
     ``e=None`` stores the derived value.  Construction coerces each
     generator once and validates shapes only; the defining conditions are
     checked separately by :func:`validate_relations`.  Enumeration builds
-    its own representations through :func:`_trusted` instead, unchecked.
+    its own representations through :func:`_generic_trusted` instead,
+    unchecked and marked valid and generic; any other representation is checked
+    once, the first time a public entry point that needs valid generic
+    data sees it (see :func:`_generic_reports`).  The mark is not a field:
+    equality, hashing, ``repr`` and the JSON form ignore it, and
+    ``dataclasses.replace``, :func:`conjugate_rep` and
+    :func:`from_json_dict` make unmarked objects.
     """
 
     degree: int
     x: tuple[Perm, ...]
     e: Perm | None
     c: tuple[Perm, ...]
+
+    # Not annotated, so not a field: set on an instance by
+    # _generic_reports once it passed both validators, or by
+    # _generic_trusted for what enumeration built.
+    _valid_generic = False
 
     def __post_init__(self) -> None:
         if (
@@ -126,6 +137,15 @@ def _trusted(cls: type, **fields: Any) -> Any:
     for name in cls.__dataclass_fields__:
         object.__setattr__(record, name, fields[name])
     return record
+
+
+def _generic_trusted(degree: int, x: tuple[Perm, ...], c: tuple[Perm, ...]) -> MonodromyRep:
+    """A representation enumeration built valid and generic: made through
+    :func:`_trusted` with ``e`` from :func:`derive_e`, and marked, so that
+    :func:`_generic_reports` never checks it."""
+    m = _trusted(MonodromyRep, degree=degree, x=x, e=derive_e(x, degree), c=c)
+    object.__setattr__(m, "_valid_generic", True)
+    return m
 
 
 def derive_e(x: Sequence[Perm], degree: int) -> Perm:
@@ -322,6 +342,24 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityR
             )
 
     return GenericityReport(ok=not violations, mode=mode, violations=tuple(violations))
+
+
+_RELATIONS_OK = RelationReport(ok=True, failures=())
+_GENERICITY_OK = GenericityReport(ok=True, mode="geometric", violations=())
+
+
+def _generic_reports(m: MonodromyRep) -> tuple[RelationReport, GenericityReport]:
+    """:func:`validate_relations` and geometric :func:`validate_genericity`
+    of ``m``, run at most once per object: when both pass, ``m`` is marked,
+    and a marked ``m`` gets the two ok reports back without a re-check.
+    The gate of every public entry point that needs valid generic data."""
+    if m._valid_generic:
+        return _RELATIONS_OK, _GENERICITY_OK
+    relations = validate_relations(m)
+    genericity = validate_genericity(m, "geometric")
+    if relations and genericity:
+        object.__setattr__(m, "_valid_generic", True)
+    return relations, genericity
 
 
 def genus_from_counts(m: MonodromyRep) -> int:

@@ -73,6 +73,7 @@ VALIDATION_RULES = (
     "degree-balance",
     "cone-count",
     "corner-count",
+    "surface-closure",
 )
 
 
@@ -704,7 +705,10 @@ def validate_park(park: Park) -> ParkReport:
     """Check every park axiom; report violations, raise on dangling ids.
 
     Checks that need face boundary data (the four-edge-ends rule and
-    opposite-color adjacency) run only when the park is fine.
+    opposite-color adjacency) run only when the park is fine.  The Euler
+    characteristic is checked last, only when every other rule holds: it
+    must be even and at most 2, the characteristic of a closed orientable
+    surface.
     """
     index = _ParkIndex(park)
     index.check_references()
@@ -988,6 +992,15 @@ def _index_report(index: _ParkIndex) -> ParkReport:
             detail = _garden_kind_violation(garden, inv.gardens[g_id], inv.edges, inv.vertices)
             if detail is not None:
                 flag("involution-structure", detail)
+
+    # -- surface closure ---------------------------------------------------
+    if not violations:
+        chi = euler_characteristic(park)
+        if chi > 2 or chi % 2:
+            flag(
+                "surface-closure",
+                f"no closed orientable surface has Euler characteristic {chi}",
+            )
 
     return ParkReport(ok=not violations, violations=tuple(violations))
 

@@ -123,8 +123,10 @@ def test_info_json_fields(capsys):
 
 
 def test_info_park_closing_to_no_surface(tmp_path, capsys):
-    """A coarse park that validates but whose Euler characteristic, 3, no
-    closed orientable surface has: ``info`` answers no, never a traceback."""
+    """A coarse park that passes every other rule but whose Euler
+    characteristic, 3, no closed orientable surface has: it fails
+    validation, and ``info``, ``hurwitz`` and ``isomorphic`` answer no,
+    never a traceback and never a Hurwitz number."""
     built = next(
         found
         for rep, found in realized_reps(3, 3)
@@ -138,15 +140,21 @@ def test_info_park_closing_to_no_surface(tmp_path, capsys):
     obj["involution"]["vertices"]["99"] = 99
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps(obj))
-    assert main(["validate-park", str(path)]) == 0
-    capsys.readouterr()
+    closure = "surface-closure: no closed orientable surface has Euler characteristic 3"
+    assert main(["validate-park", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["park: INVALID", f"  {closure}"]
     assert main(["info", str(path), "--json"]) == 1
     captured = capsys.readouterr()
-    message = f"{path}: no closed orientable surface has Euler characteristic 3"
+    message = f"{path}: park fails validation ({closure})"
     assert json.loads(captured.out) == {
         "command": "info", "schema": "park", "ok": False, "error": message
     }
     assert captured.err.strip() == message
+    for argv in (["hurwitz", str(path)], ["isomorphic", str(path), str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "1/2" not in captured.out
+        assert closure in captured.err
 
 
 def test_info_unknown_schema(tmp_path, capsys):

@@ -533,16 +533,24 @@ def test_enumeration_matches_validated_completion(monkeypatch):
             assert monodromy.validate_genericity(rep).ok, (cell, rep)
 
 
+def _refuse_validators(monkeypatch):
+    """Make both validators raise wherever the library could call them:
+    in ``monodromy``, where the one gate runs them, and in ``equivalence``
+    and ``extraction``, which bound them before that gate existed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a validator was called")
+
+    for module in (monodromy, equivalence, extraction):
+        for name in ("validate_relations", "validate_genericity"):
+            monkeypatch.setattr(module, name, refuse, raising=module is monodromy)
+
+
 @pytest.mark.parametrize("cell", [(3, 2, 2), (4, 2, 0)], ids=lambda c: "%d-%d-%d" % c)
 def test_enumeration_calls_no_validator(monkeypatch, cell):
     expected = enumerate_monodromies(*cell, dedup="park")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumeration called a validator")
-
-    for module in (equivalence, extraction):
-        monkeypatch.setattr(module, "validate_relations", refuse)
-        monkeypatch.setattr(module, "validate_genericity", refuse)
+    _refuse_validators(monkeypatch)
     result = enumerate_monodromies(*cell, dedup="park")
     assert result.raw_count == expected.raw_count
     assert [cls.representative for cls in result.classes] == [
@@ -553,11 +561,39 @@ def test_enumeration_calls_no_validator(monkeypatch, cell):
     ]
 
 
+def test_enumerated_reps_pass_public_gates_unchecked(monkeypatch):
+    """Enumeration marks what it builds valid and generic: with both
+    validators raising, the public ``monodromy_to_park`` and
+    ``canonical_form`` give every rep of (3,2,2) and (4,3,0) the park, the
+    error or the key they give it with the validators in place."""
+    reps = [
+        cls.representative
+        for cell in ((3, 2, 2), (4, 3, 0))
+        for cls in enumerate_monodromies(*cell).classes
+    ]
+
+    def outcomes(reps):
+        out = []
+        for m in reps:
+            try:
+                out.append(to_json_dict(monodromy_to_park(m)))
+            except NonRealizableError as exc:
+                out.append(str(exc))
+            out.append(canonical_form(m))
+        return out
+
+    expected = outcomes([build(m.degree, m.x, m.c) for m in reps])
+    assert any(isinstance(outcome, dict) for outcome in expected)
+    _refuse_validators(monkeypatch)
+    assert outcomes(reps) == expected
+
+
 def test_enumerated_reps_equal_checked_build():
-    """Enumeration builds its reps unchecked, through ``monodromy._trusted``:
-    on every cell with d <= 3 and t + s <= 5, each one equals what the
-    checked constructor makes of its fields, with ``e`` given or derived,
-    hashes alike, and holds tuples of ints."""
+    """Enumeration builds its reps unchecked, through
+    ``monodromy._generic_trusted``: on every cell with d <= 3 and
+    t + s <= 5, each one equals what the checked constructor makes of its
+    fields, with ``e`` given or derived, hashes alike, and holds tuples of
+    ints."""
     for m in enumerated_reps(3, 5):
         rebuilt = build(m.degree, m.x, m.c, m.e)
         assert m == rebuilt == build(m.degree, m.x, m.c)

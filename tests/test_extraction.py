@@ -23,7 +23,7 @@ from parkscope import (
     validate_park,
 )
 from parkscope import extraction, park as park_module
-from parkscope.extraction import _Extraction, _monodromy_to_park
+from parkscope.extraction import _Extraction
 from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
 
 from conftest import (
@@ -253,8 +253,13 @@ def test_genus_check_before_assembly_matches_full_build():
             park = assemble_park(rep)
         except NonRealizableError:
             continue  # rejected while extracting the cells, before either check
-        # the validation the early rejection skips would have passed
-        assert validate_park(park).ok
+        # the validation the early rejection skips would have passed every
+        # rule but surface closure, which fails with the same text
+        report = validate_park(park)
+        if fast[1].startswith("no closed orientable surface"):
+            assert report.violations == (("surface-closure", fast[1]),)
+        else:
+            assert report.ok
     # odd characteristic, impossible count and genus mismatch all occur
     assert messages == {"closed", "surface", "real-locus"}
 
@@ -313,14 +318,13 @@ def test_trusted_extraction_facts_hold():
 def test_realized_path_calls_no_validator(monkeypatch):
     """Extraction trusts the park it assembles: with ``validate_park``
     raising, every rep of (3,2,2) and (4,3,0) extracts to the same park,
-    or the same error, through both entry points."""
+    or the same error."""
     reps = [
         cls.representative
         for cell in ((3, 2, 2), (4, 3, 0))
         for cls in enumerate_monodromies(*cell).classes
     ]
-    entries = (_monodromy_to_park, monodromy_to_park)
-    expected = [_outcome(entry, rep) for rep in reps for entry in entries]
+    expected = [_outcome(monodromy_to_park, rep) for rep in reps]
     assert any(isinstance(outcome, dict) for outcome in expected)
 
     def validator_called(park):
@@ -328,7 +332,7 @@ def test_realized_path_calls_no_validator(monkeypatch):
 
     monkeypatch.setattr(extraction, "validate_park", validator_called, raising=False)
     monkeypatch.setattr(park_module, "validate_park", validator_called)
-    assert [_outcome(entry, rep) for rep in reps for entry in entries] == expected
+    assert [_outcome(monodromy_to_park, rep) for rep in reps] == expected
 
 
 def test_rejected_reps_never_reach_the_walk(monkeypatch):

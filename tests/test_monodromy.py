@@ -8,8 +8,10 @@ from parkscope import (
     MonodromyRep,
     NonRealizableError,
     build,
+    canonical_form,
     conjugate_rep,
     genus_from_counts,
+    monodromy_to_park,
     validate_genericity,
     validate_relations,
 )
@@ -156,3 +158,32 @@ def test_build_validates_shapes():
         build(3, [(1, 0, 2, 4, 3, 5)], [])  # at least one reflection needed
     with pytest.raises(ValueError):
         build(3, [(1, 0, 2)], [(3, 4, 5, 0, 1, 2)])  # wrong ground size
+
+
+def test_public_gates_validate_a_rep_once(monkeypatch):
+    """A valid generic rep made by ``build`` is checked by the first public
+    gate only, and keeps nothing of that in its fields; an invalid one is
+    checked, and refused with the same text, every time."""
+    calls = []
+    for name in ("validate_relations", "validate_genericity"):
+        original = getattr(monodromy, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(monodromy, name, counted)
+    rep = make_loop3_rep()
+    fields_before = (repr(rep), hash(rep), monodromy.to_json_dict(rep))
+    monodromy_to_park(rep)
+    canonical_form(rep)
+    assert sorted(calls) == ["validate_genericity", "validate_relations"]
+    assert (repr(rep), hash(rep), monodromy.to_json_dict(rep)) == fields_before
+    assert rep == make_loop3_rep()
+
+    calls.clear()
+    broken = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^monodromy fails relation validation: seam"):
+            monodromy_to_park(broken)
+    assert calls.count("validate_relations") == 2

@@ -11,9 +11,13 @@ import tempfile
 import pytest
 
 from parkscope import (
+    NonRealizableError,
+    build,
     canonical_form,
+    classify,
     conjugate_rep,
     monodromy,
+    monodromy_equivalent,
     monodromy_to_park,
     park,
     park_isomorphic,
@@ -60,6 +64,54 @@ def test_canonical_form_invariant_under_relabeling(data):
     black = data.draw(st.permutations(range(d)))
     moved = conjugate_rep(rep, tuple(white) + tuple(d + b for b in black))
     assert canonical_form(moved) == canonical_form(rep)
+
+
+def _gate_outcomes(m, partner):
+    """What each public gate makes of ``m``: the result, or the error's
+    type and text."""
+    out = []
+    for call in (
+        lambda: park.to_json_dict(monodromy_to_park(m)),
+        lambda: canonical_form(m),
+        lambda: classify([m, partner]).to_json_dict(),
+        lambda: monodromy_equivalent(m, partner),
+    ):
+        try:
+            out.append(call())
+        except (ValueError, NonRealizableError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _record(m):
+    return m, hash(m), repr(m), monodromy.to_json_dict(m), dataclasses.fields(m)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(data=st.data())
+def test_valid_mark_is_sound(data):
+    """A marked enumerated rep with one generator replaced is an unmarked
+    object: every public gate treats it as a fresh ``build`` of the same
+    fields.  The mark changes no equality, hash, repr, JSON or field."""
+    rep = data.draw(st.sampled_from(enumerated_reps(3, 4)))
+    assert rep._valid_generic
+    perm = tuple(data.draw(
+        st.permutations(range(rep.ground_size)) | st.sampled_from(rep.generators())
+    ))
+    name = data.draw(st.sampled_from(("e", "x", "c") if rep.x else ("e", "c")))
+    if name == "e":
+        mutated = dataclasses.replace(rep, e=perm)
+    else:
+        gens = list(getattr(rep, name))
+        gens[data.draw(st.integers(0, len(gens) - 1))] = perm
+        mutated = dataclasses.replace(rep, **{name: tuple(gens)})
+    fresh = build(mutated.degree, mutated.x, mutated.c, mutated.e)
+    before = _record(mutated)
+    assert _gate_outcomes(mutated, rep) == _gate_outcomes(fresh, rep)
+    assert mutated._valid_generic == fresh._valid_generic
+    hypothesis.event("valid" if fresh._valid_generic else "refused")
+    assert _record(mutated) == before == _record(fresh)
+    assert _record(rep) == _record(build(rep.degree, rep.x, rep.c, rep.e))
 
 
 def _renumbered(data, p):
