@@ -26,7 +26,6 @@ EXIT_NEGATIVE = 1
 EXIT_MALFORMED = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_SHEETS = 10
 
 
@@ -290,14 +289,9 @@ def _info_park(args, obj: Any, out: _Output) -> int:
             {"command": "info", "schema": "park", "ok": False},
         )
     built = index.park
-    try:
-        summary = park.type_summary(built)
-    except NonRealizableError as exc:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"{args.file}: {exc}",
-            {"command": "info", "schema": "park", "ok": False},
-        ) from exc
+    # A park that passes cannot make this raise: surface-closure and
+    # degree-balance reject every park whose genus or degree is undefined.
+    summary = park.type_summary(built)
     payload = {
         "command": "info",
         "schema": "park",
@@ -498,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-degree",
         type=int,
-        default=DEFAULT_MAX_DEGREE,
+        default=hurwitz.DEFAULT_DEGREE_BOUND,
         help="largest total covering degree allowed in counting commands",
     )
     common.add_argument(

@@ -53,12 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_reports, _generic_trusted
-from .park import Park, _park_morphism, _ParkIndex, _validated_index
+from .park import Park, _least_rotation, _park_morphism, _ParkIndex, _validated_index
 from .permgroup import (
     Perm,
     _cycles,
@@ -71,7 +72,6 @@ from .permgroup import (
     identity,
     inverse,
     is_involution,
-    is_matching,
     is_transitive,
     mirror_matching,
     orbits,
@@ -196,8 +196,7 @@ def _merge_signature(index: _ParkIndex) -> tuple:
         faces = {}
         for f, face in index.faces.items():
             entries = tuple(edges[abs(x)] + (x > 0,) for x in face.boundary)
-            least = min((entries[k:] + entries[:k] for k in range(len(entries))), default=())
-            faces[f] = face.color, face.degree, least
+            faces[f] = face.color, face.degree, _least_rotation(entries)
         gardens = {
             g: (
                 garden.kind,
@@ -433,7 +432,13 @@ def _black_involutions(d: int) -> list[Perm]:
 def _chains(d: int, s: int) -> list[list[Perm]]:
     """All reflection chains ``c_1..c_{s+1}`` with standard ``c_1`` and
     generic corner moves: each next reflection is the last one times the
-    move and its mirror image, kept when it is still a matching.
+    move and its mirror image.
+
+    Every move extends every chain, so there are
+    ``len(_corner_moves(d)) ** s`` chains: with ``c`` the last reflection
+    and ``m`` the move (on whites only), the mirror ``m' = c m c`` moves
+    blacks only, so ``m`` and ``m'`` commute, and ``c m m' c = m' m``
+    makes ``c m m'`` again a color-swapping involution, a matching.
 
     Chains grow depth first from shared prefixes, trying the moves in
     ``_corner_moves`` order, so they come out in the lexicographic order
@@ -446,9 +451,7 @@ def _chains(d: int, s: int) -> list[list[Perm]]:
             return
         last = chain[-1]
         for move in moves:
-            nxt = compose(last, compose(move, conjugate(move, last)))
-            if is_matching(nxt, d):
-                extend(chain + [nxt])
+            extend(chain + [compose(last, compose(move, conjugate(move, last)))])
 
     extend([mirror_matching(d)])
     return chains
@@ -482,13 +485,14 @@ def _beta_candidates(
       involution (identities, ``_two_involutions``, ``_black_involutions``,
       path swaps, a ``last`` factor that passed ``is_involution``; the
       forced factor of a connected ``t = 1`` skeleton only when it is one);
-    * ``c`` and the corner elements are involutions, since ``_chains``
-      keeps only matchings and a corner element is a move times its mirror;
+    * ``c`` and the corner elements are involutions, since every chain
+      ``_chains`` builds is made of matchings and a corner element is a
+      move times its mirror;
     * the word holds because ``e`` comes from ``derive_e``;
     * the seam holds because the black product is the target of
       ``_black_product_target``;
     * genericity holds through ``_white_transpositions``, ``_corner_moves``
-      and the ``is_matching`` filter in ``_chains``;
+      and the matchings of ``_chains``;
     * transitivity holds for a connected skeleton (``c[1]`` joins each
       black to a white) and for ``t >= 4``, where two free involutions
       wire the black mates of all components into a path.  Disconnected
@@ -584,9 +588,11 @@ def enumerate_monodromies(
     completion per white skeleton: canonical when the skeleton already
     connects the sheets, otherwise a bridging completion found by an
     exact search.  A skeleton is emitted if and only if it extends to a
-    valid generic representation.  The extracted park is meant not to
-    depend on the completion choice, but no test checks that yet (ROADMAP
-    item 1, the brute-force model oracle).  ``dedup`` is ``none``/``raw``,
+    valid generic representation.  The extracted park does not depend on
+    the completion choice (the ``jequiv`` classes do), which
+    ``test_every_valid_completion_has_the_enumerated_outcome`` in
+    ``tests/test_extraction.py`` checks for every ``d <= 3`` cell with
+    ``t <= 3`` and ``t + s <= 5``.  ``dedup`` is ``none``/``raw``,
     ``j_equivalence``/``jequiv``, or ``park_isomorphism``/``park``.
 
     Nothing here is validated, down to the records: ``x``, ``c`` and the
@@ -615,16 +621,14 @@ def enumerate_monodromies(
             f"enumeration bounds exceeded: need 2d <= {MAX_GROUND} and "
             f"t + s <= {MAX_CRITICAL}"
         )
-    chains = _chains(d, s)
-    if t == 0:
-        white_options: list[tuple[Perm, ...]] = [()]
-    else:
-        white_options = list(product(_white_transpositions(d), repeat=t))
-    total_candidates = len(chains) * len(white_options)
+    # Exact before anything is built: every move extends every chain.
+    total_candidates = len(_corner_moves(d)) ** s * comb(d, 2) ** t
     if total_candidates > budget:
         raise ResourceLimitError(
             f"candidate space {total_candidates} exceeds budget {budget}"
         )
+    chains = _chains(d, s)
+    white_options = list(product(_white_transpositions(d), repeat=t))
 
     reps = []
     for chain in chains:

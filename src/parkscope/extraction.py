@@ -79,6 +79,7 @@ from .park import (
     ParkNode,
     _garden_kind_violation,
     _genus_of_characteristic,
+    _least_rotation,
     _park_morphism,
     _ParkIndex,
 )
@@ -488,8 +489,8 @@ def _assemble(ex: _Extraction) -> Park:
     for cell in ex.white_cells:
         ids = tuple(edge_ids[chain.lifts] for chain in ex.face_chains[cell])
         mirror = ex.mirror_cell[cell]
-        boundaries[cell] = _min_rotation(ids)
-        boundaries[mirror] = _min_rotation(tuple(-eid for eid in reversed(ids)))
+        boundaries[cell] = _least_rotation(ids)
+        boundaries[mirror] = _least_rotation(tuple(-eid for eid in reversed(ids)))
         a, b = face_ids[cell], face_ids[mirror]
         face_map[a], face_map[b] = b, a
     gardens = tuple(
@@ -558,12 +559,6 @@ def _assemble(ex: _Extraction) -> Park:
             gardens={g.id: g.id for g in gardens},
         ),
     )
-
-
-def _min_rotation(entries: tuple[int, ...]) -> tuple[int, ...]:
-    if not entries:
-        return entries
-    return min(tuple(entries[j:] + entries[:j]) for j in range(len(entries)))
 
 
 def monodromy_to_park(m: MonodromyRep) -> Park:

@@ -104,6 +104,11 @@ def rotations_equal(a: Iterable[Any], b: Iterable[Any]) -> bool:
     )
 
 
+def _least_rotation(seq: tuple) -> tuple:
+    """The least cyclic rotation of ``seq``; ``()`` for ``()``."""
+    return min((seq[k:] + seq[:k] for k in range(len(seq))), default=seq)
+
+
 def _require_int(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")

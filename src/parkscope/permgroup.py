@@ -16,7 +16,7 @@ indexed ``d..2d-1``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 
 Perm = tuple[int, ...]
@@ -89,17 +89,6 @@ def from_cycles(n: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
         for i, a in enumerate(cyc):
             images[a] = cyc[(i + 1) % len(cyc)]
     return tuple(images)
-
-
-def transposition(n: int, a: int, b: int) -> Perm:
-    """The transposition swapping ``a`` and ``b`` on ``n`` elements.
-
-    >>> transposition(4, 1, 3)
-    (0, 3, 2, 1)
-    """
-    if a == b:
-        raise ValueError(f"transposition needs two distinct elements, got {a} twice")
-    return from_cycles(n, [(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +165,6 @@ def is_involution(p: Perm) -> bool:
     return all(p[b] == a for a, b in enumerate(p))
 
 
-def support(p: Perm) -> tuple[int, ...]:
-    """Elements moved by ``p``, in increasing order.
-
-    >>> support(from_cycles(5, [(1, 3)]))
-    (1, 3)
-    """
-    return tuple(a for a, b in enumerate(p) if a != b)
-
-
 # ---------------------------------------------------------------------------
 # cycle structure
 # ---------------------------------------------------------------------------
@@ -257,20 +237,6 @@ def cycle_type(p: Perm, restrict: Iterable[int] | None = None) -> tuple[int, ...
     """
     lengths = [len(c) for c in cycles(p, restrict=restrict, include_fixed=True)]
     return tuple(sorted(lengths, reverse=True))
-
-
-def cycle_notation(p: Perm) -> str:
-    """Human-readable cycle notation, ``()`` for the identity.
-
-    >>> cycle_notation(from_cycles(5, [(0, 2), (1, 4)]))
-    '(0 2)(1 4)'
-    >>> cycle_notation(identity(3))
-    '()'
-    """
-    cs = cycles(p)
-    if not cs:
-        return "()"
-    return "".join("(" + " ".join(str(a) for a in c) + ")" for c in cs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +322,11 @@ def blacks(d: int) -> range:
     return range(d, 2 * d)
 
 
-def is_white(a: int, d: int) -> bool:
-    """True when ``a`` lies in the white half for degree ``d``."""
-    if not 0 <= a < 2 * d:
-        raise ValueError(f"element {a} outside ground set of size {2 * d}")
-    return a < d
-
-
-def mirror_element(a: int, d: int) -> int:
-    """The same-index element of the opposite color: ``a +- d``."""
-    if not 0 <= a < 2 * d:
-        raise ValueError(f"element {a} outside ground set of size {2 * d}")
-    return a + d if a < d else a - d
-
-
 def mirror_matching(d: int) -> Perm:
     """The index-aligned matching pairing each white ``w`` with black ``w + d``.
 
-    >>> cycle_notation(mirror_matching(3))
-    '(0 3)(1 4)(2 5)'
+    >>> mirror_matching(3)
+    (3, 4, 5, 0, 1, 2)
     """
     return tuple(range(d, 2 * d)) + tuple(range(d))
 
@@ -413,57 +365,3 @@ def is_matching(p: Perm, d: int) -> bool:
     False
     """
     return is_color_swapping(p, d) and is_involution(p)
-
-
-def all_matchings(d: int) -> Iterator[Perm]:
-    """All color-swapping involutions for degree ``d``, in lexicographic
-    order of their image tuples.  There are ``d!`` of them.
-
-    >>> [cycle_notation(m) for m in all_matchings(2)]
-    ['(0 2)(1 3)', '(0 3)(1 2)']
-    """
-    from itertools import permutations
-
-    for assignment in permutations(range(d, 2 * d)):
-        images = [0] * (2 * d)
-        for w, b in enumerate(assignment):
-            images[w] = b
-            images[b] = w
-        yield tuple(images)
-
-
-def white_part(p: Perm, d: int) -> Perm:
-    """Restriction of a color-preserving ``p`` to whites, as a permutation
-    of ``0..d-1``.
-
-    >>> white_part(from_cycles(6, [(0, 1), (3, 4, 5)]), 3)
-    (1, 0, 2)
-    """
-    if not is_color_preserving(p, d):
-        raise ValueError("white_part needs a color-preserving permutation")
-    return tuple(p[:d])
-
-
-def black_part(p: Perm, d: int) -> Perm:
-    """Restriction of a color-preserving ``p`` to blacks, reindexed to
-    ``0..d-1`` by subtracting ``d``.
-
-    >>> black_part(from_cycles(6, [(0, 1), (3, 4, 5)]), 3)
-    (1, 2, 0)
-    """
-    if not is_color_preserving(p, d):
-        raise ValueError("black_part needs a color-preserving permutation")
-    return tuple(a - d for a in p[d:])
-
-
-def join_parts(white: Perm, black: Perm) -> Perm:
-    """Assemble a color-preserving permutation from its white part and its
-    reindexed black part.
-
-    >>> join_parts((1, 0, 2), (1, 2, 0)) == from_cycles(6, [(0, 1), (3, 4, 5)])
-    True
-    """
-    if len(white) != len(black):
-        raise ValueError(f"size mismatch: {len(white)} vs {len(black)}")
-    d = len(white)
-    return tuple(white) + tuple(a + d for a in black)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -57,22 +58,34 @@ EXAMPLE_PARK_PATH = REPO_ROOT / "examples" / "example1_park.json"
 EXAMPLE_REP_PATH = REPO_ROOT / "examples" / "f3_monodromy.json"
 
 
-def run_cli(args, cwd=REPO_ROOT, env=None):
-    """The CLI in a fresh interpreter, importable from any working directory.
+def run_python(args, cwd=REPO_ROOT, env=None, memory_mib=None):
+    """A fresh interpreter that imports parkscope from any working directory.
 
     The timeout makes a computation that never ends fail its test instead
-    of hanging the suite.
+    of hanging the suite; ``memory_mib`` caps the child's address space,
+    so that a runaway allocation ends in ``MemoryError`` there.
     """
     env = dict(os.environ if env is None else env)
     paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+
+    def cap():
+        limit = memory_mib * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
-        [sys.executable, "-m", "parkscope.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         cwd=str(cwd),
         env=env,
         timeout=60,
+        preexec_fn=None if memory_mib is None else cap,
     )
+
+
+def run_cli(args, cwd=REPO_ROOT, env=None, memory_mib=None):
+    """The CLI through :func:`run_python`."""
+    return run_python(["-m", "parkscope.cli", *args], cwd, env, memory_mib)
 
 
 def make_loop3_rep():

@@ -222,6 +222,20 @@ def test_single_hurwitz_large_genus_is_a_resource_limit(genus, degrees):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cell", [("4", "0", "8"), ("5", "8", "0")], ids=["4-0-8", "5-8-0"])
+def test_enumerate_over_budget_is_a_resource_limit(cell):
+    """Refused before the candidates are built: exit 3 in a child capped
+    at 768 MiB, where building them first ends in a traceback."""
+    degree, cone, corner = cell
+    proc = run_cli(
+        ["enumerate", "--degree", degree, "--cone", cone, "--corner", corner],
+        memory_mib=768,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert b"exceeds budget 5000000" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_cli_writes_nothing_to_disk(tmp_path):
     home, work = tmp_path / "home", tmp_path / "work"
     home.mkdir()

@@ -37,6 +37,7 @@ from conftest import (
     make_loop3_rep,
     realized_reps,
     run_cli,
+    run_python,
 )
 
 
@@ -478,6 +479,38 @@ def test_degree_4_park_dedup_counts(cell, raw, classes):
 )
 def test_chains_match_product_order(d, s):
     assert equivalence._chains(d, s) == chains_product_brute(d, s)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_every_corner_move_extends_every_chain(d):
+    """``_chains`` needs no matching filter: the last reflection times a
+    move and its mirror is always a matching, so the chains are exactly
+    one per move sequence, which makes the budget's count exact."""
+    moves = equivalence._corner_moves(d)
+    for s in range(4):
+        chains = equivalence._chains(d, s)
+        assert len(chains) == len(moves) ** s
+        assert all(pg.is_matching(c, d) for chain in chains for c in chain)
+
+
+@pytest.mark.parametrize(
+    "cell, size", [((4, 0, 8), 43046721), ((5, 8, 0), 10**8)], ids=["4-0-8", "5-8-0"]
+)
+def test_enumeration_budget_is_checked_before_building(cell, size):
+    """Cells inside ``MAX_GROUND`` and ``MAX_CRITICAL`` whose candidates
+    would not fit in memory are refused with their exact count before a
+    chain or skeleton is built.  Run in a child capped at 768 MiB, where
+    building them first ends in ``MemoryError``."""
+    code = (
+        "from parkscope import ResourceLimitError, enumerate_monodromies\n"
+        "try:\n"
+        f"    enumerate_monodromies{cell}\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python(["-c", code], memory_mib=768)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == f"candidate space {size} exceeds budget 5000000"
 
 
 @pytest.mark.parametrize("n", range(7))

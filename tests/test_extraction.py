@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -24,10 +26,13 @@ from parkscope import (
 )
 from parkscope import extraction, park as park_module
 from parkscope.extraction import _Extraction
+from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
+from parkscope.permgroup import compose, from_cycles
 
 from conftest import (
     assemble_park,
+    chains_product_brute,
     check_extraction,
     enumerated_reps,
     exits_from_orbits,
@@ -455,3 +460,85 @@ def test_mirror_node_signatures_match():
             mine = EntranceSignature.compute(n.genus, degs[n.id])
             theirs = EntranceSignature.compute(partner.genus, degs[partner.id])
             assert (mine.genus, mine.degrees) == (theirs.genus, theirs.degrees)
+
+
+REALIZABILITY_CELLS = [
+    (d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)
+] + [(4, 2, 2), (4, 3, 0), (4, 4, 0)]
+
+
+def test_realized_exactly_when_counts_close_and_corners_are_single():
+    """A valid generic rep has a park exactly when (a) ``2t + s - 2d + 2``
+    is even and at least 0, and (b) every corner element ``c[k] c[k+1]``
+    moves exactly two whites: over every enumerated rep of every d <= 3,
+    t + s <= 5 cell and of (4,2,2), (4,3,0) and (4,4,0)."""
+    outcomes = Counter()
+    for d, t, s in REALIZABILITY_CELLS:
+        forced = 2 * t + s - 2 * d + 2
+        closes = forced >= 0 and forced % 2 == 0
+        for cls in enumerate_monodromies(d, t, s).classes:
+            rep = cls.representative
+            corners = (rep.corner_element(k) for k in range(1, s + 1))
+            single = all(sum(u[w] != w for w in range(d)) == 2 for u in corners)
+            try:
+                monodromy_to_park(rep)
+                realized = True
+            except NonRealizableError:
+                realized = False
+            assert realized == (closes and single), (d, t, s, rep)
+            outcomes[closes, single] += 1
+    # with d <= 3 no corner can move four whites, so (b) fails only in (4,2,2)
+    assert outcomes == {(True, True): 3576, (True, False): 1572, (False, True): 618}
+
+
+def _black_halves(d):
+    """Every involution of the blacks, whites fixed, built from scratch."""
+    return [
+        tuple(range(d)) + tuple(d + b for b in images)
+        for images in permutations(range(d))
+        if all(images[images[i]] == i for i in range(d))
+    ]
+
+
+def _outcome_text(rep):
+    try:
+        return json.dumps(to_json_dict(monodromy_to_park(rep)), sort_keys=True)
+    except NonRealizableError as exc:
+        return str(exc)
+
+
+def test_every_valid_completion_has_the_enumerated_outcome():
+    """The park does not depend on the completion of a white skeleton.
+    For every d <= 3 cell with t <= 3 and t + s <= 5, every skeleton (a
+    chain and one white transposition per ``x``) is completed in every
+    way, each ``x`` a white transposition times a black involution.  The
+    completions that pass both validators all give the park JSON, or the
+    rejection text, of the rep the enumerator emits for that skeleton,
+    and a skeleton is emitted exactly when it has such a completion."""
+    skeletons = completions = 0
+    for d in (1, 2, 3):
+        white_moves = [from_cycles(2 * d, [pair]) for pair in combinations(range(d), 2)]
+        black_halves = _black_halves(d)
+        for t in range(4):
+            for s in range(6 - t):
+                emitted = {
+                    (tuple(x[:d] for x in cls.representative.x), cls.representative.c):
+                        _outcome_text(cls.representative)
+                    for cls in enumerate_monodromies(d, t, s).classes
+                }
+                for chain in chains_product_brute(d, s):
+                    for white_xs in product(white_moves, repeat=t):
+                        found = set()
+                        for betas in product(black_halves, repeat=t):
+                            xs = [compose(w, b) for w, b in zip(white_xs, betas)]
+                            rep = build(d, xs, chain)
+                            if validate_relations(rep) and validate_genericity(rep):
+                                found.add(_outcome_text(rep))
+                                completions += 1
+                        key = (tuple(w[:d] for w in white_xs), tuple(chain))
+                        assert (key in emitted) == bool(found), (d, t, s, key)
+                        if found:
+                            assert found == {emitted.pop(key)}, (d, t, s, key)
+                            skeletons += 1
+                assert not emitted, (d, t, s)
+    assert (skeletons, completions) == (1032, 5116)
