@@ -9,6 +9,8 @@ exhaustively enumerates representations and parks.
 
 Submodules
 ----------
+``import parkscope`` runs none of them: each loads on first attribute access.
+
 ``permgroup``
     Tuple-based permutations, orbits and two-color helpers.
 ``monodromy``
@@ -28,61 +30,59 @@ Submodules
     The ``parkscope`` command-line front end.
 """
 
-from . import cli, equivalence, extraction, hurwitz, monodromy, park, permgroup
-from .equivalence import (
-    ClassificationTable,
-    EnumerationResult,
-    EquivalenceWitness,
-    MonodromyClass,
-    ParkIsomorphism,
-    canonical_form,
-    classify,
-    enumerate_monodromies,
-    monodromy_equivalent,
-    park_isomorphic,
-)
+import importlib.util
+import sys
+
 from .errors import InconsistencyError, NonRealizableError, ResourceLimitError
-from .extraction import (
-    extract_alleys,
-    extract_faces,
-    extract_gardens,
-    extract_nodes,
-    find_park_involution,
-    monodromy_to_park,
+
+
+def _lazy(name: str):
+    """Register submodule ``name`` in ``sys.modules``; its body runs on the
+    first attribute access, so a command compiles only what it uses."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+cli, equivalence, extraction, hurwitz, monodromy, park, permgroup = map(
+    _lazy, ("cli", "equivalence", "extraction", "hurwitz", "monodromy", "park", "permgroup")
 )
-from .hurwitz import (
-    branch_count,
-    interleaving_factor,
-    one_part_oracle,
-    park_hurwitz,
-    single_hurwitz,
-    single_hurwitz_brute,
-)
-from .monodromy import (
-    MonodromyRep,
-    build,
-    conjugate_rep,
-    genus_from_counts,
-    validate_genericity,
-    validate_relations,
-)
-from .park import (
-    Alley,
-    EntranceSignature,
-    Face,
-    Garden,
-    GardenEdge,
-    GardenVertex,
-    Involution,
-    Park,
-    ParkNode,
-    TopSummary,
-    euler_characteristic,
-    genus,
-    total_degree,
-    type_summary,
-    validate_park,
-)
+
+#: Home submodule of every re-exported name.
+_HOME = {
+    name: home
+    for home, names in {
+        "equivalence": "ClassificationTable EnumerationResult EquivalenceWitness MonodromyClass"
+        " ParkIsomorphism canonical_form classify enumerate_monodromies"
+        " monodromy_equivalent park_isomorphic",
+        "extraction": "extract_alleys extract_faces extract_gardens extract_nodes"
+        " find_park_involution monodromy_to_park",
+        "hurwitz": "branch_count interleaving_factor one_part_oracle park_hurwitz"
+        " single_hurwitz single_hurwitz_brute",
+        "monodromy": "MonodromyRep build conjugate_rep genus_from_counts validate_genericity"
+        " validate_relations",
+        "park": "Alley EntranceSignature Face Garden GardenEdge GardenVertex Involution Park"
+        " ParkNode TopSummary euler_characteristic genus total_degree type_summary"
+        " validate_park",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    # Resolved on every access, not cached here: a name rebound in its
+    # home module (as a tracer does) is seen through the package too.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
 

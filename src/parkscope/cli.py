@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import equivalence, extraction, hurwitz, monodromy, park
 from .errors import NonRealizableError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -315,10 +317,16 @@ def _info_park(args, obj: Any, out: _Output) -> int:
     return EXIT_OK
 
 
+def _degree_bound(args) -> int:
+    """``--max-degree``, defaulting to the library's bound; the parser
+    leaves it ``None`` so that building it loads no library module."""
+    return hurwitz.DEFAULT_DEGREE_BOUND if args.max_degree is None else args.max_degree
+
+
 def _cmd_hurwitz(args, out: _Output) -> int:
-    built = _load_park(args.park).park
+    index = _load_park(args.park)
     try:
-        value = hurwitz.park_hurwitz(built, degree_bound=args.max_degree)
+        value = hurwitz._index_hurwitz(park._require_valid(index), _degree_bound(args))
     except ValueError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE, f"{args.park}: {exc}", {"command": "hurwitz", "ok": False}
@@ -343,7 +351,7 @@ def _cmd_single_hurwitz(args, out: _Output) -> int:
             "genus must be >= 0 and degrees a comma-separated list of"
             " positive integers",
         )
-    value = hurwitz.single_hurwitz(genus, degrees, degree_bound=args.max_degree)
+    value = hurwitz.single_hurwitz(genus, degrees, degree_bound=_degree_bound(args))
     payload = {
         "command": "single-hurwitz",
         "genus": genus,
@@ -367,11 +375,13 @@ def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
 
 
 def _cmd_isomorphic(args, out: _Output) -> int:
-    first = _load_park(args.park_a).park
-    second = _load_park(args.park_b).park
+    first = _load_park(args.park_a)
+    second = _load_park(args.park_b)
     try:
-        witness = equivalence.park_isomorphic(
-            first, second, allow_reflection=args.allow_reflection
+        witness = equivalence._index_isomorphism(
+            park._require_valid(first),
+            park._require_valid(second),
+            allow_reflection=args.allow_reflection,
         )
     except ValueError as exc:
         raise _CliFailure(
@@ -492,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-degree",
         type=int,
-        default=hurwitz.DEFAULT_DEGREE_BOUND,
         help="largest total covering degree allowed in counting commands",
     )
     common.add_argument(

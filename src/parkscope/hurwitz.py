@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from . import park as _park  # loads on first use: single_hurwitz never needs it
 from .errors import NonRealizableError, ResourceLimitError
-from .park import Park, _validated_index
 from .permgroup import compose, cycle_type, cycles, inverse, is_transitive
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
@@ -296,7 +296,7 @@ def one_part_oracle(d: int) -> Fraction:
     return Fraction(d) ** (d - 3)
 
 
-def park_hurwitz(park: Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fraction:
+def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fraction:
     """Composite Hurwitz number of a park.
 
     The product of the single Hurwitz numbers of all entrances times the
@@ -304,10 +304,15 @@ def park_hurwitz(park: Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fracti
     deliberately not multiplied in: the entrance data already determines
     the exit side through the involution.
     """
-    signatures = _validated_index(park).signatures
+    return _index_hurwitz(_park._validated_index(park), degree_bound)
+
+
+def _index_hurwitz(index: _park._ParkIndex, degree_bound: int) -> Fraction:
+    """:func:`park_hurwitz` on the index of a park known to validate."""
+    signatures = index.signatures
     branch_counts = []
     total = Fraction(1)
-    for node in sorted(park.nodes, key=lambda nd: nd.id):
+    for node in sorted(index.park.nodes, key=lambda nd: nd.id):
         if node.role != "entrance":
             continue
         signature = signatures[node.id]

@@ -726,6 +726,13 @@ def _validated_index(park: Park) -> _ParkIndex:
     the public functions that take parks."""
     index = _ParkIndex(park)
     index.check_references()
+    return _require_valid(index)
+
+
+def _require_valid(index: _ParkIndex) -> _ParkIndex:
+    """``index``, whose references resolve, if its park passes
+    :func:`validate_park`; raises ``ValueError`` naming the first
+    violations otherwise."""
     report = _index_report(index)
     if not report:
         raise ValueError(

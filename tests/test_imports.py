@@ -1,0 +1,89 @@
+"""The import contract: ``import parkscope`` registers every submodule but
+runs none, and each CLI command loads only the submodules it uses."""
+
+import json
+
+import pytest
+
+import parkscope
+
+from conftest import EXAMPLE_PARK_PATH, EXAMPLE_REP_PATH, run_python
+
+LAYERS = ("cli", "equivalence", "extraction", "hurwitz", "monodromy", "park", "permgroup")
+
+# A submodule whose body has run is a plain module; one still waiting for
+# its first attribute access is not.  Reading an attribute would load it.
+_PRELUDE = (
+    "import json, sys, types\n"
+    f"LAYERS = {LAYERS!r}\n"
+    "def loaded():\n"
+    "    return [n for n in LAYERS if type(sys.modules['parkscope.' + n]) is types.ModuleType]\n"
+)
+
+
+def _child(body):
+    """Run ``body`` in a fresh interpreter; its last stdout line is JSON."""
+    proc = run_python(["-c", _PRELUDE + body])
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout.decode().splitlines()[-1])
+
+
+def test_import_registers_every_layer_and_runs_none():
+    # perfbench's tracer reads sys.modules["parkscope.<layer>"] for every
+    # layer right after ``import parkscope``: all of them must be there.
+    registered, ran = _child(
+        "import parkscope\n"
+        "print(json.dumps([[n for n in LAYERS if 'parkscope.' + n in sys.modules], loaded()]))\n"
+    )
+    assert registered == list(LAYERS)
+    assert ran == []
+
+
+def test_star_import_gives_each_name_its_home_object():
+    mismatched = _child(
+        "namespace = {}\n"
+        "exec('from parkscope import *', namespace)\n"
+        "import parkscope\n"
+        "def home(name, obj):\n"
+        "    if name in LAYERS:\n"
+        "        return sys.modules['parkscope.' + name]\n"
+        "    return getattr(sys.modules[obj.__module__], name)\n"
+        "print(json.dumps([\n"
+        "    n for n in parkscope.__all__\n"
+        "    if not (namespace[n] is getattr(parkscope, n) is home(n, namespace[n]))\n"
+        "]))\n"
+    )
+    assert mismatched == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parkscope.no_such_name
+    with pytest.raises(ImportError):
+        from parkscope import no_such_name  # noqa: F401
+    assert set(parkscope.__all__) <= set(dir(parkscope))
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["--help"], LAYERS[1:]),
+        (["validate", str(EXAMPLE_REP_PATH)], ("park", "extraction", "equivalence", "hurwitz")),
+        (["info", str(EXAMPLE_REP_PATH)], ("park", "extraction", "equivalence", "hurwitz")),
+        (["validate-park", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence", "hurwitz")),
+        (["single-hurwitz", "0", "3"], ("park",)),
+    ],
+    ids=["help", "validate", "info-rep", "validate-park", "single-hurwitz"],
+)
+def test_cli_command_loads_only_what_it_uses(argv, unloaded):
+    code, ran = _child(
+        "import runpy\n"
+        f"sys.argv = ['parkscope', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('parkscope.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, loaded()]))\n"
+    )
+    assert code == 0
+    assert not set(ran) & set(unloaded), ran
