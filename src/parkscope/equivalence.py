@@ -35,7 +35,9 @@ park, are filled with one representative completion per white skeleton
 validates nothing, because it builds valid generic data: each defining
 relation holds by how the chain and the completions are made, and only
 the transitivity of a disconnected skeleton is checked; the
-representations it builds are marked valid and generic.  Input is
+representations it builds are marked valid and generic, one mark per
+white skeleton, which carries the skeleton's faces and entrances once
+extraction has built them.  Input is
 validated at the public entry points, once per representation (see
 ``monodromy._generic_reports``): enumeration and ``classify`` extract
 through the public ``monodromy_to_park``, which sees their marks and
@@ -58,7 +60,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
-from .monodromy import MonodromyRep, _generic_reports, _generic_trusted
+from .monodromy import MonodromyRep, _generic_reports, _generic_trusted, _Mark
 from .park import Park, _least_rotation, _park_morphism, _ParkIndex, _validated_index
 from .permgroup import (
     Perm,
@@ -429,7 +431,7 @@ def _black_involutions(d: int) -> list[Perm]:
     return out
 
 
-def _chains(d: int, s: int) -> list[list[Perm]]:
+def _chains(d: int, s: int) -> Iterator[list[Perm]]:
     """All reflection chains ``c_1..c_{s+1}`` with standard ``c_1`` and
     generic corner moves: each next reflection is the last one times the
     move and its mirror image.
@@ -442,34 +444,37 @@ def _chains(d: int, s: int) -> list[list[Perm]]:
 
     Chains grow depth first from shared prefixes, trying the moves in
     ``_corner_moves`` order, so they come out in the lexicographic order
-    of their move sequences and each prefix is computed once."""
-    moves, chains = _corner_moves(d), []
+    of their move sequences and each prefix is computed once.  They are
+    yielded one at a time, so only the current path is held."""
+    moves = _corner_moves(d)
 
-    def extend(chain: list[Perm]) -> None:
+    def extend(chain: list[Perm]) -> Iterator[list[Perm]]:
         if len(chain) == s + 1:
-            chains.append(chain)
+            yield chain
             return
         last = chain[-1]
         for move in moves:
-            extend(chain + [compose(last, compose(move, conjugate(move, last)))])
+            yield from extend(chain + [compose(last, compose(move, conjugate(move, last)))])
 
-    extend([mirror_matching(d)])
-    return chains
+    return extend([mirror_matching(d)])
 
 
 def _black_product_target(
     d: int, chain: list[Perm], white_xs: tuple[Perm, ...]
-) -> Perm:
+) -> tuple[Perm, Perm]:
     """Black part (whites fixed) that the product of the ``x`` generators
-    must have, as pinned by the white skeleton and the seam relation."""
+    must have, as pinned by the white skeleton and the seam relation, and
+    the closing permutation ``e`` of every completion that meets it: the
+    inverse of the white product on the whites, the seam on the blacks."""
     n = 2 * d
     c1, clast = chain[0], chain[-1]
     e_white = inverse(compose_all(list(white_xs), n))
     e_images = list(e_white)
     for b in blacks(d):
         e_images[b] = c1[e_white[clast[b]]]
-    target = inverse(tuple(e_images))
-    return tuple(target[a] if a >= d else a for a in range(n))
+    e = tuple(e_images)
+    target = inverse(e)
+    return tuple(target[a] if a >= d else a for a in range(n)), e
 
 
 def _beta_candidates(
@@ -488,7 +493,9 @@ def _beta_candidates(
     * ``c`` and the corner elements are involutions, since every chain
       ``_chains`` builds is made of matchings and a corner element is a
       move times its mirror;
-    * the word holds because ``e`` comes from ``derive_e``;
+    * the word holds because the ``x`` product is the white product times
+      the black target, the inverse of the ``e`` that
+      ``_black_product_target`` returns;
     * the seam holds because the black product is the target of
       ``_black_product_target``;
     * genericity holds through ``_white_transpositions``, ``_corner_moves``
@@ -527,21 +534,23 @@ def _complete_skeleton(
     chain: list[Perm],
     white_xs: tuple[Perm, ...],
     components: list[tuple[int, ...]],
+    mark: _Mark,
 ) -> MonodromyRep | None:
-    """Build one valid representation from a white skeleton, or ``None``
-    when no valid completion exists.  Only the transitivity of a
-    disconnected skeleton is checked (see ``_beta_candidates``); with
-    ``t = 0`` the seam needs the last reflection to equal the first."""
+    """Build one valid representation from a white skeleton, carrying the
+    skeleton's ``mark``, or ``None`` when no valid completion exists.  Only
+    the transitivity of a disconnected skeleton is checked (see
+    ``_beta_candidates``); with ``t = 0`` the seam needs the last
+    reflection to equal the first, and ``e`` is the identity."""
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
             return None
-        return _generic_trusted(d, (), tuple(chain))
-    black_target = _black_product_target(d, chain, white_xs)
+        return _generic_trusted(d, (), tuple(chain), identity(2 * d), mark)
+    black_target, e = _black_product_target(d, chain, white_xs)
     for betas in _beta_candidates(d, t, black_target, components):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
         if len(components) == 1 or is_transitive(xs + chain, 2 * d):
-            return _generic_trusted(d, tuple(xs), tuple(chain))
+            return _generic_trusted(d, tuple(xs), tuple(chain), e, mark)
     return None
 
 
@@ -597,16 +606,20 @@ def enumerate_monodromies(
 
     Nothing here is validated, down to the records: ``x``, ``c`` and the
     corner elements are generic involutions by how ``_chains`` and
-    ``_beta_candidates`` make them, the word holds because ``e`` comes from
-    ``derive_e``, the seam through ``_black_product_target``, and
+    ``_beta_candidates`` make them, the word and the seam because ``e`` and
+    the black target both come from ``_black_product_target``, and
     transitivity for connected skeletons and ``t >= 4`` bridging;
     ``_complete_skeleton`` checks it for the rest and builds each
     representation through ``monodromy._generic_trusted``, unchecked and
-    marked valid and generic.  Orbits and cycles come from the unchecked ``permgroup``
-    cores.  ``dedup`` goes through the unvalidated ``_canonical_keys`` and
+    marked valid and generic.  Every representation of one white skeleton
+    carries the same mark, whose memo of the skeleton's faces and
+    entrances the first extraction fills and the others read.  Orbits and
+    cycles come from the unchecked ``permgroup`` cores.  ``dedup`` goes
+    through the unvalidated ``_canonical_keys`` and
     ``_index_isomorphism``, and through ``monodromy_to_park``, which checks
     nothing on a marked representation.  The chains grow depth first from
-    shared prefixes.  The keys are taken in one batch, once per distinct
+    shared prefixes and are yielded one at a time, so memory holds the
+    representations, not the chains.  The keys are taken in one batch, once per distinct
     ``(c[1], x, e)`` for the first two stages; the park merge searches each
     class's park only against earlier parks of equal ``_merge_signature``
     (see ``_isomorphism_groups``), so classes keep their first-seen order.
@@ -627,15 +640,15 @@ def enumerate_monodromies(
         raise ResourceLimitError(
             f"candidate space {total_candidates} exceeds budget {budget}"
         )
-    chains = _chains(d, s)
     white_options = list(product(_white_transpositions(d), repeat=t))
+    marks = [_Mark() for _ in white_options]
 
     reps = []
-    for chain in chains:
+    for chain in _chains(d, s):
         corner_moves = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-        for white_xs in white_options:
+        for white_xs, mark in zip(white_options, marks):
             components = _orbits(list(white_xs) + corner_moves, 2 * d, whites(d))
-            m = _complete_skeleton(d, chain, white_xs, components)
+            m = _complete_skeleton(d, chain, white_xs, components, mark)
             if m is not None:
                 reps.append(m)
 

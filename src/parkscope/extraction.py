@@ -32,7 +32,11 @@ park to itself with colors swapped.
 1. **cheap cells** -- faces, entrances and vertices, which is all the
    Euler characteristic needs (exits mirror entrances, and every vertex
    has four ends, so there are exactly twice as many segment edges as
-   vertices);
+   vertices).  Faces and entrances depend only on the white skeleton
+   (the white halves of the ``x`` generators, with ``c_1`` standard), so
+   they are built once per skeleton and kept on the representation's
+   validity mark, a rejection as its text; vertices depend on the
+   reflection chain and are built per representation;
 2. **genus check** -- branching data that cannot close to any surface,
    or closes to one whose genus differs from the one forced by the
    critical-value count, raises :class:`NonRealizableError` (also for an
@@ -191,6 +195,49 @@ def _require_valid_generic(m: MonodromyRep) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the cells of the white skeleton
+# ---------------------------------------------------------------------------
+
+
+def _skeleton_cells(m: MonodromyRep) -> tuple | str:
+    """The cheap cells that depend only on the white skeleton of ``m``:
+    white faces, black faces, ``mirror_cell``, entrances and
+    ``entrance_of_cell``, or the rejection text of an entrance whose
+    genus would be negative or fractional."""
+    d = m.degree
+    c1 = m.c[0]
+    white = whites(d)
+    white_cells = [FaceCell("white", cyc) for cyc in _cycles(m.e, white, True)]
+    black_cells = [FaceCell("black", cyc) for cyc in _cycles(conjugate(m.e, c1), blacks(d), True)]
+    # c_1 is a matching, so it carries each cycle of e on the whites onto a
+    # cycle of c_1 e c_1 on the blacks: each black face is the reflected
+    # image of exactly one white face.
+    black_cell_of = {a: cell for cell in black_cells for a in cell.elements}
+    mirror_cell = {cell: black_cell_of[c1[cell.elements[0]]] for cell in white_cells}
+    # e is the inverse of the x word, so each white face lies inside one
+    # x-orbit; each x moves one white pair, which lies in one orbit, so the
+    # orbits' branch counts sum to t.
+    node_orbits = _orbits(m.x, m.ground_size, white)
+    orbit_of = {a: k for k, orbit in enumerate(node_orbits) for a in orbit}
+    branches = Counter(orbit_of[next(a for a in white if x[a] != a)] for x in m.x)
+    inside: list[list[FaceCell]] = [[] for _ in node_orbits]
+    for cell in white_cells:
+        inside[orbit_of[cell.key]].append(cell)
+    entrances: list[NodeCell] = []
+    entrance_of_cell: dict[FaceCell, NodeCell] = {}
+    for k, orbit in enumerate(node_orbits):
+        degrees = [cell.degree for cell in inside[k]]
+        numerator = branches[k] + 2 - len(degrees) - sum(degrees)
+        if numerator < 0 or numerator % 2 != 0:
+            return f"entrance orbit {orbit} would need genus {numerator}/2"
+        node = NodeCell("entrance", orbit, EntranceSignature.compute(numerator // 2, degrees))
+        entrances.append(node)
+        for cell in inside[k]:
+            entrance_of_cell[cell] = node
+    return white_cells, black_cells, mirror_cell, entrances, entrance_of_cell
+
+
+# ---------------------------------------------------------------------------
 # the extraction engine
 # ---------------------------------------------------------------------------
 
@@ -199,11 +246,16 @@ class _Extraction:
     """The park ingredients of a monodromy known to be valid and generic,
     in two stages.
 
-    The constructor builds the cheap cells: faces, entrances and the
-    corner vertices, enough for :meth:`euler_characteristic` and so for
-    the genus check.  :meth:`finish` builds the rest -- exits, the
-    boundary walk with its edges, and the gardens -- which assembly and
-    the ``extract_*`` functions need.
+    The constructor takes the cheap cells: faces and entrances from the
+    memo on ``m``'s validity mark, which the first extraction of the
+    white skeleton fills through :func:`_skeleton_cells`, and the corner
+    vertices, built here.  That is enough for :meth:`euler_characteristic`
+    and so for the genus check.  A memoised rejection raises a fresh
+    :class:`NonRealizableError` with its text.  :meth:`finish` builds the
+    rest -- exits, the boundary walk with its edges, and the gardens --
+    which assembly and the ``extract_*`` functions need.  The memo is
+    shared with the other representations of the skeleton, so nothing
+    here mutates its lists and dicts.
     """
 
     def __init__(self, m: MonodromyRep):
@@ -214,8 +266,18 @@ class _Extraction:
         self.t = m.cone_points
         self.e = m.e
         self.c = list(m.c)
-        self._build_faces()
-        self._build_entrances()
+        mark = m._mark
+        if mark.cells is None:
+            mark.cells = _skeleton_cells(m)
+        if isinstance(mark.cells, str):
+            raise NonRealizableError(mark.cells)
+        (
+            self.white_cells,
+            self.black_cells,
+            self.mirror_cell,
+            self.entrances,
+            self.entrance_of_cell,
+        ) = mark.cells
         self._build_corners()
 
     def finish(self) -> _Extraction:
@@ -225,50 +287,7 @@ class _Extraction:
         self._build_gardens()
         return self
 
-    # -- faces -------------------------------------------------------------
-
-    def _build_faces(self) -> None:
-        d = self.d
-        c1 = self.c[0]
-        self.white_cells = [FaceCell("white", cyc) for cyc in _cycles(self.e, whites(d), True)]
-        mirror_e = conjugate(self.e, c1)
-        self.black_cells = [FaceCell("black", cyc) for cyc in _cycles(mirror_e, blacks(d), True)]
-        # c_1 is a matching, so it carries each cycle of e on the whites
-        # onto a cycle of c_1 e c_1 on the blacks: each black face is the
-        # reflected image of exactly one white face.
-        black_cell_of = {a: cell for cell in self.black_cells for a in cell.elements}
-        self.mirror_cell: dict[FaceCell, FaceCell] = {
-            cell: black_cell_of[c1[cell.elements[0]]] for cell in self.white_cells
-        }
-
-    # -- entrances and exits ------------------------------------------------
-
-    def _build_entrances(self) -> None:
-        # e is the inverse of the x word, so each white face lies inside one
-        # x-orbit; each x moves one white pair, which lies in one orbit, so
-        # the orbits' branch counts sum to t.
-        white = whites(self.d)
-        node_orbits = _orbits(self.m.x, self.n, white)
-        orbit_of = {a: k for k, orbit in enumerate(node_orbits) for a in orbit}
-        branches = Counter(orbit_of[next(a for a in white if x[a] != a)] for x in self.m.x)
-        inside: list[list[FaceCell]] = [[] for _ in node_orbits]
-        for cell in self.white_cells:
-            inside[orbit_of[cell.key]].append(cell)
-        self.entrances: list[NodeCell] = []
-        self.entrance_of_cell: dict[FaceCell, NodeCell] = {}
-        for k, orbit in enumerate(node_orbits):
-            degrees = [cell.degree for cell in inside[k]]
-            numerator = branches[k] + 2 - len(degrees) - sum(degrees)
-            if numerator < 0 or numerator % 2 != 0:
-                raise NonRealizableError(
-                    f"entrance orbit {orbit} would need genus {numerator}/2"
-                )
-            node = NodeCell(
-                "entrance", orbit, EntranceSignature.compute(numerator // 2, degrees)
-            )
-            self.entrances.append(node)
-            for cell in inside[k]:
-                self.entrance_of_cell[cell] = node
+    # -- exits ---------------------------------------------------------------
 
     def _build_exits(self) -> None:
         # The reflection c_1 conjugates each x into its reflected action,

@@ -58,10 +58,13 @@ class MonodromyRep:
     its own representations through :func:`_generic_trusted` instead,
     unchecked and marked valid and generic; any other representation is checked
     once, the first time a public entry point that needs valid generic
-    data sees it (see :func:`_generic_reports`).  The mark is not a field:
-    equality, hashing, ``repr`` and the JSON form ignore it, and
-    ``dataclasses.replace``, :func:`conjugate_rep` and
-    :func:`from_json_dict` make unmarked objects.
+    data sees it (see :func:`_generic_reports`).  The mark is a
+    :class:`_Mark`, which also holds extraction's memo of the cheap cells
+    of the white skeleton: enumeration gives every representation of one
+    skeleton the same mark, and a representation that passes the check
+    gets its own.  The mark is not a field: equality, hashing, ``repr``
+    and the JSON form ignore it, and ``dataclasses.replace``,
+    :func:`conjugate_rep` and :func:`from_json_dict` make unmarked objects.
     """
 
     degree: int
@@ -69,10 +72,10 @@ class MonodromyRep:
     e: Perm | None
     c: tuple[Perm, ...]
 
-    # Not annotated, so not a field: set on an instance by
-    # _generic_reports once it passed both validators, or by
+    # Not annotated, so not a field: None, or a _Mark set on an instance
+    # by _generic_reports once it passed both validators, or by
     # _generic_trusted for what enumeration built.
-    _valid_generic = False
+    _mark = None
 
     def __post_init__(self) -> None:
         if (
@@ -139,12 +142,30 @@ def _trusted(cls: type, **fields: Any) -> Any:
     return record
 
 
-def _generic_trusted(degree: int, x: tuple[Perm, ...], c: tuple[Perm, ...]) -> MonodromyRep:
-    """A representation enumeration built valid and generic: made through
-    :func:`_trusted` with ``e`` from :func:`derive_e`, and marked, so that
+class _Mark:
+    """The mark of a representation known to be valid and generic.
+
+    ``cells`` is extraction's memo of what depends only on the white
+    skeleton (the white halves of the ``x`` generators, with ``c[1]``
+    standard): ``None`` until the first extraction fills it, then the
+    faces and entrances, or the text of their rejection."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self) -> None:
+        self.cells: Any = None
+
+
+def _generic_trusted(
+    degree: int, x: tuple[Perm, ...], c: tuple[Perm, ...], e: Perm, mark: _Mark
+) -> MonodromyRep:
+    """A representation enumeration built valid and generic, with the
+    closing permutation ``e`` it already computed: made through
+    :func:`_trusted` and carrying ``mark``, which enumeration shares among
+    the representations of one white skeleton, so that
     :func:`_generic_reports` never checks it."""
-    m = _trusted(MonodromyRep, degree=degree, x=x, e=derive_e(x, degree), c=c)
-    object.__setattr__(m, "_valid_generic", True)
+    m = _trusted(MonodromyRep, degree=degree, x=x, e=e, c=c)
+    object.__setattr__(m, "_mark", mark)
     return m
 
 
@@ -350,15 +371,16 @@ _GENERICITY_OK = GenericityReport(ok=True, mode="geometric", violations=())
 
 def _generic_reports(m: MonodromyRep) -> tuple[RelationReport, GenericityReport]:
     """:func:`validate_relations` and geometric :func:`validate_genericity`
-    of ``m``, run at most once per object: when both pass, ``m`` is marked,
-    and a marked ``m`` gets the two ok reports back without a re-check.
-    The gate of every public entry point that needs valid generic data."""
-    if m._valid_generic:
+    of ``m``, run at most once per object: when both pass, ``m`` gets a
+    fresh :class:`_Mark` of its own, and a marked ``m`` gets the two ok
+    reports back without a re-check.  The gate of every public entry point
+    that needs valid generic data."""
+    if m._mark is not None:
         return _RELATIONS_OK, _GENERICITY_OK
     relations = validate_relations(m)
     genericity = validate_genericity(m, "geometric")
     if relations and genericity:
-        object.__setattr__(m, "_valid_generic", True)
+        object.__setattr__(m, "_mark", _Mark())
     return relations, genericity
 
 

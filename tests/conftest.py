@@ -480,11 +480,14 @@ def chains_product_brute(d, s):
     return chains
 
 
-def complete_skeleton_validated(d, chain, white_xs, components):
+def complete_skeleton_validated(d, chain, white_xs, components, mark):
     """``equivalence._complete_skeleton`` that trusts no construction: the
     first completion candidate passing ``validate_relations`` and
     ``validate_genericity`` in full, or ``None``.  The oracle for the
-    enumerator's valid-by-construction path."""
+    enumerator's valid-by-construction path.  It builds through ``build``,
+    which derives ``e`` from the ``x`` word, so it ignores the ``e`` that
+    ``_black_product_target`` returns, and it drops the skeleton's
+    ``mark``: its reps are unmarked."""
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
@@ -493,7 +496,7 @@ def complete_skeleton_validated(d, chain, white_xs, components):
         if validate_relations(m) and validate_genericity(m):
             return m
         return None
-    black_target = _black_product_target(d, chain, white_xs)
+    black_target, _ = _black_product_target(d, chain, white_xs)
     for betas in _beta_candidates(d, t, black_target, components):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
         m = build(d, xs, chain)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import traceback
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -26,9 +27,9 @@ from parkscope import (
 )
 from parkscope import extraction, park as park_module
 from parkscope.extraction import _Extraction
-from parkscope.monodromy import validate_genericity, validate_relations
+from parkscope.monodromy import _generic_trusted, _Mark, validate_genericity, validate_relations
 from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
-from parkscope.permgroup import compose, from_cycles
+from parkscope.permgroup import compose, from_cycles, mirror_matching
 
 from conftest import (
     assemble_park,
@@ -489,6 +490,79 @@ def test_realized_exactly_when_counts_close_and_corners_are_single():
             outcomes[closes, single] += 1
     # with d <= 3 no corner can move four whites, so (b) fails only in (4,2,2)
     assert outcomes == {(True, True): 3576, (True, False): 1572, (False, True): 618}
+
+
+def _outcome_figures(rep):
+    """The park JSON of ``rep``, or its rejection text with the genus
+    figures."""
+    try:
+        return json.dumps(to_json_dict(monodromy_to_park(rep)), sort_keys=True)
+    except NonRealizableError as exc:
+        return str(exc), exc.euler_characteristic, exc.built_genus, exc.forced_genus
+
+
+def test_skeleton_memo_does_not_depend_on_extraction_order():
+    """Enumeration gives every rep of one white skeleton one mark, whose
+    memo of the faces and entrances the first extraction fills.  Extracted
+    in reversed enumeration order, so that another rep fills each memo,
+    every rep of every d <= 3, t + s <= 5 cell and of (4,2,2), (4,3,0)
+    and (4,4,0) gives the park JSON, or the rejection text and genus
+    figures, of its unmarked rebuild, which gets a memo of its own."""
+    checked = sharing = 0
+    for cell in REALIZABILITY_CELLS:
+        reps = [cls.representative for cls in enumerate_monodromies(*cell).classes]
+        sharing += len(reps) - len({id(rep._mark) for rep in reps})
+        for rep in reversed(reps):
+            rebuilt = build(rep.degree, rep.x, rep.c)
+            assert rebuilt._mark is None
+            assert _outcome_figures(rep) == _outcome_figures(rebuilt), (cell, rep)
+            checked += 1
+    assert (checked, sharing) == (5766, 3668)
+
+
+def test_public_extractors_keep_the_memo_private():
+    """Mutating the lists that ``extract_faces``, ``extract_nodes`` and
+    ``extract_alleys`` return for one rep changes nothing that a sibling
+    rep of the same white skeleton extracts."""
+    reps = [cls.representative for cls in enumerate_monodromies(3, 2, 2).classes]
+    rep, sibling = [m for m in reps if m._mark is reps[0]._mark][:2]
+    assert rep.c != sibling.c
+
+    def extracted(m):
+        return (
+            _outcome_text(m),
+            extract_faces(m),
+            extract_nodes(m),
+            extract_alleys(m),
+            extract_gardens(m),
+        )
+
+    expected = extracted(build(sibling.degree, sibling.x, sibling.c))
+    for returned in (*extract_faces(rep), *extract_nodes(rep), extract_alleys(rep)):
+        returned[:] = returned[::-1] + returned[:1]
+    assert extracted(sibling) == expected
+    assert extracted(rep) == extracted(build(rep.degree, rep.x, rep.c))
+
+
+def test_memoised_rejection_raises_a_fresh_error():
+    """A skeleton whose entrances are rejected keeps the rejection text on
+    its mark, and each extraction raises a fresh ``NonRealizableError``
+    with that text, never a stored instance, whose traceback would grow.
+    Valid generic data has no such entrance (Riemann-Hurwitz bounds the
+    faces of each orbit), so these reps carry a mark without passing the
+    gate: their one ``x`` moves two white pairs."""
+    x = from_cycles(8, [(0, 1), (2, 3)])
+    mark = _Mark()
+    reps = [_generic_trusted(4, (x,), (mirror_matching(4),), x, mark) for _ in range(3)]
+    raised = []
+    for rep in reps:
+        with pytest.raises(NonRealizableError) as err:
+            _Extraction(rep)
+        raised.append(err.value)
+    assert mark.cells == "entrance orbit (2, 3) would need genus -1/2"
+    assert [str(exc) for exc in raised] == [mark.cells] * 3
+    assert len({id(exc) for exc in raised}) == 3
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised}) == 1
 
 
 def _black_halves(d):
