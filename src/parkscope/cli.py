@@ -78,13 +78,19 @@ def _load_json_file(path: str) -> Any:
 
 
 def _load_monodromy(path: str, max_sheets: int) -> monodromy.MonodromyRep:
-    obj = _load_json_file(path)
+    return _parse_monodromy(_load_json_file(path), path, max_sheets)
+
+
+def _parse_monodromy(obj: Any, path: str, max_sheets: int) -> monodromy.MonodromyRep:
+    """The representation whose shapes parse and whose ground set fits
+    ``max_sheets``; a shape that does not parse is malformed input."""
     try:
         rep = monodromy.from_json_dict(obj)
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path}: {exc}") from exc
     _check_sheets(2 * rep.degree, max_sheets)
     return rep
+
 
 def _load_park(path: str) -> park._ParkIndex:
     return _parse_park(_load_json_file(path), path)
@@ -246,11 +252,7 @@ def _cmd_info(args, out: _Output) -> int:
 
 
 def _info_monodromy(args, obj: Any, out: _Output) -> int:
-    try:
-        rep = monodromy.from_json_dict(obj)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_MALFORMED, f"{args.file}: {exc}") from exc
-    _check_sheets(2 * rep.degree, args.max_sheets)
+    rep = _parse_monodromy(obj, args.file, args.max_sheets)
     relations = monodromy.validate_relations(rep)
     genericity = monodromy.validate_genericity(rep)
     try:

@@ -61,7 +61,14 @@ from typing import Iterable, Iterator, Sequence
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_reports, _generic_trusted, _Mark
-from .park import Park, _least_rotation, _park_morphism, _ParkIndex, _validated_index
+from .park import (
+    Park,
+    _least_rotation,
+    _park_morphism,
+    _ParkIndex,
+    _validated_index,
+    type_summary,
+)
 from .permgroup import (
     Perm,
     _cycles,
@@ -723,8 +730,6 @@ class ClassificationTable:
 def _invariant_label(m: MonodromyRep, park: Park | None) -> str:
     if park is None:
         return f"unrealizable d={m.degree} t={m.cone_points} s={m.corner_points}"
-    from .park import type_summary
-
     summary = type_summary(park)
     return (
         f"d={summary.degree} g={summary.genus} n={summary.critical_values} "

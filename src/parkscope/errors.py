@@ -5,8 +5,9 @@ Error taxonomy used across the package:
 * ``ValueError`` -- malformed arguments (wrong sizes, ids that do not
   resolve, words that are not permutations).  Raised eagerly.
 * ``NonRealizableError`` -- structurally well-formed input that cannot be
-  completed to the geometric object it claims to describe (negative or
-  fractional genus, impossible node signature, failed involution search).
+  completed to the geometric object it claims to describe (critical-value
+  counts that force no genus, an Euler characteristic that no closed
+  surface has, a surface of another genus than the counts force).
 * ``ResourceLimitError`` -- the request exceeds the configured search
   bounds; nothing was computed.
 * ``InconsistencyError`` -- an internal invariant failed.  Reaching this

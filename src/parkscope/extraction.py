@@ -35,12 +35,12 @@ park to itself with colors swapped.
    vertices).  Faces and entrances depend only on the white skeleton
    (the white halves of the ``x`` generators, with ``c_1`` standard), so
    they are built once per skeleton and kept on the representation's
-   validity mark, a rejection as its text; vertices depend on the
-   reflection chain and are built per representation;
+   validity mark; vertices depend on the reflection chain and are built
+   per representation;
 2. **genus check** -- branching data that cannot close to any surface,
    or closes to one whose genus differs from the one forced by the
    critical-value count, raises :class:`NonRealizableError` (also for an
-   odd critical-value count or an impossible node weight);
+   odd critical-value count);
 3. **exits, boundary walk and gardens**, for realizable data only;
 4. **assembly** into a park.
 
@@ -199,11 +199,10 @@ def _require_valid_generic(m: MonodromyRep) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _skeleton_cells(m: MonodromyRep) -> tuple | str:
+def _skeleton_cells(m: MonodromyRep) -> tuple:
     """The cheap cells that depend only on the white skeleton of ``m``:
     white faces, black faces, ``mirror_cell``, entrances and
-    ``entrance_of_cell``, or the rejection text of an entrance whose
-    genus would be negative or fractional."""
+    ``entrance_of_cell``."""
     d = m.degree
     c1 = m.c[0]
     white = whites(d)
@@ -226,10 +225,12 @@ def _skeleton_cells(m: MonodromyRep) -> tuple | str:
     entrances: list[NodeCell] = []
     entrance_of_cell: dict[FaceCell, NodeCell] = {}
     for k, orbit in enumerate(node_orbits):
+        # The orbit's b transpositions act transitively on its sum(degrees)
+        # whites, and their product has its f = len(degrees) faces as
+        # cycles, so by Riemann-Hurwitz b + 2 - f - sum(degrees) is twice
+        # a genus: even and non-negative.
         degrees = [cell.degree for cell in inside[k]]
         numerator = branches[k] + 2 - len(degrees) - sum(degrees)
-        if numerator < 0 or numerator % 2 != 0:
-            return f"entrance orbit {orbit} would need genus {numerator}/2"
         node = NodeCell("entrance", orbit, EntranceSignature.compute(numerator // 2, degrees))
         entrances.append(node)
         for cell in inside[k]:
@@ -250,12 +251,11 @@ class _Extraction:
     memo on ``m``'s validity mark, which the first extraction of the
     white skeleton fills through :func:`_skeleton_cells`, and the corner
     vertices, built here.  That is enough for :meth:`euler_characteristic`
-    and so for the genus check.  A memoised rejection raises a fresh
-    :class:`NonRealizableError` with its text.  :meth:`finish` builds the
-    rest -- exits, the boundary walk with its edges, and the gardens --
-    which assembly and the ``extract_*`` functions need.  The memo is
-    shared with the other representations of the skeleton, so nothing
-    here mutates its lists and dicts.
+    and so for the genus check.  :meth:`finish` builds the rest -- exits,
+    the boundary walk with its edges, and the gardens -- which assembly
+    and the ``extract_*`` functions need.  The memo is shared with the
+    other representations of the skeleton, so nothing here mutates its
+    lists and dicts.
     """
 
     def __init__(self, m: MonodromyRep):
@@ -269,8 +269,6 @@ class _Extraction:
         mark = m._mark
         if mark.cells is None:
             mark.cells = _skeleton_cells(m)
-        if isinstance(mark.cells, str):
-            raise NonRealizableError(mark.cells)
         (
             self.white_cells,
             self.black_cells,
@@ -448,8 +446,7 @@ def extract_nodes(m: MonodromyRep) -> tuple[list[NodeCell], list[NodeCell]]:
     Entrances are orbits of the white generator actions; exits are their
     ``c_1``-images, the orbits of the reflected generator actions on the
     black half, with the entrance's signature and mirrored faces.  Each
-    carries circles, degrees, branch count and the genus these force (a
-    negative or fractional genus raises :class:`NonRealizableError`).
+    carries circles, degrees, branch count and the genus these force.
     """
     _require_valid_generic(m)
     ex = _Extraction(m).finish()
@@ -633,6 +630,7 @@ def find_park_involution(park: Park) -> Involution | None:
     """
     try:
         index = _ParkIndex(park)
+        index.check_references()
     except ValueError:
         return None
     if not index.attachments_resolve():

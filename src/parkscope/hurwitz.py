@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import park as _park  # loads on first use: single_hurwitz never needs it
-from .errors import NonRealizableError, ResourceLimitError
+from .errors import ResourceLimitError
 from .permgroup import compose, cycle_type, cycles, inverse, is_transitive
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
@@ -64,16 +64,11 @@ def _check_signature(genus: int, degrees) -> tuple[int, ...]:
 def branch_count(genus: int, degrees) -> int:
     """Number of simple branch points forced by a boundary signature.
 
-    ``b = 2*genus - 2 + k + sum(degrees)`` with ``k = len(degrees)``.
+    ``b = 2*genus - 2 + k + sum(degrees)`` with ``k = len(degrees)``,
+    never negative: each of the ``k >= 1`` degrees is at least 1.
     """
     degs = _check_signature(genus, degrees)
-    b = 2 * genus - 2 + len(degs) + sum(degs)
-    if b < 0:
-        raise NonRealizableError(
-            f"signature genus={genus} degrees={degs} forces a negative "
-            f"branch count {b}"
-        )
-    return b
+    return 2 * genus - 2 + len(degs) + sum(degs)
 
 
 def centralizer_order(degrees) -> int:
@@ -106,8 +101,6 @@ def interleaving_factor(branch_counts) -> int:
 
 @lru_cache(maxsize=None)
 def _partitions(d: int) -> tuple[tuple[int, ...], ...]:
-    if d == 0:
-        return ((),)
     out = []
     def rec(rest: int, biggest: int, acc: tuple[int, ...]):
         if rest == 0:
@@ -151,8 +144,6 @@ def _raw_count(shape: tuple[int, ...], b: int) -> int:
     """Tuples of ``b`` transpositions multiplying to one fixed permutation
     of type ``shape`` (no transitivity requirement)."""
     d = sum(shape)
-    if d == 0:
-        return 1 if b == 0 else 0
     table = _step_table(d)
     identity = tuple(sorted([1] * d, reverse=True))
     counts = {cls: (1 if cls == identity else 0) for cls in _partitions(d)}
@@ -171,13 +162,8 @@ def _raw_count(shape: tuple[int, ...], b: int) -> int:
 def _connected_count(shape: tuple[int, ...], b: int) -> int:
     """Tuples of ``b`` transpositions multiplying to one fixed permutation
     of type ``shape`` and acting transitively together."""
-    d = sum(shape)
-    if d == 0:
-        return 0
     k = len(shape)
     total = _raw_count(shape, b)
-    if k == 1 and d == 1:
-        return total if b == 0 else 0
     others = list(range(1, k))
     for size in range(0, k):
         for picked in combinations(others, size):

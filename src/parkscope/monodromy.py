@@ -148,12 +148,12 @@ class _Mark:
     ``cells`` is extraction's memo of what depends only on the white
     skeleton (the white halves of the ``x`` generators, with ``c[1]``
     standard): ``None`` until the first extraction fills it, then the
-    faces and entrances, or the text of their rejection."""
+    faces and entrances."""
 
     __slots__ = ("cells",)
 
     def __init__(self) -> None:
-        self.cells: Any = None
+        self.cells: tuple | None = None
 
 
 def _generic_trusted(

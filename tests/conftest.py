@@ -355,13 +355,14 @@ def check_extraction(m) -> Park | None:
     checking, for a valid generic ``m``; return its park, or ``None`` when
     it has none.
 
-    The entrances, or the rejection of an impossible node weight, are
-    those ``orbit_weights`` finds: each white face lies inside its
-    entrance's orbit, each ``x`` moves one white pair inside one orbit,
-    and the branch counts sum to ``t``.  ``c_1`` carries each white face
-    onto one black face, each black face the image of one white face.
-    Every corner orbit has size 2 or 4, and the size-four ones are the
-    vertices; segments number twice the vertices.  The seam relation
+    The entrances are those ``orbit_weights`` finds: each white face lies
+    inside its entrance's orbit, each ``x`` moves one white pair inside
+    one orbit, the branch counts sum to ``t``, and each orbit's weight is
+    even and non-negative, twice a genus, as Riemann-Hurwitz forces.
+    ``c_1`` carries each white face onto one black face, each black face
+    the image of one white face.  Every corner orbit has size 2 or 4, and
+    the size-four ones are the vertices; segments number twice the
+    vertices.  The seam relation
     ``c_1 = e c_{s+1} e^-1`` holds at every element.  Each lift of each
     arc lies on exactly one chain.  Each white walk cycle, cut at its
     vertex crossings, is the chain list of its face, and each segment
@@ -378,15 +379,8 @@ def check_extraction(m) -> Park | None:
     every edge, vertex and garden.
     """
     weights = orbit_weights(m)
-    impossible = [(orbit, num) for orbit, _, num in weights if num < 0 or num % 2]
-    try:
-        ex = _Extraction(m).finish()
-    except NonRealizableError as exc:
-        # an impossible node weight, found with the cheap cells
-        assert impossible, exc
-        orbit, numerator = impossible[0]
-        assert str(exc) == f"entrance orbit {orbit} would need genus {numerator}/2"
-        return None
+    assert all(num >= 0 and num % 2 == 0 for _, _, num in weights), weights
+    ex = _Extraction(m).finish()
     assert (ex.entrances, ex.entrance_of_cell) == nodes_from_weights("entrance", weights)
     c1 = ex.c[0]
     for cell, image in ex.mirror_cell.items():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from parkscope import monodromy, monodromy_to_park, park
+from parkscope import build, enumerate_monodromies, monodromy, monodromy_to_park, park
 from parkscope.cli import main
 
 from conftest import (
@@ -34,6 +34,12 @@ def unrealizable_file(tmp_path):
     return _write_rep(tmp_path / "odd.json", make_unrealizable_rep())
 
 
+@pytest.fixture
+def broken_file(tmp_path):
+    """A rep that parses but fails the relations: ``x`` moves no black."""
+    return _write_rep(tmp_path / "bad.json", build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)]))
+
+
 def test_validate_ok(loop3_file, capsys):
     assert main(["validate", loop3_file]) == 0
     out = capsys.readouterr().out
@@ -55,17 +61,8 @@ def test_validate_json_payload(loop3_file, capsys):
     assert payload["genericity"]["problems"] == []
 
 
-def test_validate_rejects_broken_relations(tmp_path, capsys):
-    bad = {
-        "degree": 2,
-        "cone_points": 1,
-        "corner_points": 0,
-        "x": [[1, 0, 2, 3]],
-        "c": [[2, 3, 0, 1]],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    assert main(["validate", str(path)]) == 1
+def test_validate_rejects_broken_relations(broken_file, capsys):
+    assert main(["validate", broken_file]) == 1
     assert "FAILED" in capsys.readouterr().out
 
 
@@ -90,22 +87,25 @@ def test_extract_unrealizable(unrealizable_file, capsys):
     assert "Euler characteristic" in err
 
 
-def test_extract_invalid_rep(tmp_path, capsys):
-    bad = {
-        "degree": 2,
-        "cone_points": 1,
-        "corner_points": 0,
-        "x": [[1, 0, 2, 3]],
-        "c": [[2, 3, 0, 1]],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    assert main(["extract", str(path)]) == 1
+def test_extract_invalid_rep(broken_file, capsys):
+    assert main(["extract", broken_file]) == 1
 
 
 def test_info_monodromy(loop3_file, capsys):
     assert main(["info", loop3_file]) == 0
     assert "d=3 g=0 n=4 t=2 s=0" in capsys.readouterr().out
+
+
+def test_info_monodromy_without_genus(tmp_path, capsys):
+    # degree 2 with three critical values: the counts force no genus
+    (rep,) = (cls.representative for cls in enumerate_monodromies(2, 1, 1).classes)
+    path = _write_rep(tmp_path / "odd.json", rep)
+    assert main(["info", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "monodromy: d=2 g=- n=3 t=1 s=1"
+    assert main(["info", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["genus"] is None
+    assert payload["relations_ok"] is payload["genericity_ok"] is True
 
 
 def test_info_park_example(capsys):
@@ -297,13 +297,19 @@ def test_equivalent_commands(loop3_file, tmp_path, capsys):
 
 
 def test_equivalent_negative(tmp_path, capsys):
-    from parkscope import enumerate_monodromies
-
     classes = enumerate_monodromies(3, 2, 0, dedup="jequiv").classes
     a = _write_rep(tmp_path / "a.json", classes[0].representative)
     b = _write_rep(tmp_path / "b.json", classes[1].representative)
     assert main(["equivalent", a, b]) == 1
     assert "no intertwining relabeling" in capsys.readouterr().err
+
+
+def test_equivalent_invalid_rep(loop3_file, broken_file, capsys):
+    assert main(["equivalent", broken_file, loop3_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    message = "invalid representation input: representation fails relation validation"
+    assert captured.err == message + "\n"
+    assert json.loads(captured.out) == {"command": "equivalent", "ok": False, "error": message}
 
 
 def test_enumerate_output(capsys):

@@ -273,17 +273,20 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
 
 def test_public_entry_points_validate(loop3_park):
     broken = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
-    for entry in (
-        canonical_form,
-        lambda m: classify([m]),
-        monodromy_to_park,
-        extract_faces,
-        extract_nodes,
-        extract_alleys,
-        extract_gardens,
-    ):
-        with pytest.raises(ValueError):
-            entry(broken)
+    # passes the relations; each x fixes the whites
+    non_generic = build(2, [(0, 1, 3, 2)] * 2, [(2, 3, 0, 1)])
+    for rep, reason in ((broken, "fails relation validation"), (non_generic, "is not generic")):
+        for entry in (
+            canonical_form,
+            lambda m: classify([m]),
+            monodromy_to_park,
+            extract_faces,
+            extract_nodes,
+            extract_alleys,
+            extract_gardens,
+        ):
+            with pytest.raises(ValueError, match=reason):
+                entry(rep)
     involution = loop3_park.involution
     faces_fixed = dataclasses.replace(involution, faces={f: f for f in involution.faces})
     corrupted = dataclasses.replace(loop3_park, involution=faces_fixed)

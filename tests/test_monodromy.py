@@ -61,11 +61,19 @@ def test_reflection_must_square_to_identity():
     assert not report.ok
 
 
-def test_strict_mode_flags_black_motion(loop3_rep):
+def test_strict_mode_flags_black_motion(loop3_rep, chord_rep):
     assert validate_genericity(loop3_rep, mode="geometric").ok
     strict = validate_genericity(loop3_rep, mode="strict")
     assert not strict.ok
     assert any("black" in reason for _, reason in strict.violations)
+    # c[k] conjugates the corner element to its inverse, so a corner that
+    # moves whites moves blacks too
+    assert validate_genericity(chord_rep, mode="geometric").ok
+    assert validate_genericity(chord_rep, mode="strict").violations == (
+        ("x[1]", "moves a black element"),
+        ("corner[1]", "moves a black element"),
+        ("corner[2]", "moves a black element"),
+    )
 
 
 def test_branch_generator_shape_checked():
