@@ -16,16 +16,14 @@ Submodules
 ``monodromy``
     The representation record, defining relations, genericity, counts.
 ``park``
-    The park data model, axiom validation, invariants, serialization,
-    and the park-morphism search.
+    The park data model, axiom validation, invariants, serialization.
 ``extraction``
-    Building parks out of representations; ``find_park_involution``,
-    the park-morphism search from a park to itself with colors swapped.
+    Building parks out of representations.
 ``hurwitz``
     Single and composite Hurwitz numbers, brute-force cross-checks.
 ``equivalence``
-    Park isomorphism (the park-morphism search between two parks),
-    representation equivalence, enumeration.
+    The park-morphism search behind park isomorphism and
+    ``find_park_involution``, representation equivalence, enumeration.
 ``cli``
     The ``parkscope`` command-line front end.
 """
@@ -57,9 +55,9 @@ _HOME = {
     for home, names in {
         "equivalence": "ClassificationTable EnumerationResult EquivalenceWitness MonodromyClass"
         " ParkIsomorphism canonical_form classify enumerate_monodromies"
-        " monodromy_equivalent park_isomorphic",
+        " find_park_involution monodromy_equivalent park_isomorphic",
         "extraction": "extract_alleys extract_faces extract_gardens extract_nodes"
-        " find_park_involution monodromy_to_park",
+        " monodromy_to_park",
         "hurwitz": "branch_count interleaving_factor one_part_oracle park_hurwitz"
         " single_hurwitz single_hurwitz_brute",
         "monodromy": "MonodromyRep build conjugate_rep genus_from_counts validate_genericity"

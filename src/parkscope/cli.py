@@ -92,19 +92,18 @@ def _parse_monodromy(obj: Any, path: str, max_sheets: int) -> monodromy.Monodrom
     return rep
 
 
-def _load_park(path: str) -> park._ParkIndex:
+def _load_park(path: str) -> tuple[park.Park, park.ParkReport]:
     return _parse_park(_load_json_file(path), path)
 
 
-def _parse_park(obj: Any, path: str) -> park._ParkIndex:
-    """The index of a park whose shapes parse and whose ids are unique and
-    resolve; anything else is malformed input."""
+def _parse_park(obj: Any, path: str) -> tuple[park.Park, park.ParkReport]:
+    """A park whose shapes parse and whose ids are unique and resolve, with
+    its validation report; anything else is malformed input."""
     try:
-        index = park._ParkIndex(park.from_json_dict(obj))
-        index.check_references()
+        built = park.from_json_dict(obj)
+        return built, park.validate_park(built)
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path}: {exc}") from exc
-    return index
 
 
 def _check_sheets(sheets: int, max_sheets: int) -> None:
@@ -226,7 +225,7 @@ def _cmd_extract(args, out: _Output) -> int:
 
 
 def _cmd_validate_park(args, out: _Output) -> int:
-    report = park._index_report(_load_park(args.park))
+    _, report = _load_park(args.park)
     payload = {
         "command": "validate-park",
         "ok": report.ok,
@@ -283,8 +282,7 @@ def _info_monodromy(args, obj: Any, out: _Output) -> int:
 
 
 def _info_park(args, obj: Any, out: _Output) -> int:
-    index = _parse_park(obj, args.file)
-    report = park._index_report(index)
+    built, report = _parse_park(obj, args.file)
     if not report:
         detail = "; ".join(f"{a}: {b}" for a, b in report.violations[:3])
         raise _CliFailure(
@@ -292,7 +290,6 @@ def _info_park(args, obj: Any, out: _Output) -> int:
             f"{args.file}: park fails validation ({detail})",
             {"command": "info", "schema": "park", "ok": False},
         )
-    built = index.park
     # A park that passes cannot make this raise: surface-closure and
     # degree-balance reject every park whose genus or degree is undefined.
     summary = park.type_summary(built)
@@ -326,9 +323,9 @@ def _degree_bound(args) -> int:
 
 
 def _cmd_hurwitz(args, out: _Output) -> int:
-    index = _load_park(args.park)
+    built, _ = _load_park(args.park)
     try:
-        value = hurwitz._index_hurwitz(park._require_valid(index), _degree_bound(args))
+        value = hurwitz.park_hurwitz(built, _degree_bound(args))
     except ValueError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE, f"{args.park}: {exc}", {"command": "hurwitz", "ok": False}
@@ -377,13 +374,11 @@ def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
 
 
 def _cmd_isomorphic(args, out: _Output) -> int:
-    first = _load_park(args.park_a)
-    second = _load_park(args.park_b)
+    first, _ = _load_park(args.park_a)
+    second, _ = _load_park(args.park_b)
     try:
-        witness = equivalence._index_isomorphism(
-            park._require_valid(first),
-            park._require_valid(second),
-            allow_reflection=args.allow_reflection,
+        witness = equivalence.park_isomorphic(
+            first, second, allow_reflection=args.allow_reflection
         )
     except ValueError as exc:
         raise _CliFailure(

@@ -5,8 +5,11 @@
   weights are preserved, corner labels match up to a cyclic rotation
   (optionally a reflection), fine boundaries correspond, and the map
   commutes with both park involutions.  It runs the park-morphism
-  search of :mod:`parkscope.park` once per rotation, the same search
-  that ``find_park_involution`` runs from a park to itself.
+  search ``_park_morphism`` once per rotation.
+* ``find_park_involution`` recovers an involution for a park given
+  without one (hand-authored parks): the same search from the park to
+  itself with colors swapped, under the garden-kind rule of
+  ``validate_park``.  Every park-vs-park comparison is this one search.
 * ``monodromy_equivalent`` decides a sufficient condition for
   topological equivalence of two monodromies: a color-preserving sheet
   relabeling that matches the orbit systems of the ``x`` generators and
@@ -56,17 +59,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_reports, _generic_trusted, _Mark
 from .park import (
+    FACE_COLORS,
+    Garden,
+    Involution,
     Park,
+    _garden_kind_violation,
     _least_rotation,
-    _park_morphism,
     _ParkIndex,
     _validated_index,
+    opposite_color,
+    rotations_equal,
     type_summary,
 )
 from .permgroup import (
@@ -118,6 +126,215 @@ class ParkIsomorphism:
     edges: dict[int, int] = field(default_factory=dict)
     vertices: dict[int, int] = field(default_factory=dict)
     nodes: dict[int, int] = field(default_factory=dict)
+
+
+#: Cell types in the order the morphism search binds them.
+_CELL_TYPES = ("nodes", "faces", "gardens", "vertices", "edges")
+
+#: One id map per cell type.
+_CellMaps = dict[str, dict[int, int]]
+
+
+def _park_morphism(
+    src: _ParkIndex,
+    dst: _ParkIndex,
+    *,
+    swap: bool,
+    label: Callable[[int], int],
+    reverse: bool,
+    twin: Callable[[str, int, int], tuple[int, int]],
+    required: Mapping[str, Mapping[int, int]],
+    accept: Callable[[_CellMaps], bool] | None = None,
+) -> _CellMaps | None:
+    """The first structure-preserving cell map ``src -> dst``, or ``None``.
+
+    Roles and colors are kept, or swapped when ``swap`` is set; genus
+    signatures, degrees, edge kinds and lengths and garden kinds are kept;
+    corner labels are sent through ``label``.  Every binding ``a -> b`` of
+    one cell type is made together with its twin ``twin(type, a, b)``, and
+    a cell listed in ``required`` may only go to its listed image.  Face
+    boundaries must correspond up to rotation, read reversed and negated
+    when ``reverse`` is set, and the complete maps must pass ``accept``.
+
+    The search order is fixed: entrances by id against target nodes by
+    id; white faces by id against the faces of their node's image, in
+    alley order, binding the faces' gardens on the way; gardens left
+    unbound by id against gardens by id; then, garden pair by garden
+    pair, vertices and edges by id against cells of the image garden.
+    """
+    if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in _CELL_TYPES):
+        return None
+    recolor = {c: opposite_color(c) if swap else c for c in FACE_COLORS}
+    target_role = "exit" if swap else "entrance"
+    entrances = sorted(n for n, node in src.nodes.items() if node.role == "entrance")
+    targets = sorted(n for n, node in dst.nodes.items() if node.role == target_role)
+    if len(entrances) != len(targets):
+        return None
+    white_faces = sorted(f for f, face in src.faces.items() if face.color == "white")
+    maps: _CellMaps = {t: {} for t in _CELL_TYPES}
+    images: dict[str, set[int]] = {t: set() for t in _CELL_TYPES}
+    trail: list[tuple[str, int]] = []
+
+    def bind(cell: str, a: int, b: int) -> bool:
+        mapping = maps[cell]
+        if a in mapping:
+            return mapping[a] == b
+        if b in images[cell] or required.get(cell, {}).get(a, b) != b:
+            return False
+        mapping[a] = b
+        images[cell].add(b)
+        trail.append((cell, a))
+        return True
+
+    def bind_twins(cell: str, a: int, b: int) -> bool:
+        return bind(cell, a, b) and bind(cell, *twin(cell, a, b))
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            cell, a = trail.pop()
+            images[cell].discard(maps[cell].pop(a))
+
+    def garden_key(garden: Garden, mapped: bool) -> tuple:
+        colors = recolor if mapped else {c: c for c in FACE_COLORS}
+        corners = (v.corner_label for v in garden.vertices)
+        return (
+            garden.kind,
+            sorted((colors[f.color], f.degree) for f in garden.faces),
+            sorted((e.kind, e.length) for e in garden.edges),
+            sorted(map(label, corners) if mapped else corners),
+        )
+
+    src_keys: dict[int, tuple] = {}
+    dst_keys: dict[int, tuple] = {}
+
+    def gardens_fit(a: int, b: int) -> bool:
+        if a not in src_keys:
+            src_keys[a] = garden_key(src.gardens[a], True)
+        if b not in dst_keys:
+            dst_keys[b] = garden_key(dst.gardens[b], False)
+        return src_keys[a] == dst_keys[b]
+
+    def bind_garden(a: int, b: int) -> bool:
+        fits = a in maps["gardens"] or gardens_fit(a, b)
+        return fits and bind_twins("gardens", a, b)
+
+    def solve_nodes(i: int) -> _CellMaps | None:
+        if i == len(entrances):
+            return solve_faces(0)
+        a = entrances[i]
+        mark = len(trail)
+        for b in targets:
+            if b in images["nodes"] or src.signatures[a] != dst.signatures[b]:
+                continue
+            if bind_twins("nodes", a, b):
+                result = solve_nodes(i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def solve_faces(i: int) -> _CellMaps | None:
+        if i == len(white_faces):
+            return solve_gardens()
+        f = white_faces[i]
+        face = src.faces[f]
+        color = recolor[face.color]
+        mark = len(trail)
+        for b in dst.faces_of_node[maps["nodes"][src.node_of_face[f]]]:
+            if b in images["faces"]:
+                continue
+            other = dst.faces[b]
+            if other.color != color or other.degree != face.degree:
+                continue
+            if bind_twins("faces", f, b) and bind_garden(
+                src.owner_of_face[f], dst.owner_of_face[b]
+            ):
+                result = solve_faces(i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def solve_gardens() -> _CellMaps | None:
+        unbound = [g for g in sorted(src.gardens) if g not in maps["gardens"]]
+        if not unbound:
+            steps = [
+                (cell, x.id, b)
+                for a, b in sorted(maps["gardens"].items())
+                for cell in ("vertices", "edges")
+                for x in sorted(getattr(src.gardens[a], cell), key=lambda x: x.id)
+            ]
+            return solve_cells(steps, 0)
+        a = unbound[0]
+        mark = len(trail)
+        for b in sorted(dst.gardens):
+            if b in images["gardens"] or not gardens_fit(a, b):
+                continue
+            if bind_twins("gardens", a, b):
+                result = solve_gardens()
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def wanted_shape(cell: str, a: int) -> Any:
+        """The corner label, or kind, length and end images, a's image needs."""
+        if cell == "vertices":
+            return label(src.vertices[a].corner_label)
+        edge, ends = src.edges[a], maps["vertices"]
+        if edge.ends is None:
+            return edge.kind, edge.length, None
+        if any(v not in ends for v in edge.ends):
+            return None
+        return edge.kind, edge.length, sorted(ends[v] for v in edge.ends)
+
+    def shape(cell: str, b: int) -> Any:
+        if cell == "vertices":
+            return dst.vertices[b].corner_label
+        edge = dst.edges[b]
+        return edge.kind, edge.length, None if edge.ends is None else sorted(edge.ends)
+
+    dst_cells: dict[tuple[str, int], list[tuple[int, Any]]] = {}
+
+    def solve_cells(steps: list[tuple[str, int, int]], i: int) -> _CellMaps | None:
+        if i == len(steps):
+            return finish()
+        cell, a, garden = steps[i]
+        if a in maps[cell]:
+            return solve_cells(steps, i + 1)
+        want = wanted_shape(cell, a)
+        if (cell, garden) not in dst_cells:
+            dst_cells[cell, garden] = [
+                (b, shape(cell, b))
+                for b in sorted(x.id for x in getattr(dst.gardens[garden], cell))
+            ]
+        mark = len(trail)
+        for b, has in dst_cells[cell, garden]:
+            if has != want or b in images[cell]:
+                continue
+            if bind_twins(cell, a, b):
+                result = solve_cells(steps, i + 1)
+                if result is not None:
+                    return result
+            undo(mark)
+        return None
+
+    def finish() -> _CellMaps | None:
+        edges = maps["edges"]
+        for f, face in src.faces.items():
+            image = dst.faces[maps["faces"][f]]
+            if not face.boundary or not image.boundary:
+                continue
+            mapped = [edges[x] if x > 0 else -edges[-x] for x in face.boundary]
+            if reverse:
+                mapped = [-x for x in reversed(mapped)]
+            if not rotations_equal(mapped, image.boundary):
+                return None
+        if accept is not None and not accept(maps):
+            return None
+        return {t: dict(mapping) for t, mapping in maps.items()}
+
+    return solve_nodes(0)
 
 
 def _rotated_label(label: int, s: int, rotation: int, reflected: bool) -> int:
@@ -173,6 +390,59 @@ def _index_isomorphism(
             if maps is not None:
                 return ParkIsomorphism(rotation=rotation, reflected=reflected, **maps)
     return None
+
+
+def find_park_involution(park: Park) -> Involution | None:
+    """Search for a structure-preserving color-swapping involution.
+
+    This is the park-morphism search from a park to itself with roles
+    and colors swapped, corner labels kept and boundaries read reversed:
+    entrances are matched with exits of equal signature, white faces
+    with black faces of equal degree through compatible gardens, then
+    vertices and edges within each garden pairing, each binding made
+    together with its mirror.  Declared garden partners and vertex pairs
+    are required images, and every garden must pass the garden-kind rule
+    of ``validate_park``: only a separated-pair member moves, and only to
+    its partner, and a fixed garden must agree with its kind.  Returns
+    the first involution in a fixed search order, or ``None`` (also for a
+    park whose ids or alleys do not resolve).
+    """
+    try:
+        index = _ParkIndex(park)
+        index.check_references()
+    except ValueError:
+        return None
+    if not index.attachments_resolve():
+        return None
+    required = {
+        "gardens": {
+            g.id: g.id if g.partner_id is None else g.partner_id
+            for g in park.gardens
+            if g.partner_id is not None or g.kind != "separated_pair_member"
+        },
+        "vertices": {
+            v.id: v.pair_id for v in index.vertices.values() if v.pair_id is not None
+        },
+    }
+
+    def kinds_hold(maps: _CellMaps) -> bool:
+        edges, vertices = maps["edges"], maps["vertices"]
+        return all(
+            _garden_kind_violation(index.gardens[g_id], image, edges, vertices) is None
+            for g_id, image in maps["gardens"].items()
+        )
+
+    maps = _park_morphism(
+        index,
+        index,
+        swap=True,
+        label=lambda c: c,
+        reverse=True,
+        twin=lambda cell, a, b: (b, a),
+        required=required,
+        accept=kinds_hold,
+    )
+    return None if maps is None else Involution(**maps)
 
 
 def _merge_signature(index: _ParkIndex) -> tuple:

@@ -22,11 +22,6 @@ Every park ingredient is read off the permutation data:
   partner, and no vertex names a pair; the other garden kinds occur only
   in hand-authored parks.
 
-``find_park_involution`` recovers an involution for a park given
-without one (hand-authored parks); it runs the park-morphism search of
-:mod:`parkscope.park`, the one behind ``park_isomorphic``, from the
-park to itself with colors swapped.
-
 ``monodromy_to_park`` runs in four stages:
 
 1. **cheap cells** -- faces, entrances and vertices, which is all the
@@ -81,11 +76,8 @@ from .park import (
     Involution,
     Park,
     ParkNode,
-    _garden_kind_violation,
     _genus_of_characteristic,
     _least_rotation,
-    _park_morphism,
-    _ParkIndex,
 )
 from .permgroup import _cycles, _orbits, blacks, conjugate, whites
 
@@ -606,61 +598,3 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             forced_genus=forced_genus,
         )
     return _assemble(ex.finish())
-
-
-# ---------------------------------------------------------------------------
-# involution search
-# ---------------------------------------------------------------------------
-
-
-def find_park_involution(park: Park) -> Involution | None:
-    """Search for a structure-preserving color-swapping involution.
-
-    This is the park-morphism search from a park to itself with roles
-    and colors swapped, corner labels kept and boundaries read reversed:
-    entrances are matched with exits of equal signature, white faces
-    with black faces of equal degree through compatible gardens, then
-    vertices and edges within each garden pairing, each binding made
-    together with its mirror.  Declared garden partners and vertex pairs
-    are required images, and every garden must pass the garden-kind rule
-    of ``validate_park``: only a separated-pair member moves, and only to
-    its partner, and a fixed garden must agree with its kind.  Returns
-    the first involution in a fixed search order, or ``None`` (also for a
-    park whose ids or alleys do not resolve).
-    """
-    try:
-        index = _ParkIndex(park)
-        index.check_references()
-    except ValueError:
-        return None
-    if not index.attachments_resolve():
-        return None
-    required = {
-        "gardens": {
-            g.id: g.id if g.partner_id is None else g.partner_id
-            for g in park.gardens
-            if g.partner_id is not None or g.kind != "separated_pair_member"
-        },
-        "vertices": {
-            v.id: v.pair_id for v in index.vertices.values() if v.pair_id is not None
-        },
-    }
-
-    def kinds_hold(maps: dict[str, dict[int, int]]) -> bool:
-        edges, vertices = maps["edges"], maps["vertices"]
-        return all(
-            _garden_kind_violation(index.gardens[g_id], image, edges, vertices) is None
-            for g_id, image in maps["gardens"].items()
-        )
-
-    maps = _park_morphism(
-        index,
-        index,
-        swap=True,
-        label=lambda c: c,
-        reverse=True,
-        twin=lambda cell, a, b: (b, a),
-        required=required,
-        accept=kinds_hold,
-    )
-    return None if maps is None else Involution(**maps)

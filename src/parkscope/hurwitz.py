@@ -290,15 +290,11 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
     deliberately not multiplied in: the entrance data already determines
     the exit side through the involution.
     """
-    return _index_hurwitz(_park._validated_index(park), degree_bound)
-
-
-def _index_hurwitz(index: _park._ParkIndex, degree_bound: int) -> Fraction:
-    """:func:`park_hurwitz` on the index of a park known to validate."""
+    index = _park._validated_index(park)
     signatures = index.signatures
     branch_counts = []
     total = Fraction(1)
-    for node in sorted(index.park.nodes, key=lambda nd: nd.id):
+    for node in sorted(park.nodes, key=lambda nd: nd.id):
         if node.role != "entrance":
             continue
         signature = signatures[node.id]

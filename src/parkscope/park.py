@@ -39,15 +39,17 @@ the real locus.  Its cells:
 rule codes; structurally broken references (ids that do not resolve)
 raise ``ValueError`` instead.  The topological invariants
 (``euler_characteristic``, ``genus``, ``total_degree``) and the canonical
-``type_summary`` assume a validated park.  One private park-morphism
-search serves both ``park_isomorphic`` and ``find_park_involution``.
+``type_summary`` assume a validated park.  Comparing parks, with each
+other (``park_isomorphic``) or with their own mirror
+(``find_park_involution``), is :mod:`parkscope.equivalence`'s work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping
+from itertools import islice
+from typing import Any, Iterable, Mapping
 
 from .errors import InconsistencyError, NonRealizableError
 
@@ -477,215 +479,6 @@ class _ParkIndex:
         }
 
 
-#: Cell types in the order the morphism search binds them.
-_CELL_TYPES = ("nodes", "faces", "gardens", "vertices", "edges")
-
-#: One id map per cell type.
-_CellMaps = dict[str, dict[int, int]]
-
-
-def _park_morphism(
-    src: _ParkIndex,
-    dst: _ParkIndex,
-    *,
-    swap: bool,
-    label: Callable[[int], int],
-    reverse: bool,
-    twin: Callable[[str, int, int], tuple[int, int]],
-    required: Mapping[str, Mapping[int, int]],
-    accept: Callable[[_CellMaps], bool] | None = None,
-) -> _CellMaps | None:
-    """The first structure-preserving cell map ``src -> dst``, or ``None``.
-
-    Roles and colors are kept, or swapped when ``swap`` is set; genus
-    signatures, degrees, edge kinds and lengths and garden kinds are kept;
-    corner labels are sent through ``label``.  Every binding ``a -> b`` of
-    one cell type is made together with its twin ``twin(type, a, b)``, and
-    a cell listed in ``required`` may only go to its listed image.  Face
-    boundaries must correspond up to rotation, read reversed and negated
-    when ``reverse`` is set, and the complete maps must pass ``accept``.
-
-    The search order is fixed: entrances by id against target nodes by
-    id; white faces by id against the faces of their node's image, in
-    alley order, binding the faces' gardens on the way; gardens left
-    unbound by id against gardens by id; then, garden pair by garden
-    pair, vertices and edges by id against cells of the image garden.
-    """
-    if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in _CELL_TYPES):
-        return None
-    recolor = {c: opposite_color(c) if swap else c for c in FACE_COLORS}
-    target_role = "exit" if swap else "entrance"
-    entrances = sorted(n for n, node in src.nodes.items() if node.role == "entrance")
-    targets = sorted(n for n, node in dst.nodes.items() if node.role == target_role)
-    if len(entrances) != len(targets):
-        return None
-    whites = sorted(f for f, face in src.faces.items() if face.color == "white")
-    maps: _CellMaps = {t: {} for t in _CELL_TYPES}
-    images: dict[str, set[int]] = {t: set() for t in _CELL_TYPES}
-    trail: list[tuple[str, int]] = []
-
-    def bind(cell: str, a: int, b: int) -> bool:
-        mapping = maps[cell]
-        if a in mapping:
-            return mapping[a] == b
-        if b in images[cell] or required.get(cell, {}).get(a, b) != b:
-            return False
-        mapping[a] = b
-        images[cell].add(b)
-        trail.append((cell, a))
-        return True
-
-    def bind_twins(cell: str, a: int, b: int) -> bool:
-        return bind(cell, a, b) and bind(cell, *twin(cell, a, b))
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            cell, a = trail.pop()
-            images[cell].discard(maps[cell].pop(a))
-
-    def garden_key(garden: Garden, mapped: bool) -> tuple:
-        colors = recolor if mapped else {c: c for c in FACE_COLORS}
-        corners = (v.corner_label for v in garden.vertices)
-        return (
-            garden.kind,
-            sorted((colors[f.color], f.degree) for f in garden.faces),
-            sorted((e.kind, e.length) for e in garden.edges),
-            sorted(map(label, corners) if mapped else corners),
-        )
-
-    src_keys: dict[int, tuple] = {}
-    dst_keys: dict[int, tuple] = {}
-
-    def gardens_fit(a: int, b: int) -> bool:
-        if a not in src_keys:
-            src_keys[a] = garden_key(src.gardens[a], True)
-        if b not in dst_keys:
-            dst_keys[b] = garden_key(dst.gardens[b], False)
-        return src_keys[a] == dst_keys[b]
-
-    def bind_garden(a: int, b: int) -> bool:
-        fits = a in maps["gardens"] or gardens_fit(a, b)
-        return fits and bind_twins("gardens", a, b)
-
-    def solve_nodes(i: int) -> _CellMaps | None:
-        if i == len(entrances):
-            return solve_faces(0)
-        a = entrances[i]
-        mark = len(trail)
-        for b in targets:
-            if b in images["nodes"] or src.signatures[a] != dst.signatures[b]:
-                continue
-            if bind_twins("nodes", a, b):
-                result = solve_nodes(i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def solve_faces(i: int) -> _CellMaps | None:
-        if i == len(whites):
-            return solve_gardens()
-        f = whites[i]
-        face = src.faces[f]
-        color = recolor[face.color]
-        mark = len(trail)
-        for b in dst.faces_of_node[maps["nodes"][src.node_of_face[f]]]:
-            if b in images["faces"]:
-                continue
-            other = dst.faces[b]
-            if other.color != color or other.degree != face.degree:
-                continue
-            if bind_twins("faces", f, b) and bind_garden(
-                src.owner_of_face[f], dst.owner_of_face[b]
-            ):
-                result = solve_faces(i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def solve_gardens() -> _CellMaps | None:
-        unbound = [g for g in sorted(src.gardens) if g not in maps["gardens"]]
-        if not unbound:
-            steps = [
-                (cell, x.id, b)
-                for a, b in sorted(maps["gardens"].items())
-                for cell in ("vertices", "edges")
-                for x in sorted(getattr(src.gardens[a], cell), key=lambda x: x.id)
-            ]
-            return solve_cells(steps, 0)
-        a = unbound[0]
-        mark = len(trail)
-        for b in sorted(dst.gardens):
-            if b in images["gardens"] or not gardens_fit(a, b):
-                continue
-            if bind_twins("gardens", a, b):
-                result = solve_gardens()
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def wanted_shape(cell: str, a: int) -> Any:
-        """The corner label, or kind, length and end images, a's image needs."""
-        if cell == "vertices":
-            return label(src.vertices[a].corner_label)
-        edge, ends = src.edges[a], maps["vertices"]
-        if edge.ends is None:
-            return edge.kind, edge.length, None
-        if any(v not in ends for v in edge.ends):
-            return None
-        return edge.kind, edge.length, sorted(ends[v] for v in edge.ends)
-
-    def shape(cell: str, b: int) -> Any:
-        if cell == "vertices":
-            return dst.vertices[b].corner_label
-        edge = dst.edges[b]
-        return edge.kind, edge.length, None if edge.ends is None else sorted(edge.ends)
-
-    dst_cells: dict[tuple[str, int], list[tuple[int, Any]]] = {}
-
-    def solve_cells(steps: list[tuple[str, int, int]], i: int) -> _CellMaps | None:
-        if i == len(steps):
-            return finish()
-        cell, a, garden = steps[i]
-        if a in maps[cell]:
-            return solve_cells(steps, i + 1)
-        want = wanted_shape(cell, a)
-        if (cell, garden) not in dst_cells:
-            dst_cells[cell, garden] = [
-                (b, shape(cell, b))
-                for b in sorted(x.id for x in getattr(dst.gardens[garden], cell))
-            ]
-        mark = len(trail)
-        for b, has in dst_cells[cell, garden]:
-            if has != want or b in images[cell]:
-                continue
-            if bind_twins(cell, a, b):
-                result = solve_cells(steps, i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def finish() -> _CellMaps | None:
-        edges = maps["edges"]
-        for f, face in src.faces.items():
-            image = dst.faces[maps["faces"][f]]
-            if not face.boundary or not image.boundary:
-                continue
-            mapped = [edges[x] if x > 0 else -edges[-x] for x in face.boundary]
-            if reverse:
-                mapped = [-x for x in reversed(mapped)]
-            if not rotations_equal(mapped, image.boundary):
-                return None
-        if accept is not None and not accept(maps):
-            return None
-        return {t: dict(mapping) for t, mapping in maps.items()}
-
-    return solve_nodes(0)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -726,13 +519,6 @@ def _validated_index(park: Park) -> _ParkIndex:
     the public functions that take parks."""
     index = _ParkIndex(park)
     index.check_references()
-    return _require_valid(index)
-
-
-def _require_valid(index: _ParkIndex) -> _ParkIndex:
-    """``index``, whose references resolve, if its park passes
-    :func:`validate_park`; raises ``ValueError`` naming the first
-    violations otherwise."""
     report = _index_report(index)
     if not report:
         raise ValueError(
@@ -767,10 +553,13 @@ def _index_report(index: _ParkIndex) -> ParkReport:
                 "corner-count",
                 f"vertex {v.id} corner label {v.corner_label} outside 1..{s}",
             )
-    if s > 0:
-        missing = sorted(set(range(1, s + 1)) - labels)
-        if missing:
-            flag("corner-count", f"no vertex sits over corners {missing}")
+    # s may be far larger than the vertex count: count the corners no
+    # vertex sits over from the labels, and list only the first ten.
+    absent = s - sum(1 for c in labels if 1 <= c <= s)
+    if absent:
+        missing = list(islice((c for c in range(1, s + 1) if c not in labels), 10))
+        more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
+        flag("corner-count", f"no vertex sits over corners {missing}{more}")
 
     # -- fine-structure checks --------------------------------------------
     if park.is_fine():

@@ -399,3 +399,22 @@ def test_malformed_park_is_exit_2(tmp_path, capsys, command, mutate):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and "Traceback" not in err
+
+
+def test_enumerate_over_the_critical_ceiling_is_exit_3(capsys):
+    assert main(["enumerate", "--degree", "3", "--cone", "5", "--corner", "4"]) == 3
+    assert "enumeration bounds exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "extract", "equivalent", "validate-park", "hurwitz", "isomorphic"]
+)
+def test_json_that_is_not_an_object_is_exit_2(tmp_path, capsys, command):
+    """Both schemas refuse a document that is not an object."""
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    argv = [command, str(path)]
+    if command in ("equivalent", "isomorphic"):
+        argv.append(str(path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{path}: expected a JSON object, got list\n"

@@ -560,6 +560,14 @@ def test_enumeration_budget():
         enumerate_monodromies(3, 2, 0, budget=5)
 
 
+@pytest.mark.parametrize("cell", [(6, 0, 0), (3, 5, 4)], ids=["ground 12", "critical 9"])
+def test_enumeration_hard_ceilings(cell):
+    with pytest.raises(
+        ResourceLimitError, match=r"^enumeration bounds exceeded: need 2d <= 10 and t \+ s <= 8$"
+    ):
+        enumerate_monodromies(*cell)
+
+
 def test_enumerated_members_are_valid():
     result = enumerate_monodromies(2, 2, 0, dedup="jequiv")
     for cls in result.classes:

@@ -72,8 +72,20 @@ def test_unknown_attribute_raises_attribute_error():
         (["info", str(EXAMPLE_REP_PATH)], ("park", "extraction", "equivalence", "hurwitz")),
         (["validate-park", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence", "hurwitz")),
         (["single-hurwitz", "0", "3"], ("park",)),
+        (["extract", str(EXAMPLE_REP_PATH)], ("equivalence", "hurwitz")),
+        (["info", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence", "hurwitz")),
+        (["hurwitz", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence")),
     ],
-    ids=["help", "validate", "info-rep", "validate-park", "single-hurwitz"],
+    ids=[
+        "help",
+        "validate",
+        "info-rep",
+        "validate-park",
+        "single-hurwitz",
+        "extract",
+        "info-park",
+        "hurwitz",
+    ],
 )
 def test_cli_command_loads_only_what_it_uses(argv, unloaded):
     code, ran = _child(

@@ -84,6 +84,20 @@ def test_branch_generator_shape_checked():
     assert any("x[1]" == label for label, _ in report.violations)
 
 
+def test_genericity_mode_and_degree_are_checked(loop3_rep):
+    with pytest.raises(ValueError, match="^unknown genericity mode 'bogus'"):
+        validate_genericity(loop3_rep, "bogus")
+    for degree in (0, True):
+        with pytest.raises(ValueError, match="^degree must be a positive integer"):
+            MonodromyRep(degree=degree, x=(), e=None, c=((1, 0),))
+
+
+@pytest.mark.parametrize("obj", [[], "rep", 3])
+def test_from_json_dict_rejects_what_is_not_an_object(obj):
+    with pytest.raises(ValueError, match="^expected a JSON object, got "):
+        monodromy.from_json_dict(obj)
+
+
 def test_corner_element_shape_checked(chord_rep):
     assert chord_rep.corner_element(1) == pg.compose(chord_rep.c[0], chord_rep.c[1])
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from parkscope import (
+    InconsistencyError,
     NonRealizableError,
     euler_characteristic,
     find_park_involution,
@@ -17,7 +18,9 @@ from parkscope import (
     type_summary,
     validate_park,
 )
+from parkscope.cli import main
 from parkscope.park import (
+    VALIDATION_RULES,
     Alley,
     EntranceSignature,
     Face,
@@ -27,11 +30,15 @@ from parkscope.park import (
     Park,
     ParkNode,
     from_json_dict,
+    opposite_color,
+    opposite_role,
     rotations_equal,
     to_json_dict,
 )
 
-from conftest import EXAMPLE_PARK_PATH
+from conftest import EXAMPLE_PARK_PATH, run_cli
+
+PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
 
 
 def test_shipped_park_validates(example_park):
@@ -98,6 +105,12 @@ def test_from_json_dict_rejects_malformed(example_park_dict, mutate):
     obj = copy.deepcopy(example_park_dict)
     mutate(obj)
     with pytest.raises(ValueError):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("obj", [[], "park", 3])
+def test_from_json_dict_rejects_what_is_not_an_object(obj):
+    with pytest.raises(ValueError, match="^expected a JSON object, got "):
         from_json_dict(obj)
 
 
@@ -316,3 +329,273 @@ def test_shipped_file_is_normalized(example_park_dict):
     with open(EXAMPLE_PARK_PATH, "r", encoding="utf-8") as fh:
         text = fh.read()
     assert text == json.dumps(example_park_dict, indent=2) + "\n"
+
+
+def _park_argv(command, path):
+    """``command`` on the park file ``path``; ``isomorphic`` compares it
+    with the shipped park."""
+    argv = [command, str(path)]
+    if command == "isomorphic":
+        argv.append(str(EXAMPLE_PARK_PATH))
+    return argv
+
+
+def _write_park(tmp_path, obj):
+    path = tmp_path / "park.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _vertex(obj, g_id, v_id, corner=1, pair=None):
+    """Add vertex ``v_id`` over ``corner`` to garden ``g_id``, fixed by the
+    involution, and raise ``s`` to cover its corner."""
+    _garden(obj, g_id)["vertices"].append({"id": v_id, "corner": corner, "pair": pair})
+    obj["involution"]["vertices"][str(v_id)] = v_id
+    obj["s"] = max(obj["s"], corner)
+
+
+def _segment(obj, g_id, e_id, ends):
+    """Add segment edge ``e_id`` with ``ends`` to garden ``g_id``, fixed by
+    the involution."""
+    edge = {"id": e_id, "length": 1, "kind": "segment", "ends": list(ends)}
+    _garden(obj, g_id)["edges"].append(edge)
+    obj["involution"]["edges"][str(e_id)] = e_id
+
+
+def _swap_vertices(obj):
+    obj["involution"]["vertices"].update({"1": 2, "2": 1})
+
+
+@pytest.mark.parametrize(
+    "change, violation",
+    [
+        (
+            lambda obj: _garden(obj, 3)["faces"][0].update(boundary=[3, 3]),
+            ("face-color-adjacency", "edge 3 appears 3 times in face boundaries, expected 2"),
+        ),
+        (
+            lambda obj: _garden(obj, 1).update(partner=1),
+            ("pair-mirror", "garden 1 partners itself"),
+        ),
+        (
+            lambda obj: _garden(obj, 3).update(partner=4),
+            ("pair-mirror", "garden 3 of kind orientable must not declare a partner"),
+        ),
+        (
+            lambda obj: obj["involution"]["nodes"].pop("1"),
+            ("involution-involutive", "involution is undefined on nodes [1]"),
+        ),
+        (
+            lambda obj: obj["involution"]["nodes"].update({"3": 2}),
+            ("involution-involutive", "involution on nodes is not an involution at 1 -> 3"),
+        ),
+        (
+            lambda obj: obj["involution"]["nodes"].update({"1": 2, "2": 1, "3": 4, "4": 3}),
+            ("involution-role-color", "involution maps entrance node 1 to entrance node 2"),
+        ),
+        (
+            lambda obj: [
+                _vertex(obj, 3, 1),
+                _vertex(obj, 3, 2),
+                _segment(obj, 3, 5, (1, 1)),
+                _swap_vertices(obj),
+            ],
+            ("involution-structure", "involution maps edge 5 ends inconsistently"),
+        ),
+        (
+            lambda obj: [_vertex(obj, 3, 1, 1), _vertex(obj, 3, 2, 2), _swap_vertices(obj)],
+            ("involution-structure", "involution changes corner label of vertex 1"),
+        ),
+        (
+            lambda obj: [_vertex(obj, 3, 1), _vertex(obj, 4, 2), _swap_vertices(obj)],
+            ("involution-structure", "involution maps vertex 1 inconsistently with its garden"),
+        ),
+        (
+            lambda obj: [_vertex(obj, 3, 1, pair=2), _vertex(obj, 3, 2)],
+            (
+                "involution-structure",
+                "vertex 1 declares pair 2 but the involution sends it to 1",
+            ),
+        ),
+    ],
+    ids=[
+        "edge in three boundaries",
+        "garden partners itself",
+        "orientable garden with a partner",
+        "involution undefined",
+        "involution not involutive",
+        "entrance sent to an entrance",
+        "edge ends mapped apart",
+        "corner label changed",
+        "vertex leaves its garden's image",
+        "vertex pair disagrees",
+    ],
+)
+def test_validator_branch(example_park_dict, change, violation):
+    report = validate_park(_mutated(example_park_dict, change))
+    assert violation in report.violations, report.violations
+    assert {code for code, _ in report.violations} <= set(VALIDATION_RULES)
+
+
+def test_corner_count_lists_the_first_missing_corners(example_park_dict, chord_park):
+    obj = to_json_dict(chord_park)
+    for v in obj["gardens"][0]["vertices"]:
+        v["corner"] = 1
+    few = validate_park(from_json_dict(obj)).violations
+    assert ("corner-count", "no vertex sits over corners [2]") in few
+    many = validate_park(_mutated(example_park_dict, lambda obj: obj.update(s=25)))
+    assert many.violations == (
+        ("corner-count", f"no vertex sits over corners {list(range(1, 11))} and 15 more"),
+    )
+
+
+@pytest.mark.parametrize("command", PARK_COMMANDS)
+def test_huge_corner_count_is_reported_without_building_it(tmp_path, example_park_dict, command):
+    """``s = 10**12`` is one integer in the file: every park command answers
+    exit 1 naming ``corner-count`` in a child capped at 768 MiB, where a
+    set of all the corners ends in ``MemoryError``."""
+    example_park_dict["s"] = 10**12
+    path = _write_park(tmp_path, example_park_dict)
+    proc = run_cli(_park_argv(command, path), memory_mib=768)
+    assert proc.returncode == 1, proc.stderr
+    assert b"corner-count: no vertex sits over corners [1, 2, 3" in proc.stdout + proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda obj: [_vertex(obj, 3, 1), _segment(obj, 3, 5, (1, 99))],
+            "edge 5 end references unknown vertex 99",
+        ),
+        (
+            lambda obj: [_vertex(obj, 4, 1), _segment(obj, 3, 5, (1, 1))],
+            "edge 5 end vertex 1 lies in a different garden",
+        ),
+        (
+            lambda obj: _garden(obj, 3)["faces"][0].update(boundary=[4]),
+            "face 5 boundary edge 4 lies in a different garden",
+        ),
+        (lambda obj: _vertex(obj, 3, 1, pair=99), "vertex 1 pairs with unknown vertex 99"),
+        (lambda obj: _garden(obj, 1).update(partner=99), "garden 1 partners unknown garden 99"),
+        (
+            lambda obj: obj["involution"]["nodes"].update({"9": 1}),
+            "involution nodes key 9 is not a known id",
+        ),
+        (
+            lambda obj: obj["involution"]["nodes"].update({"1": 9}),
+            "involution nodes value 9 is not a known id",
+        ),
+    ],
+    ids=[
+        "edge end unknown",
+        "edge end in another garden",
+        "boundary edge in another garden",
+        "pair unknown",
+        "partner unknown",
+        "involution key unknown",
+        "involution value unknown",
+    ],
+)
+def test_dangling_reference_raises_and_is_exit_2(
+    tmp_path, capsys, example_park_dict, change, message
+):
+    park = _mutated(example_park_dict, change)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_park(park)
+    path = _write_park(tmp_path, to_json_dict(park))
+    for command in PARK_COMMANDS:
+        assert main(_park_argv(command, path)) == 2
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+def _park(**fields):
+    """A park with no cells; ``fields`` override the defaults."""
+    values = dict(
+        corner_points=0, cone_points=0, gardens=(), nodes=(), alleys=(), involution=Involution()
+    )
+    values.update(fields)
+    return Park(**values)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _park(corner_points=-1), "corner_points must be >= 0, got -1"),
+        (lambda: _park(cone_points=-1), "cone_points must be >= 0, got -1"),
+        (lambda: _park(gardens=[1]), "gardens must contain Garden objects, got 1"),
+        (lambda: _park(nodes=[1]), "nodes must contain ParkNode objects, got 1"),
+        (lambda: _park(alleys=[1]), "alleys must contain Alley objects, got 1"),
+        (lambda: _park(involution={}), "involution must be an Involution"),
+        (lambda: GardenEdge(id=1, length=1, kind="arc"), "unknown edge kind 'arc'"),
+        (
+            lambda: GardenEdge(id=1, length=1, kind="segment"),
+            "segment edge 1 needs exactly two end vertex ids",
+        ),
+        (
+            lambda: GardenEdge(id=1, length=1, kind="segment", ends=(1,)),
+            "segment edge 1 needs exactly two end vertex ids",
+        ),
+        (
+            lambda: GardenEdge(id=1, length=1, kind="segment", ends=(1, True)),
+            "segment edge 1 needs exactly two end vertex ids",
+        ),
+        (
+            lambda: GardenEdge(id=1, length=1, kind="loop", ends=(1, 1)),
+            "loop edge 1 must not have ends",
+        ),
+        (lambda: ParkNode(id=1, role="sideways", genus=0), "unknown node role 'sideways'"),
+        (lambda: Involution(nodes=[(1, 2)]), "involution nodes must be a mapping of ids"),
+        (
+            lambda: Involution(faces={"1": 2}),
+            "involution faces key must be an integer, got '1'",
+        ),
+        (lambda: opposite_color("red"), "unknown face color 'red'"),
+        (lambda: opposite_role("sideways"), "unknown node role 'sideways'"),
+    ],
+)
+def test_constructor_checks_raise(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda obj: obj.update(s=-1), "corner_points must be >= 0, got -1"),
+        (lambda obj: obj.update(t=-1), "cone_points must be >= 0, got -1"),
+        (
+            lambda obj: _garden(obj, 3)["edges"][0].update(kind="arc"),
+            "unknown edge kind 'arc'",
+        ),
+        (
+            lambda obj: _garden(obj, 3)["edges"][0].update(kind="segment"),
+            "segment edge 3 needs exactly two end vertex ids",
+        ),
+        (
+            lambda obj: _garden(obj, 3)["edges"][0].update(ends=[1, 1]),
+            "loop edge 3 must not have ends",
+        ),
+        (lambda obj: obj["nodes"][0].update(role="sideways"), "unknown node role 'sideways'"),
+    ],
+    ids=["s", "t", "edge kind", "segment ends", "loop ends", "node role"],
+)
+def test_constructor_checks_on_file_input_are_exit_2(
+    tmp_path, capsys, example_park_dict, change, message
+):
+    change(example_park_dict)
+    path = _write_park(tmp_path, example_park_dict)
+    for command in PARK_COMMANDS:
+        assert main(_park_argv(command, path)) == 2
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+def test_total_degree_raises_on_unbalanced_degrees(example_park_dict):
+    park = _mutated(
+        example_park_dict,
+        lambda obj: obj["gardens"][0]["faces"][0].update(degree=2),
+    )
+    with pytest.raises(InconsistencyError, match="white degrees sum to 5 but black degrees to 4"):
+        total_degree(park)

@@ -97,6 +97,21 @@ def test_orbits_and_cycles_reject_bad_generators_and_restrictions():
         pg.cycles(swap01, restrict=[4])
 
 
+def test_sizes_and_ranges_are_checked():
+    with pytest.raises(ValueError, match=r"^negative ground set size: -1$"):
+        pg.identity(-1)
+    with pytest.raises(ValueError, match=r"^cycle element 3 outside 0\.\.2$"):
+        pg.from_cycles(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        pg.compose((1, 0), (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        pg.conjugate((1, 0), (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^size mismatch: 3 vs ground set 4$"):
+        pg.is_color_preserving((0, 1, 2), 2)
+    with pytest.raises(ValueError, match=r"^size mismatch: 3 vs ground set 4$"):
+        pg.is_color_swapping((0, 1, 2), 2)
+
+
 def test_orbits_without_generators_are_singletons():
     assert pg.orbits([], 3) == [(0,), (1,), (2,)]
     assert pg.orbits([], 0) == []
