@@ -45,9 +45,8 @@ def _lazy(name: str):
     return module
 
 
-cli, equivalence, extraction, hurwitz, monodromy, park, permgroup = map(
-    _lazy, ("cli", "equivalence", "extraction", "hurwitz", "monodromy", "park", "permgroup")
-)
+_LAYERS = ("cli", "equivalence", "extraction", "hurwitz", "monodromy", "park", "permgroup")
+cli, equivalence, extraction, hurwitz, monodromy, park, permgroup = map(_lazy, _LAYERS)
 
 #: Home submodule of every re-exported name.
 _HOME = {
@@ -84,58 +83,6 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alley",
-    "ClassificationTable",
-    "EntranceSignature",
-    "EnumerationResult",
-    "EquivalenceWitness",
-    "Face",
-    "Garden",
-    "GardenEdge",
-    "GardenVertex",
-    "InconsistencyError",
-    "Involution",
-    "MonodromyClass",
-    "MonodromyRep",
-    "NonRealizableError",
-    "Park",
-    "ParkIsomorphism",
-    "ParkNode",
-    "ResourceLimitError",
-    "TopSummary",
-    "branch_count",
-    "build",
-    "canonical_form",
-    "classify",
-    "cli",
-    "conjugate_rep",
-    "enumerate_monodromies",
-    "equivalence",
-    "euler_characteristic",
-    "extract_alleys",
-    "extract_faces",
-    "extract_gardens",
-    "extract_nodes",
-    "extraction",
-    "find_park_involution",
-    "genus",
-    "genus_from_counts",
-    "hurwitz",
-    "interleaving_factor",
-    "monodromy",
-    "monodromy_equivalent",
-    "monodromy_to_park",
-    "one_part_oracle",
-    "park",
-    "park_hurwitz",
-    "park_isomorphic",
-    "permgroup",
-    "single_hurwitz",
-    "single_hurwitz_brute",
-    "total_degree",
-    "type_summary",
-    "validate_genericity",
-    "validate_park",
-    "validate_relations",
-]
+__all__ = sorted(
+    {*_HOME, *_LAYERS, "InconsistencyError", "NonRealizableError", "ResourceLimitError"}
+)

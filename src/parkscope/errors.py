@@ -20,10 +20,13 @@ from __future__ import annotations
 class NonRealizableError(Exception):
     """Input is valid data but describes no realizable surface.
 
-    When the rejection comes from the genus check, the figures behind it
+    When the rejection comes from a genus check, the figures behind it
     are kept as attributes: ``euler_characteristic`` of the surface the
     park would close to, its ``built_genus`` and the ``forced_genus`` of
     the critical-value count.  Each is ``None`` when not computed.
+    Extraction's check reads the counts alone, the characteristic being
+    ``2d - 2t - s - D`` with ``D`` the corners whose element moves four
+    whites, so it raises before any cell is built.
     """
 
     def __init__(

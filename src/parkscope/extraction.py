@@ -22,22 +22,17 @@ Every park ingredient is read off the permutation data:
   partner, and no vertex names a pair; the other garden kinds occur only
   in hand-authored parks.
 
-``monodromy_to_park`` runs in four stages:
-
-1. **cheap cells** -- faces, entrances and vertices, which is all the
-   Euler characteristic needs (exits mirror entrances, and every vertex
-   has four ends, so there are exactly twice as many segment edges as
-   vertices).  Faces and entrances depend only on the white skeleton
-   (the white halves of the ``x`` generators, with ``c_1`` standard), so
-   they are built once per skeleton and kept on the representation's
-   validity mark; vertices depend on the reflection chain and are built
-   per representation;
-2. **genus check** -- branching data that cannot close to any surface,
-   or closes to one whose genus differs from the one forced by the
-   critical-value count, raises :class:`NonRealizableError` (also for an
-   odd critical-value count);
-3. **exits, boundary walk and gardens**, for realizable data only;
-4. **assembly** into a park.
+``monodromy_to_park`` rejects before it builds.  Riemann-Hurwitz on each
+entrance fixes the Euler characteristic of the closed surface from the
+counts alone, ``2d - 2t - s - D`` with ``D`` the corners whose element
+moves four whites (see :func:`_euler_characteristic`), so data that
+closes to no surface, or to one of another genus than the critical-value
+count forces, raises :class:`NonRealizableError` before any cell is
+built.  Realizable data is then extracted in one stage -- faces and
+entrances (which depend only on the white skeleton, the white halves of
+the ``x`` generators with ``c_1`` standard, so they are built once per
+skeleton and kept on the representation's validity mark), vertices,
+exits, the boundary walk and the gardens -- and assembled into a park.
 
 Representations are validated at the public entry points only
 (``monodromy_to_park`` and the ``extract_*`` functions), through
@@ -55,8 +50,8 @@ twice the vertices; the seam relation holds at every element; the walk's
 runs end on vertices, cross arc 1 and arc ``s + 1`` equally often and
 hold each arc lift once; the black side of the walk sweeps the white
 side's edges; no cell straddles two gardens; and the park passes
-``validate_park``, equals its JSON round trip and has the genus of the
-cheap cells.
+``validate_park``, equals its JSON round trip and has the Euler
+characteristic of :func:`_euler_characteristic`, realized or not.
 """
 
 from __future__ import annotations
@@ -192,7 +187,7 @@ def _require_valid_generic(m: MonodromyRep) -> None:
 
 
 def _skeleton_cells(m: MonodromyRep) -> tuple:
-    """The cheap cells that depend only on the white skeleton of ``m``:
+    """The cells that depend only on the white skeleton of ``m``:
     white faces, black faces, ``mirror_cell``, entrances and
     ``entrance_of_cell``."""
     d = m.degree
@@ -236,18 +231,14 @@ def _skeleton_cells(m: MonodromyRep) -> tuple:
 
 
 class _Extraction:
-    """The park ingredients of a monodromy known to be valid and generic,
-    in two stages.
+    """The park ingredients of a monodromy known to be valid and generic.
 
-    The constructor takes the cheap cells: faces and entrances from the
-    memo on ``m``'s validity mark, which the first extraction of the
-    white skeleton fills through :func:`_skeleton_cells`, and the corner
-    vertices, built here.  That is enough for :meth:`euler_characteristic`
-    and so for the genus check.  :meth:`finish` builds the rest -- exits,
-    the boundary walk with its edges, and the gardens -- which assembly
-    and the ``extract_*`` functions need.  The memo is shared with the
-    other representations of the skeleton, so nothing here mutates its
-    lists and dicts.
+    Faces and entrances come from the memo on ``m``'s validity mark,
+    which the first extraction of the white skeleton fills through
+    :func:`_skeleton_cells`; the corner vertices, exits, boundary walk
+    with its edges, and gardens are built here, per representation.  The
+    memo is shared with the other representations of the skeleton, so
+    nothing here mutates its lists and dicts.
     """
 
     def __init__(self, m: MonodromyRep):
@@ -269,13 +260,9 @@ class _Extraction:
             self.entrance_of_cell,
         ) = mark.cells
         self._build_corners()
-
-    def finish(self) -> _Extraction:
-        """Build exits, the boundary walk and the gardens; returns ``self``."""
         self._build_exits()
         self._build_walk()
         self._build_gardens()
-        return self
 
     # -- exits ---------------------------------------------------------------
 
@@ -375,22 +362,6 @@ class _Extraction:
         # Runs are listed in walk order, starting after the first crossing.
         return runs, False
 
-    # -- the closed surface ------------------------------------------------
-
-    def euler_characteristic(self) -> int:
-        """What :func:`parkscope.park.euler_characteristic` gives on the
-        assembled park, from the cheap cells alone.
-
-        On the park it is vertices minus segment edges, plus ``2 - 2g``
-        per node, minus one boundary circle per face (each face is one
-        alley).  Exits mirror entrances and segments number twice the
-        vertices, both by construction, which leaves twice the entrances'
-        ``2 - 2g``, minus the vertices, minus the faces.
-        """
-        entrances = sum(2 - 2 * node.signature.genus for node in self.entrances)
-        faces = len(self.white_cells) + len(self.black_cells)
-        return 2 * entrances - len(self.vertices) - faces
-
     # -- gardens -----------------------------------------------------------
 
     def _build_gardens(self) -> None:
@@ -428,7 +399,7 @@ def extract_faces(m: MonodromyRep) -> tuple[list[FaceCell], list[FaceCell]]:
     degree totals sum to the covering degree.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m).finish()
+    ex = _Extraction(m)
     return list(ex.white_cells), list(ex.black_cells)
 
 
@@ -441,14 +412,14 @@ def extract_nodes(m: MonodromyRep) -> tuple[list[NodeCell], list[NodeCell]]:
     carries circles, degrees, branch count and the genus these force.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m).finish()
+    ex = _Extraction(m)
     return list(ex.entrances), list(ex.exit_nodes)
 
 
 def extract_alleys(m: MonodromyRep) -> list[AlleyCell]:
     """One attachment per face, joining it to its entrance or exit."""
     _require_valid_generic(m)
-    ex = _Extraction(m).finish()
+    ex = _Extraction(m)
     out = [AlleyCell(cell, ex.entrance_of_cell[cell]) for cell in ex.white_cells]
     out.extend(AlleyCell(cell, ex.exit_of_cell[cell]) for cell in ex.black_cells)
     return out
@@ -461,7 +432,7 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
     and its vertices; components are ordered by smallest element.
     """
     _require_valid_generic(m)
-    return list(_Extraction(m).finish().gardens)
+    return list(_Extraction(m).gardens)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +441,7 @@ def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
 
 
 def _assemble(ex: _Extraction) -> Park:
-    """The park of a finished extraction, with its mirror involution.
+    """The park of an extraction, with its mirror involution.
 
     Ids count from 1 in the extraction's orders: white then black faces,
     chains, vertices, entrances then exits.  A face's boundary is its
@@ -569,24 +540,49 @@ def _assemble(ex: _Extraction) -> Park:
     )
 
 
+def _euler_characteristic(m: MonodromyRep) -> int:
+    """What :func:`parkscope.park.euler_characteristic` gives on the park
+    of a valid generic ``m``, assembled whether or not it is realizable,
+    from the counts alone: ``2d - 2t - s - D``, with ``D`` the number of
+    corners ``k`` whose element ``m.corner_element(k)`` moves four whites.
+
+    On the park it is vertices minus segment edges, plus ``2 - 2g`` per
+    node, minus one boundary circle per face (each face is one alley).
+    Segments number twice the vertices, exits mirror entrances, and black
+    faces mirror white ones, which leaves twice the entrances' ``2 - 2g``,
+    minus the vertices, minus twice the white faces.  An entrance orbit
+    of ``n`` whites carries ``b`` of the ``x``, each a white
+    transposition, and holds ``f`` white faces, so Riemann-Hurwitz gives
+    ``2 - 2g = n + f - b``; over all entrances that sums to ``d + F - t``
+    with ``F`` the white faces, and the faces cancel: ``2d - 2t - V``.
+    The vertices ``V`` are the size-four orbits of ``<c_k, c_{k+1}>``,
+    one per white transposition of the corner element, so ``V = s + D``.
+    The critical-value count forces ``2d - 2t - s``, so the built genus
+    is the forced genus plus ``D / 2``: ``m`` is realized exactly when
+    the count closes and no corner moves four whites.
+    """
+    d, c = m.degree, m.c
+    moved = sum(c[k][c[k + 1][a]] != a for k in range(m.corner_points) for a in range(d))
+    return 2 * d - 2 * m.cone_points - moved // 2
+
+
 def monodromy_to_park(m: MonodromyRep) -> Park:
     """Assemble the full park of a valid, generic monodromy.
 
-    The stages run in order: the cheap cells (faces, entrances,
-    vertices); the genus check on their Euler characteristic, where
-    branching data that cannot close to any surface, or closes to one of
+    The genus check comes first and needs no cell:
+    :func:`_euler_characteristic` gives the Euler characteristic from the
+    counts, and branching data that closes to no surface, or to one of
     another genus than the critical-value count forces, raises
-    :class:`NonRealizableError` with the figures as attributes; then the
-    exits, boundary walk and gardens, for realizable data only; then
-    assembly.  A park that is returned passes :func:`validate_park`; the
-    tests pin that, so it is not re-checked here.
+    :class:`NonRealizableError` with the figures as attributes.  Only
+    realizable data is then extracted and assembled.  A park that is
+    returned passes :func:`validate_park`; the tests pin that, so it is
+    not re-checked here.
     ``m`` is validated here, and each rep is checked once: a rep that
     enumeration built, or that passed an earlier public gate, is not
     checked again.
     """
     _require_valid_generic(m)
-    ex = _Extraction(m)
-    chi = ex.euler_characteristic()
+    chi = _euler_characteristic(m)
     built_genus = _genus_of_characteristic(chi)
     forced_genus = genus_from_counts(m)
     if built_genus != forced_genus:
@@ -597,4 +593,4 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    return _assemble(ex.finish())
+    return _assemble(_Extraction(m))

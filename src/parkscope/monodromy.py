@@ -59,7 +59,7 @@ class MonodromyRep:
     unchecked and marked valid and generic; any other representation is checked
     once, the first time a public entry point that needs valid generic
     data sees it (see :func:`_generic_reports`).  The mark is a
-    :class:`_Mark`, which also holds extraction's memo of the cheap cells
+    :class:`_Mark`, which also holds extraction's memo of the cells
     of the white skeleton: enumeration gives every representation of one
     skeleton the same mark, and a representation that passes the check
     gets its own.  The mark is not a field: equality, hashing, ``repr``
@@ -86,15 +86,17 @@ class MonodromyRep:
             raise ValueError(f"degree must be a positive integer, got {self.degree!r}")
         n = 2 * self.degree
         object.__setattr__(self, "x", tuple(pg.as_perm(p, n) for p in self.x))
-        if self.e is None:
-            object.__setattr__(self, "e", derive_e(self.x, self.degree))
-        else:
-            object.__setattr__(self, "e", pg.as_perm(self.e, n))
+        # c is checked before e is derived, so that a degree no generator
+        # matches fails here and not in building the identity of that size.
         object.__setattr__(self, "c", tuple(pg.as_perm(p, n) for p in self.c))
         if not self.c:
             raise ValueError(
                 "at least one boundary reflection is required (the list has s+1 entries)"
             )
+        if self.e is None:
+            object.__setattr__(self, "e", derive_e(self.x, self.degree))
+        else:
+            object.__setattr__(self, "e", pg.as_perm(self.e, n))
 
     # -- derived counts ----------------------------------------------------
 

@@ -28,6 +28,7 @@ from parkscope.extraction import (
     FaceCell,
     NodeCell,
     _assemble,
+    _euler_characteristic,
     _Extraction,
     _require_valid_generic,
 )
@@ -211,7 +212,7 @@ def assemble_park(m) -> Park:
     and assembled whether or not it is realizable; the rep is validated,
     the park is not."""
     _require_valid_generic(m)
-    return _assemble(_Extraction(m).finish())
+    return _assemble(_Extraction(m))
 
 
 def monodromy_to_park_full(m) -> Park:
@@ -277,7 +278,7 @@ def nodes_from_weights(role, weights):
 
 
 def exits_from_orbits(ex):
-    """The exits of a finished ``_Extraction`` built from scratch: the
+    """The exits of an ``_Extraction`` built from scratch: the
     orbits of the ``c_1``-conjugated ``x`` on the black half, the black
     faces of ``c_1 e c_1`` inside each, their signatures from the branch
     count and face degrees, and each entrance paired with the exit on its
@@ -314,7 +315,7 @@ def corner_vertices(ex):
 
 
 def walk_cycles(ex, half):
-    """The cycles of the boundary walk of a finished ``_Extraction`` through
+    """The cycles of the boundary walk of an ``_Extraction`` through
     the elements of ``half``: at each element the walk crosses arcs
     ``1..s+1``, then steps by ``e``.  Each cycle starts at its first item
     in (element, arc) order."""
@@ -373,14 +374,14 @@ def check_extraction(m) -> Park | None:
     No face, edge or vertex straddles two gardens, and each garden lists
     the cells that one filter per garden finds.  The mirrored exits
     equal the exits built from orbits.  A realized park passes
-    ``validate_park`` and has the Euler characteristic, so the genus, of
-    the cheap cells; its gardens are all orientable, unpartnered and
-    have an edge each, no vertex names a pair, and the involution fixes
-    every edge, vertex and garden.
+    ``validate_park`` and has the Euler characteristic, so the genus, that
+    ``_euler_characteristic`` gives; its gardens are all orientable,
+    unpartnered and have an edge each, no vertex names a pair, and the
+    involution fixes every edge, vertex and garden.
     """
     weights = orbit_weights(m)
     assert all(num >= 0 and num % 2 == 0 for _, _, num in weights), weights
-    ex = _Extraction(m).finish()
+    ex = _Extraction(m)
     assert (ex.entrances, ex.entrance_of_cell) == nodes_from_weights("entrance", weights)
     c1 = ex.c[0]
     for cell, image in ex.mirror_cell.items():
@@ -446,8 +447,8 @@ def check_extraction(m) -> Park | None:
         return None
     report = validate_park(park)
     assert report, report.violations
-    assert park_euler_characteristic(park) == ex.euler_characteristic()
-    assert park_genus(park) == _genus_of_characteristic(ex.euler_characteristic())
+    assert park_euler_characteristic(park) == _euler_characteristic(m)
+    assert park_genus(park) == _genus_of_characteristic(_euler_characteristic(m))
     for garden in park.gardens:
         assert (garden.kind, garden.partner_id) == ("orientable", None), garden.id
         assert garden.edges, garden.id

@@ -406,6 +406,25 @@ def test_enumerate_over_the_critical_ceiling_is_exit_3(capsys):
     assert "enumeration bounds exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "info", "extract", "equivalent"])
+def test_huge_degree_is_exit_2_before_any_allocation(tmp_path, command):
+    """A degree no generator matches fails on the first reflection's
+    size, before ``e`` is derived on a ground set of that size."""
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps(
+            {"degree": 10**8, "cone_points": 0, "corner_points": 0, "x": [], "c": [[1, 0]]}
+        )
+    )
+    argv = [command, str(path)]
+    if command == "equivalent":
+        argv.append(str(path))
+    proc = run_cli(argv, memory_mib=768)
+    assert proc.returncode == 2, proc.stderr
+    assert b"expected a permutation of 200000000 elements, got 2" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "command", ["validate", "extract", "equivalent", "validate-park", "hurwitz", "isomorphic"]
 )

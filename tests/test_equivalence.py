@@ -95,6 +95,34 @@ def test_inequivalent_classes_distinguished():
     assert canonical_form(first) != canonical_form(second)
 
 
+def test_relabeling_deciders_agree_on_every_pair():
+    """Over every ordered pair of enumerated reps of four degree-3 cells,
+    ``monodromy_equivalent`` finds a witness exactly when the canonical
+    forms agree, and each witness conjugates ``e`` and every ``c`` of the
+    first rep onto the second and carries its ``x`` orbits onto the
+    second's."""
+
+    def orbit_system(m):
+        return {tuple(sorted(orbit)) for orbit in pg.orbits(list(m.x), m.ground_size)}
+
+    pairs = equivalent = 0
+    for cell in ((3, 2, 2), (3, 3, 0), (3, 1, 3), (3, 3, 1)):
+        reps = [cls.representative for cls in enumerate_monodromies(*cell).classes]
+        forms = [canonical_form(rep) for rep in reps]
+        for a, form_a in zip(reps, forms):
+            for b, form_b in zip(reps, forms):
+                pairs += 1
+                witness = monodromy_equivalent(a, b)
+                assert (witness is not None) == (form_a == form_b), (a, b)
+                if witness is None:
+                    continue
+                equivalent += 1
+                carried = conjugate_rep(a, witness.mapping)
+                assert (carried.e, carried.c) == (b.e, b.c), (a, b)
+                assert orbit_system(carried) == orbit_system(b), (a, b)
+    assert (pairs, equivalent) == (14427, 4779)
+
+
 def test_canonical_form_constant_on_classes():
     for cls in enumerate_monodromies(3, 2, 0, dedup="jequiv").classes:
         forms = {canonical_form(member) for member in cls.members}

@@ -25,7 +25,7 @@ from parkscope import (
     validate_park,
 )
 from parkscope import extraction, park as park_module
-from parkscope.extraction import _Extraction
+from parkscope.extraction import _euler_characteristic, _Extraction
 from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
 from parkscope.permgroup import compose, from_cycles
@@ -276,7 +276,8 @@ def test_genus_check_before_assembly_matches_full_build():
 def test_cheap_characteristic_invariants():
     """Every d <= 3 rep with t + s <= 5, all of (4,0,3) and a seeded
     sample of (4,2,2), realized or not, fully extracted: the facts the
-    characteristic from the cheap cells rests on."""
+    characteristic from the counts rests on, and that characteristic,
+    ``2d - 2t - s - D``, against the one of the assembled park."""
     rng = random.Random(12)
     reps = list(enumerated_reps(3, 5))
     reps += [cls.representative for cls in enumerate_monodromies(4, 0, 3).classes]
@@ -284,7 +285,7 @@ def test_cheap_characteristic_invariants():
     reps += rng.sample(cell_reps, min(300, len(cell_reps)))
     for rep in reps:
         park = assemble_park(rep)
-        ex = _Extraction(rep).finish()
+        ex = _Extraction(rep)
         # every vertex has four ends and every segment two
         segments = [e for e in park.all_edges() if e.kind == "segment"]
         assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(ex.vertices)
@@ -299,7 +300,13 @@ def test_cheap_characteristic_invariants():
         )
         for entrance, exit_node in exit_paired_with.items():
             assert exit_node.signature == entrance.signature
-        assert _Extraction(rep).euler_characteristic() == euler_characteristic(park)
+        d, t, s = rep.degree, rep.cone_points, rep.corner_points
+        double = sum(
+            sum(u[a] != a for a in range(d)) == 4
+            for u in map(rep.corner_element, range(1, s + 1))
+        )
+        chi = euler_characteristic(park)
+        assert _euler_characteristic(rep) == 2 * d - 2 * t - s - double == chi
 
 
 def test_trusted_extraction_facts_hold():
@@ -339,9 +346,9 @@ def test_realized_path_calls_no_validator(monkeypatch):
 
 
 def test_rejected_reps_never_reach_the_walk(monkeypatch):
-    """A rejected rep raises from the cheap cells: with the exits, the
-    boundary walk and the gardens broken, every rep of three reject-only
-    cells, and a genus mismatch, raises exactly as before."""
+    """A rejected rep raises from its counts alone: with the extraction
+    broken, every rep of three reject-only cells, and a genus mismatch,
+    raises exactly as before, and the skeleton memo stays empty."""
     reps = [
         cls.representative
         for cell in ((3, 2, 1), (3, 1, 3), (4, 0, 3))
@@ -359,12 +366,12 @@ def test_rejected_reps_never_reach_the_walk(monkeypatch):
         return out
 
     expected = rejections()
+    assert all(rep._mark.cells is None for rep in reps)
 
-    def unreachable(self):
-        raise AssertionError("a rejected rep reached a finishing stage")
+    def unreachable(self, m):
+        raise AssertionError("a rejected rep reached the extraction")
 
-    for stage in ("_build_exits", "_build_walk", "_build_gardens"):
-        monkeypatch.setattr(_Extraction, stage, unreachable)
+    monkeypatch.setattr(_Extraction, "__init__", unreachable)
     assert rejections() == expected
 
 
