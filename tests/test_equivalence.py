@@ -1,6 +1,7 @@
 """Unit tests for relabeling equivalence, park isomorphism, enumeration."""
 
 import dataclasses
+import hashlib
 import json
 import random
 import tracemalloc
@@ -504,6 +505,27 @@ def test_enumeration_counts():
 def test_degree_4_park_dedup_counts(cell, raw, classes):
     result = enumerate_monodromies(*cell, dedup="park")
     assert (result.raw_count, result.class_count) == (raw, classes)
+
+
+#: SHA-256 over ``repr((x, c, e))`` of every rep of
+#: :func:`test_enumerated_reps_are_pinned`, in enumeration order.
+GOLDEN_REPS_DIGEST = "a1ef9b447deee4854e53c5fa9cec51c77492820cf5550ff990b5448a7d49f398"
+
+
+def test_enumerated_reps_are_pinned():
+    """Every enumerated rep, black halves and ``e`` included, pinned: for
+    each rep of every d <= 3 cell with t + s <= 5, then (4,0,4), (4,1,4),
+    (4,2,2), (4,3,1) and (4,4,0), in enumeration order.  The ``park``
+    dedup mode never reads the black halves, but ``jequiv`` keys on them,
+    so this guards which completion each skeleton gets."""
+    reps = list(enumerated_reps(3, 5))
+    for cell in ((4, 0, 4), (4, 1, 4), (4, 2, 2), (4, 3, 1), (4, 4, 0)):
+        reps += [cls.representative for cls in enumerate_monodromies(*cell).classes]
+    digest = hashlib.sha256()
+    for rep in reps:
+        digest.update(repr((rep.x, rep.c, rep.e)).encode())
+    assert len(reps) == 22776
+    assert digest.hexdigest() == GOLDEN_REPS_DIGEST
 
 
 @pytest.mark.parametrize(
