@@ -30,11 +30,12 @@
 
 The enumeration fixes the first reflection to the standard color
 matching (every representation can be relabeled into this form) and
-builds the remaining reflections by composing corner moves, depth first
-from shared prefixes; the black
+builds the remaining reflections from corner moves, depth first from
+shared prefixes, each step looked up in a table of the call; the black
 actions of the ``x`` generators, which never influence the extracted
 park, are filled with one representative completion per white skeleton
-(with a bridging search when needed for transitivity).  Enumeration
+(with a bridging search when needed for transitivity), found once per
+last reflection for a connected skeleton.  Enumeration
 validates nothing, because it builds valid generic data: each defining
 relation holds by how the chain and the completions are made, and only
 the transitivity of a disconnected skeleton is checked; the
@@ -708,10 +709,11 @@ def _black_involutions(d: int) -> list[Perm]:
     return out
 
 
-def _chains(d: int, s: int) -> Iterator[list[Perm]]:
+def _chains(d: int, s: int) -> Iterator[tuple[list[Perm], tuple[Perm, ...]]]:
     """All reflection chains ``c_1..c_{s+1}`` with standard ``c_1`` and
-    generic corner moves: each next reflection is the last one times the
-    move and its mirror image.
+    generic corner moves, each with its move sequence: each next reflection
+    is the last one times the move and its mirror image, so corner ``k``
+    acts on the whites as move ``k``.
 
     Every move extends every chain, so there are
     ``len(_corner_moves(d)) ** s`` chains: with ``c`` the last reflection
@@ -722,30 +724,35 @@ def _chains(d: int, s: int) -> Iterator[list[Perm]]:
     Chains grow depth first from shared prefixes, trying the moves in
     ``_corner_moves`` order, so they come out in the lexicographic order
     of their move sequences and each prefix is computed once.  They are
-    yielded one at a time, so only the current path is held."""
+    yielded one at a time, so only the current path is held.  A step
+    depends only on the last reflection and the move, so ``steps``, a
+    table of the call, computes each matching's row of steps once: at
+    most ``d!`` rows however many chains."""
     moves = _corner_moves(d)
+    steps: dict[Perm, list[Perm]] = {}
 
-    def extend(chain: list[Perm]) -> Iterator[list[Perm]]:
+    def extend(chain: list[Perm], path: tuple[Perm, ...]) -> Iterator:
         if len(chain) == s + 1:
-            yield chain
+            yield chain, path
             return
         last = chain[-1]
-        for move in moves:
-            yield from extend(chain + [compose(last, compose(move, conjugate(move, last)))])
+        if last not in steps:
+            steps[last] = [compose(last, compose(m, conjugate(m, last))) for m in moves]
+        for move, step in zip(moves, steps[last]):
+            yield from extend(chain + [step], path + (move,))
 
-    return extend([mirror_matching(d)])
+    return extend([mirror_matching(d)], ())
 
 
-def _black_product_target(
-    d: int, chain: list[Perm], white_xs: tuple[Perm, ...]
-) -> tuple[Perm, Perm]:
+def _black_product_target(d: int, chain: list[Perm], e_white: Perm) -> tuple[Perm, Perm]:
     """Black part (whites fixed) that the product of the ``x`` generators
     must have, as pinned by the white skeleton and the seam relation, and
-    the closing permutation ``e`` of every completion that meets it: the
-    inverse of the white product on the whites, the seam on the blacks."""
+    the closing permutation ``e`` of every completion that meets it:
+    ``e_white``, the inverse of the skeleton's white product, on the
+    whites, the seam on the blacks.  Of the chain it reads only the first
+    and last reflections."""
     n = 2 * d
     c1, clast = chain[0], chain[-1]
-    e_white = inverse(compose_all(list(white_xs), n))
     e_images = list(e_white)
     for b in blacks(d):
         e_images[b] = c1[e_white[clast[b]]]
@@ -755,10 +762,11 @@ def _black_product_target(
 
 
 def _beta_candidates(
-    d: int, t: int, black_target: Perm, components: list[tuple[int, ...]]
+    d: int, t: int, black_target: Perm, components: list[tuple[int, ...]], involutions: list[Perm]
 ) -> Iterable[tuple[Perm, ...]]:
     """Black actions to try for the ``x`` generators (``t >= 1``) of one
-    skeleton: tuples of black involutions whose product is ``black_target``.
+    skeleton: tuples of black involutions whose product is ``black_target``
+    (``involutions`` is ``_black_involutions(d)``, built once per cell).
 
     With the skeleton's white transpositions and its chain, each candidate
     is valid and generic data by construction:
@@ -792,7 +800,7 @@ def _beta_candidates(
         elif is_involution(black_target):
             yield (black_target,)
     elif t in (2, 3):
-        for gammas in product(_black_involutions(d), repeat=t - 1):
+        for gammas in product(involutions, repeat=t - 1):
             last = black_target
             for gamma in gammas:
                 last = compose(gamma, last)
@@ -809,26 +817,47 @@ def _beta_candidates(
 def _complete_skeleton(
     d: int,
     chain: list[Perm],
-    white_xs: tuple[Perm, ...],
+    skeleton: tuple[tuple[Perm, ...], Perm, _Mark],
     components: list[tuple[int, ...]],
-    mark: _Mark,
+    completions: dict,
+    involutions: list[Perm],
 ) -> MonodromyRep | None:
-    """Build one valid representation from a white skeleton, carrying the
-    skeleton's ``mark``, or ``None`` when no valid completion exists.  Only
-    the transitivity of a disconnected skeleton is checked (see
+    """Build one valid representation from a white ``skeleton`` (its white
+    ``x`` halves, the inverse of their product, its mark), carrying the
+    mark, or ``None`` when no valid completion exists.  Only the
+    transitivity of a disconnected skeleton is checked (see
     ``_beta_candidates``); with ``t = 0`` the seam needs the last
-    reflection to equal the first, and ``e`` is the identity."""
+    reflection to equal the first, and ``e`` is the identity.
+
+    ``completions``, a table of the enumeration call, keeps a connected
+    skeleton's ``(x, e)`` or ``None`` on the skeleton and the last
+    reflection.  That is exact: ``_black_product_target`` reads only the
+    chain's ends, the first always standard, and ``_beta_candidates``
+    reads of one component only that there is one.  A disconnected
+    skeleton's transitivity check reads the whole chain, so it is not kept."""
+    white_xs, e_white, mark = skeleton
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
             return None
         return _generic_trusted(d, (), tuple(chain), identity(2 * d), mark)
-    black_target, e = _black_product_target(d, chain, white_xs)
-    for betas in _beta_candidates(d, t, black_target, components):
-        xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
-        if len(components) == 1 or is_transitive(xs + chain, 2 * d):
-            return _generic_trusted(d, tuple(xs), tuple(chain), e, mark)
-    return None
+    connected = len(components) == 1
+    key = (white_xs, chain[-1])
+    if connected and key in completions:
+        found = completions[key]
+    else:
+        found = None
+        black_target, e = _black_product_target(d, chain, e_white)
+        for betas in _beta_candidates(d, t, black_target, components, involutions):
+            xs = tuple(compose(w, beta) for w, beta in zip(white_xs, betas))
+            if connected or is_transitive(list(xs) + chain, 2 * d):
+                found = xs, e
+                break
+        if connected:
+            completions[key] = found
+    if found is None:
+        return None
+    return _generic_trusted(d, found[0], tuple(chain), found[1], mark)
 
 
 @dataclass
@@ -896,7 +925,13 @@ def enumerate_monodromies(
     ``_index_isomorphism``, and through ``monodromy_to_park``, which checks
     nothing on a marked representation.  The chains grow depth first from
     shared prefixes and are yielded one at a time, so memory holds the
-    representations, not the chains.  The keys are taken in one batch, once per distinct
+    representations, not the chains.  Three tables live for the call only,
+    each keyed on all that its computation reads: ``_chains``' steps, on
+    the last reflection and the move (so corner ``k`` acts on the whites
+    as move ``k``, read from the move sequence); each skeleton's inverse
+    white product, which ``_black_product_target`` reads; and
+    ``_complete_skeleton``'s connected completions, on the skeleton and
+    the last reflection.  The keys are taken in one batch, once per distinct
     ``(c[1], x, e)`` for the first two stages; the park merge searches each
     class's park only against earlier parks of equal ``_merge_signature``
     (see ``_isomorphism_groups``), so classes keep their first-seen order.
@@ -917,15 +952,22 @@ def enumerate_monodromies(
         raise ResourceLimitError(
             f"candidate space {total_candidates} exceeds budget {budget}"
         )
-    white_options = list(product(_white_transpositions(d), repeat=t))
-    marks = [_Mark() for _ in white_options]
+    n = 2 * d
+    skeletons = [
+        (white_xs, inverse(compose_all(list(white_xs), n)), _Mark())
+        for white_xs in product(_white_transpositions(d), repeat=t)
+    ]
+    completions: dict = {}
+    involutions = _black_involutions(d)
+    white = whites(d)
 
     reps = []
-    for chain in _chains(d, s):
-        corner_moves = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-        for white_xs, mark in zip(white_options, marks):
-            components = _orbits(list(white_xs) + corner_moves, 2 * d, whites(d))
-            m = _complete_skeleton(d, chain, white_xs, components, mark)
+    for chain, moves in _chains(d, s):
+        if t == 0 and chain[-1] != chain[0]:
+            continue  # the seam fails, whatever the components
+        for skeleton in skeletons:
+            components = _orbits(skeleton[0] + moves, n, white)
+            m = _complete_skeleton(d, chain, skeleton, components, completions, involutions)
             if m is not None:
                 reps.append(m)
 

@@ -23,7 +23,12 @@ from parkscope import (
     monodromy_to_park,
     validate_park,
 )
-from parkscope.equivalence import _beta_candidates, _black_product_target, _corner_moves
+from parkscope.equivalence import (
+    _beta_candidates,
+    _black_involutions,
+    _black_product_target,
+    _corner_moves,
+)
 from parkscope.extraction import (
     FaceCell,
     NodeCell,
@@ -46,6 +51,7 @@ from parkscope.permgroup import (
     blacks,
     compose,
     conjugate,
+    compose_all,
     cycles,
     inverse,
     is_matching,
@@ -475,14 +481,21 @@ def chains_product_brute(d, s):
     return chains
 
 
-def complete_skeleton_validated(d, chain, white_xs, components, mark):
+def complete_skeleton_validated(d, chain, skeleton, components, completions, involutions):
     """``equivalence._complete_skeleton`` that trusts no construction: the
     first completion candidate passing ``validate_relations`` and
     ``validate_genericity`` in full, or ``None``.  The oracle for the
     enumerator's valid-by-construction path.  It builds through ``build``,
     which derives ``e`` from the ``x`` word, so it ignores the ``e`` that
     ``_black_product_target`` returns, and it drops the skeleton's
-    ``mark``: its reps are unmarked."""
+    mark: its reps are unmarked.  It ignores the enumerator's tables too:
+    the skeleton's white product inverse, the memo of ``completions`` and
+    the ``involutions`` list are rebuilt or left unread, and the
+    components it was passed must equal those of the white ``x`` halves
+    and the corner elements ``c_k c_{k+1}``."""
+    white_xs = skeleton[0]
+    corners = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+    assert components == orbits(list(white_xs) + corners, 2 * d, whites(d)), chain
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:
@@ -491,8 +504,9 @@ def complete_skeleton_validated(d, chain, white_xs, components, mark):
         if validate_relations(m) and validate_genericity(m):
             return m
         return None
-    black_target, _ = _black_product_target(d, chain, white_xs)
-    for betas in _beta_candidates(d, t, black_target, components):
+    e_white = inverse(compose_all(list(white_xs), 2 * d))
+    black_target, _ = _black_product_target(d, chain, e_white)
+    for betas in _beta_candidates(d, t, black_target, components, _black_involutions(d)):
         xs = [compose(w, beta) for w, beta in zip(white_xs, betas)]
         m = build(d, xs, chain)
         if validate_relations(m) and validate_genericity(m):

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -532,7 +532,11 @@ def test_enumerated_reps_are_pinned():
     "d, s", [(d, s) for d in (1, 2, 3) for s in range(6)] + [(4, s) for s in range(5)]
 )
 def test_chains_match_product_order(d, s):
-    assert list(equivalence._chains(d, s)) == chains_product_brute(d, s)
+    """Each chain comes with its move sequence, its ``product`` entry."""
+    chains = list(equivalence._chains(d, s))
+    assert [chain for chain, _ in chains] == chains_product_brute(d, s)
+    moves = list(product(equivalence._corner_moves(d), repeat=s))
+    assert [path for _, path in chains] == moves
 
 
 def test_chains_are_yielded_not_held():
@@ -558,7 +562,7 @@ def test_every_corner_move_extends_every_chain(d):
     one per move sequence, which makes the budget's count exact."""
     moves = equivalence._corner_moves(d)
     for s in range(4):
-        chains = list(equivalence._chains(d, s))
+        chains = [chain for chain, _ in equivalence._chains(d, s)]
         assert len(chains) == len(moves) ** s
         assert all(pg.is_matching(c, d) for chain in chains for c in chain)
 
@@ -629,7 +633,7 @@ def test_enumerated_members_are_valid():
 
 ORACLE_CELLS = [
     (d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)
-] + [(4, 4, 0), (4, 2, 2), (5, 4, 0)]
+] + [(4, 4, 0), (4, 2, 2), (4, 1, 3), (5, 4, 0)]
 
 
 def test_enumeration_matches_validated_completion(monkeypatch):
