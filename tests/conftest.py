@@ -50,8 +50,8 @@ from parkscope.park import (
 from parkscope.permgroup import (
     blacks,
     compose,
-    conjugate,
     compose_all,
+    conjugate,
     cycles,
     inverse,
     is_matching,
