@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -21,6 +22,7 @@ from parkscope import (
     extract_faces,
     extract_gardens,
     extract_nodes,
+    find_park_involution,
     monodromy_equivalent,
     monodromy_to_park,
     park_isomorphic,
@@ -484,6 +486,45 @@ def test_variant_witness_pinned(tmp_path, case):
     witness = park_isomorphic(park, moved, allow_reflection=True)
     assert witness.reflected == (variant == "reflected")
     check_park_isomorphism(park, moved, witness)
+
+
+#: SHA-256 over every search result of :func:`test_park_search_results_are_pinned`.
+GOLDEN_SEARCH_DIGEST = "32869c670839a9c6b4a28e3701170ca9cb5297db5d27561fbeae38f1d2ead8fb"
+PINNED_CELL_TYPES = ("nodes", "faces", "edges", "vertices", "gardens")
+
+
+def test_park_search_results_are_pinned():
+    """Which witness the park search finds first, pinned.  For every
+    realized park ``p`` of a d <= 3 cell with t + s <= 5: ``park_isomorphic``
+    with and without reflection against ``q``, the park of a seeded
+    color-preserving relabeling of its rep, and against the previous park
+    of the same cell (so ``None`` verdicts count too); then
+    ``find_park_involution(q)``.  Each result folds in as the ``repr`` of
+    its rotation and reflection flag (witnesses only) and the sorted items
+    of its five maps."""
+    rng = random.Random(0)
+    results = []
+    previous = {}
+    for rep, p in realized_reps(3, 5):
+        relabel = _random_color_preserving(rng, rep.degree)
+        q = monodromy_to_park(conjugate_rep(rep, relabel))
+        cell = (rep.degree, p.cone_points, p.corner_points)
+        for other in (q, previous.get(cell)):
+            if other is not None:
+                results += [park_isomorphic(p, other, flag) for flag in (False, True)]
+        results.append(find_park_involution(q))
+        previous[cell] = p
+    digest = hashlib.sha256()
+    for found in results:
+        if found is None:
+            digest.update(b"None")
+            continue
+        head = (found.rotation, found.reflected) if hasattr(found, "rotation") else ()
+        maps = [sorted(getattr(found, t).items()) for t in PINNED_CELL_TYPES]
+        digest.update(repr((head, maps)).encode())
+    kinds = Counter(type(found).__name__ for found in results)
+    assert kinds == {"ParkIsomorphism": 2900, "Involution": 984, "NoneType": 994}
+    assert digest.hexdigest() == GOLDEN_SEARCH_DIGEST
 
 
 def test_enumeration_counts():
