@@ -17,8 +17,8 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any
 
-from . import equivalence, extraction, hurwitz, monodromy, park
-from .errors import NonRealizableError, ResourceLimitError
+from .. import equivalence, extraction, hurwitz, monodromy, park
+from ..errors import NonRealizableError, ResourceLimitError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -199,10 +199,13 @@ def _cmd_extract(args, out: _Output) -> int:
             {"command": "extract", "ok": False},
         ) from exc
     park_obj = park.to_json_dict(built)
-    summary = park.type_summary(built)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(park_obj))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(_dump_json(park_obj))
+        except OSError as exc:
+            raise _CliFailure(EXIT_MALFORMED, f"cannot write {args.output}: {exc}") from exc
+        summary = park.type_summary(built)
         payload = {
             "command": "extract",
             "ok": True,
@@ -362,15 +365,10 @@ def _cmd_single_hurwitz(args, out: _Output) -> int:
 
 
 def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
-    return {
-        "rotation": witness.rotation,
-        "reflected": witness.reflected,
-        "gardens": {str(k): v for k, v in sorted(witness.gardens.items())},
-        "faces": {str(k): v for k, v in sorted(witness.faces.items())},
-        "edges": {str(k): v for k, v in sorted(witness.edges.items())},
-        "vertices": {str(k): v for k, v in sorted(witness.vertices.items())},
-        "nodes": {str(k): v for k, v in sorted(witness.nodes.items())},
-    }
+    payload: dict[str, Any] = {"rotation": witness.rotation, "reflected": witness.reflected}
+    for name in park._CELL_TYPES:
+        payload[name] = {str(k): v for k, v in sorted(getattr(witness, name).items())}
+    return payload
 
 
 def _cmd_isomorphic(args, out: _Output) -> int:
@@ -621,6 +619,3 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         return out.fail(_CliFailure(EXIT_RESOURCE, str(exc)))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

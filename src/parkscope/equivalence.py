@@ -4,12 +4,13 @@
   between two parks: colors, roles, kinds, degrees, lengths and genus
   weights are preserved, corner labels match up to a cyclic rotation
   (optionally a reflection), fine boundaries correspond, and the map
-  commutes with both park involutions.  It runs the park-morphism
-  search ``_park_morphism`` once per rotation.
+  commutes with both park involutions.  It takes the first map of the
+  park-morphism search ``_park_morphisms`` for each rotation in turn.
 * ``find_park_involution`` recovers an involution for a park given
-  without one (hand-authored parks): the same search from the park to
-  itself with colors swapped, under the garden-kind rule of
-  ``validate_park``.  Every park-vs-park comparison is this one search.
+  without one (hand-authored parks): the first map of the same search
+  from the park to itself with colors swapped that passes the
+  garden-kind rule of ``validate_park``.  Every park-vs-park comparison
+  is this one search.
 * ``monodromy_equivalent`` decides a sufficient condition for
   topological equivalence of two monodromies: a color-preserving sheet
   relabeling that matches the orbit systems of the ``x`` generators and
@@ -66,13 +67,14 @@ from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_reports, _generic_trusted, _Mark
 from .park import (
-    FACE_COLORS,
-    Garden,
+    _CELL_TYPES,
     Involution,
     Park,
     _garden_kind_violation,
+    _garden_signature,
     _least_rotation,
     _ParkIndex,
+    _same,
     _validated_index,
     opposite_color,
     rotations_equal,
@@ -129,14 +131,41 @@ class ParkIsomorphism:
     nodes: dict[int, int] = field(default_factory=dict)
 
 
-#: Cell types in the order the morphism search binds them.
-_CELL_TYPES = ("nodes", "faces", "gardens", "vertices", "edges")
-
 #: One id map per cell type.
 _CellMaps = dict[str, dict[int, int]]
 
+#: One step of the morphism search: a cell type, a source id and the
+#: target ids it may go to.
+_Step = tuple[str, int, list[int]]
 
-def _park_morphism(
+
+def _cell_shape(
+    index: _ParkIndex,
+    cell: str,
+    x: int,
+    color: Callable[[str], str],
+    label: Callable[[int], int],
+    vertex: Callable[[int], int],
+) -> Any:
+    """What a park morphism keeps of cell ``x`` of one type: a node's
+    signature; a face's color and degree; a garden's signature; a vertex's
+    corner label; an edge's kind, length and ends.  Colors, corner labels
+    and end vertices are read through ``color``, ``label`` and ``vertex``."""
+    if cell == "nodes":
+        return index.signatures[x]
+    if cell == "faces":
+        face = index.faces[x]
+        return color(face.color), face.degree
+    if cell == "gardens":
+        return _garden_signature(index.gardens[x], color, label)
+    if cell == "vertices":
+        return label(index.vertices[x].corner_label)
+    edge = index.edges[x]
+    ends = None if edge.ends is None else sorted(map(vertex, edge.ends))
+    return edge.kind, edge.length, ends
+
+
+def _park_morphisms(
     src: _ParkIndex,
     dst: _ParkIndex,
     *,
@@ -145,9 +174,8 @@ def _park_morphism(
     reverse: bool,
     twin: Callable[[str, int, int], tuple[int, int]],
     required: Mapping[str, Mapping[int, int]],
-    accept: Callable[[_CellMaps], bool] | None = None,
-) -> _CellMaps | None:
-    """The first structure-preserving cell map ``src -> dst``, or ``None``.
+) -> Iterator[_CellMaps]:
+    """Every structure-preserving cell map ``src -> dst``, in a fixed order.
 
     Roles and colors are kept, or swapped when ``swap`` is set; genus
     signatures, degrees, edge kinds and lengths and garden kinds are kept;
@@ -155,23 +183,28 @@ def _park_morphism(
     one cell type is made together with its twin ``twin(type, a, b)``, and
     a cell listed in ``required`` may only go to its listed image.  Face
     boundaries must correspond up to rotation, read reversed and negated
-    when ``reverse`` is set, and the complete maps must pass ``accept``.
+    when ``reverse`` is set.
 
-    The search order is fixed: entrances by id against target nodes by
-    id; white faces by id against the faces of their node's image, in
-    alley order, binding the faces' gardens on the way; gardens left
-    unbound by id against gardens by id; then, garden pair by garden
-    pair, vertices and edges by id against cells of the image garden.
+    One depth-first loop binds steps ``(cell type, source id, scope)``: the
+    source cell ``a`` goes to each unused ``b`` of the scope, in order,
+    whose :func:`_cell_shape` is the shape that ``a``'s image needs.  The
+    steps come in four phases, each built once the one before is bound:
+    entrances by id against target nodes by id; white faces by id against
+    the faces of their node's image, in alley order, each binding its
+    garden on the way; gardens left unbound by id against gardens by id;
+    then, garden pair by garden pair, vertices and edges by id against the
+    cells of the image garden.  A step whose cell a twin bound is skipped.
     """
     if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in _CELL_TYPES):
-        return None
-    recolor = {c: opposite_color(c) if swap else c for c in FACE_COLORS}
+        return
+    recolor = opposite_color if swap else _same
     target_role = "exit" if swap else "entrance"
     entrances = sorted(n for n, node in src.nodes.items() if node.role == "entrance")
     targets = sorted(n for n, node in dst.nodes.items() if node.role == target_role)
     if len(entrances) != len(targets):
-        return None
+        return
     white_faces = sorted(f for f, face in src.faces.items() if face.color == "white")
+    dst_gardens = sorted(dst.gardens)
     maps: _CellMaps = {t: {} for t in _CELL_TYPES}
     images: dict[str, set[int]] = {t: set() for t in _CELL_TYPES}
     trail: list[tuple[str, int]] = []
@@ -195,132 +228,46 @@ def _park_morphism(
             cell, a = trail.pop()
             images[cell].discard(maps[cell].pop(a))
 
-    def garden_key(garden: Garden, mapped: bool) -> tuple:
-        colors = recolor if mapped else {c: c for c in FACE_COLORS}
-        corners = (v.corner_label for v in garden.vertices)
-        return (
-            garden.kind,
-            sorted((colors[f.color], f.degree) for f in garden.faces),
-            sorted((e.kind, e.length) for e in garden.edges),
-            sorted(map(label, corners) if mapped else corners),
-        )
+    def want(cell: str, a: int) -> Any:
+        return _cell_shape(src, cell, a, recolor, label, maps["vertices"].__getitem__)
 
-    src_keys: dict[int, tuple] = {}
-    dst_keys: dict[int, tuple] = {}
+    shapes: dict[str, dict[int, Any]] = {t: {} for t in _CELL_TYPES}
 
-    def gardens_fit(a: int, b: int) -> bool:
-        if a not in src_keys:
-            src_keys[a] = garden_key(src.gardens[a], True)
-        if b not in dst_keys:
-            dst_keys[b] = garden_key(dst.gardens[b], False)
-        return src_keys[a] == dst_keys[b]
+    def has(cell: str, b: int) -> Any:
+        known = shapes[cell]
+        if b not in known:
+            known[b] = _cell_shape(dst, cell, b, _same, _same, _same)
+        return known[b]
 
-    def bind_garden(a: int, b: int) -> bool:
-        fits = a in maps["gardens"] or gardens_fit(a, b)
-        return fits and bind_twins("gardens", a, b)
+    def bind_garden(f: int, b: int) -> bool:
+        """Bind the gardens of face ``f`` and of its image ``b``."""
+        a, image = src.owner_of_face[f], dst.owner_of_face[b]
+        fits = a in maps["gardens"] or want("gardens", a) == has("gardens", image)
+        return fits and bind_twins("gardens", a, image)
 
-    def solve_nodes(i: int) -> _CellMaps | None:
-        if i == len(entrances):
-            return solve_faces(0)
-        a = entrances[i]
-        mark = len(trail)
-        for b in targets:
-            if b in images["nodes"] or src.signatures[a] != dst.signatures[b]:
-                continue
-            if bind_twins("nodes", a, b):
-                result = solve_nodes(i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
+    def cells_of(index: _ParkIndex, cell: str, garden: int) -> list[int]:
+        return sorted(x.id for x in getattr(index.gardens[garden], cell))
 
-    def solve_faces(i: int) -> _CellMaps | None:
-        if i == len(white_faces):
-            return solve_gardens()
-        f = white_faces[i]
-        face = src.faces[f]
-        color = recolor[face.color]
-        mark = len(trail)
-        for b in dst.faces_of_node[maps["nodes"][src.node_of_face[f]]]:
-            if b in images["faces"]:
-                continue
-            other = dst.faces[b]
-            if other.color != color or other.degree != face.degree:
-                continue
-            if bind_twins("faces", f, b) and bind_garden(
-                src.owner_of_face[f], dst.owner_of_face[b]
-            ):
-                result = solve_faces(i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
+    phases: tuple[Callable[[], list[_Step]], ...] = (
+        lambda: [("nodes", a, targets) for a in entrances],
+        lambda: [
+            ("faces", f, dst.faces_of_node[maps["nodes"][src.node_of_face[f]]])
+            for f in white_faces
+        ],
+        lambda: [
+            ("gardens", g, dst_gardens)
+            for g in sorted(src.gardens)
+            if g not in maps["gardens"]
+        ],
+        lambda: [
+            (cell, x, cells_of(dst, cell, b))
+            for a, b in sorted(maps["gardens"].items())
+            for cell in ("vertices", "edges")
+            for x in cells_of(src, cell, a)
+        ],
+    )
 
-    def solve_gardens() -> _CellMaps | None:
-        unbound = [g for g in sorted(src.gardens) if g not in maps["gardens"]]
-        if not unbound:
-            steps = [
-                (cell, x.id, b)
-                for a, b in sorted(maps["gardens"].items())
-                for cell in ("vertices", "edges")
-                for x in sorted(getattr(src.gardens[a], cell), key=lambda x: x.id)
-            ]
-            return solve_cells(steps, 0)
-        a = unbound[0]
-        mark = len(trail)
-        for b in sorted(dst.gardens):
-            if b in images["gardens"] or not gardens_fit(a, b):
-                continue
-            if bind_twins("gardens", a, b):
-                result = solve_gardens()
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def wanted_shape(cell: str, a: int) -> Any:
-        """The corner label, or kind, length and end images, a's image needs."""
-        if cell == "vertices":
-            return label(src.vertices[a].corner_label)
-        edge, ends = src.edges[a], maps["vertices"]
-        if edge.ends is None:
-            return edge.kind, edge.length, None
-        if any(v not in ends for v in edge.ends):
-            return None
-        return edge.kind, edge.length, sorted(ends[v] for v in edge.ends)
-
-    def shape(cell: str, b: int) -> Any:
-        if cell == "vertices":
-            return dst.vertices[b].corner_label
-        edge = dst.edges[b]
-        return edge.kind, edge.length, None if edge.ends is None else sorted(edge.ends)
-
-    dst_cells: dict[tuple[str, int], list[tuple[int, Any]]] = {}
-
-    def solve_cells(steps: list[tuple[str, int, int]], i: int) -> _CellMaps | None:
-        if i == len(steps):
-            return finish()
-        cell, a, garden = steps[i]
-        if a in maps[cell]:
-            return solve_cells(steps, i + 1)
-        want = wanted_shape(cell, a)
-        if (cell, garden) not in dst_cells:
-            dst_cells[cell, garden] = [
-                (b, shape(cell, b))
-                for b in sorted(x.id for x in getattr(dst.gardens[garden], cell))
-            ]
-        mark = len(trail)
-        for b, has in dst_cells[cell, garden]:
-            if has != want or b in images[cell]:
-                continue
-            if bind_twins(cell, a, b):
-                result = solve_cells(steps, i + 1)
-                if result is not None:
-                    return result
-            undo(mark)
-        return None
-
-    def finish() -> _CellMaps | None:
+    def boundaries_correspond() -> bool:
         edges = maps["edges"]
         for f, face in src.faces.items():
             image = dst.faces[maps["faces"][f]]
@@ -330,12 +277,30 @@ def _park_morphism(
             if reverse:
                 mapped = [-x for x in reversed(mapped)]
             if not rotations_equal(mapped, image.boundary):
-                return None
-        if accept is not None and not accept(maps):
-            return None
-        return {t: dict(mapping) for t, mapping in maps.items()}
+                return False
+        return True
 
-    return solve_nodes(0)
+    def search(steps: list[_Step], i: int, phase: int) -> Iterator[_CellMaps]:
+        if i == len(steps):
+            if phase < len(phases):
+                yield from search(steps + phases[phase](), i, phase + 1)
+            elif boundaries_correspond():
+                yield {t: dict(mapping) for t, mapping in maps.items()}
+            return
+        cell, a, scope = steps[i]
+        if a in maps[cell]:
+            yield from search(steps, i + 1, phase)
+            return
+        need = want(cell, a)
+        mark = len(trail)
+        for b in scope:
+            if b in images[cell] or has(cell, b) != need:
+                continue
+            if bind_twins(cell, a, b) and (cell != "faces" or bind_garden(a, b)):
+                yield from search(steps, i + 1, phase)
+            undo(mark)
+
+    yield from search([], 0, 0)
 
 
 def _rotated_label(label: int, s: int, rotation: int, reflected: bool) -> int:
@@ -375,21 +340,20 @@ def _index_isomorphism(
     def twin(cell: str, a: int, b: int) -> tuple[int, int]:
         return getattr(inv1, cell)[a], getattr(inv2, cell)[b]
 
-    rotations = range(s) if s > 0 else range(1)
     reflections = (False, True) if allow_reflection else (False,)
-    for reflected in reflections:
-        for rotation in rotations:
-            maps = _park_morphism(
-                src,
-                dst,
-                swap=False,
-                label=lambda c: _rotated_label(c, s, rotation, reflected),
-                reverse=reflected,
-                twin=twin,
-                required={},
-            )
-            if maps is not None:
-                return ParkIsomorphism(rotation=rotation, reflected=reflected, **maps)
+    for reflected, rotation in product(reflections, range(s or 1)):
+        morphisms = _park_morphisms(
+            src,
+            dst,
+            swap=False,
+            label=lambda c: _rotated_label(c, s, rotation, reflected),
+            reverse=reflected,
+            twin=twin,
+            required={},
+        )
+        maps = next(morphisms, None)
+        if maps is not None:
+            return ParkIsomorphism(rotation=rotation, reflected=reflected, **maps)
     return None
 
 
@@ -433,16 +397,16 @@ def find_park_involution(park: Park) -> Involution | None:
             for g_id, image in maps["gardens"].items()
         )
 
-    maps = _park_morphism(
+    morphisms = _park_morphisms(
         index,
         index,
         swap=True,
-        label=lambda c: c,
+        label=_same,
         reverse=True,
         twin=lambda cell, a, b: (b, a),
         required=required,
-        accept=kinds_hold,
     )
+    maps = next(filter(kinds_hold, morphisms), None)
     return None if maps is None else Involution(**maps)
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import InconsistencyError, NonRealizableError
 
@@ -57,6 +57,10 @@ FACE_COLORS = ("white", "black")
 NODE_ROLES = ("entrance", "exit")
 EDGE_KINDS = ("segment", "loop")
 GARDEN_KINDS = ("orientable", "non_orientable", "separated_pair_member")
+
+#: The five cell types that the involution and every park morphism map,
+#: in the order of the involution's JSON and of its checks.
+_CELL_TYPES = ("nodes", "faces", "edges", "vertices", "gardens")
 
 #: Stable rule codes emitted by :func:`validate_park`.
 VALIDATION_RULES = (
@@ -95,15 +99,7 @@ def opposite_role(role: str) -> str:
 
 def rotations_equal(a: Iterable[Any], b: Iterable[Any]) -> bool:
     """True when two cyclic sequences are equal up to rotation."""
-    seq_a, seq_b = tuple(a), tuple(b)
-    if len(seq_a) != len(seq_b):
-        return False
-    if not seq_a:
-        return True
-    doubled = seq_a + seq_a
-    return any(
-        doubled[j : j + len(seq_b)] == seq_b for j in range(len(seq_a))
-    )
+    return _least_rotation(tuple(a)) == _least_rotation(tuple(b))
 
 
 def _least_rotation(seq: tuple) -> tuple:
@@ -275,7 +271,7 @@ class Involution:
     gardens: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "faces", "edges", "vertices", "gardens"):
+        for name in _CELL_TYPES:
             raw = getattr(self, name)
             if not isinstance(raw, Mapping):
                 raise ValueError(f"involution {name} must be a mapping of ids")
@@ -444,16 +440,9 @@ class _ParkIndex:
                 raise ValueError(f"alley {a.id} references unknown face {a.face_id}")
             if a.node_id not in self.nodes:
                 raise ValueError(f"alley {a.id} references unknown node {a.node_id}")
-        inv = self.park.involution
-        for name, table in (
-            ("nodes", self.nodes),
-            ("faces", self.faces),
-            ("edges", self.edges),
-            ("vertices", self.vertices),
-            ("gardens", self.gardens),
-        ):
-            mapping: dict[int, int] = getattr(inv, name)
-            for key, value in mapping.items():
+        for name in _CELL_TYPES:
+            table = getattr(self, name)
+            for key, value in getattr(self.park.involution, name).items():
                 if key not in table:
                     raise ValueError(f"involution {name} key {key} is not a known id")
                 if value not in table:
@@ -611,11 +600,8 @@ def _index_report(index: _ParkIndex) -> ParkReport:
                     "pair-mirror",
                     f"gardens {g.id} and {partner.id} do not partner each other",
                 )
-            mine_white = sorted(f.degree for f in g.faces if f.color == "white")
-            mine_black = sorted(f.degree for f in g.faces if f.color == "black")
-            theirs_white = sorted(f.degree for f in partner.faces if f.color == "white")
-            theirs_black = sorted(f.degree for f in partner.faces if f.color == "black")
-            if mine_white != theirs_black or mine_black != theirs_white:
+            mirrored = sorted((opposite_color(f.color), f.degree) for f in g.faces)
+            if mirrored != sorted((f.color, f.degree) for f in partner.faces):
                 flag(
                     "pair-mirror",
                     f"gardens {g.id} and {partner.id} face degrees are not color-mirrored",
@@ -686,17 +672,10 @@ def _index_report(index: _ParkIndex) -> ParkReport:
 
     # -- involution --------------------------------------------------------
     inv = park.involution
-    specs = (
-        ("nodes", index.nodes),
-        ("faces", index.faces),
-        ("edges", index.edges),
-        ("vertices", index.vertices),
-        ("gardens", index.gardens),
-    )
     total = True
-    for name, table in specs:
+    for name in _CELL_TYPES:
         mapping: dict[int, int] = getattr(inv, name)
-        missing = sorted(set(table) - set(mapping))
+        missing = sorted(set(getattr(index, name)) - set(mapping))
         if missing:
             total = False
             flag(
@@ -918,6 +897,26 @@ class TopSummary:
     node_signatures: tuple[tuple, ...]
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
+def _garden_signature(
+    garden: Garden,
+    color: Callable[[str], str] = _same,
+    label: Callable[[int], int] = _same,
+) -> tuple:
+    """A garden's kind with its sorted face colors and degrees, edge kinds
+    and lengths, and corner labels, each color and label read through
+    ``color`` and ``label``: what every park morphism keeps of a garden."""
+    return (
+        garden.kind,
+        tuple(sorted((color(f.color), f.degree) for f in garden.faces)),
+        tuple(sorted((e.kind, e.length) for e in garden.edges)),
+        tuple(sorted(label(v.corner_label) for v in garden.vertices)),
+    )
+
+
 def type_summary(park: Park) -> TopSummary:
     """Compute the canonical :class:`TopSummary` of a validated park."""
     index = _ParkIndex(park)
@@ -930,16 +929,7 @@ def type_summary(park: Park) -> TopSummary:
         node_sigs.append(
             (node.role, sig.genus, sig.circles, sig.degrees, sig.branch_points)
         )
-    garden_sigs = []
-    for g in park.gardens:
-        garden_sigs.append(
-            (
-                g.kind,
-                tuple(sorted((f.color, f.degree) for f in g.faces)),
-                tuple(sorted((e.kind, e.length) for e in g.edges)),
-                tuple(sorted(v.corner_label for v in g.vertices)),
-            )
-        )
+    garden_sigs = [_garden_signature(g) for g in park.gardens]
     corner_count = len({v.corner_label for v in index.vertices.values()})
     return TopSummary(
         degree=total_degree(park),
@@ -997,11 +987,8 @@ def to_json_dict(park: Park) -> dict[str, Any]:
             {"id": a.id, "face": a.face_id, "node": a.node_id} for a in park.alleys
         ],
         "involution": {
-            "nodes": {str(k): v for k, v in sorted(park.involution.nodes.items())},
-            "faces": {str(k): v for k, v in sorted(park.involution.faces.items())},
-            "edges": {str(k): v for k, v in sorted(park.involution.edges.items())},
-            "vertices": {str(k): v for k, v in sorted(park.involution.vertices.items())},
-            "gardens": {str(k): v for k, v in sorted(park.involution.gardens.items())},
+            name: {str(k): v for k, v in sorted(getattr(park.involution, name).items())}
+            for name in _CELL_TYPES
         },
     }
 
@@ -1100,11 +1087,10 @@ def from_json_dict(obj: Any) -> Park:
     if not isinstance(inv_obj, dict):
         raise ValueError("'involution' must be an object")
     involution = Involution(
-        nodes=_parse_int_map(inv_obj.get("nodes", {}), "involution nodes"),
-        faces=_parse_int_map(inv_obj.get("faces", {}), "involution faces"),
-        edges=_parse_int_map(inv_obj.get("edges", {}), "involution edges"),
-        vertices=_parse_int_map(inv_obj.get("vertices", {}), "involution vertices"),
-        gardens=_parse_int_map(inv_obj.get("gardens", {}), "involution gardens"),
+        **{
+            name: _parse_int_map(inv_obj.get(name, {}), f"involution {name}")
+            for name in _CELL_TYPES
+        }
     )
     return Park(
         corner_points=obj["s"],

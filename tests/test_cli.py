@@ -81,6 +81,22 @@ def test_extract_to_stdout(loop3_file, capsys):
     assert "gardens" in payload and payload["t"] == 2
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_extract_to_unwritable_path_is_malformed(loop3_file, tmp_path, capsys, target):
+    path = tmp_path / "missing" / "park.json" if target == "missing-directory" else tmp_path
+    assert main(["extract", loop3_file, "-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {path}: ")
+
+
+def test_module_run_writes_nothing_to_stderr():
+    proc = run_cli(["--help"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: ")
+    assert proc.stderr == b""
+
+
 def test_extract_unrealizable(unrealizable_file, capsys):
     assert main(["extract", unrealizable_file]) == 1
     err = capsys.readouterr().err
