@@ -55,8 +55,7 @@ _HOME = {
         "equivalence": "ClassificationTable EnumerationResult EquivalenceWitness MonodromyClass"
         " ParkIsomorphism canonical_form classify enumerate_monodromies"
         " find_park_involution monodromy_equivalent park_isomorphic",
-        "extraction": "extract_alleys extract_faces extract_gardens extract_nodes"
-        " monodromy_to_park",
+        "extraction": "monodromy_to_park",
         "hurwitz": "branch_count interleaving_factor one_part_oracle park_hurwitz"
         " single_hurwitz single_hurwitz_brute",
         "monodromy": "MonodromyRep build conjugate_rep genus_from_counts validate_genericity"

@@ -47,7 +47,8 @@ validated at the public entry points, once per representation (see
 ``monodromy._generic_reports``): enumeration and ``classify`` extract
 through the public ``monodromy_to_park``, which sees their marks and
 checks nothing again, and key and merge through the unvalidated cores
-``_canonical_keys`` and ``_index_isomorphism``.
+``_canonical_keys`` and ``_index_isomorphism``.  Past a gate, orbits come
+from the unchecked ``permgroup._orbits``.
 Enumeration and ``classify`` merge parks through one helper,
 ``_isomorphism_groups``, which searches a park only against earlier parks
 of equal ``_merge_signature``: an invariant of park isomorphism built from
@@ -92,9 +93,7 @@ from .permgroup import (
     identity,
     inverse,
     is_involution,
-    is_transitive,
     mirror_matching,
-    orbits,
     whites,
 )
 
@@ -538,8 +537,8 @@ def monodromy_equivalent(
     if params != (m2.degree, m2.cone_points, m2.corner_points):
         raise ValueError("representations have different (degree, cone, corner) parameters")
     n = m1.ground_size
-    orbits1 = orbits(list(m1.x), n)
-    orbits2 = {orb for orb in orbits(list(m2.x), n)}
+    orbits1 = _orbits(m1.x, n, range(n))
+    orbits2 = set(_orbits(m2.x, n, range(n)))
     for j in _relabelings(m1.c[0], m2.c[0]):
         jt = tuple(j)
         if conjugate(m1.e, jt) != m2.e:
@@ -595,7 +594,7 @@ def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
         if head not in heads:
             if c1 not in relabelings:
                 relabelings[c1] = list(_relabelings(c1, mirror_matching(m.degree)))
-            orbs = orbits(list(m.x), m.ground_size)
+            orbs = _orbits(m.x, m.ground_size, range(m.ground_size))
             orbit_t, tied = _least(
                 relabelings[c1],
                 lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
@@ -814,7 +813,7 @@ def _complete_skeleton(
         black_target, e = _black_product_target(d, chain, e_white)
         for betas in _beta_candidates(d, t, black_target, components, involutions):
             xs = tuple(compose(w, beta) for w, beta in zip(white_xs, betas))
-            if connected or is_transitive(list(xs) + chain, 2 * d):
+            if connected or len(_orbits(xs + tuple(chain), 2 * d, range(2 * d))) == 1:
                 found = xs, e
                 break
         if connected:
@@ -856,7 +855,6 @@ def enumerate_monodromies(
     t: int,
     s: int,
     dedup: str = "none",
-    budget: int = DEFAULT_BUDGET,
 ) -> EnumerationResult:
     """All valid generic representations at ``(d, t, s)``, up to sheet
     relabeling.
@@ -912,9 +910,9 @@ def enumerate_monodromies(
         )
     # Exact before anything is built: every move extends every chain.
     total_candidates = len(_corner_moves(d)) ** s * comb(d, 2) ** t
-    if total_candidates > budget:
+    if total_candidates > DEFAULT_BUDGET:
         raise ResourceLimitError(
-            f"candidate space {total_candidates} exceeds budget {budget}"
+            f"candidate space {total_candidates} exceeds budget {DEFAULT_BUDGET}"
         )
     n = 2 * d
     skeletons = [

@@ -34,8 +34,8 @@ the ``x`` generators with ``c_1`` standard, so they are built once per
 skeleton and kept on the representation's validity mark), vertices,
 exits, the boundary walk and the gardens -- and assembled into a park.
 
-Representations are validated at the public entry points only
-(``monodromy_to_park`` and the ``extract_*`` functions), through
+``monodromy_to_park`` is the one public entry point, and the only path
+from a representation to its cells.  It validates its input through
 ``monodromy._generic_reports``, which checks each representation once:
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
@@ -84,7 +84,7 @@ Item = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# public cell records
+# cell records
 # ---------------------------------------------------------------------------
 
 
@@ -111,14 +111,6 @@ class NodeCell:
     role: str
     orbit: tuple[int, ...]
     signature: EntranceSignature
-
-
-@dataclass(frozen=True)
-class AlleyCell:
-    """The attachment of one face to its node."""
-
-    face: FaceCell
-    node: NodeCell
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,6 @@ class EdgeChain:
 class GardenCell:
     """One garden component with its faces, edges and vertices."""
 
-    elements: tuple[int, ...]
     faces: tuple[FaceCell, ...]
     edges: tuple[EdgeChain, ...]
     vertices: tuple[VertexCell, ...]
@@ -380,59 +371,9 @@ class _Extraction:
         for vertex in self.vertices:
             members[self.garden_of[vertex.elements[0]]][2].append(vertex)
         self.gardens = [
-            GardenCell(orbit, tuple(faces), tuple(edges), tuple(vertices))
-            for orbit, (faces, edges, vertices) in zip(components, members)
+            GardenCell(tuple(faces), tuple(edges), tuple(vertices))
+            for faces, edges, vertices in members
         ]
-
-
-# ---------------------------------------------------------------------------
-# public single-aspect extractors
-# ---------------------------------------------------------------------------
-
-
-def extract_faces(m: MonodromyRep) -> tuple[list[FaceCell], list[FaceCell]]:
-    """White and black faces.
-
-    White faces are the cycles of the closing permutation on the white
-    half; black faces are their mirror images under the first
-    reflection.  Both lists are ordered by smallest element and both
-    degree totals sum to the covering degree.
-    """
-    _require_valid_generic(m)
-    ex = _Extraction(m)
-    return list(ex.white_cells), list(ex.black_cells)
-
-
-def extract_nodes(m: MonodromyRep) -> tuple[list[NodeCell], list[NodeCell]]:
-    """Entrances and exits with their signatures.
-
-    Entrances are orbits of the white generator actions; exits are their
-    ``c_1``-images, the orbits of the reflected generator actions on the
-    black half, with the entrance's signature and mirrored faces.  Each
-    carries circles, degrees, branch count and the genus these force.
-    """
-    _require_valid_generic(m)
-    ex = _Extraction(m)
-    return list(ex.entrances), list(ex.exit_nodes)
-
-
-def extract_alleys(m: MonodromyRep) -> list[AlleyCell]:
-    """One attachment per face, joining it to its entrance or exit."""
-    _require_valid_generic(m)
-    ex = _Extraction(m)
-    out = [AlleyCell(cell, ex.entrance_of_cell[cell]) for cell in ex.white_cells]
-    out.extend(AlleyCell(cell, ex.exit_of_cell[cell]) for cell in ex.black_cells)
-    return out
-
-
-def extract_gardens(m: MonodromyRep) -> list[GardenCell]:
-    """Garden components with their fine structure.
-
-    Each garden lists its faces, its edges as lift chains with lengths,
-    and its vertices; components are ordered by smallest element.
-    """
-    _require_valid_generic(m)
-    return list(_Extraction(m).gardens)
 
 
 # ---------------------------------------------------------------------------

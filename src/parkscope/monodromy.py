@@ -325,10 +325,10 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityR
 
     def white_shape(p: Perm) -> list[int] | None:
         # Lengths of the nontrivial white cycles, or None when whites are
-        # not closed under p.
+        # not closed under p; when they are, the unchecked core may walk them.
         if not pg.is_color_preserving(p, d):
             return None
-        return sorted(len(cyc) for cyc in pg.cycles(p, restrict=pg.whites(d)))
+        return sorted(len(cyc) for cyc in pg._cycles(p, pg.whites(d), False))
 
     for i, p in enumerate(m.x, 1):
         label = f"x[{i}]"

@@ -33,7 +33,8 @@ the real locus.  Its cells:
   node by exactly one alley, color-matched to the node's role.
 * **involution** -- the combinatorial shadow of complex conjugation: an
   involution of every cell type that swaps entrance/exit roles and face
-  colors while preserving genus, degree, length and corner labels.
+  colors while preserving genus, degree, length and corner labels, and
+  carries each face boundary, reversed, onto its image face's.
 
 ``validate_park`` checks every axiom and reports violations under stable
 rule codes; structurally broken references (ids that do not resolve)
@@ -492,10 +493,11 @@ def validate_park(park: Park) -> ParkReport:
     """Check every park axiom; report violations, raise on dangling ids.
 
     Checks that need face boundary data (the four-edge-ends rule and
-    opposite-color adjacency) run only when the park is fine.  The Euler
-    characteristic is checked last, only when every other rule holds: it
-    must be even and at most 2, the characteristic of a closed orientable
-    surface.
+    opposite-color adjacency) run only when the park is fine.  Two rules
+    run only when every other rule holds, in this order: the involution
+    must carry each face boundary, reversed and negated, onto its image
+    face's boundary up to rotation; and the Euler characteristic must be
+    even and at most 2, the characteristic of a closed orientable surface.
     """
     index = _ParkIndex(park)
     index.check_references()
@@ -772,6 +774,21 @@ def _index_report(index: _ParkIndex) -> ParkReport:
             detail = _garden_kind_violation(garden, inv.gardens[g_id], inv.edges, inv.vertices)
             if detail is not None:
                 flag("involution-structure", detail)
+
+    # -- face boundaries under the involution -------------------------------
+    # Conjugation reverses orientation: a face's boundary, carried over by
+    # the involution, reversed and negated, is its image's boundary.
+    if not violations:
+        for f_id, face in index.faces.items():
+            image = index.faces[inv.faces[f_id]]
+            if not face.boundary or not image.boundary:
+                continue
+            mapped = [-inv.edges[x] if x > 0 else inv.edges[-x] for x in reversed(face.boundary)]
+            if not rotations_equal(mapped, image.boundary):
+                flag(
+                    "involution-structure",
+                    f"involution does not carry face {f_id}'s boundary onto face {image.id}'s",
+                )
 
     # -- surface closure ---------------------------------------------------
     if not violations:

@@ -8,6 +8,9 @@ Composition is function composition: ``compose(p, q)`` maps ``a`` to
 ``p[q[a]]``, i.e. ``q`` acts first.  Everything downstream of this module
 relies on that single convention.
 
+The unchecked cores ``_cycles`` and ``_orbits`` take any increasing domain
+closed under the permutations, for data the package built or validated.
+
 Several helpers understand the two-colored ground set used by the rest of
 the package: for degree ``d`` the ground set has ``2*d`` elements, the
 first ``d`` ("white") indexed ``0..d-1`` and the last ``d`` ("black")
@@ -170,42 +173,18 @@ def is_involution(p: Perm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_closed(p: Perm, subset: Sequence[int]) -> None:
-    sub = set(subset)
-    for a in subset:
-        if not 0 <= a < len(p):
-            raise ValueError(f"restriction element {a} outside 0..{len(p) - 1}")
-        if p[a] not in sub:
-            raise ValueError(
-                f"restriction set is not closed: {a} maps to {p[a]} outside it"
-            )
-
-
-def cycles(
-    p: Perm,
-    restrict: Iterable[int] | None = None,
-    include_fixed: bool = False,
-) -> list[tuple[int, ...]]:
+def cycles(p: Perm, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
     """Disjoint cycles of ``p``, deterministically ordered.
 
     Each cycle starts at its smallest element; cycles are listed by their
     smallest elements.  Fixed points are omitted unless ``include_fixed``.
-    With ``restrict`` only the given elements are scanned; the set must be
-    closed under ``p``.
 
     >>> cycles(from_cycles(6, [(2, 4, 3), (0, 1)]))
     [(0, 1), (2, 4, 3)]
     >>> cycles(identity(3), include_fixed=True)
     [(0,), (1,), (2,)]
-    >>> cycles(from_cycles(6, [(0, 1), (3, 4)]), restrict=range(3, 6))
-    [(3, 4)]
     """
-    if restrict is None:
-        domain: Sequence[int] = range(len(p))
-    else:
-        domain = sorted(set(restrict))
-        _check_closed(p, domain)
-    return _cycles(p, domain, include_fixed)
+    return _cycles(p, range(len(p)), include_fixed)
 
 
 def _cycles(p: Perm, domain: Sequence[int], include_fixed: bool) -> list[tuple[int, ...]]:
@@ -227,15 +206,13 @@ def _cycles(p: Perm, domain: Sequence[int], include_fixed: bool) -> list[tuple[i
     return out
 
 
-def cycle_type(p: Perm, restrict: Iterable[int] | None = None) -> tuple[int, ...]:
+def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths of ``p`` including fixed points, sorted descending.
 
     >>> cycle_type(from_cycles(5, [(0, 1, 2), (3, 4)]))
     (3, 2)
-    >>> cycle_type(from_cycles(6, [(0, 1, 2)]), restrict=range(3, 6))
-    (1, 1, 1)
     """
-    lengths = [len(c) for c in cycles(p, restrict=restrict, include_fixed=True)]
+    lengths = [len(c) for c in cycles(p, include_fixed=True)]
     return tuple(sorted(lengths, reverse=True))
 
 
@@ -244,32 +221,20 @@ def cycle_type(p: Perm, restrict: Iterable[int] | None = None) -> tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
-def orbits(
-    gens: Sequence[Perm], n: int, restrict: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
+def orbits(gens: Sequence[Perm], n: int) -> list[tuple[int, ...]]:
     """Orbits of the group generated by ``gens`` acting on ``0..n-1``.
 
-    Returned as sorted tuples, ordered by smallest element.  With
-    ``restrict`` the orbits are computed on that subset, which must be
-    closed under every generator.
+    Returned as sorted tuples, ordered by smallest element.
 
     >>> orbits([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])], 4)
     [(0, 1), (2, 3)]
     >>> orbits([], 3)
     [(0,), (1,), (2,)]
-    >>> orbits([from_cycles(6, [(0, 1), (3, 5)])], 6, restrict=range(3, 6))
-    [(3, 5), (4,)]
     """
-    if restrict is None:
-        domain: Sequence[int] = range(n)
-    else:
-        domain = sorted(set(restrict))
     for g in gens:
         if len(g) != n:
             raise ValueError(f"generator acts on {len(g)} elements, expected {n}")
-        if restrict is not None:
-            _check_closed(g, domain)
-    return _orbits(gens, n, domain)
+    return _orbits(gens, n, range(n))
 
 
 def _orbits(gens: Sequence[Perm], n: int, domain: Sequence[int]) -> list[tuple[int, ...]]:

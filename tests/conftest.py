@@ -248,18 +248,22 @@ def orbit_weights(m, reflected=False):
     of the ``c_1``-conjugated ``x`` on the black half: the orbit, the
     faces (cycles of ``e``, or of ``c_1 e c_1``) inside it, and twice the
     genus its branch count and faces force, ``b + 2 - k - sum(degrees)``.
-    Asserts that each ``x`` moves one pair of the half, that no face leaks
-    out of its orbit, and that the branch counts sum to ``t``."""
+    Asserts that the half is closed under ``e`` and the ``x``, that each
+    ``x`` moves one pair of the half, that no face leaks out of its orbit,
+    and that the branch counts sum to ``t``."""
     c1 = m.c[0]
     xs, e, half, color = list(m.x), m.e, whites(m.degree), "white"
     if reflected:
         xs = [conjugate(x, c1) for x in xs]
         e, half, color = conjugate(m.e, c1), blacks(m.degree), "black"
-    faces = [FaceCell(color, cyc) for cyc in cycles(e, restrict=half, include_fixed=True)]
+    assert all(p[a] in half for p in (e, *xs) for a in half)
+    faces = [FaceCell(color, cyc) for cyc in cycles(e, include_fixed=True) if cyc[0] in half]
     pairs = [{a for a in half if x[a] != a} for x in xs]
     assert all(len(pair) == 2 for pair in pairs), pairs
     out, total = [], 0
-    for orbit in orbits(xs, m.ground_size, restrict=half):
+    for orbit in orbits(xs, m.ground_size):
+        if orbit[0] not in half:
+            continue
         members = set(orbit)
         inside = [face for face in faces if set(face.elements) & members]
         assert all(set(face.elements) <= members for face in inside), orbit
@@ -495,7 +499,8 @@ def complete_skeleton_validated(d, chain, skeleton, components, completions, inv
     and the corner elements ``c_k c_{k+1}``."""
     white_xs = skeleton[0]
     corners = [compose(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    assert components == orbits(list(white_xs) + corners, 2 * d, whites(d)), chain
+    white_orbits = [orbit for orbit in orbits(list(white_xs) + corners, 2 * d) if orbit[0] < d]
+    assert components == white_orbits, chain
     t = len(white_xs)
     if t == 0:
         if chain[-1] != chain[0] or len(components) > 1:

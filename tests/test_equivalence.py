@@ -18,10 +18,6 @@ from parkscope import (
     classify,
     conjugate_rep,
     enumerate_monodromies,
-    extract_alleys,
-    extract_faces,
-    extract_gardens,
-    extract_nodes,
     find_park_involution,
     monodromy_equivalent,
     monodromy_to_park,
@@ -311,10 +307,6 @@ def test_public_entry_points_validate(loop3_park):
             canonical_form,
             lambda m: classify([m]),
             monodromy_to_park,
-            extract_faces,
-            extract_nodes,
-            extract_alleys,
-            extract_gardens,
         ):
             with pytest.raises(ValueError, match=reason):
                 entry(rep)
@@ -648,11 +640,6 @@ def test_enumeration_dedup_aliases():
     assert by_alias["park"] == by_alias["park_isomorphism"] == 2
     with pytest.raises(ValueError):
         enumerate_monodromies(2, 1, 0, dedup="bogus")
-
-
-def test_enumeration_budget():
-    with pytest.raises(ResourceLimitError):
-        enumerate_monodromies(3, 2, 0, budget=5)
 
 
 @pytest.mark.parametrize("cell", [(6, 0, 0), (3, 5, 4)], ids=["ground 12", "critical 9"])

@@ -14,10 +14,6 @@ from parkscope import (
     NonRealizableError,
     build,
     enumerate_monodromies,
-    extract_alleys,
-    extract_faces,
-    extract_gardens,
-    extract_nodes,
     find_park_involution,
     genus,
     monodromy_to_park,
@@ -73,16 +69,13 @@ def test_loop3_nodes_and_alleys(loop3_rep, loop3_park):
     assert len(entrances) == 1 and len(exits) == 1
     assert entrances[0].genus == 0 and exits[0].genus == 0
     assert len(loop3_park.alleys) == 2
-    # cell-level accessors agree with the assembled park
-    white_cells, black_cells = extract_faces(loop3_rep)
-    assert len(white_cells) == 1 and white_cells[0].degree == 3
-    assert len(black_cells) == 1 and black_cells[0].degree == 3
-    entrance_cells, exit_cells = extract_nodes(loop3_rep)
-    assert len(entrance_cells) == 1 and len(exit_cells) == 1
-    sig = entrance_cells[0].signature
+    # the extraction's cells agree with the assembled park
+    ex = _Extraction(loop3_rep)
+    assert [cell.degree for cell in ex.white_cells + ex.black_cells] == [3, 3]
+    assert len(ex.entrances) == 1 and len(ex.exit_nodes) == 1
+    sig = ex.entrances[0].signature
     assert (sig.genus, sig.circles, sig.degrees, sig.branch_points) == (0, 1, (3,), 2)
-    assert len(extract_alleys(loop3_rep)) == 2
-    assert len(extract_gardens(loop3_rep)) == 1
+    assert len(ex.gardens) == 1
 
 
 def test_single_sheet_park(single_sheet_rep):
@@ -146,8 +139,11 @@ def test_every_edge_has_one_side_of_each_color(chord_park):
 
 
 def test_extracted_involution_is_refound(loop3_park, chord_park, example_park):
-    swept = [park for _, park in realized_reps(3, 3)]
-    assert len(swept) == 66
+    """The search refinds each park's own involution, and the park passes
+    ``validate_park`` with it in place: the validator's face-boundary rule
+    agrees with the search, which reads boundaries reversed."""
+    swept = [park for _, park in realized_reps(3, 5)]
+    assert len(swept) == 984
     for park in (loop3_park, chord_park, example_park, *swept):
         found = find_park_involution(park)
         assert found is not None
@@ -522,30 +518,6 @@ def test_skeleton_memo_does_not_depend_on_extraction_order():
             assert _outcome_figures(rep) == _outcome_figures(rebuilt), (cell, rep)
             checked += 1
     assert (checked, sharing) == (5766, 3668)
-
-
-def test_public_extractors_keep_the_memo_private():
-    """Mutating the lists that ``extract_faces``, ``extract_nodes`` and
-    ``extract_alleys`` return for one rep changes nothing that a sibling
-    rep of the same white skeleton extracts."""
-    reps = [cls.representative for cls in enumerate_monodromies(3, 2, 2).classes]
-    rep, sibling = [m for m in reps if m._mark is reps[0]._mark][:2]
-    assert rep.c != sibling.c
-
-    def extracted(m):
-        return (
-            _outcome_text(m),
-            extract_faces(m),
-            extract_nodes(m),
-            extract_alleys(m),
-            extract_gardens(m),
-        )
-
-    expected = extracted(build(sibling.degree, sibling.x, sibling.c))
-    for returned in (*extract_faces(rep), *extract_nodes(rep), extract_alleys(rep)):
-        returned[:] = returned[::-1] + returned[:1]
-    assert extracted(sibling) == expected
-    assert extracted(rep) == extracted(build(rep.degree, rep.x, rep.c))
 
 
 def _black_halves(d):

@@ -3,15 +3,18 @@
 import copy
 import dataclasses
 import json
+from itertools import combinations
 
 import pytest
 
 from parkscope import (
     InconsistencyError,
     NonRealizableError,
+    build,
     euler_characteristic,
     find_park_involution,
     genus,
+    monodromy_to_park,
     park_hurwitz,
     park_isomorphic,
     total_degree,
@@ -36,7 +39,7 @@ from parkscope.park import (
     to_json_dict,
 )
 
-from conftest import EXAMPLE_PARK_PATH, run_cli
+from conftest import EXAMPLE_PARK_PATH, realized_reps, run_cli
 
 PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
 
@@ -269,6 +272,42 @@ def test_garden_kind_rule(example_park_dict, change, kind_messages, has_involuti
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == gate
+
+
+def _edge_swaps(park):
+    """``park`` with the involution images of two edges of equal kind,
+    length and ends swapped, for each such pair of edges."""
+    for a, b in combinations(park.all_edges(), 2):
+        if (a.kind, a.length, a.ends) == (b.kind, b.length, b.ends):
+            edges = dict(park.involution.edges)
+            edges[a.id], edges[b.id] = edges[b.id], edges[a.id]
+            yield dataclasses.replace(
+                park, involution=dataclasses.replace(park.involution, edges=edges)
+            )
+
+
+def test_involution_must_carry_face_boundaries():
+    """Swapping the images of two edges of equal kind, length and ends
+    keeps every rule on single cells, but the involution then no longer
+    carries each face boundary, reversed and negated, onto its image
+    face's.  The validator flags that for both swaps of the branchless
+    (2, 0, 2) rep, and for every such swap in the parks of d <= 3 and
+    t + s <= 4: of the 192 swaps, 100 break the boundary rule alone."""
+    rep = build(2, [], [(2, 3, 0, 1), (3, 2, 1, 0), (2, 3, 0, 1)])
+    expected = tuple(
+        ("involution-structure", f"involution does not carry face {a}'s boundary onto face {b}'s")
+        for a, b in ((1, 3), (2, 4), (3, 1), (4, 2))
+    )
+    swaps = list(_edge_swaps(monodromy_to_park(rep)))
+    assert [validate_park(swapped).violations for swapped in swaps] == [expected] * 2
+    reports = [validate_park(m) for _, park in realized_reps(3, 4) for m in _edge_swaps(park)]
+    assert not any(reports)
+    boundary_only = [
+        report
+        for report in reports
+        if all(detail.startswith("involution does not carry") for _, detail in report.violations)
+    ]
+    assert (len(reports), len(boundary_only)) == (192, 100)
 
 
 def test_validator_raises_on_dangling_reference(example_park_dict):
