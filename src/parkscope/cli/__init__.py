@@ -181,18 +181,9 @@ def _cmd_validate(args, out: _Output) -> int:
 
 def _cmd_extract(args, out: _Output) -> int:
     rep = _load_monodromy(args.monodromy, args.max_sheets)
-    relations, genericity = monodromy._generic_reports(rep)
-    if not (relations and genericity):
-        problems = list(relations.failures) + list(genericity.violations)
-        detail = "; ".join(f"{a}: {b}" for a, b in problems[:3])
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"{args.monodromy}: representation is not valid generic ({detail})",
-            {"command": "extract", "ok": False},
-        )
     try:
         built = extraction.monodromy_to_park(rep)
-    except NonRealizableError as exc:
+    except (ValueError, NonRealizableError) as exc:
         raise _CliFailure(
             EXIT_NEGATIVE,
             f"{args.monodromy}: {exc}",

@@ -15,7 +15,8 @@
   topological equivalence of two monodromies: a color-preserving sheet
   relabeling that matches the orbit systems of the ``x`` generators and
   conjugates ``e`` and every reflection ``c_i`` of one representation
-  onto the other.
+  onto the other.  It is decided by the canonical-key engine, whose
+  relabelings that reach both canonical images give the witness.
 * ``canonical_form`` keys a relabeling-equivalence class by its least
   serialization, taken one component at a time over relabelings that tie.
   The key engine works on a batch: the relabelings are built once per
@@ -44,7 +45,7 @@ representations it builds are marked valid and generic, one mark per
 white skeleton, which carries the skeleton's faces and entrances once
 extraction has built them.  Input is
 validated at the public entry points, once per representation (see
-``monodromy._generic_reports``): enumeration and ``classify`` extract
+``monodromy._require_generic``): enumeration and ``classify`` extract
 through the public ``monodromy_to_park``, which sees their marks and
 checks nothing again, and key and merge through the unvalidated cores
 ``_canonical_keys`` and ``_index_isomorphism``.  Past a gate, orbits come
@@ -66,11 +67,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
-from .monodromy import MonodromyRep, _generic_reports, _generic_trusted, _Mark
+from .monodromy import MonodromyRep, _generic_trusted, _Mark, _require_generic
 from .park import (
     _CELL_TYPES,
     Involution,
     Park,
+    _carries_boundary,
     _garden_kind_violation,
     _garden_signature,
     _least_rotation,
@@ -78,7 +80,6 @@ from .park import (
     _same,
     _validated_index,
     opposite_color,
-    rotations_equal,
     type_summary,
 )
 from .permgroup import (
@@ -267,17 +268,10 @@ def _park_morphisms(
     )
 
     def boundaries_correspond() -> bool:
-        edges = maps["edges"]
-        for f, face in src.faces.items():
-            image = dst.faces[maps["faces"][f]]
-            if not face.boundary or not image.boundary:
-                continue
-            mapped = [edges[x] if x > 0 else -edges[-x] for x in face.boundary]
-            if reverse:
-                mapped = [-x for x in reversed(mapped)]
-            if not rotations_equal(mapped, image.boundary):
-                return False
-        return True
+        return all(
+            _carries_boundary(maps["edges"], face, dst.faces[maps["faces"][f]], reverse=reverse)
+            for f, face in src.faces.items()
+        )
 
     def search(steps: list[_Step], i: int, phase: int) -> Iterator[_CellMaps]:
         if i == len(steps):
@@ -511,54 +505,46 @@ class EquivalenceWitness:
     mapping: Perm
 
 
-def _require_generic(m: MonodromyRep) -> None:
-    relations, genericity = _generic_reports(m)
-    if not relations:
-        raise ValueError("representation fails relation validation")
-    if not genericity:
-        raise ValueError("representation is not generic")
-
-
 def monodromy_equivalent(
     m1: MonodromyRep, m2: MonodromyRep
 ) -> EquivalenceWitness | None:
     """Sufficient-condition check for topological equivalence.
 
-    Searches color-preserving relabelings ``j`` of the ``2d`` sheet
-    halves such that ``j`` maps the orbit system of the first
-    representation's ``x`` generators onto the second's, and conjugates
-    ``e`` and every reflection ``c_i`` of the first onto the second.
+    A witness is a color-preserving relabeling ``j`` of the ``2d`` sheet
+    halves that maps the orbit system of the first representation's ``x``
+    generators onto the second's and conjugates ``e`` and every reflection
+    ``c_i`` of the first onto the second.  The one returned is the first
+    in ``permutations`` order of its white part, which fixes the rest.
     ``None`` means only that this sufficient condition fails.  Both
     representations must share ``(degree, cone, corner)`` parameters.
+
+    The decision is the key engine's (:func:`_canonical_images`): a
+    witness exists exactly when the canonical keys agree, and the
+    witnesses are ``j2^-1 . j1`` for every ``j1`` that reaches the first
+    representation's canonical image and one ``j2`` that reaches the
+    second's, so the first witness is the least of them.
     """
     _require_generic(m1)
     _require_generic(m2)
     params = (m1.degree, m1.cone_points, m1.corner_points)
     if params != (m2.degree, m2.cone_points, m2.corner_points):
         raise ValueError("representations have different (degree, cone, corner) parameters")
-    n = m1.ground_size
-    orbits1 = _orbits(m1.x, n, range(n))
-    orbits2 = set(_orbits(m2.x, n, range(n)))
-    for j in _relabelings(m1.c[0], m2.c[0]):
-        jt = tuple(j)
-        if conjugate(m1.e, jt) != m2.e:
-            continue
-        if any(conjugate(ck, jt) != m2.c[k] for k, ck in enumerate(m1.c)):
-            continue
-        if {tuple(sorted(jt[a] for a in orb)) for orb in orbits1} != orbits2:
-            continue
-        return EquivalenceWitness(mapping=jt)
-    return None
+    (key1, tied1), (key2, tied2) = _canonical_images((m1, m2))
+    if key1 != key2:
+        return None
+    back = inverse(tied2[0])
+    return EquivalenceWitness(mapping=min(compose(back, j) for j in tied1))
 
 
-def _relabelings(c_from: Perm, c_to: Perm) -> Iterator[list[int]]:
+def _relabelings(c1: Perm) -> Iterator[list[int]]:
     """Each white permutation, in ``permutations`` order, extended to the
-    blacks so that it conjugates the matching ``c_from`` onto ``c_to``."""
-    d = len(c_from) // 2
+    blacks so that it conjugates the matching ``c1`` onto the standard one."""
+    d = len(c1) // 2
+    standard = mirror_matching(d)
     for sigma_w in permutations(range(d)):
         j = list(sigma_w) + [0] * d
         for b in blacks(d):
-            j[b] = c_to[j[c_from[b]]]
+            j[b] = standard[j[c1[b]]]
         yield j
 
 
@@ -574,12 +560,14 @@ def _least(relabelings: list[list[int]], image) -> tuple:
     return best, [j for j, value in zip(relabelings, images) if value == best]
 
 
-def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
+def _canonical_images(
+    reps: Iterable[MonodromyRep],
+) -> Iterator[tuple[str, list[list[int]]]]:
     """:func:`canonical_form` of each representation, known to be valid, in
-    input order: the least ``(orbit system, e, all c)`` image over the
-    relabelings making the first reflection standard, taken one component
-    at a time over the relabelings that tie so far (tuples compare
-    lexicographically).
+    input order, with the relabelings that reach it: the least
+    ``(orbit system, e, all c)`` image over the relabelings making the
+    first reflection standard, taken one component at a time over the
+    relabelings that tie so far (tuples compare lexicographically).
 
     The relabelings depend only on ``c[1]`` and the first two stages only
     on ``(c[1], x, e)``, so those are computed once per distinct value and
@@ -593,7 +581,7 @@ def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
         head = (c1, m.x, m.e)
         if head not in heads:
             if c1 not in relabelings:
-                relabelings[c1] = list(_relabelings(c1, mirror_matching(m.degree)))
+                relabelings[c1] = list(_relabelings(c1))
             orbs = _orbits(m.x, m.ground_size, range(m.ground_size))
             orbit_t, tied = _least(
                 relabelings[c1],
@@ -602,8 +590,13 @@ def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
             e_t, tied = _least(tied, lambda j: conjugate(m.e, j))
             heads[head] = orbit_t, e_t, tied
         orbit_t, e_t, tied = heads[head]
-        c_t, _ = _least(tied, lambda j: tuple(conjugate(ck, j) for ck in m.c))
-        yield repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t))
+        c_t, tied = _least(tied, lambda j: tuple(conjugate(ck, j) for ck in m.c))
+        yield repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t)), tied
+
+
+def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
+    """The keys of :func:`_canonical_images`, one at a time."""
+    return (key for key, _ in _canonical_images(reps))
 
 
 def canonical_form(m: MonodromyRep) -> str:
@@ -652,24 +645,10 @@ def _two_involutions(p: Perm) -> tuple[Perm, Perm]:
 
 
 def _black_involutions(d: int) -> list[Perm]:
-    """All involutions supported on the black half, identity included."""
-    n = 2 * d
-    out: list[Perm] = []
-
-    def extend(images: list[int], free: list[int]) -> None:
-        if not free:
-            out.append(tuple(images))
-            return
-        head, rest = free[0], free[1:]
-        extend(images, rest)  # head stays fixed
-        for other in rest:
-            images[head], images[other] = other, head
-            extend(images, [x for x in rest if x != other])
-            images[head], images[other] = head, other
-
-    extend(list(range(n)), list(blacks(d)))
-    out.sort()
-    return out
+    """All involutions supported on the black half, identity included, in
+    increasing order."""
+    white = tuple(whites(d))
+    return sorted(p for q in permutations(blacks(d)) if is_involution(p := white + q))
 
 
 def _chains(d: int, s: int) -> Iterator[tuple[list[Perm], tuple[Perm, ...]]]:

@@ -36,7 +36,7 @@ exits, the boundary walk and the gardens -- and assembled into a park.
 
 ``monodromy_to_park`` is the one public entry point, and the only path
 from a representation to its cells.  It validates its input through
-``monodromy._generic_reports``, which checks each representation once:
+``monodromy._require_generic``, which checks each representation once:
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
 re-checked: the ``_build_*`` stages use the unchecked ``permgroup``
@@ -60,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NonRealizableError
-from .monodromy import MonodromyRep, _generic_reports, _trusted, genus_from_counts
+from .monodromy import MonodromyRep, _require_generic, _trusted, genus_from_counts
 from .park import (
     Alley,
     EntranceSignature,
@@ -151,25 +151,6 @@ class GardenCell:
     faces: tuple[FaceCell, ...]
     edges: tuple[EdgeChain, ...]
     vertices: tuple[VertexCell, ...]
-
-
-# ---------------------------------------------------------------------------
-# preconditions
-# ---------------------------------------------------------------------------
-
-
-def _require_valid_generic(m: MonodromyRep) -> None:
-    rel, gen = _generic_reports(m)
-    if not rel:
-        raise ValueError(
-            "monodromy fails relation validation: "
-            + "; ".join(f"{label}: {detail}" for label, detail in rel.failures[:3])
-        )
-    if not gen:
-        raise ValueError(
-            "monodromy is not generic: "
-            + "; ".join(f"{label}: {detail}" for label, detail in gen.violations[:3])
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +503,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     enumeration built, or that passed an earlier public gate, is not
     checked again.
     """
-    _require_valid_generic(m)
+    _require_generic(m)
     chi = _euler_characteristic(m)
     built_genus = _genus_of_characteristic(chi)
     forced_genus = genus_from_counts(m)

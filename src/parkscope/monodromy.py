@@ -58,7 +58,7 @@ class MonodromyRep:
     its own representations through :func:`_generic_trusted` instead,
     unchecked and marked valid and generic; any other representation is checked
     once, the first time a public entry point that needs valid generic
-    data sees it (see :func:`_generic_reports`).  The mark is a
+    data sees it (see :func:`_require_generic`).  The mark is a
     :class:`_Mark`, which also holds extraction's memo of the cells
     of the white skeleton: enumeration gives every representation of one
     skeleton the same mark, and a representation that passes the check
@@ -73,7 +73,7 @@ class MonodromyRep:
     c: tuple[Perm, ...]
 
     # Not annotated, so not a field: None, or a _Mark set on an instance
-    # by _generic_reports once it passed both validators, or by
+    # by _require_generic once it passed both validators, or by
     # _generic_trusted for what enumeration built.
     _mark = None
 
@@ -165,7 +165,7 @@ def _generic_trusted(
     closing permutation ``e`` it already computed: made through
     :func:`_trusted` and carrying ``mark``, which enumeration shares among
     the representations of one white skeleton, so that
-    :func:`_generic_reports` never checks it."""
+    :func:`_require_generic` never checks it."""
     m = _trusted(MonodromyRep, degree=degree, x=x, e=e, c=c)
     object.__setattr__(m, "_mark", mark)
     return m
@@ -280,7 +280,7 @@ def validate_relations(m: MonodromyRep) -> RelationReport:
         failures.append(
             ("seam", f"c[1] differs from e.c[{m.corner_points + 1}].e^-1")
         )
-    orbit_list = pg.orbits(list(m.generators()), n)
+    orbit_list = pg._orbits(m.generators(), n, range(n))
     if len(orbit_list) > 1:
         failures.append(
             (
@@ -367,23 +367,26 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityR
     return GenericityReport(ok=not violations, mode=mode, violations=tuple(violations))
 
 
-_RELATIONS_OK = RelationReport(ok=True, failures=())
-_GENERICITY_OK = GenericityReport(ok=True, mode="geometric", violations=())
-
-
-def _generic_reports(m: MonodromyRep) -> tuple[RelationReport, GenericityReport]:
-    """:func:`validate_relations` and geometric :func:`validate_genericity`
-    of ``m``, run at most once per object: when both pass, ``m`` gets a
-    fresh :class:`_Mark` of its own, and a marked ``m`` gets the two ok
-    reports back without a re-check.  The gate of every public entry point
-    that needs valid generic data."""
+def _require_generic(m: MonodromyRep) -> None:
+    """Raise ``ValueError`` unless ``m`` passes :func:`validate_relations`
+    and geometric :func:`validate_genericity`, naming the first three
+    failures of the first check that fails.  Each object is checked at
+    most once: a rep that passes gets a fresh :class:`_Mark` of its own,
+    and a marked rep returns at once.  The one gate of every public entry
+    point that needs valid generic data."""
     if m._mark is not None:
-        return _RELATIONS_OK, _GENERICITY_OK
+        return
     relations = validate_relations(m)
+    if not relations:
+        raise ValueError("monodromy fails relation validation: " + _first_three(relations.failures))
     genericity = validate_genericity(m, "geometric")
-    if relations and genericity:
-        object.__setattr__(m, "_mark", _Mark())
-    return relations, genericity
+    if not genericity:
+        raise ValueError("monodromy is not generic: " + _first_three(genericity.violations))
+    object.__setattr__(m, "_mark", _Mark())
+
+
+def _first_three(problems: tuple[tuple[str, str], ...]) -> str:
+    return "; ".join(f"{label}: {detail}" for label, detail in problems[:3])
 
 
 def genus_from_counts(m: MonodromyRep) -> int:

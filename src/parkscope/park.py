@@ -781,10 +781,7 @@ def _index_report(index: _ParkIndex) -> ParkReport:
     if not violations:
         for f_id, face in index.faces.items():
             image = index.faces[inv.faces[f_id]]
-            if not face.boundary or not image.boundary:
-                continue
-            mapped = [-inv.edges[x] if x > 0 else inv.edges[-x] for x in reversed(face.boundary)]
-            if not rotations_equal(mapped, image.boundary):
+            if not _carries_boundary(inv.edges, face, image, reverse=True):
                 flag(
                     "involution-structure",
                     f"involution does not carry face {f_id}'s boundary onto face {image.id}'s",
@@ -828,6 +825,22 @@ def _garden_kind_violation(
     if garden.kind == "non_orientable" and (fixed_edge or fixed_vertex):
         return f"garden {g_id} is marked non_orientable but the involution fixes one of its cells"
     return None
+
+
+def _carries_boundary(
+    edges: Mapping[int, int], face: Face, image: Face, *, reverse: bool
+) -> bool:
+    """True when the edge map ``edges`` carries ``face``'s boundary onto
+    ``image``'s up to rotation, or when either face has no boundary data.
+    With ``reverse`` the carried boundary is read reversed and negated:
+    an orientation-reversing map (the involution, a reflected isomorphism)
+    walks a face boundary the other way."""
+    if not face.boundary or not image.boundary:
+        return True
+    mapped = [edges[x] if x > 0 else -edges[-x] for x in face.boundary]
+    if reverse:
+        mapped = [-x for x in reversed(mapped)]
+    return rotations_equal(mapped, image.boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from parkscope.extraction import (
     _assemble,
     _euler_characteristic,
     _Extraction,
-    _require_valid_generic,
 )
-from parkscope.monodromy import validate_genericity, validate_relations
+from parkscope.monodromy import _require_generic, validate_genericity, validate_relations
 from parkscope.park import (
     EntranceSignature,
     Park,
@@ -217,7 +216,7 @@ def assemble_park(m) -> Park:
     """The full park of a valid generic rep, every extraction stage built
     and assembled whether or not it is realizable; the rep is validated,
     the park is not."""
-    _require_valid_generic(m)
+    _require_generic(m)
     return _assemble(_Extraction(m))
 
 
@@ -547,6 +546,29 @@ def canonical_form_brute(m) -> str:
     all ``d!`` white relabelings: the oracle for ``canonical_form``."""
     best = min(_transported(m, sigma_w) for sigma_w in permutations(range(m.degree)))
     return repr((m.degree, m.cone_points, m.corner_points) + best)
+
+
+def first_witness_brute(m1, m2) -> tuple | None:
+    """The first color-preserving relabeling, in ``permutations`` order of
+    its white part, that conjugates ``e`` and every ``c`` of ``m1`` onto
+    ``m2``'s and carries ``m1``'s ``x`` orbits onto ``m2``'s, or ``None``:
+    a plain search over all ``d!`` relabelings that send ``m1.c[0]`` to
+    ``m2.c[0]``, the oracle for ``monodromy_equivalent``."""
+    d, n = m1.degree, m1.ground_size
+    orbits1 = orbits(list(m1.x), n)
+    orbits2 = set(orbits(list(m2.x), n))
+    for sigma_w in permutations(range(d)):
+        j = list(sigma_w) + [0] * d
+        for b in blacks(d):
+            j[b] = m2.c[0][j[m1.c[0][b]]]
+        jt = tuple(j)
+        if conjugate(m1.e, jt) != m2.e:
+            continue
+        if any(conjugate(ck, jt) != m2.c[k] for k, ck in enumerate(m1.c)):
+            continue
+        if {tuple(sorted(jt[a] for a in orb)) for orb in orbits1} == orbits2:
+            return jt
+    return None
 
 
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")

@@ -34,6 +34,10 @@ def unrealizable_file(tmp_path):
     return _write_rep(tmp_path / "odd.json", make_unrealizable_rep())
 
 
+#: What every public gate says of ``broken_file``'s rep.
+SEAM_FAILURE = "monodromy fails relation validation: seam: c[1] differs from e.c[1].e^-1"
+
+
 @pytest.fixture
 def broken_file(tmp_path):
     """A rep that parses but fails the relations: ``x`` moves no black."""
@@ -104,7 +108,14 @@ def test_extract_unrealizable(unrealizable_file, capsys):
 
 
 def test_extract_invalid_rep(broken_file, capsys):
+    message = f"{broken_file}: {SEAM_FAILURE}"
     assert main(["extract", broken_file]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert main(["extract", broken_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert json.loads(captured.out) == {"command": "extract", "ok": False, "error": message}
 
 
 def test_info_monodromy(loop3_file, capsys):
@@ -323,7 +334,7 @@ def test_equivalent_negative(tmp_path, capsys):
 def test_equivalent_invalid_rep(loop3_file, broken_file, capsys):
     assert main(["equivalent", broken_file, loop3_file, "--json"]) == 1
     captured = capsys.readouterr()
-    message = "invalid representation input: representation fails relation validation"
+    message = f"invalid representation input: {SEAM_FAILURE}"
     assert captured.err == message + "\n"
     assert json.loads(captured.out) == {"command": "equivalent", "ok": False, "error": message}
 

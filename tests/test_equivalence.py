@@ -33,6 +33,7 @@ from conftest import (
     check_park_isomorphism,
     complete_skeleton_validated,
     enumerated_reps,
+    first_witness_brute,
     make_chord_rep,
     make_loop3_rep,
     realized_reps,
@@ -96,10 +97,11 @@ def test_inequivalent_classes_distinguished():
 
 def test_relabeling_deciders_agree_on_every_pair():
     """Over every ordered pair of enumerated reps of four degree-3 cells,
-    ``monodromy_equivalent`` finds a witness exactly when the canonical
-    forms agree, and each witness conjugates ``e`` and every ``c`` of the
-    first rep onto the second and carries its ``x`` orbits onto the
-    second's."""
+    ``monodromy_equivalent`` returns the witness of the plain search over
+    all relabelings (``first_witness_brute``), finds one exactly when the
+    canonical forms agree, and each witness conjugates ``e`` and every
+    ``c`` of the first rep onto the second and carries its ``x`` orbits
+    onto the second's."""
 
     def orbit_system(m):
         return {tuple(sorted(orbit)) for orbit in pg.orbits(list(m.x), m.ground_size)}
@@ -112,6 +114,8 @@ def test_relabeling_deciders_agree_on_every_pair():
             for b, form_b in zip(reps, forms):
                 pairs += 1
                 witness = monodromy_equivalent(a, b)
+                brute = first_witness_brute(a, b)
+                assert (None if witness is None else witness.mapping) == brute, (a, b)
                 assert (witness is not None) == (form_a == form_b), (a, b)
                 if witness is None:
                     continue
@@ -299,17 +303,28 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
 
 
 def test_public_entry_points_validate(loop3_park):
+    """Every public entry point that takes a rep refuses an invalid or a
+    non-generic one with the one gate's text, word for word."""
     broken = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
     # passes the relations; each x fixes the whites
     non_generic = build(2, [(0, 1, 3, 2)] * 2, [(2, 3, 0, 1)])
-    for rep, reason in ((broken, "fails relation validation"), (non_generic, "is not generic")):
+    for rep, message in (
+        (broken, "monodromy fails relation validation: seam: c[1] differs from e.c[1].e^-1"),
+        (
+            non_generic,
+            "monodromy is not generic: x[1]: white action is not a single transposition; "
+            "x[2]: white action is not a single transposition",
+        ),
+    ):
         for entry in (
             canonical_form,
             lambda m: classify([m]),
             monodromy_to_park,
+            lambda m: monodromy_equivalent(m, m),
         ):
-            with pytest.raises(ValueError, match=reason):
+            with pytest.raises(ValueError) as caught:
                 entry(rep)
+            assert str(caught.value) == message
     involution = loop3_park.involution
     faces_fixed = dataclasses.replace(involution, faces={f: f for f in involution.faces})
     corrupted = dataclasses.replace(loop3_park, involution=faces_fixed)
