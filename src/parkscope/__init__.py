@@ -52,9 +52,9 @@ cli, equivalence, extraction, hurwitz, monodromy, park, permgroup = map(_lazy, _
 _HOME = {
     name: home
     for home, names in {
-        "equivalence": "ClassificationTable EnumerationResult EquivalenceWitness MonodromyClass"
-        " ParkIsomorphism canonical_form classify enumerate_monodromies"
-        " find_park_involution monodromy_equivalent park_isomorphic",
+        "equivalence": "EnumerationResult EquivalenceWitness MonodromyClass ParkIsomorphism"
+        " canonical_form enumerate_monodromies find_park_involution monodromy_equivalent"
+        " park_isomorphic",
         "extraction": "monodromy_to_park",
         "hurwitz": "branch_count interleaving_factor one_part_oracle park_hurwitz"
         " single_hurwitz single_hurwitz_brute",

@@ -409,13 +409,23 @@ def _cmd_equivalent(args, out: _Output) -> int:
     first = _load_monodromy(args.monodromy_a, args.max_sheets)
     second = _load_monodromy(args.monodromy_b, args.max_sheets)
     try:
-        witness = equivalence.monodromy_equivalent(first, second)
+        monodromy._require_generic(first)
+        monodromy._require_generic(second)
     except ValueError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE,
             f"invalid representation input: {exc}",
             {"command": "equivalent", "ok": False},
         ) from exc
+    params = [(m.degree, m.cone_points, m.corner_points) for m in (first, second)]
+    if params[0] != params[1]:
+        raise _CliFailure(
+            EXIT_NEGATIVE,
+            "not equivalent: (degree, cone, corner) parameters differ: "
+            f"{params[0]} against {params[1]}",
+            {"command": "equivalent", "equivalent": False},
+        )
+    witness = equivalence.monodromy_equivalent(first, second)
     if witness is None:
         raise _CliFailure(
             EXIT_NEGATIVE,

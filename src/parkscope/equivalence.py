@@ -19,16 +19,15 @@
   relabelings that reach both canonical images give the witness.
 * ``canonical_form`` keys a relabeling-equivalence class by its least
   serialization, taken one component at a time over relabelings that tie.
-  The key engine works on a batch: the relabelings are built once per
-  distinct ``c[1]``, the orbit-system and ``e`` stages run once per
-  distinct ``(c[1], x, e)``, and each representation runs only the last
-  stage (all ``c``) over the relabelings that tie.
+  The key engine works on a batch and runs each stage once per distinct
+  value of what it reads: the relabelings once per ``c[1]``, the
+  orbit-system stage once per ``(c[1], orbit system)``, the ``e`` stage
+  once per ``(c[1], x, e)``, and each representation only the reflections
+  after the first, one at a time, over the relabelings that tie.
 * ``enumerate_monodromies`` generates all valid generic representations
   for small parameters, up to color-preserving relabeling of sheets, and
   deduplicates at three levels: raw, relabeling-equivalence classes, or
   park-isomorphism classes.
-* ``classify`` partitions an explicit list of representations by
-  coarse invariants refined by park isomorphism.
 
 The enumeration fixes the first reflection to the standard color
 matching (every representation can be relabeled into this form) and
@@ -45,25 +44,26 @@ representations it builds are marked valid and generic, one mark per
 white skeleton, which carries the skeleton's faces and entrances once
 extraction has built them.  Input is
 validated at the public entry points, once per representation (see
-``monodromy._require_generic``): enumeration and ``classify`` extract
-through the public ``monodromy_to_park``, which sees their marks and
-checks nothing again, and key and merge through the unvalidated cores
+``monodromy._require_generic``): enumeration extracts through the
+public ``monodromy_to_park``, which sees its marks and checks nothing
+again, and keys and merges through the unvalidated cores
 ``_canonical_keys`` and ``_index_isomorphism``.  Past a gate, orbits come
 from the unchecked ``permgroup._orbits``.
-Enumeration and ``classify`` merge parks through one helper,
-``_isomorphism_groups``, which searches a park only against earlier parks
-of equal ``_merge_signature``: an invariant of park isomorphism built from
-the corner labels (least over the global rotations), the labels at the
-ends of each edge, each face boundary up to rotation and each node's
-faces with their gardens.  The search still decides every merge.
+Enumeration merges parks through ``_isomorphism_groups``, which searches a
+park only against earlier parks of equal ``_merge_signature``: an
+invariant of park isomorphism built from the corner labels (least over
+the global rotations), the labels at the ends of each edge, each face
+boundary up to rotation and each node's faces with their gardens.  The
+search still decides every merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
@@ -80,7 +80,6 @@ from .park import (
     _same,
     _validated_index,
     opposite_color,
-    type_summary,
 )
 from .permgroup import (
     Perm,
@@ -562,19 +561,24 @@ def _least(relabelings: list[list[int]], image) -> tuple:
 
 def _canonical_images(
     reps: Iterable[MonodromyRep],
-) -> Iterator[tuple[str, list[list[int]]]]:
-    """:func:`canonical_form` of each representation, known to be valid, in
-    input order, with the relabelings that reach it: the least
-    ``(orbit system, e, all c)`` image over the relabelings making the
-    first reflection standard, taken one component at a time over the
-    relabelings that tie so far (tuples compare lexicographically).
+) -> Iterator[tuple[tuple, list[list[int]]]]:
+    """The key of each representation, known to be valid, in input order,
+    with the relabelings that reach it.  The key is ``(d, t, s)`` and the
+    least ``(orbit system, e, (c_1, ..., c_{s+1}))`` image over the
+    relabelings making the first reflection standard, taken one component
+    at a time over the relabelings that tie so far: tuples compare
+    lexicographically, so the least image and its ties, in order, are those
+    of the whole image.  :func:`canonical_form` is the key's ``repr``.
 
-    The relabelings depend only on ``c[1]`` and the first two stages only
-    on ``(c[1], x, e)``, so those are computed once per distinct value and
-    each representation runs only the last stage over the relabelings that
-    tie.  Keys are yielded one at a time, never held together.
+    Each stage runs once per distinct value of what it reads: the
+    relabelings once per ``c[1]``, the orbit stage once per ``(c[1], orbit
+    system)``, the ``e`` stage once per ``(c[1], x, e)``, and each
+    reflection after the first once per representation.  Every relabeling
+    sends ``c[1]`` to the standard matching, so ``c[1]`` is not conjugated.
+    The tables live for the call; keys are yielded one at a time.
     """
     relabelings: dict[Perm, list[list[int]]] = {}
+    orbit_stages: dict[tuple, tuple] = {}
     heads: dict[tuple, tuple] = {}
     for m in reps:
         c1 = m.c[0]
@@ -582,21 +586,40 @@ def _canonical_images(
         if head not in heads:
             if c1 not in relabelings:
                 relabelings[c1] = list(_relabelings(c1))
-            orbs = _orbits(m.x, m.ground_size, range(m.ground_size))
-            orbit_t, tied = _least(
-                relabelings[c1],
-                lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
-            )
-            e_t, tied = _least(tied, lambda j: conjugate(m.e, j))
+            n = m.ground_size
+            orbs = tuple(tuple(sorted(orb)) for orb in _orbits(m.x, n, range(n)))
+            if (c1, orbs) not in orbit_stages:
+                orbit_stages[c1, orbs] = _least(
+                    relabelings[c1],
+                    lambda j: tuple(sorted(tuple(sorted([j[a] for a in orb])) for orb in orbs)),
+                )
+            orbit_t, tied = orbit_stages[c1, orbs]
+            e_t, tied = _least(tied, partial(conjugate, m.e))
             heads[head] = orbit_t, e_t, tied
         orbit_t, e_t, tied = heads[head]
-        c_t, tied = _least(tied, lambda j: tuple(conjugate(ck, j) for ck in m.c))
-        yield repr((m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t)), tied
+        c_t = [mirror_matching(m.degree)]
+        for ck in m.c[1:]:
+            ck_t, tied = _least(tied, partial(conjugate, ck))
+            c_t.append(ck_t)
+        yield (m.degree, m.cone_points, m.corner_points, orbit_t, e_t, tuple(c_t)), tied
 
 
-def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[str]:
+def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[tuple]:
     """The keys of :func:`_canonical_images`, one at a time."""
     return (key for key, _ in _canonical_images(reps))
+
+
+def _key_groups(reps: list[MonodromyRep]) -> list[list[MonodromyRep]]:
+    """``reps``, known to be valid, grouped by canonical key, each group in
+    input order, the groups in the order of their ``canonical_form``
+    strings: one ``repr`` per group."""
+    grouped: dict[tuple, list[MonodromyRep]] = {}
+    for m, key in zip(reps, _canonical_keys(reps)):
+        grouped.setdefault(key, []).append(m)
+    # Not the order of the tuples, which the pinned --dedup jequiv output
+    # would not keep: the singleton orbit (3,) sorts before (3, 4) as a
+    # tuple but after it as text, where a space sorts before ")".
+    return [members for _, members in sorted(grouped.items(), key=lambda item: repr(item[0]))]
 
 
 def canonical_form(m: MonodromyRep) -> str:
@@ -605,15 +628,14 @@ def canonical_form(m: MonodromyRep) -> str:
     The lexicographically smallest serialization of the class invariants
     (orbit system of the ``x`` generators, ``e``, all reflections) over
     all color-preserving relabelings; equal keys certify equivalence.
-    It is taken in stages (orbit system, then ``e``, then reflections) by
-    the batch engine that enumeration and ``classify`` use, which shares
-    the first two stages among representations with the same
-    ``(c[1], x, e)``.  ``m`` is validated here, once: a rep that
-    enumeration built, or that passed an earlier public gate, is not
-    checked again.
+    It is the ``repr`` of the key tuple of the batch engine that
+    enumeration uses (:func:`_canonical_images`), which takes it in
+    stages: orbit system, then ``e``, then one reflection at a time.
+    ``m`` is validated here, once: a rep that enumeration built, or that
+    passed an earlier public gate, is not checked again.
     """
     _require_generic(m)
-    return next(_canonical_keys((m,)))
+    return repr(next(_canonical_keys((m,))))
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +894,10 @@ def enumerate_monodromies(
     as move ``k``, read from the move sequence); each skeleton's inverse
     white product, which ``_black_product_target`` reads; and
     ``_complete_skeleton``'s connected completions, on the skeleton and
-    the last reflection.  The keys are taken in one batch, once per distinct
-    ``(c[1], x, e)`` for the first two stages; the park merge searches each
+    the last reflection.  The keys are taken in one batch
+    (``_canonical_images`` runs each stage once per distinct value of what
+    it reads), and the representations are grouped by key tuple, one
+    ``repr`` per class for the class order; the park merge searches each
     class's park only against earlier parks of equal ``_merge_signature``
     (see ``_isomorphism_groups``), so classes keep their first-seen order.
     """
@@ -921,14 +945,11 @@ def enumerate_monodromies(
         )
         return EnumerationResult(d, t, s, mode, classes, raw_count)
 
-    grouped: dict[str, list[MonodromyRep]] = {}
-    for m, key in zip(reps, _canonical_keys(reps)):
-        grouped.setdefault(key, []).append(m)
     j_classes = [
         MonodromyClass(
             representative=members[0], size=len(members), members=tuple(members)
         )
-        for _, members in sorted(grouped.items())
+        for members in _key_groups(reps)
     ]
     if mode == "j_equivalence":
         return EnumerationResult(d, t, s, mode, tuple(j_classes), raw_count)
@@ -949,82 +970,3 @@ def enumerate_monodromies(
             )
         )
     return EnumerationResult(d, t, s, mode, tuple(classes), raw_count)
-
-
-# ---------------------------------------------------------------------------
-# classification tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClassificationEntry:
-    label: str
-    member_indices: tuple[int, ...]
-    representative_index: int
-
-
-@dataclass
-class ClassificationTable:
-    entries: tuple[ClassificationEntry, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": [
-                {
-                    "label": entry.label,
-                    "members": list(entry.member_indices),
-                    "representative": entry.representative_index,
-                }
-                for entry in self.entries
-            ]
-        }
-
-
-def _invariant_label(m: MonodromyRep, park: Park | None) -> str:
-    if park is None:
-        return f"unrealizable d={m.degree} t={m.cone_points} s={m.corner_points}"
-    summary = type_summary(park)
-    return (
-        f"d={summary.degree} g={summary.genus} n={summary.critical_values} "
-        f"t={summary.cone_points} s={summary.corner_points} "
-        f"nodes={len(summary.node_signatures)} gardens={len(summary.garden_signatures)}"
-    )
-
-
-def classify(reps: Sequence[MonodromyRep]) -> ClassificationTable:
-    """Partition representations by coarse park invariants refined by
-    park isomorphism; unrealizable ones group by their relabeling class.
-    Groups keep first-seen order; the park merge is the one enumeration
-    uses (``_isomorphism_groups``)."""
-    for m in reps:
-        _require_generic(m)
-    parks = [_park_or_none(m) for m in reps]
-    buckets: dict[str, list[int]] = {}
-    for idx, m in enumerate(reps):
-        buckets.setdefault(_invariant_label(m, parks[idx]), []).append(idx)
-    entries: list[ClassificationEntry] = []
-    for label in sorted(buckets):
-        indices = buckets[label]
-        if all(parks[i] is None for i in indices):
-            by_key: dict[str, list[int]] = {}
-            for i, key in zip(indices, _canonical_keys(reps[i] for i in indices)):
-                by_key.setdefault(key, []).append(i)
-            for suffix, (key, group) in enumerate(sorted(by_key.items())):
-                entries.append(
-                    ClassificationEntry(
-                        label=f"{label} #{suffix + 1}",
-                        member_indices=tuple(group),
-                        representative_index=group[0],
-                    )
-                )
-            continue
-        sub = _isomorphism_groups((i, parks[i]) for i in indices)
-        for suffix, group in enumerate(sub):
-            entries.append(
-                ClassificationEntry(
-                    label=f"{label} #{suffix + 1}" if len(sub) > 1 else label,
-                    member_indices=tuple(group),
-                    representative_index=group[0],
-                )
-            )
-    return ClassificationTable(entries=tuple(entries))

@@ -520,8 +520,9 @@ def complete_skeleton_validated(d, chain, skeleton, components, completions, inv
 
 def _transported(m, sigma_w) -> tuple:
     """Relabel by ``sigma_w`` on whites, transporting blacks so that the
-    first reflection becomes the standard matching; serialize the
-    relabeling-equivalence invariants (orbit system, e, all c)."""
+    first reflection becomes the standard matching; return the relabeling
+    and the serialized relabeling-equivalence invariants (orbit system, e,
+    all c) it carries ``m`` to."""
     d = m.degree
     n = m.ground_size
     std = mirror_matching(d)
@@ -538,14 +539,32 @@ def _transported(m, sigma_w) -> tuple:
     orbit_t = tuple(
         sorted(tuple(sorted(jt[a] for a in orb)) for orb in orbits(list(m.x), n))
     )
-    return (orbit_t, e_t, c_t)
+    return jt, (orbit_t, e_t, c_t)
+
+
+def _transported_all(m) -> list[tuple]:
+    return [_transported(m, sigma_w) for sigma_w in permutations(range(m.degree))]
+
+
+def canonical_key_brute(m) -> tuple:
+    """The canonical key as a plain minimum of the whole serialization over
+    all ``d!`` white relabelings: the oracle for the key engine's tuples."""
+    best = min(image for _, image in _transported_all(m))
+    return (m.degree, m.cone_points, m.corner_points) + best
 
 
 def canonical_form_brute(m) -> str:
-    """The canonical key as a plain minimum of the whole serialization over
-    all ``d!`` white relabelings: the oracle for ``canonical_form``."""
-    best = min(_transported(m, sigma_w) for sigma_w in permutations(range(m.degree)))
-    return repr((m.degree, m.cone_points, m.corner_points) + best)
+    """The oracle for ``canonical_form``: the key's ``repr``."""
+    return repr(canonical_key_brute(m))
+
+
+def canonical_ties_brute(m) -> list[tuple]:
+    """Every relabeling that reaches the least serialization, in
+    ``permutations`` order of its white part: the oracle for the tie list
+    of the key engine."""
+    images = _transported_all(m)
+    best = min(image for _, image in images)
+    return [j for j, image in images if image == best]
 
 
 def first_witness_brute(m1, m2) -> tuple | None:

@@ -331,6 +331,22 @@ def test_equivalent_negative(tmp_path, capsys):
     assert "no intertwining relabeling" in capsys.readouterr().err
 
 
+def test_equivalent_different_parameters(tmp_path, capsys):
+    """Two valid reps of different (d, t, s) are not equivalent, for that
+    reason; they are not invalid input."""
+    a = _write_rep(tmp_path / "a.json", enumerate_monodromies(3, 2, 0).classes[0].representative)
+    b = _write_rep(tmp_path / "b.json", enumerate_monodromies(3, 2, 1).classes[0].representative)
+    assert main(["equivalent", a, b, "--json"]) == 1
+    captured = capsys.readouterr()
+    message = "not equivalent: (degree, cone, corner) parameters differ: (3, 2, 0) against (3, 2, 1)"
+    assert captured.err == message + "\n"
+    assert json.loads(captured.out) == {
+        "command": "equivalent",
+        "equivalent": False,
+        "error": message,
+    }
+
+
 def test_equivalent_invalid_rep(loop3_file, broken_file, capsys):
     assert main(["equivalent", broken_file, loop3_file, "--json"]) == 1
     captured = capsys.readouterr()

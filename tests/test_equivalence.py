@@ -15,7 +15,6 @@ from parkscope import (
     ResourceLimitError,
     build,
     canonical_form,
-    classify,
     conjugate_rep,
     enumerate_monodromies,
     find_park_involution,
@@ -29,13 +28,14 @@ from parkscope.park import _ParkIndex, to_json_dict
 
 from conftest import (
     canonical_form_brute,
+    canonical_key_brute,
+    canonical_ties_brute,
     chains_product_brute,
     check_park_isomorphism,
     complete_skeleton_validated,
     enumerated_reps,
     first_witness_brute,
     make_chord_rep,
-    make_loop3_rep,
     realized_reps,
     run_cli,
     run_python,
@@ -153,20 +153,44 @@ def test_canonical_form_matches_brute_force_on_degree_4_sample():
         assert canonical_form(rep) == canonical_form_brute(rep)
 
 
-def test_batch_keys_match_brute_force_per_cell():
+def _small_cells():
+    """The representations of every cell with d <= 3 and t + s <= 5."""
     for d in (1, 2, 3):
         for t in range(6):
             for s in range(6 - t):
-                reps = [cls.representative for cls in enumerate_monodromies(d, t, s).classes]
-                keys = list(equivalence._canonical_keys(reps))
-                assert keys == [canonical_form_brute(m) for m in reps], (d, t, s)
+                classes = enumerate_monodromies(d, t, s).classes
+                yield (d, t, s), [cls.representative for cls in classes]
+
+
+def _orbit_system(m) -> tuple:
+    return tuple(sorted(tuple(sorted(orbit)) for orbit in pg.orbits(list(m.x), m.ground_size)))
+
+
+def test_batch_keys_match_brute_force_per_cell():
+    for cell, reps in _small_cells():
+        keys = list(equivalence._canonical_keys(reps))
+        assert keys == [canonical_key_brute(m) for m in reps], cell
 
 
 def test_batch_keys_match_brute_force_on_degree_4_sample():
     reps = _degree_4_sample()
-    assert list(equivalence._canonical_keys(reps)) == [
-        canonical_form_brute(m) for m in reps
-    ]
+    assert list(equivalence._canonical_keys(reps)) == [canonical_key_brute(m) for m in reps]
+    # the sample holds what a head memo that left out (d, t, s) would merge:
+    # equal (c[1], x, e) in different cells
+    assert any(
+        (a.c[0], a.x, a.e) == (b.c[0], b.x, b.e)
+        and (a.degree, a.cone_points, a.corner_points) != (b.degree, b.cone_points, b.corner_points)
+        for a, b in combinations(reps, 2)
+    )
+
+
+def test_tie_lists_match_brute_force():
+    """The relabelings the key engine returns with each key are exactly
+    those that reach the least serialization, in ``permutations`` order."""
+    batches = [reps for _, reps in _small_cells()] + [_degree_4_sample()]
+    for reps in batches:
+        for m, (_, tied) in zip(reps, equivalence._canonical_images(reps)):
+            assert [tuple(j) for j in tied] == canonical_ties_brute(m), m
 
 
 def _black_relabeling_fixing_x(m):
@@ -181,8 +205,8 @@ def _black_relabeling_fixing_x(m):
 
 
 def test_batch_keys_keep_apart_what_the_head_shares():
-    # Unrealizable reps, so that ``classify`` groups them by key: each
-    # with a copy whose first reflection is not standard, in shuffled order.
+    # Each rep with a copy whose first reflection is not standard, in
+    # shuffled order.
     rng = random.Random(31)
     batch = []
     for cell in ((3, 2, 3), (3, 1, 3)):
@@ -192,12 +216,13 @@ def test_batch_keys_keep_apart_what_the_head_shares():
             batch += [rep, conjugate_rep(rep, relabel)]
     rng.shuffle(batch)
     keys = list(equivalence._canonical_keys(batch))
-    assert keys == [canonical_form_brute(m) for m in batch]
+    assert keys == [canonical_key_brute(m) for m in batch]
 
-    # the batch holds what the head grouping must not merge: equal
+    # the batch holds what the stage memos must not merge: equal
     # (c[1], x, e) with different keys, equal (x, e) with different c[1],
-    # and equal c[1] and orbit system with different e and keys
-    orbit_systems = [tuple(pg.orbits(list(m.x), m.ground_size)) for m in batch]
+    # equal c[1] and orbit system with different x, and with different e
+    # and keys
+    orbit_systems = [_orbit_system(m) for m in batch]
     pairs = list(combinations(range(len(batch)), 2))
     assert any(
         (batch[a].c[0], batch[a].x, batch[a].e) == (batch[b].c[0], batch[b].x, batch[b].e)
@@ -211,23 +236,28 @@ def test_batch_keys_keep_apart_what_the_head_shares():
     )
     assert any(
         (batch[a].c[0], orbit_systems[a]) == (batch[b].c[0], orbit_systems[b])
+        and batch[a].x != batch[b].x
+        for a, b in pairs
+    )
+    assert any(
+        (batch[a].c[0], orbit_systems[a]) == (batch[b].c[0], orbit_systems[b])
         and batch[a].e != batch[b].e
         and keys[a] != keys[b]
         for a, b in pairs
     )
     assert any(m.c[0] != pg.mirror_matching(3) for m in batch)
 
-    table = classify(batch)
-    assert sorted(i for entry in table.entries for i in entry.member_indices) == list(
-        range(len(batch))
-    )
-    entry_keys = []
-    for entry in table.entries:
-        assert entry.label.startswith("unrealizable")
-        group_keys = {keys[i] for i in entry.member_indices}
-        assert len(group_keys) == 1
-        entry_keys += group_keys
-    assert len(set(entry_keys)) == len(entry_keys) == len(set(keys))
+    # enumeration's grouping: every rep in one group, one key per group,
+    # the groups apart and in the order of their canonical_form strings
+    groups = equivalence._key_groups(batch)
+    assert sorted(id(m) for group in groups for m in group) == sorted(map(id, batch))
+    group_keys = []
+    for group in groups:
+        keys_here = {canonical_key_brute(m) for m in group}
+        assert len(keys_here) == 1
+        group_keys += keys_here
+    assert len(set(group_keys)) == len(group_keys) == len(set(keys))
+    assert [repr(key) for key in group_keys] == sorted(map(repr, group_keys))
 
 
 @pytest.mark.parametrize("dedup", ["jequiv", "park"])
@@ -243,7 +273,7 @@ def test_dedup_unchanged_under_brute_force_key(monkeypatch, cell, dedup):
     def brute_keys(reps):
         for m in reps:
             keyed.append(m)
-            yield canonical_form_brute(m)
+            yield canonical_key_brute(m)
 
     monkeypatch.setattr(equivalence, "_canonical_keys", brute_keys)
     brute = enumerate_monodromies(*cell, dedup=dedup)
@@ -318,7 +348,6 @@ def test_public_entry_points_validate(loop3_park):
     ):
         for entry in (
             canonical_form,
-            lambda m: classify([m]),
             monodromy_to_park,
             lambda m: monodromy_equivalent(m, m),
         ):
@@ -766,26 +795,6 @@ def test_unrealizable_class_kept_separate(unrealizable_rep):
     assert result.class_count == 1
     with pytest.raises(NonRealizableError):
         monodromy_to_park(result.classes[0].representative)
-
-
-def test_classify_groups_conjugates():
-    rng = random.Random(23)
-    base = make_loop3_rep()
-    moved = conjugate_rep(base, _random_color_preserving(rng, base.degree))
-    other = None
-    for cls in enumerate_monodromies(3, 2, 0, dedup="park").classes:
-        rep = cls.representative
-        rep_park, base_park = monodromy_to_park(rep), monodromy_to_park(base)
-        witness = park_isomorphic(rep_park, base_park)
-        if witness is None:
-            other = rep
-            break
-        check_park_isomorphism(rep_park, base_park, witness)
-    assert other is not None
-    table = classify([base, moved, other])
-    assert len(table.entries) == 2
-    members = sorted(tuple(sorted(e.member_indices)) for e in table.entries)
-    assert members == [(0, 1), (2,)]
 
 
 def test_extracted_parks_serialize_identically():

@@ -14,7 +14,6 @@ from parkscope import (
     NonRealizableError,
     build,
     canonical_form,
-    classify,
     conjugate_rep,
     monodromy,
     monodromy_equivalent,
@@ -73,7 +72,6 @@ def _gate_outcomes(m, partner):
     for call in (
         lambda: park.to_json_dict(monodromy_to_park(m)),
         lambda: canonical_form(m),
-        lambda: classify([m, partner]).to_json_dict(),
         lambda: monodromy_equivalent(m, partner),
     ):
         try:
