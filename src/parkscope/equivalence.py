@@ -29,32 +29,15 @@
   deduplicates at three levels: raw, relabeling-equivalence classes, or
   park-isomorphism classes.
 
-The enumeration fixes the first reflection to the standard color
-matching (every representation can be relabeled into this form) and
-builds the remaining reflections from corner moves, depth first from
-shared prefixes, each step looked up in a table of the call; the black
-actions of the ``x`` generators, which never influence the extracted
-park, are filled with one representative completion per white skeleton
-(with a bridging search when needed for transitivity), found once per
-last reflection for a connected skeleton.  Enumeration
-validates nothing, because it builds valid generic data: each defining
-relation holds by how the chain and the completions are made, and only
-the transitivity of a disconnected skeleton is checked; the
-representations it builds are marked valid and generic, one mark per
-white skeleton, which carries the skeleton's faces and entrances once
-extraction has built them.  Input is
-validated at the public entry points, once per representation (see
-``monodromy._require_generic``): enumeration extracts through the
-public ``monodromy_to_park``, which sees its marks and checks nothing
-again, and keys and merges through the unvalidated cores
-``_canonical_keys`` and ``_index_isomorphism``.  Past a gate, orbits come
-from the unchecked ``permgroup._orbits``.
-Enumeration merges parks through ``_isomorphism_groups``, which searches a
-park only against earlier parks of equal ``_merge_signature``: an
-invariant of park isomorphism built from the corner labels (least over
-the global rotations), the labels at the ends of each edge, each face
-boundary up to rotation and each node's faces with their gardens.  The
-search still decides every merge.
+Enumeration builds valid generic data and validates nothing (see
+``enumerate_monodromies``): it marks the representations it builds, so
+the public ``monodromy_to_park`` it extracts through checks nothing
+again, and it keys through the unvalidated core ``_canonical_keys``.
+Parks have a gate of their own, ``park._validated_index``, which checks
+nothing on the parks that ``monodromy_to_park`` marks.  The park merge
+``_isomorphism_groups`` calls the public ``park_isomorphic`` on a park
+only against earlier parks of equal ``_merge_signature``, an invariant
+of park isomorphism; the search still decides every merge.
 """
 
 from __future__ import annotations
@@ -142,9 +125,9 @@ def _cell_shape(
     index: _ParkIndex,
     cell: str,
     x: int,
-    color: Callable[[str], str],
-    label: Callable[[int], int],
-    vertex: Callable[[int], int],
+    color: Callable[[str], str] = _same,
+    label: Callable[[int], int] = _same,
+    vertex: Callable[[int], int] = _same,
 ) -> Any:
     """What a park morphism keeps of cell ``x`` of one type: a node's
     signature; a face's color and degree; a garden's signature; a vertex's
@@ -230,18 +213,10 @@ def _park_morphisms(
     def want(cell: str, a: int) -> Any:
         return _cell_shape(src, cell, a, recolor, label, maps["vertices"].__getitem__)
 
-    shapes: dict[str, dict[int, Any]] = {t: {} for t in _CELL_TYPES}
-
-    def has(cell: str, b: int) -> Any:
-        known = shapes[cell]
-        if b not in known:
-            known[b] = _cell_shape(dst, cell, b, _same, _same, _same)
-        return known[b]
-
     def bind_garden(f: int, b: int) -> bool:
         """Bind the gardens of face ``f`` and of its image ``b``."""
         a, image = src.owner_of_face[f], dst.owner_of_face[b]
-        fits = a in maps["gardens"] or want("gardens", a) == has("gardens", image)
+        fits = a in maps["gardens"] or want("gardens", a) == _cell_shape(dst, "gardens", image)
         return fits and bind_twins("gardens", a, image)
 
     def cells_of(index: _ParkIndex, cell: str, garden: int) -> list[int]:
@@ -286,7 +261,7 @@ def _park_morphisms(
         need = want(cell, a)
         mark = len(trail)
         for b in scope:
-            if b in images[cell] or has(cell, b) != need:
+            if b in images[cell] or _cell_shape(dst, cell, b) != need:
                 continue
             if bind_twins(cell, a, b) and (cell != "faces" or bind_garden(a, b)):
                 yield from search(steps, i + 1, phase)
@@ -313,17 +288,11 @@ def park_isomorphic(
     (plus a reflection when ``allow_reflection`` is set); fine face
     boundaries must correspond; the bijection must commute with both
     park involutions.  Returns the first witness in a fixed search
-    order, or ``None``.  Both parks must validate.
+    order, or ``None``.  Both parks must validate; each goes through the
+    park gate, which checks nothing on a park that ``monodromy_to_park``
+    built or that passed ``validate_park``.
     """
-    return _index_isomorphism(_validated_index(p1), _validated_index(p2), allow_reflection)
-
-
-def _index_isomorphism(
-    src: _ParkIndex, dst: _ParkIndex, allow_reflection: bool = False
-) -> ParkIsomorphism | None:
-    """:func:`park_isomorphic` on the indexes of parks known to validate,
-    which the park merge builds once per park."""
-    p1, p2 = src.park, dst.park
+    src, dst = _validated_index(p1), _validated_index(p2)
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
     s = p1.corner_points
@@ -402,7 +371,7 @@ def find_park_involution(park: Park) -> Involution | None:
     return None if maps is None else Involution(**maps)
 
 
-def _merge_signature(index: _ParkIndex) -> tuple:
+def _merge_signature(park: Park) -> tuple:
     """An invariant that parks isomorphic up to a corner rotation share.
 
     It is the least, over the ``s`` global rotations of the corner labels,
@@ -415,10 +384,11 @@ def _merge_signature(index: _ParkIndex) -> tuple:
     * a node is its role and genus with its attached faces, each together
       with its garden.
 
-    That is what :func:`_index_isomorphism` keeps without a reflection, for
+    That is what :func:`park_isomorphic` keeps without a reflection, for
     the fine parks extraction builds, so parks of unequal signature never
-    match.  It holds no ids.  ``index`` is the park's ``_ParkIndex``."""
-    s = index.park.corner_points
+    match.  It holds no ids."""
+    index = _ParkIndex(park)
+    s = park.corner_points
 
     def described(rotation: int) -> tuple:
         labels = {
@@ -470,25 +440,25 @@ def _park_or_none(m: MonodromyRep) -> Park | None:
 
 def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[list]:
     """Group the items whose parks are isomorphic, in first-seen order; an
-    item without a park stays alone.  Each park is searched against the
-    first park of every earlier group of equal ``_merge_signature`` only,
-    so the groups are those of a plain first-match pairwise merge.  Each
-    park is indexed once, for its signature and all of its searches."""
+    item without a park stays alone.  Each park is searched, through
+    :func:`park_isomorphic`, against the first park of every earlier group
+    of equal ``_merge_signature`` only, so the groups are those of a plain
+    first-match pairwise merge.  The parks come from ``monodromy_to_park``,
+    so the park gate checks none of them."""
     groups: list[list] = []
-    by_signature: dict[tuple, list[tuple[list, _ParkIndex]]] = {}
+    by_signature: dict[tuple, list[tuple[list, Park]]] = {}
     for item, park in items:
         if park is None:
             groups.append([item])
             continue
-        index = _ParkIndex(park)
-        same = by_signature.setdefault(_merge_signature(index), [])
+        same = by_signature.setdefault(_merge_signature(park), [])
         for group, other in same:
-            if _index_isomorphism(index, other):
+            if park_isomorphic(park, other):
                 group.append(item)
                 break
         else:
             groups.append([item])
-            same.append((groups[-1], index))
+            same.append((groups[-1], park))
     return groups
 
 
@@ -884,9 +854,10 @@ def enumerate_monodromies(
     carries the same mark, whose memo of the skeleton's faces and
     entrances the first extraction fills and the others read.  Orbits and
     cycles come from the unchecked ``permgroup`` cores.  ``dedup`` goes
-    through the unvalidated ``_canonical_keys`` and
-    ``_index_isomorphism``, and through ``monodromy_to_park``, which checks
-    nothing on a marked representation.  The chains grow depth first from
+    through the unvalidated ``_canonical_keys``, through
+    ``monodromy_to_park``, which checks nothing on a marked representation,
+    and through ``park_isomorphic``, which checks nothing on the parks that
+    ``monodromy_to_park`` marks.  The chains grow depth first from
     shared prefixes and are yielded one at a time, so memory holds the
     representations, not the chains.  Three tables live for the call only,
     each keyed on all that its computation reads: ``_chains``' steps, on

@@ -40,8 +40,8 @@ from a representation to its cells.  It validates its input through
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
 re-checked: the ``_build_*`` stages use the unchecked ``permgroup``
-cores, and ``_assemble`` makes the park records through
-``monodromy._trusted``.
+cores, ``_assemble`` makes the park records through
+``monodromy._trusted``, and the park returned is marked valid.
 What valid generic input and the construction imply is pinned by the
 tests instead: ``c_1`` carries each white face onto one black face; each
 white face lies inside one entrance orbit, and the entrances' branch
@@ -498,7 +498,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     :class:`NonRealizableError` with the figures as attributes.  Only
     realizable data is then extracted and assembled.  A park that is
     returned passes :func:`validate_park`; the tests pin that, so it is
-    not re-checked here.
+    not re-checked here but marked valid (see :class:`parkscope.park.Park`).
     ``m`` is validated here, and each rep is checked once: a rep that
     enumeration built, or that passed an earlier public gate, is not
     checked again.
@@ -515,4 +515,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    return _assemble(_Extraction(m))
+    # Not in _assemble, which tests run on reps closing to no surface.
+    park = _assemble(_Extraction(m))
+    object.__setattr__(park, "_mark", True)
+    return park

@@ -29,6 +29,17 @@ The defining conditions, checked by :func:`validate_relations`, are:
 :func:`validate_genericity` checks the extra structure present when the
 covering has only simple, pairwise distinct critical values; see its
 docstring for the two checking modes.
+
+A real function ``f`` comes with an antiholomorphic involution σ of its
+surface, ``f . σ = conj . f``: a deck transformation of the orbifold
+covering whose monodromy a representation records.  So σ acts on the
+``2*d`` half-sheets as a matching that commutes with every ``x``, ``e``
+and ``c``, and each ``x`` acts on the blacks as the σ-mirror of its white
+transposition.  Such a σ is a *real structure*: data beside the
+representation, not a function of it (the one representation of
+``(2, 1, 0)`` has two).  Neither validator asks for one, enumeration picks
+the black halves freely and extraction reads no black data; the tests
+count real structures by brute force (``tests/conftest.py``).
 """
 
 from __future__ import annotations

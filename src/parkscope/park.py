@@ -291,6 +291,14 @@ class Park:
     ``corner_points`` (s) and ``cone_points`` (t) are the declared counts
     of real critical values and of conjugate pairs of non-real ones; the
     validator cross-checks both against the cell data.
+
+    A park that passed :func:`validate_park`, or that ``monodromy_to_park``
+    returned, is marked, and the park gate (:func:`_validated_index`)
+    checks nothing on it.  The mark is not a field: equality, ``repr`` and
+    JSON ignore it, and ``dataclasses.replace`` and :func:`from_json_dict`
+    make unmarked parks.  It assumes the park is not mutated: change the
+    involution's five dicts, its only mutable parts, through
+    ``dataclasses.replace``.
     """
 
     corner_points: int
@@ -299,6 +307,9 @@ class Park:
     nodes: tuple[ParkNode, ...]
     alleys: tuple[Alley, ...]
     involution: Involution
+
+    # Not annotated, so not a field: True once validated or extracted.
+    _mark = False
 
     def __post_init__(self) -> None:
         if _require_int(self.corner_points, "corner_points") < 0:
@@ -498,29 +509,30 @@ def validate_park(park: Park) -> ParkReport:
     must carry each face boundary, reversed and negated, onto its image
     face's boundary up to rotation; and the Euler characteristic must be
     even and at most 2, the characteristic of a closed orientable surface.
+    Every rule runs on every call, and a park that passes is marked.
     """
-    index = _ParkIndex(park)
-    index.check_references()
-    return _index_report(index)
+    return _index_report(_ParkIndex(park))
 
 
 def _validated_index(park: Park) -> _ParkIndex:
     """The index of a park that passes :func:`validate_park`; raises
     ``ValueError`` naming the first violations otherwise.  The one gate of
-    the public functions that take parks."""
+    the public functions that take parks; it checks nothing on a marked
+    park."""
     index = _ParkIndex(park)
-    index.check_references()
-    report = _index_report(index)
-    if not report:
-        raise ValueError(
-            "park fails validation: "
-            + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
-        )
+    if not park._mark:
+        report = _index_report(index)
+        if not report:
+            raise ValueError(
+                "park fails validation: "
+                + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
+            )
     return index
 
 
 def _index_report(index: _ParkIndex) -> ParkReport:
-    """:func:`validate_park` on a park index whose references resolve."""
+    """:func:`validate_park` on a park's index; marks a park that passes."""
+    index.check_references()
     park = index.park
     violations: list[tuple[str, str]] = []
 
@@ -796,6 +808,8 @@ def _index_report(index: _ParkIndex) -> ParkReport:
                 f"no closed orientable surface has Euler characteristic {chi}",
             )
 
+    if not violations:
+        object.__setattr__(park, "_mark", True)
     return ParkReport(ok=not violations, violations=tuple(violations))
 
 

@@ -590,6 +590,29 @@ def first_witness_brute(m1, m2) -> tuple | None:
     return None
 
 
+def real_structures(m) -> list[tuple]:
+    """The real structures of ``m``, in ``permutations`` order of their
+    black images: each matching σ that commutes with every reflection
+    ``c``, such that ``m`` passes both validators once each ``x``'s black
+    half is the σ-mirror of its white transposition (``e`` derived).  A
+    real function's complex conjugation acts on the sheet halves as such
+    a σ (see :mod:`parkscope.monodromy`)."""
+    d, n = m.degree, m.ground_size
+    found = []
+    for images in permutations(blacks(d)):
+        sigma = list(images) + [0] * d
+        for w, b in enumerate(images):
+            sigma[b] = w
+        sigma = tuple(sigma)
+        if any(compose(sigma, c) != compose(c, sigma) for c in m.c):
+            continue
+        xs = [tuple(x[a] if a < d else sigma[x[sigma[a]]] for a in range(n)) for x in m.x]
+        real = build(d, xs, m.c)
+        if validate_relations(real) and validate_genericity(real):
+            found.append(sigma)
+    return found
+
+
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")
 
 

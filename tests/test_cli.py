@@ -468,6 +468,19 @@ def test_huge_degree_is_exit_2_before_any_allocation(tmp_path, command):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "info", "extract", "equivalent"])
+def test_rep_whose_e_is_not_a_list_is_exit_2(tmp_path, capsys, command):
+    obj = monodromy.to_json_dict(make_loop3_rep())
+    obj["e"] = 5
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, str(path)]
+    if command == "equivalent":
+        argv.append(str(path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{path}: 'e' must be an image array when present\n"
+
+
 @pytest.mark.parametrize(
     "command", ["validate", "extract", "equivalent", "validate-park", "hurwitz", "isomorphic"]
 )

@@ -1,5 +1,6 @@
 """Unit tests for representation records, relations and genericity."""
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from parkscope import (
     build,
     canonical_form,
     conjugate_rep,
+    enumerate_monodromies,
     genus_from_counts,
     monodromy_to_park,
     validate_genericity,
@@ -17,7 +19,14 @@ from parkscope import (
 )
 from parkscope import monodromy, permgroup as pg
 
-from conftest import make_chord_rep, make_loop3_rep, make_single_sheet_rep
+from conftest import (
+    EXAMPLE_REP_PATH,
+    enumerated_reps,
+    make_chord_rep,
+    make_loop3_rep,
+    make_single_sheet_rep,
+    real_structures,
+)
 
 
 def test_build_derives_closing_permutation(loop3_rep):
@@ -182,6 +191,39 @@ def test_build_validates_shapes():
         build(3, [(1, 0, 2)], [(3, 4, 5, 0, 1, 2)])  # wrong ground size
 
 
+@pytest.mark.parametrize(
+    "rep, violations",
+    [
+        (
+            # x[1] swaps the white and the black sheet half of one sheet
+            build(1, [(1, 0)], [(1, 0)]),
+            [("x[1]", "does not preserve colors")],
+        ),
+        (
+            # c[2] fixes the colors, so both corner elements swap them
+            build(2, [], [(2, 3, 0, 1), (1, 0, 3, 2), (2, 3, 0, 1)]),
+            [
+                ("corner[1]", "corner element does not preserve colors"),
+                ("corner[2]", "corner element does not preserve colors"),
+                ("c[2]", "is not a product of 2 disjoint white-black transpositions"),
+            ],
+        ),
+    ],
+    ids=["x swaps colors", "corner swaps colors and c is no matching"],
+)
+def test_genericity_rules_on_reps_that_pass_the_relations(rep, violations):
+    assert validate_relations(rep)
+    report = validate_genericity(rep)
+    assert list(report.violations) == violations
+    message = "monodromy is not generic: " + "; ".join(
+        f"{label}: {detail}" for label, detail in violations
+    )
+    for gate in (monodromy_to_park, canonical_form):
+        with pytest.raises(ValueError) as err:
+            gate(rep)
+        assert str(err.value) == message
+
+
 def test_public_gates_validate_a_rep_once(monkeypatch):
     """A valid generic rep made by ``build`` is checked by the first public
     gate only, and keeps nothing of that in its fields; an invalid one is
@@ -209,3 +251,32 @@ def test_public_gates_validate_a_rep_once(monkeypatch):
         with pytest.raises(ValueError, match="^monodromy fails relation validation: seam"):
             monodromy_to_park(broken)
     assert calls.count("validate_relations") == 2
+
+
+def test_real_structures_of_small_reps():
+    shipped = monodromy.from_json_dict(json.loads(EXAMPLE_REP_PATH.read_text()))
+    assert real_structures(shipped) == [shipped.c[0]]
+    # a real structure is data beside the rep, not a function of it
+    (only,) = enumerate_monodromies(2, 1, 0).classes
+    assert real_structures(only.representative) == [(2, 3, 0, 1), (3, 2, 1, 0)]
+
+
+def _single_corners(m):
+    """True when every corner element moves exactly two whites."""
+    return all(
+        sum(m.corner_element(k)[a] != a for a in range(m.degree)) == 2
+        for k in range(1, m.corner_points + 1)
+    )
+
+
+def test_reps_with_single_corners_and_a_real_structure_are_realized():
+    reps = enumerated_reps(3, 5)
+    real = [m for m in reps if _single_corners(m) and real_structures(m)]
+    assert (len(reps), len(real)) == (1602, 612)
+    rejected = []
+    for m in real:
+        try:
+            monodromy_to_park(m)
+        except NonRealizableError:
+            rejected.append(m)
+    assert rejected == []

@@ -21,6 +21,8 @@ from parkscope import (
     type_summary,
     validate_park,
 )
+from parkscope import enumerate_monodromies, equivalence
+from parkscope import park as park_module
 from parkscope.cli import main
 from parkscope.park import (
     VALIDATION_RULES,
@@ -413,6 +415,13 @@ def _swap_vertices(obj):
             ("face-color-adjacency", "edge 3 appears 3 times in face boundaries, expected 2"),
         ),
         (
+            lambda obj: _garden(obj, 3)["faces"][1].update(color="white"),
+            (
+                "face-color-adjacency",
+                "edge 3 has two white sides; adjacent faces must alternate colors",
+            ),
+        ),
+        (
             lambda obj: _garden(obj, 1).update(partner=1),
             ("pair-mirror", "garden 1 partners itself"),
         ),
@@ -459,6 +468,7 @@ def _swap_vertices(obj):
     ],
     ids=[
         "edge in three boundaries",
+        "edge with two white sides",
         "garden partners itself",
         "orientable garden with a partner",
         "involution undefined",
@@ -618,8 +628,24 @@ def test_constructor_checks_raise(make, message):
             "loop edge 3 must not have ends",
         ),
         (lambda obj: obj["nodes"][0].update(role="sideways"), "unknown node role 'sideways'"),
+        (lambda obj: obj.update(nodes={}), "'nodes' and 'alleys' must be lists"),
+        (lambda obj: obj.update(alleys=None), "'nodes' and 'alleys' must be lists"),
+        (
+            lambda obj: obj["involution"].update(faces=[[1, 4]]),
+            "involution faces must be an object mapping ids to ids",
+        ),
     ],
-    ids=["s", "t", "edge kind", "segment ends", "loop ends", "node role"],
+    ids=[
+        "s",
+        "t",
+        "edge kind",
+        "segment ends",
+        "loop ends",
+        "node role",
+        "nodes not a list",
+        "alleys not a list",
+        "involution map not an object",
+    ],
 )
 def test_constructor_checks_on_file_input_are_exit_2(
     tmp_path, capsys, example_park_dict, change, message
@@ -629,6 +655,90 @@ def test_constructor_checks_on_file_input_are_exit_2(
     for command in PARK_COMMANDS:
         assert main(_park_argv(command, path)) == 2
         assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+@pytest.fixture
+def report_runs(monkeypatch):
+    """The parks that the validator's rules ran on, in order: every run of
+    ``validate_park`` and of the park gate goes through ``_index_report``."""
+    runs = []
+    report = park_module._index_report
+
+    def counted(index):
+        runs.append(index.park)
+        return report(index)
+
+    monkeypatch.setattr(park_module, "_index_report", counted)
+    return runs
+
+
+def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, monkeypatch):
+    built = [monodromy_to_park(rep) for rep, _ in realized_reps(3, 4)[::25]]
+    assert report_runs == []
+    assert validate_park(example_park)
+    assert report_runs == [example_park]
+    for park in built + [example_park]:
+        park_hurwitz(park)
+        assert park_isomorphic(park, park, allow_reflection=True) is not None
+    searched = []
+
+    def counted(p1, p2, allow_reflection=False):
+        searched.append((p1, p2))
+        return park_isomorphic(p1, p2, allow_reflection)
+
+    monkeypatch.setattr(equivalence, "park_isomorphic", counted)
+    merged = equivalence._isomorphism_groups(enumerate(built))
+    assert sorted(i for group in merged for i in group) == list(range(len(built)))
+    assert searched
+    searched.clear()
+    result = enumerate_monodromies(3, 2, 2, dedup="park")
+    assert (len(result.classes), len(searched)) == (6, 2)
+    assert report_runs == [example_park]
+
+
+def test_validate_park_runs_every_rule_on_a_marked_park(report_runs, loop3_rep):
+    park = monodromy_to_park(loop3_rep)
+    assert validate_park(park) and validate_park(park)
+    assert report_runs == [park, park]
+    # A marked park that is mutated in place keeps its mark, so the gate
+    # trusts it; validate_park still finds what broke.
+    park.involution.faces.clear()
+    park_hurwitz(park)
+    report = validate_park(park)
+    assert not report
+    assert report.violations[0][0] == "involution-involutive"
+
+
+def test_a_park_that_fails_is_never_marked(report_runs, example_park_dict):
+    bad = _mutated(example_park_dict, lambda obj: obj.update(t=5))
+    expected = (
+        "park fails validation: cone-count: entrance branch counts sum to 4, "
+        "declared cone_points is 5"
+    )
+    calls = (
+        lambda: park_hurwitz(bad),
+        lambda: park_isomorphic(bad, bad),
+        lambda: park_hurwitz(bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == expected
+    assert not validate_park(bad)
+    assert not bad._mark
+    assert report_runs == [bad] * 4
+
+
+def test_copies_of_a_marked_park_are_unmarked(report_runs, chord_rep):
+    park = monodromy_to_park(chord_rep)
+    assert park._mark
+    for copied in (dataclasses.replace(park), from_json_dict(to_json_dict(park))):
+        assert copied == park and not copied._mark
+        park_hurwitz(copied)
+        park_hurwitz(copied)
+        assert copied._mark
+        assert report_runs[-1] is copied
+    assert len(report_runs) == 2
 
 
 def test_total_degree_raises_on_unbalanced_degrees(example_park_dict):

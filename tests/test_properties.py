@@ -22,8 +22,7 @@ from parkscope import (
     park_isomorphic,
 )
 from parkscope.cli import main
-from parkscope.equivalence import _index_isomorphism, _merge_signature
-from parkscope.park import _ParkIndex
+from parkscope.equivalence import _merge_signature
 from parkscope.permgroup import _cycles, _orbits, cycles, orbits
 
 from conftest import (
@@ -191,9 +190,8 @@ def test_merge_signature_invariant_under_renumbering(data):
     _, original = data.draw(st.sampled_from(realized_reps(3, 5)))
     moved = _renumbered(data, original)
     assert park.validate_park(moved)
-    original_index, moved_index = _ParkIndex(original), _ParkIndex(moved)
-    assert _index_isomorphism(original_index, moved_index) is not None
-    assert _merge_signature(moved_index) == _merge_signature(original_index)
+    assert park_isomorphic(original, moved) is not None
+    assert _merge_signature(moved) == _merge_signature(original)
 
 
 def _closure(gens, a):
