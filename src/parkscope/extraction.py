@@ -6,10 +6,10 @@ Every park ingredient is read off the permutation data:
   ``e`` on the white half; black faces are their mirror images under the
   first reflection, i.e. the cycles of ``c_1 e c_1`` on the black half;
 * **entrances** -- orbits of the white actions of the ``x`` generators,
-  with their numeric signatures; **exits** are their images under the
-  first reflection (the orbits of the reflected generators
+  with the genus Riemann-Hurwitz gives them; **exits** are their images
+  under the first reflection (the orbits of the reflected generators
   ``c_1 x_i c_1`` on the black half), so each exit is built from its
-  entrance: the mirrored orbit, the same signature, the mirrored faces;
+  entrance: the mirrored orbit, the same genus, the mirrored faces;
 * **gardens** -- orbits of the group generated by ``e`` and all
   reflections ``c_i``, carrying the fine structure: vertices (size-four
   corner orbits), edges (maximal chains of reflection-arc lifts, read off
@@ -28,42 +28,44 @@ counts alone, ``2d - 2t - s - D`` with ``D`` the corners whose element
 moves four whites (see :func:`_euler_characteristic`), so data that
 closes to no surface, or to one of another genus than the critical-value
 count forces, raises :class:`NonRealizableError` before any cell is
-built.  Realizable data is then extracted in one stage -- faces and
-entrances (which depend only on the white skeleton, the white halves of
-the ``x`` generators with ``c_1`` standard, so they are built once per
-skeleton and kept on the representation's validity mark), vertices,
-exits, the boundary walk and the gardens -- and assembled into a park.
+built.  Realizable data is then built in one pass, :func:`_build_park`,
+which numbers each cell once and makes the park records directly.  Cells
+are plain tuples and list indices: a face is an ``e``-cycle named by its
+index, a vertex a corner and a white element, an edge a run of the walk
+named by its least arc lift.  What depends only on the white skeleton --
+the white halves of the ``x`` generators, with ``c_1`` standard -- is
+built once per skeleton by :func:`_skeleton` and kept on the
+representation's validity mark: the face cycles, the mirror of each,
+the entrance genera, the entrance of each face, the exits in mirrored
+orbit order, and the node and alley records these fix.
 
 ``monodromy_to_park`` is the one public entry point, and the only path
 from a representation to its cells.  It validates its input through
 ``monodromy._require_generic``, which checks each representation once:
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
-re-checked: the ``_build_*`` stages use the unchecked ``permgroup``
-cores, ``_assemble`` makes the park records through
-``monodromy._trusted``, and the park returned is marked valid.
-What valid generic input and the construction imply is pinned by the
-tests instead: ``c_1`` carries each white face onto one black face; each
-white face lies inside one entrance orbit, and the entrances' branch
-counts sum to ``t``; corner orbits have size 2 or 4, and segments number
-twice the vertices; the seam relation holds at every element; the walk's
-runs end on vertices, cross arc 1 and arc ``s + 1`` equally often and
-hold each arc lift once; the black side of the walk sweeps the white
-side's edges; no cell straddles two gardens; and the park passes
-``validate_park``, equals its JSON round trip and has the Euler
-characteristic of :func:`_euler_characteristic`, realized or not.
+re-checked: the stages use the unchecked ``permgroup`` cores, the park
+records are made through ``monodromy._trusted``, and the park returned
+is marked valid.  What valid generic input and the construction imply is
+pinned by the tests instead: ``c_1`` carries each white face onto one
+black face; each white face lies inside one entrance orbit, and the
+entrances' branch counts sum to ``t``; corner orbits have size 2 or 4,
+and segments number twice the vertices; the seam relation holds at every
+element; the walk's runs end on vertices, cross arc 1 and arc ``s + 1``
+equally often and hold each arc lift once; the black side of the walk
+sweeps the white side's edges; no cell straddles two gardens; and the
+park passes ``validate_park``, equals its JSON round trip and has the
+Euler characteristic of :func:`_euler_characteristic`, realized or not.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonRealizableError
 from .monodromy import MonodromyRep, _require_generic, _trusted, genus_from_counts
 from .park import (
     Alley,
-    EntranceSignature,
     Face,
     Garden,
     GardenEdge,
@@ -72,382 +74,241 @@ from .park import (
     Park,
     ParkNode,
     _genus_of_characteristic,
-    _least_rotation,
 )
-from .permgroup import _cycles, _orbits, blacks, conjugate, whites
-
-#: An arc lift: (arc index 1..s+1, smaller element, larger element).
-Lift = tuple[int, int, int]
-
-#: A walk item: (arc index, flanking ground element).
-Item = tuple[int, int]
+from .permgroup import _cycles, _orbits
 
 
-# ---------------------------------------------------------------------------
-# cell records
-# ---------------------------------------------------------------------------
+class _Skeleton(NamedTuple):
+    """What the park of a representation takes from its white skeleton.
 
-
-@dataclass(frozen=True)
-class FaceCell:
-    """A face: one cycle of the closing permutation, in cycle order."""
-
-    color: str
-    elements: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.elements)
-
-    @property
-    def key(self) -> int:
-        return min(self.elements)
-
-
-@dataclass(frozen=True)
-class NodeCell:
-    """An entrance or exit: a ground-element orbit plus its signature."""
-
-    role: str
-    orbit: tuple[int, ...]
-    signature: EntranceSignature
-
-
-@dataclass(frozen=True)
-class VertexCell:
-    """A size-four corner orbit: a critical point over a real critical value."""
-
-    corner: int
-    elements: tuple[int, ...]
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.corner, self.elements[0])
-
-
-@dataclass(frozen=True)
-class EdgeChain:
-    """An edge of the real-locus preimage as its chain of arc lifts.
-
-    ``lifts`` follow the chain direction of the white-side sweep;
-    ``ends`` names the start and end vertex for segments, ``None`` for
-    loops.  ``length`` is the minimal lift count over the geometric arcs.
+    ``faces`` are the white faces, the cycles of ``e`` on the whites in
+    order of their least element; ``mirror[i]`` is the index, among the
+    black faces in the same order, of the ``c_1``-image of white face
+    ``i``.  ``genera`` are the entrance genera in orbit order,
+    ``node_of_face[i]`` is the entrance of white face ``i``, and
+    ``exits`` lists the entrances in the order of their mirrored orbits,
+    the exits' order.  ``nodes`` and ``alleys`` are the park's records,
+    which these fix; being immutable, every park of the skeleton shares
+    them.
     """
 
-    lifts: tuple[Lift, ...]
-    kind: str
-    length: int
-    ends: tuple[tuple[int, int], tuple[int, int]] | None
-
-    @property
-    def key(self) -> Lift:
-        return min(self.lifts)
-
-
-@dataclass(frozen=True)
-class GardenCell:
-    """One garden component with its faces, edges and vertices."""
-
-    faces: tuple[FaceCell, ...]
-    edges: tuple[EdgeChain, ...]
-    vertices: tuple[VertexCell, ...]
+    faces: list[tuple[int, ...]]
+    mirror: list[int]
+    genera: list[int]
+    node_of_face: list[int]
+    exits: list[int]
+    nodes: tuple[ParkNode, ...]
+    alleys: tuple[Alley, ...]
 
 
-# ---------------------------------------------------------------------------
-# the cells of the white skeleton
-# ---------------------------------------------------------------------------
-
-
-def _skeleton_cells(m: MonodromyRep) -> tuple:
-    """The cells that depend only on the white skeleton of ``m``:
-    white faces, black faces, ``mirror_cell``, entrances and
-    ``entrance_of_cell``."""
+def _skeleton(m: MonodromyRep) -> _Skeleton:
+    """The :class:`_Skeleton` of a valid generic ``m``."""
     d = m.degree
     c1 = m.c[0]
-    white = whites(d)
-    white_cells = [FaceCell("white", cyc) for cyc in _cycles(m.e, white, True)]
-    black_cells = [FaceCell("black", cyc) for cyc in _cycles(conjugate(m.e, c1), blacks(d), True)]
+    faces = _cycles(m.e, range(d), True)
     # c_1 is a matching, so it carries each cycle of e on the whites onto a
-    # cycle of c_1 e c_1 on the blacks: each black face is the reflected
-    # image of exactly one white face.
-    black_cell_of = {a: cell for cell in black_cells for a in cell.elements}
-    mirror_cell = {cell: black_cell_of[c1[cell.elements[0]]] for cell in white_cells}
+    # cycle of c_1 e c_1 on the blacks, which are ordered by least element.
+    least = [min(c1[a] for a in face) for face in faces]
+    white_of = sorted(range(len(faces)), key=least.__getitem__)
+    mirror = [0] * len(faces)
+    for j, i in enumerate(white_of):
+        mirror[i] = j
     # e is the inverse of the x word, so each white face lies inside one
-    # x-orbit; each x moves one white pair, which lies in one orbit, so the
-    # orbits' branch counts sum to t.
-    node_orbits = _orbits(m.x, m.ground_size, white)
-    orbit_of = {a: k for k, orbit in enumerate(node_orbits) for a in orbit}
-    branches = Counter(orbit_of[next(a for a in white if x[a] != a)] for x in m.x)
-    inside: list[list[FaceCell]] = [[] for _ in node_orbits]
-    for cell in white_cells:
-        inside[orbit_of[cell.key]].append(cell)
-    entrances: list[NodeCell] = []
-    entrance_of_cell: dict[FaceCell, NodeCell] = {}
-    for k, orbit in enumerate(node_orbits):
-        # The orbit's b transpositions act transitively on its sum(degrees)
-        # whites, and their product has its f = len(degrees) faces as
-        # cycles, so by Riemann-Hurwitz b + 2 - f - sum(degrees) is twice
-        # a genus: even and non-negative.
-        degrees = [cell.degree for cell in inside[k]]
-        numerator = branches[k] + 2 - len(degrees) - sum(degrees)
-        node = NodeCell("entrance", orbit, EntranceSignature.compute(numerator // 2, degrees))
-        entrances.append(node)
-        for cell in inside[k]:
-            entrance_of_cell[cell] = node
-    return white_cells, black_cells, mirror_cell, entrances, entrance_of_cell
-
-
-# ---------------------------------------------------------------------------
-# the extraction engine
-# ---------------------------------------------------------------------------
-
-
-class _Extraction:
-    """The park ingredients of a monodromy known to be valid and generic.
-
-    Faces and entrances come from the memo on ``m``'s validity mark,
-    which the first extraction of the white skeleton fills through
-    :func:`_skeleton_cells`; the corner vertices, exits, boundary walk
-    with its edges, and gardens are built here, per representation.  The
-    memo is shared with the other representations of the skeleton, so
-    nothing here mutates its lists and dicts.
-    """
-
-    def __init__(self, m: MonodromyRep):
-        self.m = m
-        self.d = m.degree
-        self.n = m.ground_size
-        self.s = m.corner_points
-        self.t = m.cone_points
-        self.e = m.e
-        self.c = list(m.c)
-        mark = m._mark
-        if mark.cells is None:
-            mark.cells = _skeleton_cells(m)
-        (
-            self.white_cells,
-            self.black_cells,
-            self.mirror_cell,
-            self.entrances,
-            self.entrance_of_cell,
-        ) = mark.cells
-        self._build_corners()
-        self._build_exits()
-        self._build_walk()
-        self._build_gardens()
-
-    # -- exits ---------------------------------------------------------------
-
-    def _build_exits(self) -> None:
-        # The reflection c_1 conjugates each x into its reflected action,
-        # so the exits are the entrances carried over by c_1: the mirrored
-        # orbit, the same signature and the mirror images of its faces.
-        c1 = self.c[0]
-        self.exit_paired_with: dict[NodeCell, NodeCell] = {
-            node: NodeCell("exit", tuple(sorted(c1[a] for a in node.orbit)), node.signature)
-            for node in self.entrances
-        }
-        self.exit_of_cell: dict[FaceCell, NodeCell] = {
-            self.mirror_cell[cell]: self.exit_paired_with[node]
-            for cell, node in self.entrance_of_cell.items()
-        }
-        self.exit_nodes = sorted(self.exit_paired_with.values(), key=lambda nd: nd.orbit)
-
-    # -- corners and vertices ----------------------------------------------
-
-    def _build_corners(self) -> None:
-        self.vertex_elements: dict[int, dict[int, VertexCell]] = {}
-        self.vertices: list[VertexCell] = []
-        # c_{k-1} c_k is a generic corner move, so the orbits of the two
-        # matchings have size 2 or 4; the size-four ones are the vertices.
-        for k in range(1, self.s + 1):
-            table: dict[int, VertexCell] = {}
-            for orbit in _orbits([self.c[k - 1], self.c[k]], self.n, range(self.n)):
-                if len(orbit) == 4:
-                    vertex = VertexCell(k, orbit)
-                    self.vertices.append(vertex)
-                    for a in orbit:
-                        table[a] = vertex
-            self.vertex_elements[k] = table
-        self.vertices.sort(key=lambda v: v.key)
-
-    # -- the boundary walk, runs, edges and face boundaries -----------------
-
-    def _build_walk(self) -> None:
-        s = self.s
-        # The walk crosses arcs 1..s+1 at each element, then steps by e, so
-        # each white face is one walk cycle, and its runs in walk order are
-        # its chains: its boundary.  The black side sweeps the same edges
-        # the other way, so the white side alone gives them.
-        chains: list[EdgeChain] = []
-        self.face_chains: dict[FaceCell, list[EdgeChain]] = {}
-        for cell in self.white_cells:
-            cycle = [(i, a) for a in cell.elements for i in range(1, s + 2)]
-            runs, is_loop = self._split_runs(cycle)
-            for run in runs:
-                # A white element is the smaller end of its lift.
-                lifts = tuple((i, a, self.c[i - 1][a]) for i, a in run)
-                if is_loop:
-                    kind = "loop"
-                    ends = None
-                else:
-                    # A run starts just past a vertex crossing and ends on one.
-                    kind = "segment"
-                    (i1, a1), (im, am) = run[0], run[-1]
-                    ends = (
-                        self.vertex_elements[i1 - 1][a1].key,
-                        self.vertex_elements[im][am].key,
-                    )
-                # Arc s+1 is arc 1 across the seam, and every run crosses both
-                # equally often, so the length counts over arcs 1..s only.
-                counts = Counter(i for i, _, _ in lifts)
-                length = min((counts[i] for i in range(1, s + 1)), default=len(lifts))
-                chain = EdgeChain(lifts, kind, length, ends)
-                chains.append(chain)
-                self.face_chains.setdefault(cell, []).append(chain)
-        self.chains = sorted(chains, key=lambda chain: chain.key)
-
-    def _split_runs(self, cycle: list[Item]) -> tuple[list[list[Item]], bool]:
-        """Cut one walk cycle at its vertex crossings.
-
-        Returns the runs in walk order plus a flag: ``True`` when the
-        cycle crosses no vertex at all (a single closed run).  A cycle
-        with exactly one crossing still yields a segment run -- one that
-        starts and ends at the same vertex.
-        """
-        breaks = [
-            j
-            for j, (i, a) in enumerate(cycle)
-            if i <= self.s and a in self.vertex_elements[i]
-        ]
-        if not breaks:
-            # Closed chain: rotate to the minimal item for determinism.
-            pivot = cycle.index(min(cycle))
-            return [cycle[pivot:] + cycle[:pivot]], True
-        runs = []
-        for idx, j in enumerate(breaks):
-            k = breaks[(idx + 1) % len(breaks)]
-            if k > j:
-                runs.append(cycle[j + 1 : k + 1])
-            else:
-                runs.append(cycle[j + 1 :] + cycle[: k + 1])
-        # Runs are listed in walk order, starting after the first crossing.
-        return runs, False
-
-    # -- gardens -----------------------------------------------------------
-
-    def _build_gardens(self) -> None:
-        components = _orbits([self.e] + self.c, self.n, range(self.n))
-        self.garden_of: dict[int, int] = {}
-        for g_idx, orbit in enumerate(components):
-            for a in orbit:
-                self.garden_of[a] = g_idx
-        # One pass puts each face, edge and vertex into its garden, in the
-        # order of the extraction's lists, which is the park's id order.
-        members: list[tuple[list, list, list]] = [([], [], []) for _ in components]
-        for cell in self.white_cells + self.black_cells:
-            members[self.garden_of[cell.key]][0].append(cell)
-        for chain in self.chains:
-            members[self.garden_of[chain.lifts[0][1]]][1].append(chain)
-        for vertex in self.vertices:
-            members[self.garden_of[vertex.elements[0]]][2].append(vertex)
-        self.gardens = [
-            GardenCell(tuple(faces), tuple(edges), tuple(vertices))
-            for faces, edges, vertices in members
-        ]
-
-
-# ---------------------------------------------------------------------------
-# park assembly
-# ---------------------------------------------------------------------------
-
-
-def _assemble(ex: _Extraction) -> Park:
-    """The park of an extraction, with its mirror involution.
-
-    Ids count from 1 in the extraction's orders: white then black faces,
-    chains, vertices, entrances then exits.  A face's boundary is its
-    chains in walk order, a black face's the reversed boundary of the
-    white face it mirrors.  The involution pairs each white face with its
-    mirror and each entrance with its exit, and fixes every edge, vertex
-    and garden, so every garden is orientable.  Records go through ``_trusted``.
-    """
-    face_ids = {
-        cell: idx for idx, cell in enumerate(ex.white_cells + ex.black_cells, start=1)
-    }
-    edge_ids = {chain.lifts: idx for idx, chain in enumerate(ex.chains, start=1)}
-    vertex_ids = {vertex.key: idx for idx, vertex in enumerate(ex.vertices, start=1)}
-    node_ids = {node: idx for idx, node in enumerate(ex.entrances, start=1)}
-    node_ids.update(
-        (node, idx) for idx, node in enumerate(ex.exit_nodes, start=len(ex.entrances) + 1)
+    # x-orbit; each x moves one white pair, which lies in one orbit.
+    orbits = _orbits(m.x, m.ground_size, range(d))
+    orbit_of = [0] * d
+    for k, orbit in enumerate(orbits):
+        for a in orbit:
+            orbit_of[a] = k
+    node_of_face = [orbit_of[face[0]] for face in faces]
+    # The orbit's b transpositions act transitively on its n whites, and
+    # their product has its f faces as cycles, so by Riemann-Hurwitz
+    # b + 2 - f - n is twice a genus: even and non-negative.
+    twice = [2 - len(orbit) for orbit in orbits]
+    for x in m.x:
+        twice[orbit_of[next(a for a in range(d) if x[a] != a)]] += 1
+    for k in node_of_face:
+        twice[k] -= 1
+    genera = [value // 2 for value in twice]
+    # Disjoint orbits order as their least elements do.
+    exits = sorted(range(len(orbits)), key=lambda k: min(c1[a] for a in orbits[k]))
+    entrances = len(orbits)
+    exit_id = [0] * entrances
+    for pos, k in enumerate(exits, start=entrances + 1):
+        exit_id[k] = pos
+    nodes = tuple(
+        _trusted(ParkNode, id=k, role="entrance", genus=genus)
+        for k, genus in enumerate(genera, start=1)
+    ) + tuple(
+        _trusted(ParkNode, id=pos, role="exit", genus=genera[k])
+        for pos, k in enumerate(exits, start=entrances + 1)
     )
-    node_map: dict[int, int] = {}
-    for entrance in ex.entrances:
-        a, b = node_ids[entrance], node_ids[ex.exit_paired_with[entrance]]
-        node_map[a], node_map[b] = b, a
-    boundaries: dict[FaceCell, tuple[int, ...]] = {}
-    face_map: dict[int, int] = {}
-    for cell in ex.white_cells:
-        ids = tuple(edge_ids[chain.lifts] for chain in ex.face_chains[cell])
-        mirror = ex.mirror_cell[cell]
-        boundaries[cell] = _least_rotation(ids)
-        boundaries[mirror] = _least_rotation(tuple(-eid for eid in reversed(ids)))
-        a, b = face_ids[cell], face_ids[mirror]
-        face_map[a], face_map[b] = b, a
+    # Faces are numbered white then black, one alley each, so alley ids
+    # follow; a black face's node is the exit of its white mirror's entrance.
+    node_ids = [k + 1 for k in node_of_face] + [exit_id[node_of_face[i]] for i in white_of]
+    alleys = tuple(
+        _trusted(Alley, id=f, face_id=f, node_id=node)
+        for f, node in enumerate(node_ids, start=1)
+    )
+    return _Skeleton(faces, mirror, genera, node_of_face, exits, nodes, alleys)
+
+
+def _build_park(m: MonodromyRep) -> Park:
+    """The park of a valid generic ``m``, whether or not it is realizable,
+    built in one pass with each id assigned once; nothing is checked.
+
+    The skeleton's part comes from the memo on ``m``'s validity mark,
+    which the first build of the white skeleton fills.  Ids count from 1:
+    white then black faces, each in least-element order; edges by least
+    arc lift; vertices by corner, then least element; entrances in orbit
+    order, then exits in mirrored orbit order.  A white face's boundary
+    is its chains in walk order, a black face's the reversed, negated
+    boundary of the white face it mirrors, each rotated to its least
+    form.  The involution pairs each white face with its mirror and each
+    entrance with its exit, and fixes every edge, vertex and garden, so
+    every garden is orientable.  Its five dicts are new on every call.
+    """
+    mark = m._mark
+    if mark.cells is None:
+        mark.cells = _skeleton(m)
+    faces, mirror, _, _, exits, nodes, alleys = mark.cells
+    d, s, c = m.degree, m.corner_points, m.c
+
+    # Vertices, as (corner, least element): c_k c_{k+1} is a generic
+    # corner move, so the orbits of the two matchings have size 2 or 4, and
+    # a size-four orbit holds two whites a and c_k c_{k+1} a.  Walking
+    # corners, then whites, upwards meets the vertices in id order; each
+    # white lists the arcs at which the walk through it crosses a vertex,
+    # in arc order, with the vertex id.
+    vertices: list[tuple[int, int]] = []
+    crossings: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for k in range(1, s + 1):
+        ck, nxt = c[k - 1], c[k]
+        for a in range(d):
+            if ck[a] != nxt[a]:
+                b = ck[nxt[a]]
+                if a < b:
+                    vertices.append((k, a))
+                    crossings[a].append((k - 1, len(vertices)))
+                    crossings[b].append((k - 1, len(vertices)))
+
+    # The walk crosses arcs 1..s+1 at each element, then steps by e, so
+    # each white face is one walk cycle; position p of a face's walk is
+    # arc p % (s + 1) + 1 at its element p // (s + 1).  The walk breaks
+    # just past each vertex crossing, and its runs in walk order are the
+    # face's chains: its boundary.  The black side sweeps the same edges
+    # the other way, so the white side alone gives them.  A chain is
+    # (least lift, length, ends, face): its least lift is the least
+    # (arc - 1, white) it crosses, which orders the edge ids; its length
+    # is its least count over arcs 1..s.
+    step = s + 1
+    chains: list[tuple[tuple[int, int], int, tuple[int, int] | None, int]] = []
+    runs: list[list[int]] = []
+    for i, face in enumerate(faces):
+        breaks = [
+            (idx * step + arc, vid)
+            for idx, a in enumerate(face)
+            for arc, vid in crossings[a]
+        ]
+        walked = []
+        if not breaks:
+            # A closed chain crosses every arc at every element of its face.
+            walked.append(len(chains))
+            chains.append(((0, face[0]), len(face), None, i))
+        size = len(face) * step
+        doubled = face + face
+        for (p, start), (q, end) in zip(breaks, breaks[1:] + breaks[:1]):
+            # The run holds positions p+1 .. p+r and starts at an arc in
+            # 2..s+1, so it crosses each arc r // (s + 1) times, one more
+            # for some but never for all of arcs 1..s.  Its least lift is
+            # at arc 1 on the least element it reaches there, or at its
+            # first position if it reaches none.
+            r = (q - p) % size or size
+            first, last = p // step + 1, (p + r) // step
+            if last >= first:
+                least = (0, min(doubled[first : last + 1]))
+            else:
+                least = (p % step + 1, face[p // step])
+            walked.append(len(chains))
+            chains.append((least, r // step, (start, end), i))
+        runs.append(walked)
+    # Least lifts are distinct, so the chains order as their least lifts do.
+    edge_ids = [0] * len(chains)
+    order = sorted(range(len(chains)), key=chains.__getitem__)
+    for eid, x in enumerate(order, start=1):
+        edge_ids[x] = eid
+
+    # Gardens: every orbit of <e, c> holds a white, since each c swaps the
+    # colors, so starting at the whites numbers them by least element.
+    components = _orbits([m.e, *c], 2 * d, range(d))
+    garden_of = [0] * (2 * d)
+    for g, orbit in enumerate(components):
+        for a in orbit:
+            garden_of[a] = g
+    members: list[tuple[list, list, list]] = [([], [], []) for _ in components]
+    white_count = len(faces)
+    black_faces: list = [None] * white_count
+    for i, face in enumerate(faces):
+        ids = [edge_ids[x] for x in runs[i]]
+        # Each chain lies on one face once, so a boundary's entries are
+        # distinct and its least rotation starts at its least entry.
+        low = ids.index(min(ids))
+        boundary = tuple(ids[low:] + ids[:low])
+        mirrored = [-eid for eid in reversed(ids)]
+        low = mirrored.index(min(mirrored))
+        g = garden_of[face[0]]
+        members[g][0].append(
+            _trusted(Face, id=i + 1, color="white", degree=len(face), boundary=boundary)
+        )
+        j = mirror[i]
+        black_faces[j] = g, _trusted(
+            Face,
+            id=white_count + j + 1,
+            color="black",
+            degree=len(face),
+            boundary=tuple(mirrored[low:] + mirrored[:low]),
+        )
+    for g, record in black_faces:
+        members[g][0].append(record)
+    for eid, x in enumerate(order, start=1):
+        _, length, ends, i = chains[x]
+        members[garden_of[faces[i][0]]][1].append(
+            _trusted(
+                GardenEdge,
+                id=eid,
+                length=length,
+                kind="loop" if ends is None else "segment",
+                ends=ends,
+            )
+        )
+    for vid, (k, a) in enumerate(vertices, start=1):
+        members[garden_of[a]][2].append(
+            _trusted(GardenVertex, id=vid, corner_label=k, pair_id=None)
+        )
     gardens = tuple(
         _trusted(
             Garden,
-            id=g_id,
+            id=g,
             kind="orientable",
-            faces=tuple(
-                _trusted(
-                    Face,
-                    id=face_ids[cell],
-                    color=cell.color,
-                    degree=cell.degree,
-                    boundary=boundaries[cell],
-                )
-                for cell in garden.faces
-            ),
-            edges=tuple(
-                _trusted(
-                    GardenEdge,
-                    id=edge_ids[chain.lifts],
-                    length=chain.length,
-                    kind=chain.kind,
-                    ends=None
-                    if chain.ends is None
-                    else (vertex_ids[chain.ends[0]], vertex_ids[chain.ends[1]]),
-                )
-                for chain in garden.edges
-            ),
-            vertices=tuple(
-                _trusted(
-                    GardenVertex,
-                    id=vertex_ids[vertex.key],
-                    corner_label=vertex.corner,
-                    pair_id=None,
-                )
-                for vertex in garden.vertices
-            ),
+            faces=tuple(in_faces),
+            edges=tuple(in_edges),
+            vertices=tuple(in_vertices),
             partner_id=None,
         )
-        for g_id, garden in enumerate(ex.gardens, start=1)
+        for g, (in_faces, in_edges, in_vertices) in enumerate(members, start=1)
     )
-    nodes = tuple(
-        _trusted(ParkNode, id=node_ids[node], role=node.role, genus=node.signature.genus)
-        for node in ex.entrances + ex.exit_nodes
-    )
-    # Faces are numbered in list order, one alley each, so alley ids follow.
-    node_of_cell = {**ex.entrance_of_cell, **ex.exit_of_cell}
-    alleys = tuple(
-        _trusted(Alley, id=face_id, face_id=face_id, node_id=node_ids[node_of_cell[cell]])
-        for cell, face_id in face_ids.items()
-    )
+
+    node_map: dict[int, int] = {}
+    for k, pos in sorted((k, pos) for pos, k in enumerate(exits, start=len(exits) + 1)):
+        node_map[k + 1], node_map[pos] = pos, k + 1
+    face_map: dict[int, int] = {}
+    for i, j in enumerate(mirror):
+        a, b = i + 1, white_count + j + 1
+        face_map[a], face_map[b] = b, a
     return _trusted(
         Park,
-        corner_points=ex.s,
-        cone_points=ex.t,
+        corner_points=s,
+        cone_points=m.cone_points,
         gardens=gardens,
         nodes=nodes,
         alleys=alleys,
@@ -455,9 +316,9 @@ def _assemble(ex: _Extraction) -> Park:
             Involution,
             nodes=node_map,
             faces=face_map,
-            edges={eid: eid for eid in edge_ids.values()},
-            vertices={vid: vid for vid in vertex_ids.values()},
-            gardens={g.id: g.id for g in gardens},
+            edges={eid: eid for eid in range(1, len(chains) + 1)},
+            vertices={vid: vid for vid in range(1, len(vertices) + 1)},
+            gardens={g: g for g in range(1, len(gardens) + 1)},
         ),
     )
 
@@ -515,7 +376,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    # Not in _assemble, which tests run on reps closing to no surface.
-    park = _assemble(_Extraction(m))
+    # Not in _build_park, which tests run on reps closing to no surface.
+    park = _build_park(m)
     object.__setattr__(park, "_mark", True)
     return park

@@ -70,10 +70,10 @@ class MonodromyRep:
     unchecked and marked valid and generic; any other representation is checked
     once, the first time a public entry point that needs valid generic
     data sees it (see :func:`_require_generic`).  The mark is a
-    :class:`_Mark`, which also holds extraction's memo of the cells
-    of the white skeleton: enumeration gives every representation of one
-    skeleton the same mark, and a representation that passes the check
-    gets its own.  The mark is not a field: equality, hashing, ``repr``
+    :class:`_Mark`, which also holds extraction's memo of what the park
+    takes from the white skeleton: enumeration gives every representation
+    of one skeleton the same mark, and a representation that passes the
+    check gets its own.  The mark is not a field: equality, hashing, ``repr``
     and the JSON form ignore it, and ``dataclasses.replace``,
     :func:`conjugate_rep` and :func:`from_json_dict` make unmarked objects.
     """
@@ -160,8 +160,11 @@ class _Mark:
 
     ``cells`` is extraction's memo of what depends only on the white
     skeleton (the white halves of the ``x`` generators, with ``c[1]``
-    standard): ``None`` until the first extraction fills it, then the
-    faces and entrances."""
+    standard): ``None`` until the first extraction fills it, then an
+    ``extraction._Skeleton``: the white face cycles, the mirror index of
+    each, the entrance genera, the entrance of each face, the exits in
+    mirrored orbit order, and the immutable node and alley records these
+    fix."""
 
     __slots__ = ("cells",)
 

@@ -39,10 +39,11 @@ the real locus.  Its cells:
 ``validate_park`` checks every axiom and reports violations under stable
 rule codes; structurally broken references (ids that do not resolve)
 raise ``ValueError`` instead.  The topological invariants
-(``euler_characteristic``, ``genus``, ``total_degree``) and the canonical
-``type_summary`` assume a validated park.  Comparing parks, with each
-other (``park_isomorphic``) or with their own mirror
-(``find_park_involution``), is :mod:`parkscope.equivalence`'s work.
+(``euler_characteristic``, ``genus``, ``total_degree``) assume a
+validated park; the canonical ``type_summary`` checks its input through
+the park gate.  Comparing parks, with each other (``park_isomorphic``)
+or with their own mirror (``find_park_involution``), is
+:mod:`parkscope.equivalence`'s work.
 """
 
 from __future__ import annotations
@@ -517,7 +518,8 @@ def validate_park(park: Park) -> ParkReport:
 def _validated_index(park: Park) -> _ParkIndex:
     """The index of a park that passes :func:`validate_park`; raises
     ``ValueError`` naming the first violations otherwise.  The one gate of
-    the public functions that take parks; it checks nothing on a marked
+    the public functions that take parks (``park_isomorphic``,
+    ``park_hurwitz`` and ``type_summary``); it checks nothing on a marked
     park."""
     index = _ParkIndex(park)
     if not park._mark:
@@ -962,8 +964,9 @@ def _garden_signature(
 
 
 def type_summary(park: Park) -> TopSummary:
-    """Compute the canonical :class:`TopSummary` of a validated park."""
-    index = _ParkIndex(park)
+    """Compute the canonical :class:`TopSummary` of a park; one that fails
+    :func:`validate_park` raises ``ValueError`` through the park gate."""
+    index = _validated_index(park)
     node_sigs = []
     entrance_branch_total = 0
     for n_id, node in sorted(index.nodes.items()):

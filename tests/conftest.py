@@ -9,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -29,18 +29,16 @@ from parkscope.equivalence import (
     _black_product_target,
     _corner_moves,
 )
-from parkscope.extraction import (
-    FaceCell,
-    NodeCell,
-    _assemble,
-    _euler_characteristic,
-    _Extraction,
-)
+from parkscope.extraction import _build_park, _euler_characteristic
 from parkscope.monodromy import _require_generic, validate_genericity, validate_relations
 from parkscope.park import (
+    Alley,
     EntranceSignature,
+    Face,
     Park,
+    ParkNode,
     _genus_of_characteristic,
+    _least_rotation,
     euler_characteristic as park_euler_characteristic,
     from_json_dict,
     genus as park_genus,
@@ -52,6 +50,7 @@ from parkscope.permgroup import (
     compose_all,
     conjugate,
     cycles,
+    from_cycles,
     inverse,
     is_matching,
     mirror_matching,
@@ -213,11 +212,10 @@ def realized_reps(max_degree: int, max_critical: int) -> tuple:
 
 
 def assemble_park(m) -> Park:
-    """The full park of a valid generic rep, every extraction stage built
-    and assembled whether or not it is realizable; the rep is validated,
-    the park is not."""
+    """The full park of a valid generic rep, built whether or not it is
+    realizable; the rep is validated, the park is not."""
     _require_generic(m)
-    return _assemble(_Extraction(m))
+    return _build_park(m)
 
 
 def monodromy_to_park_full(m) -> Park:
@@ -251,12 +249,12 @@ def orbit_weights(m, reflected=False):
     ``x`` moves one pair of the half, that no face leaks out of its orbit,
     and that the branch counts sum to ``t``."""
     c1 = m.c[0]
-    xs, e, half, color = list(m.x), m.e, whites(m.degree), "white"
+    xs, e, half = list(m.x), m.e, whites(m.degree)
     if reflected:
         xs = [conjugate(x, c1) for x in xs]
-        e, half, color = conjugate(m.e, c1), blacks(m.degree), "black"
+        e, half = conjugate(m.e, c1), blacks(m.degree)
     assert all(p[a] in half for p in (e, *xs) for a in half)
-    faces = [FaceCell(color, cyc) for cyc in cycles(e, include_fixed=True) if cyc[0] in half]
+    faces = [cyc for cyc in cycles(e, include_fixed=True) if cyc[0] in half]
     pairs = [{a for a in half if x[a] != a} for x in xs]
     assert all(len(pair) == 2 for pair in pairs), pairs
     out, total = [], 0
@@ -264,79 +262,81 @@ def orbit_weights(m, reflected=False):
         if orbit[0] not in half:
             continue
         members = set(orbit)
-        inside = [face for face in faces if set(face.elements) & members]
-        assert all(set(face.elements) <= members for face in inside), orbit
+        inside = [face for face in faces if set(face) & members]
+        assert all(set(face) <= members for face in inside), orbit
         branches = sum(1 for pair in pairs if pair <= members)
         total += branches
-        out.append((orbit, inside, branches + 2 - len(inside) - sum(f.degree for f in inside)))
+        out.append((orbit, inside, branches + 2 - len(inside) - sum(map(len, inside))))
     assert total == m.cone_points
     return out
 
 
-def nodes_from_weights(role, weights):
-    """``(nodes, node_of_face)`` for orbit weights that are all even and
-    non-negative."""
-    nodes, of_face = [], {}
-    for orbit, faces, numerator in weights:
+def nodes_from_weights(weights):
+    """``(signatures, node_of_face)`` for orbit weights that are all even
+    and non-negative: each orbit's signature, and each face's orbit index,
+    keyed by the face's cycle."""
+    signatures, of_face = [], {}
+    for k, (orbit, faces, numerator) in enumerate(weights):
         assert numerator >= 0 and numerator % 2 == 0, orbit
-        signature = EntranceSignature.compute(numerator // 2, [f.degree for f in faces])
-        node = NodeCell(role, orbit, signature)
-        nodes.append(node)
-        of_face.update((face, node) for face in faces)
-    return nodes, of_face
+        signatures.append(EntranceSignature.compute(numerator // 2, map(len, faces)))
+        of_face.update((face, k) for face in faces)
+    return signatures, of_face
 
 
-def exits_from_orbits(ex):
-    """The exits of an ``_Extraction`` built from scratch: the
-    orbits of the ``c_1``-conjugated ``x`` on the black half, the black
-    faces of ``c_1 e c_1`` inside each, their signatures from the branch
-    count and face degrees, and each entrance paired with the exit on its
-    reflected orbit, of equal signature.  Returns ``(exit_nodes,
-    exit_of_cell, exit_paired_with)``, the oracle for the mirrored exits."""
-    c1 = ex.c[0]
-    nodes, of_cell = nodes_from_weights("exit", orbit_weights(ex.m, reflected=True))
-    by_orbit = {node.orbit: node for node in nodes}
-    paired = {}
-    for node in ex.entrances:
-        partner = by_orbit.get(tuple(sorted(c1[a] for a in node.orbit)))
-        assert partner is not None and partner.signature == node.signature, node
-        paired[node] = partner
-    return nodes, of_cell, paired
+def exits_from_orbits(m):
+    """The exits of ``m`` built from scratch: the orbits of the
+    ``c_1``-conjugated ``x`` on the black half, in orbit order, with their
+    signatures from the branch count and the black faces of ``c_1 e c_1``
+    inside each.  Returns ``(exits, paired)``: ``(orbit, signature)`` per
+    exit, and for each entrance, in orbit order, the index of the exit on
+    its reflected orbit: the oracle for the mirrored exits.  Does not
+    assume that the signatures of an entrance and its exit agree."""
+    c1 = m.c[0]
+    weights = orbit_weights(m, reflected=True)
+    signatures, _ = nodes_from_weights(weights)
+    index = {orbit: k for k, (orbit, _, _) in enumerate(weights)}
+    paired = []
+    for orbit, _, _ in orbit_weights(m):
+        mirrored = tuple(sorted(c1[a] for a in orbit))
+        assert mirrored in index, orbit
+        paired.append(index[mirrored])
+    return [(orbit, sig) for (orbit, _, _), sig in zip(weights, signatures)], paired
 
 
-def lift(ex, i, a):
+def lift(m, i, a):
     """The lift of arc ``i`` through ``a``: the pair ``c_i`` swaps there."""
-    b = ex.c[i - 1][a]
+    b = m.c[i - 1][a]
     return (i, min(a, b), max(a, b))
 
 
-def corner_vertices(ex):
+def corner_vertices(m):
     """Each element of a size-four orbit of ``<c_{k-1}, c_k>``, keyed by
     ``(k, element)``, mapped to its vertex key ``(k, least element)``.
     Asserts that every such orbit has size 2 or 4."""
     out = {}
-    for k in range(1, ex.s + 1):
-        for orbit in orbits([ex.c[k - 1], ex.c[k]], ex.n):
+    for k in range(1, m.corner_points + 1):
+        for orbit in orbits([m.c[k - 1], m.c[k]], m.ground_size):
             assert len(orbit) in (2, 4), (k, orbit)
             if len(orbit) == 4:
                 out.update(((k, a), (k, orbit[0])) for a in orbit)
     return out
 
 
-def walk_cycles(ex, half):
-    """The cycles of the boundary walk of an ``_Extraction`` through
-    the elements of ``half``: at each element the walk crosses arcs
-    ``1..s+1``, then steps by ``e``.  Each cycle starts at its first item
-    in (element, arc) order."""
+def walk_cycles(m, half):
+    """The cycles of the boundary walk of ``m`` through the elements of
+    ``half``: at each element the walk crosses arcs ``1..s+1``, then steps
+    by ``e``.  Each cycle starts at its first item in (element, arc)
+    order."""
+    s = m.corner_points
     visited, out = set(), []
     for a0 in half:
-        for i0 in range(1, ex.s + 2):
+        for i0 in range(1, s + 2):
             item, cycle = (i0, a0), []
             while item not in visited:
                 visited.add(item)
                 cycle.append(item)
                 i, a = item
-                item = (i + 1, a) if i <= ex.s else (1, ex.e[a])
+                item = (i + 1, a) if i <= s else (1, m.e[a])
             if cycle:
                 out.append(cycle)
     return out
@@ -362,109 +362,158 @@ def split_runs(cycle, vertex_of):
 
 def check_extraction(m) -> Park | None:
     """Assert every fact the realized path of extraction builds on without
-    checking, for a valid generic ``m``; return its park, or ``None`` when
-    it has none.
+    checking, and every cell of the park it builds against one built here
+    from scratch, for a valid generic ``m``; return its park, or ``None``
+    when it has none.
 
-    The entrances are those ``orbit_weights`` finds: each white face lies
-    inside its entrance's orbit, each ``x`` moves one white pair inside
-    one orbit, the branch counts sum to ``t``, and each orbit's weight is
-    even and non-negative, twice a genus, as Riemann-Hurwitz forces.
-    ``c_1`` carries each white face onto one black face, each black face
-    the image of one white face.  Every corner orbit has size 2 or 4, and
-    the size-four ones are the vertices; segments number twice the
-    vertices.  The seam relation
-    ``c_1 = e c_{s+1} e^-1`` holds at every element.  Each lift of each
-    arc lies on exactly one chain.  Each white walk cycle, cut at its
-    vertex crossings, is the chain list of its face, and each segment
-    starts and ends on the vertices it names.  Each walk cycle of the
-    black side sweeps a white-side chain: a segment in the same order, a
-    loop up to rotation.  Every chain crosses arc 1 and arc ``s + 1``
-    equally often, and its length is its least count over arcs ``1..s``.
-    No face, edge or vertex straddles two gardens, and each garden lists
-    the cells that one filter per garden finds.  The mirrored exits
-    equal the exits built from orbits.  A realized park passes
-    ``validate_park`` and has the Euler characteristic, so the genus, that
-    ``_euler_characteristic`` gives; its gardens are all orientable,
-    unpartnered and have an edge each, no vertex names a pair, and the
-    involution fixes every edge, vertex and garden.
+    The skeleton memo holds the white faces, the entrances that
+    ``orbit_weights`` finds and the entrance of each face: each white face
+    lies inside its entrance's orbit, each ``x`` moves one white pair
+    inside one orbit, the branch counts sum to ``t``, and each orbit's
+    weight is even and non-negative, twice a genus, as Riemann-Hurwitz
+    forces.  ``c_1`` carries each white face onto one black face, each
+    black face the image of one white face.  The exits, in the memo's
+    order, are the black orbits in orbit order, and the nodes and alleys
+    follow.  Every corner orbit has size 2 or 4, and the size-four ones
+    are the vertices, numbered by corner, then least element; segments
+    number twice the vertices.  The seam relation ``c_1 = e c_{s+1}
+    e^-1`` holds at every element.  Each lift of each arc lies on exactly
+    one chain, and the chains are numbered by least lift.  Each white walk
+    cycle, cut at its vertex crossings, is the chain list of its face: its
+    boundary, rotated to its least form, and the reversed, negated
+    boundary of its black mirror likewise; each segment starts and ends on
+    the vertices it names.  Each walk cycle of the black side sweeps a
+    white-side chain: a segment in the same order, a loop up to rotation.
+    Every chain crosses arc 1 and arc ``s + 1`` equally often, and its
+    length is its least count over arcs ``1..s``.  No face, edge or vertex
+    straddles two gardens, and each garden lists the cells that one filter
+    per garden finds.  The involution pairs mirrors, and entrances with
+    the exits on their reflected orbits.  A realized park equals the one
+    built, passes ``validate_park`` and has the Euler characteristic, so
+    the genus, that ``_euler_characteristic`` gives; its gardens are all
+    orientable, unpartnered and have an edge each, no vertex names a pair,
+    and the involution fixes every edge, vertex and garden.
     """
+    d, s, c, e = m.degree, m.corner_points, m.c, m.e
+    c1 = c[0]
     weights = orbit_weights(m)
     assert all(num >= 0 and num % 2 == 0 for _, _, num in weights), weights
-    ex = _Extraction(m)
-    assert (ex.entrances, ex.entrance_of_cell) == nodes_from_weights("entrance", weights)
-    c1 = ex.c[0]
-    for cell, image in ex.mirror_cell.items():
-        assert {c1[a] for a in cell.elements} == set(image.elements), cell
-    assert sorted(ex.mirror_cell, key=lambda cell: cell.key) == ex.white_cells
-    assert sorted(ex.mirror_cell.values(), key=lambda cell: cell.key) == ex.black_cells
-    vertex_of = corner_vertices(ex)
-    assert vertex_of == {
-        (vertex.corner, a): vertex.key for vertex in ex.vertices for a in vertex.elements
-    }
-    assert sum(chain.kind == "segment" for chain in ex.chains) == 2 * len(ex.vertices)
-    for a in range(ex.n):  # the seam relation c_1 = e c_{s+1} e^-1
-        assert c1[ex.e[a]] == ex.e[ex.c[ex.s][a]], a
-    chain_of = {item: chain for chain in ex.chains for item in chain.lifts}
-    assert len(chain_of) == sum(len(chain.lifts) for chain in ex.chains)
-    assert set(chain_of) == {
-        lift(ex, i, a) for i in range(1, ex.s + 2) for a in whites(ex.d)
-    }
-    faces_by_key = {cell.key: cell for cell in ex.white_cells}
-    for cycle in walk_cycles(ex, whites(ex.d)):
-        runs = split_runs(cycle, vertex_of)
-        chains = [chain_of[lift(ex, *run[0])] for run in runs]
-        assert chains == ex.face_chains[faces_by_key[cycle[0][1]]], cycle
-        for run, chain in zip(runs, chains):
-            if chain.kind == "segment":
+    park = assemble_park(m)
+    memo = m._mark.cells
+    white = [cyc for cyc in cycles(e, include_fixed=True) if cyc[0] < d]
+    black = [cyc for cyc in cycles(conjugate(e, c1), include_fixed=True) if cyc[0] >= d]
+    signatures, entrance_of = nodes_from_weights(weights)
+    assert memo.faces == white
+    assert memo.genera == [sig.genus for sig in signatures]
+    assert memo.node_of_face == [entrance_of[face] for face in white]
+    assert sorted(memo.mirror) == list(range(len(white)))
+    for face, j in zip(white, memo.mirror):
+        assert {c1[a] for a in face} == set(black[j]), face
+    exits, paired = exits_from_orbits(m)
+    for k, sig in zip(paired, signatures):
+        assert exits[k][1] == sig, exits[k]
+    assert [paired[k] for k in memo.exits] == list(range(len(exits)))
+    entrances, faces = len(signatures), {f.id: f for f in park.all_faces()}
+    assert park.nodes == tuple(
+        ParkNode(k, "entrance", sig.genus) for k, sig in enumerate(signatures, start=1)
+    ) + tuple(
+        ParkNode(k, "exit", sig.genus) for k, (_, sig) in enumerate(exits, start=entrances + 1)
+    )
+    _, exit_of = nodes_from_weights(orbit_weights(m, reflected=True))
+    node_ids = [entrance_of[f] + 1 for f in white] + [entrances + 1 + exit_of[f] for f in black]
+    assert park.alleys == tuple(Alley(f, f, n) for f, n in enumerate(node_ids, start=1))
+    vertex_of = corner_vertices(m)
+    keys = sorted(set(vertex_of.values()))
+    vertex_id = {key: vid for vid, key in enumerate(keys, start=1)}
+    vertices = {v.id: v for v in park.all_vertices()}
+    assert sorted(vertices) == list(vertex_id.values())
+    assert [vertices[v].corner_label for v in vertex_id.values()] == [k for k, _ in keys]
+    edges = {x.id: x for x in park.all_edges()}
+    assert sum(x.kind == "segment" for x in edges.values()) == 2 * len(keys)
+    for a in range(m.ground_size):  # the seam relation c_1 = e c_{s+1} e^-1
+        assert c1[e[a]] == e[c[s][a]], a
+    white_runs = [
+        (cycle, split_runs(cycle, vertex_of)) for cycle in walk_cycles(m, whites(d))
+    ]
+    chains = sorted(
+        (tuple(lift(m, i, a) for i, a in run) for _, runs in white_runs for run in runs),
+        key=min,
+    )
+    edge_of = {item: eid for eid, chain in enumerate(chains, start=1) for item in chain}
+    assert len(edge_of) == sum(map(len, chains))
+    assert set(edge_of) == {lift(m, i, a) for i in range(1, s + 2) for a in whites(d)}
+    assert sorted(edges) == list(range(1, len(chains) + 1))
+    first = {face[0]: i for i, face in enumerate(white)}
+    for cycle, runs in white_runs:
+        i = first[cycle[0][1]]
+        ids = tuple(edge_of[lift(m, *run[0])] for run in runs)
+        image = faces[len(white) + 1 + memo.mirror[i]]
+        assert faces[i + 1] == Face(i + 1, "white", len(white[i]), _least_rotation(ids))
+        assert image.boundary == _least_rotation(tuple(-eid for eid in reversed(ids)))
+        assert (image.color, image.degree) == ("black", len(white[i]))
+        for run, eid in zip(runs, ids):
+            if run[-1] in vertex_of:
                 (i1, a1), last = run[0], run[-1]
-                assert chain.ends == (vertex_of[(i1 - 1, a1)], vertex_of[last]), run
-    for cycle in walk_cycles(ex, blacks(ex.d)):
-        for run in split_runs(cycle, vertex_of):
-            lifts = tuple(lift(ex, i, a) for i, a in run)
-            chain = chain_of.get(lifts[0])
-            assert chain is not None and sorted(lifts) == sorted(chain.lifts), run
-            if chain.kind == "segment":
-                assert lifts == chain.lifts, run
+                ends = (vertex_id[vertex_of[(i1 - 1, a1)]], vertex_id[vertex_of[last]])
+                assert (edges[eid].kind, edges[eid].ends) == ("segment", ends), run
             else:
-                assert rotations_equal(lifts, chain.lifts), run
-    for chain in ex.chains:
-        counts = Counter(i for i, _, _ in chain.lifts)
-        assert counts[1] == counts[ex.s + 1], chain
-        arcs = [counts[i] for i in range(1, ex.s + 1)] or [len(chain.lifts)]
-        assert chain.length == min(arcs), chain
-    for cell in ex.white_cells + ex.black_cells:
-        assert len({ex.garden_of[a] for a in cell.elements}) == 1, cell
-    for chain in ex.chains:
-        assert len({ex.garden_of[a] for lift in chain.lifts for a in lift[1:]}) == 1, chain
-    for vertex in ex.vertices:
-        assert len({ex.garden_of[a] for a in vertex.elements}) == 1, vertex
-    faces = ex.white_cells + ex.black_cells
-    for g_idx, garden in enumerate(ex.gardens):  # the one-pass grouping, filtered
-        assert garden.faces == tuple(
-            cell for cell in faces if ex.garden_of[cell.key] == g_idx
-        )
-        assert garden.edges == tuple(
-            chain for chain in ex.chains if ex.garden_of[chain.lifts[0][1]] == g_idx
-        )
-        assert garden.vertices == tuple(
-            vertex for vertex in ex.vertices if ex.garden_of[vertex.elements[0]] == g_idx
-        )
-    assert exits_from_orbits(ex) == (ex.exit_nodes, ex.exit_of_cell, ex.exit_paired_with)
+                assert (edges[eid].kind, edges[eid].ends) == ("loop", None), run
+    for cycle in walk_cycles(m, blacks(d)):
+        for run in split_runs(cycle, vertex_of):
+            lifts = tuple(lift(m, i, a) for i, a in run)
+            assert lifts[0] in edge_of, run
+            chain = chains[edge_of[lifts[0]] - 1]
+            assert sorted(lifts) == sorted(chain), run
+            if edges[edge_of[lifts[0]]].kind == "segment":
+                assert lifts == chain, run
+            else:
+                assert rotations_equal(lifts, chain), run
+    for eid, chain in enumerate(chains, start=1):
+        counts = Counter(i for i, _, _ in chain)
+        assert counts[1] == counts[s + 1], chain
+        arcs = [counts[i] for i in range(1, s + 1)] or [len(chain)]
+        assert edges[eid].length == min(arcs), chain
+    components = orbits([e, *c], m.ground_size)
+    garden_of = {a: g for g, orbit in enumerate(components) for a in orbit}
+    for cyc in white + black:
+        assert len({garden_of[a] for a in cyc}) == 1, cyc
+    for chain in chains:
+        assert len({garden_of[a] for item in chain for a in item[1:]}) == 1, chain
+    for key in keys:
+        assert len({garden_of[a] for (k, a), v in vertex_of.items() if v == key}) == 1, key
+    assert [g.id for g in park.gardens] == list(range(1, len(components) + 1))
+    for g_idx, garden in enumerate(park.gardens):  # the one-pass grouping, filtered
+        assert [f.id for f in garden.faces] == [
+            f for f, cyc in enumerate(white + black, start=1) if garden_of[cyc[0]] == g_idx
+        ]
+        assert [x.id for x in garden.edges] == [
+            eid for eid, chain in enumerate(chains, start=1) if garden_of[chain[0][1]] == g_idx
+        ]
+        assert [v.id for v in garden.vertices] == [
+            vid for (_, a), vid in vertex_id.items() if garden_of[a] == g_idx
+        ]
+    node_pairs = [(k + 1, entrances + 1 + paired[k]) for k in range(entrances)]
+    face_pairs = [(i + 1, len(white) + 1 + j) for i, j in enumerate(memo.mirror)]
+    for name, pairs in (("nodes", node_pairs), ("faces", face_pairs)):
+        assert getattr(park.involution, name) == {
+            **dict(pairs), **{b: a for a, b in pairs}
+        }, name
     try:
-        park = monodromy_to_park(m)
+        realized = monodromy_to_park(m)
     except NonRealizableError:
         return None
-    report = validate_park(park)
+    assert realized == park
+    report = validate_park(realized)
     assert report, report.violations
-    assert park_euler_characteristic(park) == _euler_characteristic(m)
-    assert park_genus(park) == _genus_of_characteristic(_euler_characteristic(m))
-    for garden in park.gardens:
+    assert park_euler_characteristic(realized) == _euler_characteristic(m)
+    assert park_genus(realized) == _genus_of_characteristic(_euler_characteristic(m))
+    for garden in realized.gardens:
         assert (garden.kind, garden.partner_id) == ("orientable", None), garden.id
         assert garden.edges, garden.id
-    assert all(vertex.pair_id is None for vertex in park.all_vertices())
+    assert all(vertex.pair_id is None for vertex in realized.all_vertices())
     for name in ("edges", "vertices", "gardens"):
-        assert all(k == v for k, v in getattr(park.involution, name).items()), name
-    return park
+        assert all(k == v for k, v in getattr(realized.involution, name).items()), name
+    return realized
 
 
 def chains_product_brute(d, s):
@@ -611,6 +660,54 @@ def real_structures(m) -> list[tuple]:
         if validate_relations(real) and validate_genericity(real):
             found.append(sigma)
     return found
+
+
+def _lift(d, chi, rho) -> list[tuple]:
+    """The generators on the ``2*d`` half-sheets of a d-sheet tuple, with
+    the real structure the standard matching: each ``χ`` acts on both
+    halves, and each ``ρ`` as the reflection ``w -> d + ρ(w)``,
+    ``d + w -> ρ(w)``.  The ``x`` first, then the ``c``."""
+    sheets = range(d)
+    xs = [tuple(p) + tuple(d + p[a] for a in sheets) for p in chi]
+    cs = [tuple(d + r[a] for a in sheets) + tuple(r) for r in rho]
+    return xs + cs
+
+
+def sheet_tuples(d, t, s) -> list[tuple]:
+    """Every labelled d-sheet tuple ``(χ, ρ)`` of the cell ``(d, t, s)``,
+    the orbifold model of a real function (ROADMAP item 13): transpositions
+    ``χ_1..χ_t`` and involutions ``ρ_1..ρ_{s+1}`` of the ``d`` sheets,
+    each ``ρ_k ρ_{k+1}`` a transposition, with the seam
+    ``ρ_1 = ε ρ_{s+1} ε⁻¹`` for ``ε = (χ_1⋯χ_t)⁻¹``, whose 2d lift is
+    transitive: the surface is connected.  In product order of ``χ``, then
+    of the ``ρ``."""
+    sheets = range(d)
+    transpositions = [from_cycles(d, [pair]) for pair in combinations(sheets, 2)]
+    involutions = [p for p in permutations(sheets) if all(p[p[a]] == a for a in sheets)]
+    chains = [(r,) for r in involutions]
+    for _ in range(s):
+        chains = [
+            chain + (r,)
+            for chain in chains
+            for r in involutions
+            if sum(chain[-1][r[a]] != a for a in sheets) == 2
+        ]
+    found = []
+    for chi in product(transpositions, repeat=t):
+        eps = inverse(compose_all(list(chi), d))
+        for rho in chains:
+            if conjugate(rho[-1], eps) == rho[0] and len(orbits(_lift(d, chi, rho), 2 * d)) == 1:
+                found.append((chi, rho))
+    return found
+
+
+def tuple_to_rep(chi, rho):
+    """The representation of a d-sheet tuple in the 2d encoding, with the
+    real structure the standard matching (see :func:`_lift`); ``e`` is
+    derived."""
+    d = len(rho[0])
+    generators = _lift(d, chi, rho)
+    return build(d, generators[: len(chi)], generators[len(chi) :])
 
 
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")

@@ -21,7 +21,7 @@ from parkscope import (
     validate_park,
 )
 from parkscope import extraction, park as park_module
-from parkscope.extraction import _euler_characteristic, _Extraction
+from parkscope.extraction import _euler_characteristic
 from parkscope.monodromy import validate_genericity, validate_relations
 from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_dict
 from parkscope.permgroup import compose, from_cycles
@@ -30,10 +30,13 @@ from conftest import (
     assemble_park,
     chains_product_brute,
     check_extraction,
+    corner_vertices,
     enumerated_reps,
     exits_from_orbits,
     make_unrealizable_rep,
     monodromy_to_park_full,
+    nodes_from_weights,
+    orbit_weights,
     realized_reps,
 )
 
@@ -69,13 +72,13 @@ def test_loop3_nodes_and_alleys(loop3_rep, loop3_park):
     assert len(entrances) == 1 and len(exits) == 1
     assert entrances[0].genus == 0 and exits[0].genus == 0
     assert len(loop3_park.alleys) == 2
-    # the extraction's cells agree with the assembled park
-    ex = _Extraction(loop3_rep)
-    assert [cell.degree for cell in ex.white_cells + ex.black_cells] == [3, 3]
-    assert len(ex.entrances) == 1 and len(ex.exit_nodes) == 1
-    sig = ex.entrances[0].signature
+    # the skeleton memo the extraction filled agrees with the park
+    memo = loop3_rep._mark.cells
+    assert (memo.faces, memo.mirror) == ([(0, 2, 1)], [0])
+    assert (memo.genera, memo.node_of_face, memo.exits) == ([0], [0], [0])
+    assert (memo.nodes, memo.alleys) == (loop3_park.nodes, loop3_park.alleys)
+    (sig,), _ = nodes_from_weights(orbit_weights(loop3_rep))
     assert (sig.genus, sig.circles, sig.degrees, sig.branch_points) == (0, 1, (3,), 2)
-    assert len(ex.gardens) == 1
 
 
 def test_single_sheet_park(single_sheet_rep):
@@ -281,21 +284,17 @@ def test_cheap_characteristic_invariants():
     reps += rng.sample(cell_reps, min(300, len(cell_reps)))
     for rep in reps:
         park = assemble_park(rep)
-        ex = _Extraction(rep)
         # every vertex has four ends and every segment two
         segments = [e for e in park.all_edges() if e.kind == "segment"]
-        assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(ex.vertices)
+        vertices = set(corner_vertices(rep).values())
+        assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(vertices)
         # entrances and the exits built from orbits pair off, one to one,
         # with equal signatures
-        exit_nodes, _, exit_paired_with = exits_from_orbits(ex)
-        assert sorted(n.orbit for n in exit_paired_with) == sorted(
-            n.orbit for n in ex.entrances
-        )
-        assert sorted(n.orbit for n in exit_paired_with.values()) == sorted(
-            n.orbit for n in exit_nodes
-        )
-        for entrance, exit_node in exit_paired_with.items():
-            assert exit_node.signature == entrance.signature
+        exits, paired = exits_from_orbits(rep)
+        signatures, _ = nodes_from_weights(orbit_weights(rep))
+        assert sorted(paired) == list(range(len(exits))) and len(paired) == len(signatures)
+        for k, signature in zip(paired, signatures):
+            assert exits[k][1] == signature
         d, t, s = rep.degree, rep.cone_points, rep.corner_points
         double = sum(
             sum(u[a] != a for a in range(d)) == 4
@@ -364,10 +363,10 @@ def test_rejected_reps_never_reach_the_walk(monkeypatch):
     expected = rejections()
     assert all(rep._mark.cells is None for rep in reps)
 
-    def unreachable(self, m):
+    def unreachable(m):
         raise AssertionError("a rejected rep reached the extraction")
 
-    monkeypatch.setattr(_Extraction, "__init__", unreachable)
+    monkeypatch.setattr(extraction, "_build_park", unreachable)
     assert rejections() == expected
 
 
@@ -403,7 +402,7 @@ def test_park_bytes_are_pinned():
 
 
 def test_assembled_parks_equal_their_json_round_trip():
-    """``_assemble`` builds every park record unchecked, through
+    """``_build_park`` makes every park record unchecked, through
     ``monodromy._trusted``: each park of the pinned sweep equals the park
     that the checked constructors make from its JSON, so no field holds a
     list, say, where they would make a tuple."""
@@ -518,6 +517,35 @@ def test_skeleton_memo_does_not_depend_on_extraction_order():
             assert _outcome_figures(rep) == _outcome_figures(rebuilt), (cell, rep)
             checked += 1
     assert (checked, sharing) == (5766, 3668)
+
+
+def test_parks_of_one_skeleton_share_no_mutable_state():
+    """Two realized reps of one white skeleton share one mark, and so one
+    memo: their parks share the immutable node and alley records, but each
+    gets five involution dicts of its own.  Replacing one park's
+    involution, or clearing its dicts in place, leaves the other park's
+    JSON, and that of a park built again from the memo, as it was."""
+    by_mark = {}
+    for rep, _ in realized_reps(3, 5):
+        by_mark.setdefault(id(rep._mark), []).append(rep)
+    first, second = next(reps for reps in by_mark.values() if len(reps) > 1)[:2]
+    assert first._mark is second._mark and first != second
+    # parks of their own: the ones realized_reps holds are shared with other tests
+    p1, p2 = monodromy_to_park(first), monodromy_to_park(second)
+    assert p1.nodes is p2.nodes and p1.alleys is p2.alleys
+    names = ("nodes", "faces", "edges", "vertices", "gardens")
+    for name in names:
+        assert getattr(p1.involution, name) is not getattr(p2.involution, name), name
+    before = to_json_dict(p2)
+    replaced = dataclasses.replace(
+        p1, involution=dataclasses.replace(p1.involution, faces={}, nodes={})
+    )
+    assert replaced.involution.faces == {} and to_json_dict(p2) == before
+    for name in names:
+        getattr(p1.involution, name).clear()
+    assert to_json_dict(p2) == before
+    assert to_json_dict(monodromy_to_park(second)) == before
+    assert monodromy_to_park(first).involution.faces
 
 
 def _black_halves(d):

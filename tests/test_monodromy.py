@@ -21,11 +21,14 @@ from parkscope import monodromy, permgroup as pg
 
 from conftest import (
     EXAMPLE_REP_PATH,
+    check_extraction,
     enumerated_reps,
     make_chord_rep,
     make_loop3_rep,
     make_single_sheet_rep,
     real_structures,
+    sheet_tuples,
+    tuple_to_rep,
 )
 
 
@@ -280,3 +283,49 @@ def test_reps_with_single_corners_and_a_real_structure_are_realized():
         except NonRealizableError:
             rejected.append(m)
     assert rejected == []
+
+
+#: The cells of the tuple-count pin: every d <= 3 cell with t + s <= 5, and
+#: three of degree 4, with their tuple counts.
+TUPLE_CELLS = [(d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)]
+DEGREE_4_TUPLES = {(4, 2, 0): 0, (4, 2, 2): 288, (4, 3, 0): 384}
+
+
+def test_sheet_tuples_count_the_single_corner_real_structures():
+    """Each labelled d-sheet tuple is one (enumerated rep, real structure)
+    pair whose corners are single transpositions: the counts agree on
+    every d <= 3 cell with t + s <= 5 and on (4,2,0), (4,2,2) and (4,3,0).
+    (4,2,0) is one of the cells where transitivity on the d sheets alone
+    would overcount; its tuples all have a disconnected 2d lift."""
+    counts = {}
+    for cell in TUPLE_CELLS + list(DEGREE_4_TUPLES):
+        pairs = sum(
+            len(real_structures(cls.representative))
+            for cls in enumerate_monodromies(*cell).classes
+            if _single_corners(cls.representative)
+        )
+        counts[cell] = len(sheet_tuples(*cell))
+        assert counts[cell] == pairs, cell
+    assert {cell: counts[cell] for cell in DEGREE_4_TUPLES} == DEGREE_4_TUPLES
+    assert sum(counts[cell] for cell in TUPLE_CELLS) == 995
+
+
+def test_every_sheet_tuple_is_a_realized_generic_rep():
+    """Every tuple of every d <= 3 cell with t + s <= 5 and of (4,1,3),
+    (4,2,2), (4,3,0) and (4,4,0), encoded with its real structure
+    standard: the rep passes the representation gate and has a park.
+    These reps carry a ``c[1]`` that is not the standard matching and a
+    mark of their own, so they reach extraction off the enumeration path;
+    on those of degree 3 or less, every cell of the park is checked
+    against one built from scratch."""
+    cells = TUPLE_CELLS + [(4, 1, 3), (4, 2, 2), (4, 3, 0), (4, 4, 0)]
+    reps = [tuple_to_rep(chi, rho) for cell in cells for chi, rho in sheet_tuples(*cell)]
+    for m in reps:
+        monodromy._require_generic(m)
+        assert m._mark is not None and m._mark.cells is None
+        park = monodromy_to_park(m)
+        assert m._mark.cells is not None and park._mark
+        if m.degree <= 3:
+            assert check_extraction(m) == park
+    assert len(reps) == 4691
+    assert sum(m.c[0] != pg.mirror_matching(m.degree) for m in reps) == 3065

@@ -321,6 +321,25 @@ def test_validator_raises_on_dangling_reference(example_park_dict):
         validate_park(park)
 
 
+def test_type_summary_checks_its_park_through_the_gate(report_runs, example_park_dict, loop3_rep):
+    """``type_summary`` checks an unmarked park through the park gate: a
+    dangling alley raises the ``ValueError`` that ``validate_park`` raises,
+    and a park that breaks a rule the gate's text; a marked park is not
+    checked."""
+    dangling = _mutated(example_park_dict, lambda obj: obj["alleys"][0].update(face=99))
+    with pytest.raises(ValueError, match="^alley 1 references unknown face 99$"):
+        validate_park(dangling)
+    with pytest.raises(ValueError, match="^alley 1 references unknown face 99$"):
+        type_summary(dangling)
+    failing = _mutated(example_park_dict, lambda obj: obj.update(t=5))
+    with pytest.raises(ValueError, match="^park fails validation: cone-count: "):
+        type_summary(failing)
+    assert report_runs == [dangling, dangling, failing]
+    park = monodromy_to_park(loop3_rep)
+    assert type_summary(park).degree == 3
+    assert report_runs == [dangling, dangling, failing]
+
+
 def test_genus_rejects_odd_characteristic():
     # one entrance collecting both faces, one exit collecting one: the
     # node caps sum to an odd Euler characteristic
