@@ -271,8 +271,6 @@ def _park_morphisms(
 
 
 def _rotated_label(label: int, s: int, rotation: int, reflected: bool) -> int:
-    if s == 0:
-        return label
     if reflected:
         return ((rotation - (label - 1)) % s) + 1
     return ((label - 1 + rotation) % s) + 1

@@ -60,6 +60,7 @@ Euler characteristic of :func:`_euler_characteristic`, realized or not.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonRealizableError
@@ -166,7 +167,7 @@ def _build_park(m: MonodromyRep) -> Park:
     boundary of the white face it mirrors, each rotated to its least
     form.  The involution pairs each white face with its mirror and each
     entrance with its exit, and fixes every edge, vertex and garden, so
-    every garden is orientable.  Its five dicts are new on every call.
+    every garden is orientable.
     """
     mark = m._mark
     if mark.cells is None:
@@ -314,11 +315,11 @@ def _build_park(m: MonodromyRep) -> Park:
         alleys=alleys,
         involution=_trusted(
             Involution,
-            nodes=node_map,
-            faces=face_map,
-            edges={eid: eid for eid in range(1, len(chains) + 1)},
-            vertices={vid: vid for vid in range(1, len(vertices) + 1)},
-            gardens={g: g for g in range(1, len(gardens) + 1)},
+            nodes=MappingProxyType(node_map),
+            faces=MappingProxyType(face_map),
+            edges=MappingProxyType({eid: eid for eid in range(1, len(chains) + 1)}),
+            vertices=MappingProxyType({vid: vid for vid in range(1, len(vertices) + 1)}),
+            gardens=MappingProxyType({g: g for g in range(1, len(gardens) + 1)}),
         ),
     )
 

@@ -73,13 +73,11 @@ def branch_count(genus: int, degrees) -> int:
 
 def centralizer_order(degrees) -> int:
     """Order of the centralizer of a permutation with the given cycle type."""
-    degs = _check_signature(0, degrees)
-    out = 1
-    for deg in degs:
-        out *= deg
-    for mult in Counter(degs).values():
-        out *= math.factorial(mult)
-    return out
+    return _centralizer_order(_check_signature(0, degrees))
+
+
+def _centralizer_order(degs: tuple[int, ...]) -> int:
+    return math.prod(degs) * math.prod(map(math.factorial, Counter(degs).values()))
 
 
 def interleaving_factor(branch_counts) -> int:
@@ -194,17 +192,18 @@ def clear_cache() -> None:
 # ---------------------------------------------------------------------------
 
 
-def single_hurwitz_brute(genus: int, degrees, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fraction:
+def single_hurwitz_brute(genus: int, degrees) -> Fraction:
     """Literal enumeration of transposition tuples, with distance pruning.
 
     Same value as :func:`single_hurwitz`; exponentially slower, used as
-    the independent verification path.
+    the independent verification path.  A total degree above
+    :data:`DEFAULT_DEGREE_BOUND` raises :class:`ResourceLimitError`.
     """
     degs = tuple(sorted(_check_signature(genus, degrees), reverse=True))
     d = sum(degs)
-    if d > degree_bound:
+    if d > DEFAULT_DEGREE_BOUND:
         raise ResourceLimitError(
-            f"degree {d} exceeds the configured bound {degree_bound}"
+            f"degree {d} exceeds the configured bound {DEFAULT_DEGREE_BOUND}"
         )
     b = branch_count(genus, degs)
     sigma = _perm_of_type(degs)
@@ -255,24 +254,29 @@ def single_hurwitz(
     or a branch count above :data:`BRANCH_COUNT_BOUND` raises
     :class:`ResourceLimitError`.
     """
-    degs = tuple(sorted(_check_signature(genus, degrees)))
-    d = sum(degs)
+    shape = tuple(sorted(_check_signature(genus, degrees), reverse=True))
+    return _single_hurwitz(genus, shape, degree_bound)
+
+
+def _single_hurwitz(genus: int, shape: tuple[int, ...], degree_bound: int) -> Fraction:
+    """:func:`single_hurwitz` of a checked signature: ``genus >= 0`` and
+    ``shape`` a non-empty tuple of positive degrees in decreasing order."""
+    d = sum(shape)
     if d > degree_bound:
         raise ResourceLimitError(
             f"degree {d} exceeds the configured bound {degree_bound}"
         )
-    b = branch_count(genus, degs)
+    b = 2 * genus - 2 + len(shape) + d
     if b > BRANCH_COUNT_BOUND:
         raise ResourceLimitError(
             f"branch count {b} exceeds the bound {BRANCH_COUNT_BOUND}"
         )
-    shape = tuple(sorted(degs, reverse=True))
     count = _connected_count(shape, b)
     if count < 0:
         raise ArithmeticError(
-            f"internal count for genus={genus} degrees={degs} is negative"
+            f"internal count for genus={genus} degrees={shape} is negative"
         )
-    return Fraction(count, centralizer_order(degs))
+    return Fraction(count, _centralizer_order(shape))
 
 
 def one_part_oracle(d: int) -> Fraction:
@@ -288,7 +292,8 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
     The product of the single Hurwitz numbers of all entrances times the
     multinomial interleaving factor of their branch counts.  Exits are
     deliberately not multiplied in: the entrance data already determines
-    the exit side through the involution.
+    the exit side through the involution.  The park gate checks what
+    :func:`_single_hurwitz` assumes of each entrance signature.
     """
     index = _park._validated_index(park)
     signatures = index.signatures
@@ -299,7 +304,5 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
             continue
         signature = signatures[node.id]
         branch_counts.append(signature.branch_points)
-        total *= single_hurwitz(
-            signature.genus, signature.degrees, degree_bound=degree_bound
-        )
+        total *= _single_hurwitz(signature.genus, signature.degrees, degree_bound)
     return total * interleaving_factor(branch_counts)

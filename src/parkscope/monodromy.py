@@ -147,7 +147,7 @@ class MonodromyRep:
 def _trusted(cls: type, **fields: Any) -> Any:
     """An instance of the frozen dataclass ``cls`` with every field set as
     given and no ``__post_init__`` run.  Only for records the library built
-    itself, whose fields are already the tuples, ints and dicts that the
+    itself, whose fields are already the tuples, ints and read-only maps the
     checked constructor would make; a missing field raises ``KeyError``."""
     record = object.__new__(cls)
     for name in cls.__dataclass_fields__:

@@ -34,7 +34,8 @@ the real locus.  Its cells:
 * **involution** -- the combinatorial shadow of complex conjugation: an
   involution of every cell type that swaps entrance/exit roles and face
   colors while preserving genus, degree, length and corner labels, and
-  carries each face boundary, reversed, onto its image face's.
+  carries each face boundary, reversed, onto its image face's.  Its five
+  maps are read-only, so a park, once built, cannot change.
 
 ``validate_park`` checks every axiom and reports violations under stable
 rule codes; structurally broken references (ids that do not resolve)
@@ -51,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import InconsistencyError, NonRealizableError
@@ -264,13 +266,14 @@ class Alley:
 
 @dataclass(frozen=True)
 class Involution:
-    """Cell-type-wise maps of the park involution (all ids, total maps)."""
+    """Cell-type-wise maps of the park involution (all ids, total maps),
+    each stored as a read-only copy of the mapping given."""
 
-    nodes: dict[int, int] = field(default_factory=dict)
-    faces: dict[int, int] = field(default_factory=dict)
-    edges: dict[int, int] = field(default_factory=dict)
-    vertices: dict[int, int] = field(default_factory=dict)
-    gardens: dict[int, int] = field(default_factory=dict)
+    nodes: Mapping[int, int] = field(default_factory=dict)
+    faces: Mapping[int, int] = field(default_factory=dict)
+    edges: Mapping[int, int] = field(default_factory=dict)
+    vertices: Mapping[int, int] = field(default_factory=dict)
+    gardens: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in _CELL_TYPES:
@@ -282,7 +285,7 @@ class Involution:
                 clean[_require_int(key, f"involution {name} key")] = _require_int(
                     value, f"involution {name} value"
                 )
-            object.__setattr__(self, name, clean)
+            object.__setattr__(self, name, MappingProxyType(clean))
 
 
 @dataclass(frozen=True)
@@ -297,9 +300,7 @@ class Park:
     returned, is marked, and the park gate (:func:`_validated_index`)
     checks nothing on it.  The mark is not a field: equality, ``repr`` and
     JSON ignore it, and ``dataclasses.replace`` and :func:`from_json_dict`
-    make unmarked parks.  It assumes the park is not mutated: change the
-    involution's five dicts, its only mutable parts, through
-    ``dataclasses.replace``.
+    make unmarked parks.
     """
 
     corner_points: int
@@ -690,7 +691,7 @@ def _index_report(index: _ParkIndex) -> ParkReport:
     inv = park.involution
     total = True
     for name in _CELL_TYPES:
-        mapping: dict[int, int] = getattr(inv, name)
+        mapping: Mapping[int, int] = getattr(inv, name)
         missing = sorted(set(getattr(index, name)) - set(mapping))
         if missing:
             total = False
@@ -927,11 +928,11 @@ def total_degree(park: Park) -> int:
 class TopSummary:
     """Canonical numeric/structural summary of a park.
 
-    ``cone_points`` is recomputed as the total entrance branch count and
-    ``corner_points`` as the number of distinct corner labels, so the
-    summary depends only on the cell data, never on declared counts.
-    Signatures are sorted, making the summary invariant under relabeling
-    and under the park involution.
+    ``cone_points`` and ``corner_points`` are the declared counts, which
+    the ``cone-count`` and ``corner-count`` rules make the total entrance
+    branch count and the number of distinct corner labels;
+    ``critical_values`` is ``2t + s``.  Signatures are sorted, making the
+    summary invariant under relabeling and under the park involution.
     """
 
     degree: int
@@ -965,27 +966,22 @@ def _garden_signature(
 
 def type_summary(park: Park) -> TopSummary:
     """Compute the canonical :class:`TopSummary` of a park; one that fails
-    :func:`validate_park` raises ``ValueError`` through the park gate."""
+    :func:`validate_park` raises ``ValueError`` through the park gate, and
+    the counts of one that passes are read, not recounted."""
     index = _validated_index(park)
-    node_sigs = []
-    entrance_branch_total = 0
-    for n_id, node in sorted(index.nodes.items()):
-        sig = index.signatures[n_id]
-        if node.role == "entrance":
-            entrance_branch_total += sig.branch_points
-        node_sigs.append(
-            (node.role, sig.genus, sig.circles, sig.degrees, sig.branch_points)
-        )
-    garden_sigs = [_garden_signature(g) for g in park.gardens]
-    corner_count = len({v.corner_label for v in index.vertices.values()})
+    node_sigs = sorted(
+        (index.nodes[n].role, sig.genus, sig.circles, sig.degrees, sig.branch_points)
+        for n, sig in index.signatures.items()
+    )
+    t, s = park.cone_points, park.corner_points
     return TopSummary(
         degree=total_degree(park),
         genus=genus(park),
-        critical_values=2 * entrance_branch_total + corner_count,
-        cone_points=entrance_branch_total,
-        corner_points=corner_count,
-        garden_signatures=tuple(sorted(garden_sigs)),
-        node_signatures=tuple(sorted(node_sigs)),
+        critical_values=2 * t + s,
+        cone_points=t,
+        corner_points=s,
+        garden_signatures=tuple(sorted(_garden_signature(g) for g in park.gardens)),
+        node_signatures=tuple(node_sigs),
     )
 
 
@@ -1040,16 +1036,17 @@ def to_json_dict(park: Park) -> dict[str, Any]:
     }
 
 
-def _parse_int_map(obj: Any, what: str) -> dict[int, int]:
+def _parse_int_map(obj: Any, what: str) -> dict[int, Any]:
+    """``obj`` with integer keys; :class:`Involution` checks the values."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be an object mapping ids to ids")
-    out: dict[int, int] = {}
+    out: dict[int, Any] = {}
     for key, value in obj.items():
         try:
             int_key = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"{what} key {key!r} is not an integer") from None
-        out[int_key] = _require_int(value, f"{what} value")
+        out[int_key] = value
     return out
 
 

@@ -710,6 +710,71 @@ def tuple_to_rep(chi, rho):
     return build(d, generators[: len(chi)], generators[len(chi) :])
 
 
+def real_type(m, sigma) -> tuple[int, bool]:
+    """The topological type of the real curve of a rep with single corners
+    and its real structure ``sigma`` (one of :func:`real_structures`),
+    read off the permutations, with no park (ROADMAP item 16): the number
+    of ovals, and whether the curve is dividing.
+
+    ``ρ_i = σ∘c_i`` on the whites; its fixed points are the real sheets
+    over arc ``i``.  The ovals are the components of the graph on the
+    ``(i, a)`` with ``a`` fixed by ``ρ_i``: a sheet fixed on both sides of
+    corner ``k`` continues across it; the corner transposition ``(a b) =
+    ρ_k ρ_{k+1}`` commutes with ``ρ_k``, so one side fixes both ``a`` and
+    ``b``, and there it joins them; and ``e`` carries ``(s + 1, a)`` to
+    ``(1, e(a))``.  The curve is dividing when ``C/σ``, glued from the
+    white half-sheets, is orientable: when the sheets 2-color with each
+    ``χ``-pair in one color and each ``ρ``-pair in two."""
+    d, s = m.degree, m.corner_points
+    rho = [tuple(sigma[c[a]] for a in range(d)) for c in m.c]
+    root = {(i, a): (i, a) for i in range(s + 1) for a in range(d) if rho[i][a] == a}
+
+    def find(node):
+        while root[node] != node:
+            node = root[node]
+        return node
+
+    def join(p, q):
+        root[find(p)] = find(q)
+
+    for k in range(s):
+        for a in range(d):
+            b = rho[k][rho[k + 1][a]]
+            if b == a:
+                # ρ_k and ρ_{k+1} agree at a, so both fix it or neither does
+                if rho[k][a] == a:
+                    join((k, a), (k + 1, a))
+            else:
+                side = k if rho[k][a] == a else k + 1
+                join((side, a), (side, b))
+    for a in range(d):
+        if rho[s][a] == a:
+            join((s, a), (0, m.e[a]))
+    ovals = sum(1 for node in root if find(node) == node)
+
+    # parity 0 joins a χ-pair (one color), parity 1 a ρ-pair (two colors)
+    links: dict[int, list[tuple[int, int]]] = {a: [] for a in range(d)}
+    for x in m.x:
+        a = next(a for a in range(d) if x[a] != a)
+        links[a].append((x[a], 0))
+        links[x[a]].append((a, 0))
+    for r in rho:
+        for a in range(d):
+            if r[a] != a:
+                links[a].append((r[a], 1))
+    color = {0: 0}
+    todo = [0]
+    while todo:
+        a = todo.pop()
+        for b, parity in links[a]:
+            if b not in color:
+                color[b] = color[a] ^ parity
+                todo.append(b)
+            elif color[b] != color[a] ^ parity:
+                return ovals, False
+    return ovals, True
+
+
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")
 
 

@@ -11,6 +11,7 @@ from parkscope.cli import main
 from conftest import (
     EXAMPLE_PARK_PATH,
     EXAMPLE_REP_PATH,
+    make_chord_rep,
     make_loop3_rep,
     make_unrealizable_rep,
     realized_reps,
@@ -249,6 +250,14 @@ def test_single_hurwitz_large_genus_is_a_resource_limit(genus, degrees):
     assert b"Traceback" not in proc.stderr
 
 
+def test_enumerate_over_budget_in_process_is_exit_3(capsys):
+    assert main(["enumerate", "--degree", "5", "--cone", "0", "--corner", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "candidate space 9765625 exceeds budget 5000000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("cell", [("4", "0", "8"), ("5", "8", "0")], ids=["4-0-8", "5-8-0"])
 def test_enumerate_over_budget_is_a_resource_limit(cell):
     """Refused before the candidates are built: exit 3 in a child capped
@@ -285,6 +294,23 @@ def test_isomorphic_self(capsys):
     )
     out = capsys.readouterr().out
     assert "isomorphic" in out
+
+
+def test_isomorphic_chord_park_lists_its_vertices(tmp_path, capsys):
+    """The chord park has two vertices, so ``isomorphic`` of it with
+    itself ends with a ``vertices:`` line."""
+    park_path = tmp_path / "chord.json"
+    park_path.write_text(json.dumps(park.to_json_dict(monodromy_to_park(make_chord_rep()))))
+    assert main(["isomorphic", str(park_path), str(park_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "isomorphic",
+        "corner rotation: 0",
+        "gardens: 1->1",
+        "faces:   1->1 2->2 3->3 4->4",
+        "edges:   1->1 2->2 3->3 4->4",
+        "nodes:   1->1 2->2 3->3 4->4",
+        "vertices: 1->1 2->2",
+    ]
 
 
 def test_isomorphic_negative(loop3_file, tmp_path, capsys):

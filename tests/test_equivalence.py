@@ -663,6 +663,16 @@ def test_enumeration_budget_is_checked_before_building(cell, size):
     assert proc.stdout.decode().strip() == f"candidate space {size} exceeds budget 5000000"
 
 
+def test_enumeration_budget_refuses_in_process():
+    """The budget check, in this process: (5,0,5) has 25 corner moves,
+    so 25**5 candidates, and is refused before anything is built."""
+    assert len(equivalence._corner_moves(5)) == 25
+    with pytest.raises(
+        ResourceLimitError, match="^candidate space 9765625 exceeds budget 5000000$"
+    ):
+        enumerate_monodromies(5, 0, 5)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_two_involutions_factor_every_permutation(n):
     """``_two_involutions(p)`` gives involutions ``a``, ``b`` with ``a``

@@ -522,9 +522,10 @@ def test_skeleton_memo_does_not_depend_on_extraction_order():
 def test_parks_of_one_skeleton_share_no_mutable_state():
     """Two realized reps of one white skeleton share one mark, and so one
     memo: their parks share the immutable node and alley records, but each
-    gets five involution dicts of its own.  Replacing one park's
-    involution, or clearing its dicts in place, leaves the other park's
-    JSON, and that of a park built again from the memo, as it was."""
+    gets five involution maps of its own, all read-only.  Replacing one
+    park's involution leaves the other park's JSON, and that of a park
+    built again from the memo, as it was, and clearing its maps in place
+    raises."""
     by_mark = {}
     for rep, _ in realized_reps(3, 5):
         by_mark.setdefault(id(rep._mark), []).append(rep)
@@ -542,7 +543,10 @@ def test_parks_of_one_skeleton_share_no_mutable_state():
     )
     assert replaced.involution.faces == {} and to_json_dict(p2) == before
     for name in names:
-        getattr(p1.involution, name).clear()
+        with pytest.raises(AttributeError):
+            getattr(p1.involution, name).clear()
+        with pytest.raises(TypeError):
+            getattr(p1.involution, name)[1] = 1
     assert to_json_dict(p2) == before
     assert to_json_dict(monodromy_to_park(second)) == before
     assert monodromy_to_park(first).involution.faces

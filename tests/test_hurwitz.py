@@ -14,8 +14,11 @@ from parkscope import (
     single_hurwitz,
     single_hurwitz_brute,
 )
+from parkscope import hurwitz
 from parkscope.hurwitz import BRANCH_COUNT_BOUND, centralizer_order
 from parkscope.park import from_json_dict, to_json_dict
+
+from conftest import realized_reps
 
 
 def _partitions(total, largest=None):
@@ -88,12 +91,16 @@ def test_interleaving_factor():
         interleaving_factor([-1])
 
 
-def test_degree_bound_enforced():
+def test_degree_bound_enforced(example_park):
     with pytest.raises(ResourceLimitError):
         single_hurwitz(0, (7,))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^degree 7 exceeds the configured bound 6$"):
         single_hurwitz_brute(0, (4, 3))
     assert single_hurwitz(0, (7,), degree_bound=8) == Fraction(7) ** 4
+    # park_hurwitz keeps the bound and its text on the signatures it
+    # takes unchecked from the park gate
+    with pytest.raises(ResourceLimitError, match="^degree 3 exceeds the configured bound 2$"):
+        park_hurwitz(example_park, degree_bound=2)
 
 
 def test_branch_count_bound_enforced():
@@ -112,6 +119,39 @@ def test_signature_validation():
         single_hurwitz(0, ())
     with pytest.raises(ValueError):
         single_hurwitz(0, (0,))
+
+
+def test_clear_cache_empties_both_memos():
+    """``clear_cache`` empties the two memo caches, and a recount after it
+    gives the same value."""
+    before = single_hurwitz(1, (2, 1))
+    assert hurwitz._connected_count.cache_info().currsize
+    assert hurwitz._raw_count.cache_info().currsize
+    hurwitz.clear_cache()
+    assert hurwitz._connected_count.cache_info().currsize == 0
+    assert hurwitz._raw_count.cache_info().currsize == 0
+    assert single_hurwitz(1, (2, 1)) == before
+
+
+def test_park_hurwitz_equals_the_checked_product():
+    """On every realized park with d <= 3 and t + s <= 5, the unchecked
+    core that ``park_hurwitz`` feeds gives what the checked public
+    ``single_hurwitz`` gives on each entrance signature."""
+    for _, park in realized_reps(3, 5):
+        faces = {f.id: f for f in park.all_faces()}
+        degrees = {n.id: [] for n in park.nodes}
+        for a in park.alleys:
+            degrees[a.node_id].append(faces[a.face_id].degree)
+        entrances = [
+            (n.genus, degrees[n.id])
+            for n in sorted(park.nodes, key=lambda n: n.id)
+            if n.role == "entrance"
+        ]
+        expected = Fraction(1)
+        for genus, degrees in entrances:
+            expected *= single_hurwitz(genus, degrees)
+        expected *= interleaving_factor(branch_count(g, ds) for g, ds in entrances)
+        assert park_hurwitz(park) == expected, park
 
 
 def test_park_hurwitz_single_entrance(loop3_park):

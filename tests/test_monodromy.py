@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from conftest import (
     make_loop3_rep,
     make_single_sheet_rep,
     real_structures,
+    real_type,
     sheet_tuples,
     tuple_to_rep,
 )
@@ -286,17 +288,24 @@ def test_reps_with_single_corners_and_a_real_structure_are_realized():
 
 
 #: The cells of the tuple-count pin: every d <= 3 cell with t + s <= 5, and
-#: three of degree 4, with their tuple counts.
+#: every d = 4 cell with t + s <= 5 but the four slowest, (4,2,3), (4,3,2),
+#: (4,4,1) and (4,5,0), with their tuple counts.
 TUPLE_CELLS = [(d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)]
-DEGREE_4_TUPLES = {(4, 2, 0): 0, (4, 2, 2): 288, (4, 3, 0): 384}
+DEGREE_4_TUPLES = {
+    (4, t, s): {(1, 4): 384, (2, 2): 288, (3, 0): 384, (4, 0): 3024}.get((t, s), 0)
+    for t in range(6)
+    for s in range(6 - t)
+    if (t, s) not in ((2, 3), (3, 2), (4, 1), (5, 0))
+}
 
 
 def test_sheet_tuples_count_the_single_corner_real_structures():
     """Each labelled d-sheet tuple is one (enumerated rep, real structure)
     pair whose corners are single transpositions: the counts agree on
-    every d <= 3 cell with t + s <= 5 and on (4,2,0), (4,2,2) and (4,3,0).
-    (4,2,0) is one of the cells where transitivity on the d sheets alone
-    would overcount; its tuples all have a disconnected 2d lift."""
+    every d <= 3 cell with t + s <= 5 and on the 17 cells of
+    ``DEGREE_4_TUPLES``.  (4,2,0) and (4,4,0) are two of the cells where
+    transitivity on the d sheets alone would overcount (24 and 3,120
+    tuples); their extra tuples have a disconnected 2d lift."""
     counts = {}
     for cell in TUPLE_CELLS + list(DEGREE_4_TUPLES):
         pairs = sum(
@@ -308,6 +317,69 @@ def test_sheet_tuples_count_the_single_corner_real_structures():
         assert counts[cell] == pairs, cell
     assert {cell: counts[cell] for cell in DEGREE_4_TUPLES} == DEGREE_4_TUPLES
     assert sum(counts[cell] for cell in TUPLE_CELLS) == 995
+
+
+def test_single_corners_and_real_structures_against_realization():
+    """ROADMAP item 12's table on every d <= 3 cell with t + s <= 5 and on
+    (4,2,2), (4,3,0) and (4,4,0): every enumerated rep counted by whether
+    its corners are single transpositions, whether it has a real
+    structure, and whether it has a park.  No rep with both is rejected,
+    and no rep without single corners is realized."""
+    rows = Counter()
+    for cell in TUPLE_CELLS + [(4, 2, 2), (4, 3, 0), (4, 4, 0)]:
+        for cls in enumerate_monodromies(*cell).classes:
+            m = cls.representative
+            try:
+                monodromy_to_park(m)
+                realized = True
+            except NonRealizableError:
+                realized = False
+            rows[_single_corners(m), bool(real_structures(m)), realized] += 1
+    assert rows == {
+        (True, True, True): 2070,
+        (True, False, True): 1506,
+        (True, False, False): 618,
+        (False, True, False): 240,
+        (False, False, False): 1332,
+    }
+
+
+def test_real_types_of_small_cells():
+    """``real_type`` over every (rep, real structure) pair of a cell: in
+    (2,1,0) the two real structures of the one rep give an empty real
+    locus and one dividing oval."""
+    types = {}
+    for cell in ((2, 1, 0), (2, 2, 0), (3, 3, 0)):
+        types[cell] = {
+            real_type(cls.representative, sigma)
+            for cls in enumerate_monodromies(*cell).classes
+            for sigma in real_structures(cls.representative)
+        }
+    assert types == {
+        (2, 1, 0): {(0, False), (1, True)},
+        (2, 2, 0): {(0, False), (2, True)},
+        (3, 3, 0): {(1, False), (2, True)},
+    }
+
+
+def test_real_types_obey_harnack_and_klein():
+    """Over the 995 single-corner (rep, real structure) pairs with d <= 3
+    and t + s <= 5, with ``g`` the genus the counts force, the real types
+    obey three classical facts: Harnack's bound ``k <= g + 1``; Klein's
+    congruence ``k = g + 1 (mod 2)`` for a dividing curve; and ``k <= g``
+    for a non-dividing one."""
+    pairs = 0
+    for m in enumerated_reps(3, 5):
+        for sigma in real_structures(m) if _single_corners(m) else ():
+            g = genus_from_counts(m)
+            ovals, dividing = real_type(m, sigma)
+            assert ovals <= g + 1, (m, sigma)
+            if dividing:
+                assert (ovals - g - 1) % 2 == 0, (m, sigma)
+            else:
+                assert ovals <= g, (m, sigma)
+            pairs += 1
+    assert pairs == 995
 
 
 def test_every_sheet_tuple_is_a_realized_generic_rep():

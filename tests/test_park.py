@@ -484,6 +484,10 @@ def _swap_vertices(obj):
                 "vertex 1 declares pair 2 but the involution sends it to 1",
             ),
         ),
+        (
+            lambda obj: obj["nodes"][0].update(genus=-1),
+            ("signature-arithmetic", "node 1 has negative genus -1"),
+        ),
     ],
     ids=[
         "edge in three boundaries",
@@ -497,6 +501,7 @@ def _swap_vertices(obj):
         "corner label changed",
         "vertex leaves its garden's image",
         "vertex pair disagrees",
+        "negative genus",
     ],
 )
 def test_validator_branch(example_park_dict, change, violation):
@@ -719,13 +724,57 @@ def test_validate_park_runs_every_rule_on_a_marked_park(report_runs, loop3_rep):
     park = monodromy_to_park(loop3_rep)
     assert validate_park(park) and validate_park(park)
     assert report_runs == [park, park]
-    # A marked park that is mutated in place keeps its mark, so the gate
-    # trusts it; validate_park still finds what broke.
-    park.involution.faces.clear()
+    # A marked park cannot be changed in place, so its mark cannot go
+    # stale; a changed copy is unmarked, and validate_park finds what broke.
+    with pytest.raises(AttributeError):
+        park.involution.faces.clear()
+    with pytest.raises(TypeError):
+        park.involution.faces[1] = 1
     park_hurwitz(park)
-    report = validate_park(park)
+    broken = dataclasses.replace(
+        park, involution=dataclasses.replace(park.involution, faces={})
+    )
+    report = validate_park(broken)
     assert not report
     assert report.violations[0][0] == "involution-involutive"
+    assert report_runs == [park, park, broken]
+
+
+def test_involution_maps_reject_change_in_place(chord_rep, example_park):
+    """Every way to get an involution gives five read-only maps: item
+    assignment raises ``TypeError``, and ``clear`` and ``update`` are not
+    there.  So the chord park cannot lose its face map between its mark
+    and the gate, and ``dataclasses.replace`` makes a new, unmarked park
+    that the gate checks."""
+    chord = monodromy_to_park(chord_rep)
+    involutions = (
+        chord.involution,
+        from_json_dict(to_json_dict(chord)).involution,
+        example_park.involution,
+        Involution(nodes={1: 2, 2: 1}, faces={1: 1}),
+        find_park_involution(example_park),
+    )
+    for involution in involutions:
+        for name in ("nodes", "faces", "edges", "vertices", "gardens"):
+            mapping = getattr(involution, name)
+            before = dict(mapping)
+            with pytest.raises(TypeError):
+                mapping[1] = 1
+            for method, args in (("clear", ()), ("update", ({1: 1},))):
+                with pytest.raises(AttributeError):
+                    getattr(mapping, method)(*args)
+            assert mapping == before
+    source = {1: 2, 2: 1}
+    involution = Involution(nodes=source)
+    source[1] = 1
+    assert involution.nodes == {1: 2, 2: 1}
+    assert chord._mark and park_isomorphic(chord, chord) is not None
+    replaced = dataclasses.replace(
+        chord, involution=dataclasses.replace(chord.involution, faces={})
+    )
+    assert not replaced._mark
+    with pytest.raises(ValueError, match="^park fails validation: involution-involutive"):
+        park_isomorphic(replaced, chord)
 
 
 def test_a_park_that_fails_is_never_marked(report_runs, example_park_dict):
