@@ -22,8 +22,10 @@
   The key engine works on a batch and runs each stage once per distinct
   value of what it reads: the relabelings once per ``c[1]``, the
   orbit-system stage once per ``(c[1], orbit system)``, the ``e`` stage
-  once per ``(c[1], x, e)``, and each representation only the reflections
-  after the first, one at a time, over the relabelings that tie.
+  once per ``(c[1], x, e)``.  The later reflections run one at a time,
+  over the relabelings that tie, along a path kept per ``(c[1], x, e)``:
+  a representation runs only the reflections after the longest prefix it
+  shares with the last representation of its ``(c[1], x, e)``.
 * ``enumerate_monodromies`` generates all valid generic representations
   for small parameters, up to color-preserving relabeling of sheets, and
   deduplicates at three levels: raw, relabeling-equivalence classes, or
@@ -35,9 +37,11 @@ the public ``monodromy_to_park`` it extracts through checks nothing
 again, and it keys through the unvalidated core ``_canonical_keys``.
 Parks have a gate of their own, ``park._validated_index``, which checks
 nothing on the parks that ``monodromy_to_park`` marks.  The park merge
-``_isomorphism_groups`` calls the public ``park_isomorphic`` on a park
-only against earlier parks of equal ``_merge_signature``, an invariant
-of park isomorphism; the search still decides every merge.
+``_isomorphism_groups`` indexes each park once and searches it, through
+``_isomorphism``, the core that ``park_isomorphic`` wraps, only against
+earlier parks of equal ``_merge_signature``, an invariant of park
+isomorphism, and only at the corner rotations that the two parks' least
+rotations allow; the search still decides every merge.
 """
 
 from __future__ import annotations
@@ -290,7 +294,20 @@ def park_isomorphic(
     park gate, which checks nothing on a park that ``monodromy_to_park``
     built or that passed ``validate_park``.
     """
-    src, dst = _validated_index(p1), _validated_index(p2)
+    reflections = (False, True) if allow_reflection else (False,)
+    rotations = range(p1.corner_points or 1)
+    return _isomorphism(
+        _validated_index(p1), _validated_index(p2), product(reflections, rotations)
+    )
+
+
+def _isomorphism(
+    src: _ParkIndex, dst: _ParkIndex, tries: Iterable[tuple[bool, int]]
+) -> ParkIsomorphism | None:
+    """The first map of the park-morphism search from ``src``'s park to
+    ``dst``'s for each ``(reflected, rotation)`` of ``tries`` in turn, as a
+    witness, or ``None``; the unchecked core of :func:`park_isomorphic`."""
+    p1, p2 = src.park, dst.park
     if (p1.corner_points, p1.cone_points) != (p2.corner_points, p2.cone_points):
         return None
     s = p1.corner_points
@@ -299,8 +316,7 @@ def park_isomorphic(
     def twin(cell: str, a: int, b: int) -> tuple[int, int]:
         return getattr(inv1, cell)[a], getattr(inv2, cell)[b]
 
-    reflections = (False, True) if allow_reflection else (False,)
-    for reflected, rotation in product(reflections, range(s or 1)):
+    for reflected, rotation in tries:
         morphisms = _park_morphisms(
             src,
             dst,
@@ -384,9 +400,19 @@ def _merge_signature(park: Park) -> tuple:
 
     That is what :func:`park_isomorphic` keeps without a reflection, for
     the fine parks extraction builds, so parks of unequal signature never
-    match.  It holds no ids."""
-    index = _ParkIndex(park)
-    s = park.corner_points
+    match.  It holds no ids.  :func:`_least_rotations` returns it with the
+    rotations that reach it."""
+    return _least_rotations(_ParkIndex(park))[0]
+
+
+def _least_rotations(index: _ParkIndex) -> tuple[tuple, list[int]]:
+    """The park's :func:`_merge_signature` and the rotations, in increasing
+    order, whose description reaches it.  The description holds no ids, so
+    a park that goes onto another with rotation ``rho`` describes at ``r``
+    what the other describes at ``r - rho``: ``rho`` is ``r1 - r2`` (mod
+    ``s``) for any ``r1`` of the first park's rotations and some ``r2`` of
+    the other's."""
+    s = index.park.corner_points
 
     def described(rotation: int) -> tuple:
         labels = {
@@ -425,7 +451,9 @@ def _merge_signature(park: Park) -> tuple:
         )
         return tuple(nodes), tuple(sorted(gardens.values()))
 
-    return min(described(rotation) for rotation in range(s or 1))
+    descriptions = [described(rotation) for rotation in range(s or 1)]
+    least = min(descriptions)
+    return least, [r for r, value in enumerate(descriptions) if value == least]
 
 
 def _park_or_none(m: MonodromyRep) -> Park | None:
@@ -438,25 +466,32 @@ def _park_or_none(m: MonodromyRep) -> Park | None:
 
 def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[list]:
     """Group the items whose parks are isomorphic, in first-seen order; an
-    item without a park stays alone.  Each park is searched, through
-    :func:`park_isomorphic`, against the first park of every earlier group
-    of equal ``_merge_signature`` only, so the groups are those of a plain
-    first-match pairwise merge.  The parks come from ``monodromy_to_park``,
-    so the park gate checks none of them."""
+    item without a park stays alone.  Each park is searched, through the
+    core :func:`_isomorphism` of :func:`park_isomorphic`, against the first
+    park of every earlier group of equal ``_merge_signature`` only, and
+    only at the rotations that the two parks' :func:`_least_rotations`
+    allow, in increasing order; so the groups are those of a plain
+    first-match pairwise merge.  Each park's index is built once, by the
+    park gate, which checks none of the parks that ``monodromy_to_park``
+    builds."""
     groups: list[list] = []
-    by_signature: dict[tuple, list[tuple[list, Park]]] = {}
+    by_signature: dict[tuple, list[tuple[list, _ParkIndex, list[int]]]] = {}
     for item, park in items:
         if park is None:
             groups.append([item])
             continue
-        same = by_signature.setdefault(_merge_signature(park), [])
-        for group, other in same:
-            if park_isomorphic(park, other):
+        index = _validated_index(park)
+        signature, rotations = _least_rotations(index)
+        s = park.corner_points or 1
+        same = by_signature.setdefault(signature, [])
+        for group, other, other_rotations in same:
+            hinted = sorted({(rotations[0] - r) % s for r in other_rotations})
+            if _isomorphism(index, other, ((False, rho) for rho in hinted)):
                 group.append(item)
                 break
         else:
             groups.append([item])
-            same.append((groups[-1], park))
+            same.append((groups[-1], index, rotations))
     return groups
 
 
@@ -521,7 +556,10 @@ def _relabelings(c1: Perm) -> Iterator[list[int]]:
 
 
 def _least(relabelings: list[list[int]], image) -> tuple:
-    """The least ``image(j)`` over ``relabelings``, and the ``j`` reaching it."""
+    """The least ``image(j)`` over ``relabelings``, and the ``j`` reaching it:
+    with one relabeling, its image and the same list, at once."""
+    if len(relabelings) == 1:
+        return image(relabelings[0]), relabelings
     images = [image(j) for j in relabelings]
     best = min(images)
     return best, [j for j, value in zip(relabelings, images) if value == best]
@@ -540,10 +578,17 @@ def _canonical_images(
 
     Each stage runs once per distinct value of what it reads: the
     relabelings once per ``c[1]``, the orbit stage once per ``(c[1], orbit
-    system)``, the ``e`` stage once per ``(c[1], x, e)``, and each
-    reflection after the first once per representation.  Every relabeling
-    sends ``c[1]`` to the standard matching, so ``c[1]`` is not conjugated.
-    The tables live for the call; keys are yielded one at a time.
+    system)`` and the ``e`` stage once per ``(c[1], x, e)``.  The reflection
+    stages run along a path kept for each head ``(c[1], x, e)``: one
+    ``(c_k, image of c_k, relabelings tied after k)`` per reflection of the
+    head's last representation.  The next representation of that head pops
+    the path back to its longest common prefix with its own reflections and
+    runs only the stages after it, so a rep that shares ``c_1..c_k`` with
+    the last one of its head starts at ``c_{k+1}``.  That holds for any
+    input order and pays off on enumeration's, where the reps of one head
+    are contiguous and sorted by ``c``.  Every relabeling sends ``c[1]`` to
+    the standard matching, so ``c[1]`` is not conjugated.  The tables live
+    for the call; keys are yielded one at a time.
     """
     relabelings: dict[Perm, list[list[int]]] = {}
     orbit_stages: dict[tuple, tuple] = {}
@@ -563,13 +608,17 @@ def _canonical_images(
                 )
             orbit_t, tied = orbit_stages[c1, orbs]
             e_t, tied = _least(tied, partial(conjugate, m.e))
-            heads[head] = orbit_t, e_t, tied
-        orbit_t, e_t, tied = heads[head]
-        c_t = [mirror_matching(m.degree)]
-        for ck in m.c[1:]:
-            ck_t, tied = _least(tied, partial(conjugate, ck))
-            c_t.append(ck_t)
-        yield (m.degree, m.cone_points, m.corner_points, orbit_t, e_t, tuple(c_t)), tied
+            heads[head] = orbit_t, e_t, [(c1, mirror_matching(m.degree), tied)]
+        orbit_t, e_t, path = heads[head]
+        k = 1
+        while k < len(path) and k < len(m.c) and path[k][0] == m.c[k]:
+            k += 1
+        del path[k:]
+        for ck in m.c[k:]:
+            ck_t, tied = _least(path[-1][2], partial(conjugate, ck))
+            path.append((ck, ck_t, tied))
+        c_t = tuple(image for _, image, _ in path)
+        yield (m.degree, m.cone_points, m.corner_points, orbit_t, e_t, c_t), path[-1][2]
 
 
 def _canonical_keys(reps: Iterable[MonodromyRep]) -> Iterator[tuple]:
@@ -854,7 +903,8 @@ def enumerate_monodromies(
     cycles come from the unchecked ``permgroup`` cores.  ``dedup`` goes
     through the unvalidated ``_canonical_keys``, through
     ``monodromy_to_park``, which checks nothing on a marked representation,
-    and through ``park_isomorphic``, which checks nothing on the parks that
+    and through the park gate and ``_isomorphism``, the core of
+    ``park_isomorphic``; the gate checks nothing on the parks that
     ``monodromy_to_park`` marks.  The chains grow depth first from
     shared prefixes and are yielded one at a time, so memory holds the
     representations, not the chains.  Three tables live for the call only,
@@ -865,10 +915,13 @@ def enumerate_monodromies(
     ``_complete_skeleton``'s connected completions, on the skeleton and
     the last reflection.  The keys are taken in one batch
     (``_canonical_images`` runs each stage once per distinct value of what
-    it reads), and the representations are grouped by key tuple, one
-    ``repr`` per class for the class order; the park merge searches each
-    class's park only against earlier parks of equal ``_merge_signature``
-    (see ``_isomorphism_groups``), so classes keep their first-seen order.
+    it reads, and the later reflections only past the prefix a rep shares
+    with the last rep of its ``(c[1], x, e)``), and the representations are
+    grouped by key tuple, one ``repr`` per class for the class order; the
+    park merge searches each class's park only against earlier parks of
+    equal ``_merge_signature``, and only at the rotations their least
+    rotations allow (see ``_isomorphism_groups``), so classes keep their
+    first-seen order.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:

@@ -228,6 +228,15 @@ class Garden:
         object.__setattr__(self, "faces", tuple(self.faces))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        for f in self.faces:
+            if not isinstance(f, Face):
+                raise ValueError(f"faces must contain Face objects, got {f!r}")
+        for e in self.edges:
+            if not isinstance(e, GardenEdge):
+                raise ValueError(f"edges must contain GardenEdge objects, got {e!r}")
+        for v in self.vertices:
+            if not isinstance(v, GardenVertex):
+                raise ValueError(f"vertices must contain GardenVertex objects, got {v!r}")
         _optional_int(self.partner_id, "garden partner_id")
 
 

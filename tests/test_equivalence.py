@@ -24,7 +24,7 @@ from parkscope import (
 )
 from parkscope import equivalence, extraction, monodromy
 from parkscope import permgroup as pg
-from parkscope.park import to_json_dict
+from parkscope.park import _ParkIndex, to_json_dict
 
 from conftest import (
     canonical_form_brute,
@@ -193,6 +193,55 @@ def test_tie_lists_match_brute_force():
             assert [tuple(j) for j in tied] == canonical_ties_brute(m), m
 
 
+def test_keys_and_ties_do_not_depend_on_batch_order():
+    """The reflection stages resume from the path of the last rep of the
+    same head, so each rep's key and tie list must not depend on what came
+    before it: the sorted enumeration batch, a shuffled batch and one rep
+    at a time agree, key for key and tie list for tie list."""
+
+    def images(batch):
+        images = equivalence._canonical_images(batch)
+        return [(key, [tuple(j) for j in tied]) for key, tied in images]
+
+    rng = random.Random(35)
+    extra = [
+        (cell, [cls.representative for cls in enumerate_monodromies(*cell).classes])
+        for cell in ((4, 0, 4), (4, 2, 1))
+    ]
+    for cell, reps in list(_small_cells()) + extra:
+        in_order = images(reps)
+        order = list(range(len(reps)))
+        rng.shuffle(order)
+        shuffled = [None] * len(reps)
+        for image, i in zip(images([reps[i] for i in order]), order):
+            shuffled[i] = image
+        alone = [images([m])[0] for m in reps]
+        assert shuffled == in_order, cell
+        assert alone == in_order, cell
+
+
+def test_reflection_stages_run_once_per_shared_prefix(monkeypatch):
+    """On enumeration's order the key engine runs one ``_least`` per
+    ``(c[1], orbit system)``, one per head ``(c[1], x, e)`` and one per
+    distinct head and reflection prefix ``c_2..c_k``."""
+    stages = []
+    least = equivalence._least
+
+    def counted(relabelings, image):
+        stages.append(image)
+        return least(relabelings, image)
+
+    monkeypatch.setattr(equivalence, "_least", counted)
+    for cell in ((3, 1, 4), (4, 0, 4), (4, 2, 1)):
+        reps = [cls.representative for cls in enumerate_monodromies(*cell).classes]
+        stages.clear()
+        list(equivalence._canonical_keys(reps))
+        heads = {(m.c[0], m.x, m.e) for m in reps}
+        prefixes = {(m.c[0], m.x, m.e, m.c[1:k]) for m in reps for k in range(2, len(m.c) + 1)}
+        orbit_stages = {(m.c[0], _orbit_system(m)) for m in reps}
+        assert len(stages) == len(orbit_stages) + len(heads) + len(prefixes), cell
+
+
 def _black_relabeling_fixing_x(m):
     """A relabeling that moves blacks only, is not the identity and fixes
     every ``x`` (so also ``e``), or ``None`` when there is none."""
@@ -329,6 +378,68 @@ def test_park_merge_signature_buckets_only_what_cannot_match(cell):
     assert [cls.members for cls in result.classes] == [
         tuple(m for cls in bucket for m in cls.members) for bucket, _ in merged
     ]
+
+
+def test_merge_rotation_hint_misses_no_rotation():
+    """The merge searches a pair of equal signature only at the rotations
+    ``r1 - r2`` (mod ``s``), ``r1`` one of the first park's least rotations
+    and ``r2`` any of the other's.  On the cells of
+    ``test_park_merge_signature_buckets_only_what_cannot_match``, every
+    rotation at which the search finds a map, from a park to itself too,
+    lies in that set, whichever ``r1`` is taken."""
+    pairs = narrowed = 0
+    for cell in ((3, 1, 4), (3, 2, 2), (4, 3, 0), (4, 1, 2), (4, 2, 2)):
+        indexes = []
+        for cls in enumerate_monodromies(*cell, dedup="jequiv").classes:
+            try:
+                indexes.append(_ParkIndex(monodromy_to_park(cls.representative)))
+            except NonRealizableError:
+                pass
+        least = [equivalence._least_rotations(index) for index in indexes]
+        s = cell[2] or 1
+        for a, b in product(range(len(indexes)), repeat=2):
+            (signature_a, rotations_a), (signature_b, rotations_b) = least[a], least[b]
+            if signature_a != signature_b:
+                continue
+            pairs += 1
+            found = {
+                rho
+                for rho in range(s)
+                if equivalence._isomorphism(indexes[a], indexes[b], [(False, rho)])
+            }
+            assert found, (cell, a, b)
+            for r1 in rotations_a:
+                hinted = {(r1 - r2) % s for r2 in rotations_b}
+                assert found <= hinted, (cell, a, b)
+                narrowed += len(hinted) < s
+    # the hint leaves rotations out, so the check is not vacuous
+    assert pairs and narrowed
+
+
+@pytest.mark.parametrize(
+    "cell, runs",
+    [((3, 1, 4), 30), ((3, 0, 4), 2), ((3, 2, 2), 2)],
+    ids=["3-1-4", "3-0-4", "3-2-2"],
+)
+def test_park_merge_search_runs_are_pinned(monkeypatch, cell, runs):
+    """One park-morphism search per merge on these cells: the signature
+    buckets keep apart what cannot match, and the rotation hint tries the
+    rotation that matches first."""
+    started = []
+    search = equivalence._park_morphisms
+
+    def counted(*args, **kwargs):
+        started.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_park_morphisms", counted)
+    merged = enumerate_monodromies(*cell, dedup="park")
+    assert len(started) == runs
+    # an unrealizable class stays alone, so each merge is one class fewer
+    started.clear()
+    unmerged = enumerate_monodromies(*cell, dedup="jequiv")
+    assert not started
+    assert runs == len(unmerged.classes) - len(merged.classes)
 
 
 def test_public_entry_points_validate(loop3_park):

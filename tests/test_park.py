@@ -41,7 +41,7 @@ from parkscope.park import (
     to_json_dict,
 )
 
-from conftest import EXAMPLE_PARK_PATH, realized_reps, run_cli
+from conftest import EXAMPLE_PARK_PATH, load_example_park, realized_reps, run_cli
 
 PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
 
@@ -601,6 +601,18 @@ def _park(**fields):
         (lambda: _park(nodes=[1]), "nodes must contain ParkNode objects, got 1"),
         (lambda: _park(alleys=[1]), "alleys must contain Alley objects, got 1"),
         (lambda: _park(involution={}), "involution must be an Involution"),
+        (
+            lambda: dataclasses.replace(load_example_park().gardens[0], faces=({"id": 1},)),
+            "faces must contain Face objects, got {'id': 1}",
+        ),
+        (
+            lambda: Garden(id=1, kind="orientable", edges=[1]),
+            "edges must contain GardenEdge objects, got 1",
+        ),
+        (
+            lambda: Garden(id=1, kind="orientable", vertices=[1]),
+            "vertices must contain GardenVertex objects, got 1",
+        ),
         (lambda: GardenEdge(id=1, length=1, kind="arc"), "unknown edge kind 'arc'"),
         (
             lambda: GardenEdge(id=1, length=1, kind="segment"),
@@ -705,12 +717,14 @@ def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, mo
         park_hurwitz(park)
         assert park_isomorphic(park, park, allow_reflection=True) is not None
     searched = []
+    search = equivalence._isomorphism
 
-    def counted(p1, p2, allow_reflection=False):
-        searched.append((p1, p2))
-        return park_isomorphic(p1, p2, allow_reflection)
+    def counted(src, dst, tries):
+        searched.append((src.park, dst.park))
+        return search(src, dst, tries)
 
-    monkeypatch.setattr(equivalence, "park_isomorphic", counted)
+    # the merge searches through the core that park_isomorphic wraps
+    monkeypatch.setattr(equivalence, "_isomorphism", counted)
     merged = equivalence._isomorphism_groups(enumerate(built))
     assert sorted(i for group in merged for i in group) == list(range(len(built)))
     assert searched
