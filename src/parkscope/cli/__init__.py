@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from .. import equivalence, extraction, hurwitz, monodromy, park
-from ..errors import NonRealizableError, ResourceLimitError
+from ..errors import NonRealizableError, Report, ResourceLimitError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -92,11 +92,11 @@ def _parse_monodromy(obj: Any, path: str, max_sheets: int) -> monodromy.Monodrom
     return rep
 
 
-def _load_park(path: str) -> tuple[park.Park, park.ParkReport]:
+def _load_park(path: str) -> tuple[park.Park, Report]:
     return _parse_park(_load_json_file(path), path)
 
 
-def _parse_park(obj: Any, path: str) -> tuple[park.Park, park.ParkReport]:
+def _parse_park(obj: Any, path: str) -> tuple[park.Park, Report]:
     """A park whose shapes parse and whose ids are unique and resolve, with
     its validation report; anything else is malformed input."""
     try:
@@ -122,11 +122,8 @@ def _fraction_payload(value: Fraction) -> dict[str, Any]:
     }
 
 
-def _report_payload(report) -> dict[str, Any]:
-    entries = getattr(report, "failures", None)
-    if entries is None:
-        entries = report.violations
-    return {"ok": report.ok, "problems": [[str(a), str(b)] for a, b in entries]}
+def _report_payload(report: Report) -> dict[str, Any]:
+    return {"ok": report.ok, "problems": [[str(a), str(b)] for a, b in report.violations]}
 
 
 def _signature_lists(summary: park.TopSummary) -> dict[str, Any]:
@@ -172,7 +169,7 @@ def _cmd_validate(args, out: _Output) -> int:
         "genericity": _report_payload(genericity),
     }
     lines = [f"relations: {'ok' if relations else 'FAILED'}"]
-    lines += [f"  {label}: {reason}" for label, reason in relations.failures]
+    lines += [f"  {label}: {reason}" for label, reason in relations.violations]
     lines.append(f"genericity ({mode}): {'ok' if genericity else 'FAILED'}")
     lines += [f"  {label}: {reason}" for label, reason in genericity.violations]
     out.emit(payload, lines)
@@ -278,14 +275,11 @@ def _info_monodromy(args, obj: Any, out: _Output) -> int:
 def _info_park(args, obj: Any, out: _Output) -> int:
     built, report = _parse_park(obj, args.file)
     if not report:
-        detail = "; ".join(f"{a}: {b}" for a, b in report.violations[:3])
         raise _CliFailure(
             EXIT_NEGATIVE,
-            f"{args.file}: park fails validation ({detail})",
+            f"{args.file}: park fails validation ({report.first_three()})",
             {"command": "info", "schema": "park", "ok": False},
         )
-    # A park that passes cannot make this raise: surface-closure and
-    # degree-balance reject every park whose genus or degree is undefined.
     summary = park.type_summary(built)
     payload = {
         "command": "info",

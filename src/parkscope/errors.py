@@ -1,6 +1,8 @@
-"""Shared exception types.
+"""Shared exception and report types.
 
-Error taxonomy used across the package:
+A validator returns a :class:`Report`; a gate that refuses a check words
+its ``ValueError`` with :meth:`Report.first_three`.  Error taxonomy used
+across the package:
 
 * ``ValueError`` -- malformed arguments (wrong sizes, ids that do not
   resolve, words that are not permutations).  Raised eagerly.
@@ -48,3 +50,34 @@ class ResourceLimitError(Exception):
 
 class InconsistencyError(Exception):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+class Report:
+    """Outcome of a validator, read-only: ``violations`` pairs a label or
+    rule code with a detail string, ``ok`` holds exactly when there are
+    none, and truthiness equals ``ok``."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self, violations) -> None:
+        object.__setattr__(self, "violations", tuple(violations))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Report is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Report is read-only")
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def __bool__(self) -> bool:
+        return not self.violations
+
+    def __repr__(self) -> str:
+        return f"Report(ok={self.ok}, violations={self.violations!r})"
+
+    def first_three(self) -> str:
+        """The first three violations as ``label: detail``, joined by ``; ``."""
+        return "; ".join(f"{label}: {detail}" for label, detail in self.violations[:3])

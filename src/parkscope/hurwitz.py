@@ -86,6 +86,11 @@ def interleaving_factor(branch_counts) -> int:
     for b in bs:
         if not isinstance(b, int) or isinstance(b, bool) or b < 0:
             raise ValueError(f"branch counts must be non-negative integers, got {b!r}")
+    return _interleaving_factor(bs)
+
+
+def _interleaving_factor(bs: list[int]) -> int:
+    """:func:`interleaving_factor` of checked, non-negative branch counts."""
     out = math.factorial(sum(bs))
     for b in bs:
         out //= math.factorial(b)
@@ -292,8 +297,9 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
     The product of the single Hurwitz numbers of all entrances times the
     multinomial interleaving factor of their branch counts.  Exits are
     deliberately not multiplied in: the entrance data already determines
-    the exit side through the involution.  The park gate checks what
-    :func:`_single_hurwitz` assumes of each entrance signature.
+    the exit side through the involution.  The park gate checks what the
+    unchecked cores :func:`_single_hurwitz` and :func:`_interleaving_factor`
+    assume of each entrance signature and branch count.
     """
     index = _park._validated_index(park)
     signatures = index.signatures
@@ -305,4 +311,4 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
         signature = signatures[node.id]
         branch_counts.append(signature.branch_points)
         total *= _single_hurwitz(signature.genus, signature.degrees, degree_bound)
-    return total * interleaving_factor(branch_counts)
+    return total * _interleaving_factor(branch_counts)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import permgroup as pg
-from .errors import NonRealizableError
+from .errors import NonRealizableError, Report
 from .permgroup import Perm
 
 # ---------------------------------------------------------------------------
@@ -232,84 +232,54 @@ def conjugate_rep(m: MonodromyRep, relabel: Perm) -> MonodromyRep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of :func:`validate_relations`.
-
-    ``failures`` pairs a 1-based generator/condition label with a reason.
-    Truthiness equals ``ok``.
-    """
-
-    ok: bool
-    failures: tuple[tuple[str, str], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class GenericityReport:
-    """Outcome of :func:`validate_genericity`.
-
-    ``violations`` pairs a 1-based generator/corner label with a reason;
-    ``ok`` is true exactly when there are none.  Truthiness equals ``ok``.
-    """
-
-    ok: bool
-    mode: str
-    violations: tuple[tuple[str, str], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_relations(m: MonodromyRep) -> RelationReport:
+def validate_relations(m: MonodromyRep) -> Report:
     """Check the defining conditions and transitivity of ``m``.
 
-    Returns a report naming every failed condition; it never raises on a
-    well-shaped representation.
+    Returns a :class:`~parkscope.errors.Report` whose violations pair a
+    1-based generator or condition label with a reason, one per failed
+    condition; it never raises on a well-shaped representation.
     """
-    failures: list[tuple[str, str]] = []
+    violations: list[tuple[str, str]] = []
     n = m.ground_size
     ident = pg.identity(n)
     for i, p in enumerate(m.x, 1):
         if not pg.is_involution(p):
-            failures.append((f"x[{i}]", "squared is not the identity"))
+            violations.append((f"x[{i}]", "squared is not the identity"))
     for i, p in enumerate(m.c, 1):
         if not pg.is_involution(p):
-            failures.append((f"c[{i}]", "squared is not the identity"))
+            violations.append((f"c[{i}]", "squared is not the identity"))
     for k in range(1, m.corner_points + 1):
         u = m.corner_element(k)
         if not pg.is_involution(u):
-            failures.append(
+            violations.append(
                 (f"corner[{k}]", f"c[{k}].c[{k + 1}] squared is not the identity")
             )
     word = pg.compose(pg.compose_all(list(m.x), n), m.e)
     if word != ident:
-        failures.append(
+        violations.append(
             ("word", "x[1]...x[t].e is not the identity (e disagrees with the x list)")
         )
     seam = pg.conjugate(m.c[-1], m.e)
     if seam != m.c[0]:
-        failures.append(
+        violations.append(
             ("seam", f"c[1] differs from e.c[{m.corner_points + 1}].e^-1")
         )
     orbit_list = pg._orbits(m.generators(), n, range(n))
     if len(orbit_list) > 1:
-        failures.append(
+        violations.append(
             (
                 "transitivity",
                 f"action splits into {len(orbit_list)} orbits "
                 f"(smallest elements: {[o[0] for o in orbit_list]})",
             )
         )
-    return RelationReport(ok=not failures, failures=tuple(failures))
+    return Report(violations)
 
 
 GENERICITY_MODES = ("geometric", "strict")
 
 
-def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityReport:
+def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> Report:
     """Check that ``m`` looks like the monodromy of a covering with only
     simple, pairwise distinct critical values.
 
@@ -329,8 +299,10 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityR
     strict mode rejects every transitive representation with corners;
     it exists for auditing, not for modeling.
 
-    Failures are reported, never thrown, so the function is usable on
-    input that fails :func:`validate_relations` as well.
+    Returns a :class:`~parkscope.errors.Report` whose violations pair a
+    1-based generator or corner label with a reason.  Failures are
+    reported, never thrown, so the function is usable on input that fails
+    :func:`validate_relations` as well.
     """
     if mode not in GENERICITY_MODES:
         raise ValueError(f"unknown genericity mode {mode!r}; use one of {GENERICITY_MODES}")
@@ -378,7 +350,7 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> GenericityR
                 )
             )
 
-    return GenericityReport(ok=not violations, mode=mode, violations=tuple(violations))
+    return Report(violations)
 
 
 def _require_generic(m: MonodromyRep) -> None:
@@ -392,15 +364,11 @@ def _require_generic(m: MonodromyRep) -> None:
         return
     relations = validate_relations(m)
     if not relations:
-        raise ValueError("monodromy fails relation validation: " + _first_three(relations.failures))
+        raise ValueError("monodromy fails relation validation: " + relations.first_three())
     genericity = validate_genericity(m, "geometric")
     if not genericity:
-        raise ValueError("monodromy is not generic: " + _first_three(genericity.violations))
+        raise ValueError("monodromy is not generic: " + genericity.first_three())
     object.__setattr__(m, "_mark", _Mark())
-
-
-def _first_three(problems: tuple[tuple[str, str], ...]) -> str:
-    return "; ".join(f"{label}: {detail}" for label, detail in problems[:3])
 
 
 def genus_from_counts(m: MonodromyRep) -> int:

@@ -55,7 +55,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import InconsistencyError, NonRealizableError
+from .errors import InconsistencyError, NonRealizableError, Report
 
 FACE_COLORS = ("white", "black")
 NODE_ROLES = ("entrance", "exit")
@@ -496,23 +496,11 @@ class _ParkIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParkReport:
-    """Outcome of :func:`validate_park`; truthiness equals ``ok``.
-
-    ``violations`` pairs one of the stable codes in ``VALIDATION_RULES``
-    with a human-readable detail string.
-    """
-
-    ok: bool
-    violations: tuple[tuple[str, str], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_park(park: Park) -> ParkReport:
+def validate_park(park: Park) -> Report:
     """Check every park axiom; report violations, raise on dangling ids.
+
+    The :class:`~parkscope.errors.Report` pairs one of the stable codes in
+    ``VALIDATION_RULES`` with a human-readable detail string per violation.
 
     Checks that need face boundary data (the four-edge-ends rule and
     opposite-color adjacency) run only when the park is fine.  Two rules
@@ -535,14 +523,11 @@ def _validated_index(park: Park) -> _ParkIndex:
     if not park._mark:
         report = _index_report(index)
         if not report:
-            raise ValueError(
-                "park fails validation: "
-                + "; ".join(f"{code}: {detail}" for code, detail in report.violations[:3])
-            )
+            raise ValueError("park fails validation: " + report.first_three())
     return index
 
 
-def _index_report(index: _ParkIndex) -> ParkReport:
+def _index_report(index: _ParkIndex) -> Report:
     """:func:`validate_park` on a park's index; marks a park that passes."""
     index.check_references()
     park = index.park
@@ -822,7 +807,7 @@ def _index_report(index: _ParkIndex) -> ParkReport:
 
     if not violations:
         object.__setattr__(park, "_mark", True)
-    return ParkReport(ok=not violations, violations=tuple(violations))
+    return Report(violations)
 
 
 def _garden_kind_violation(
@@ -976,7 +961,9 @@ def _garden_signature(
 def type_summary(park: Park) -> TopSummary:
     """Compute the canonical :class:`TopSummary` of a park; one that fails
     :func:`validate_park` raises ``ValueError`` through the park gate, and
-    the counts of one that passes are read, not recounted."""
+    nothing is checked again past it: the ``degree-balance`` rule makes the
+    white face degrees sum to the degree, the ``surface-closure`` rule
+    makes ``(2 - chi) / 2`` the genus, and the counts are read off."""
     index = _validated_index(park)
     node_sigs = sorted(
         (index.nodes[n].role, sig.genus, sig.circles, sig.degrees, sig.branch_points)
@@ -984,8 +971,8 @@ def type_summary(park: Park) -> TopSummary:
     )
     t, s = park.cone_points, park.corner_points
     return TopSummary(
-        degree=total_degree(park),
-        genus=genus(park),
+        degree=sum(f.degree for f in index.faces.values() if f.color == "white"),
+        genus=(2 - euler_characteristic(park)) // 2,
         critical_values=2 * t + s,
         cone_points=t,
         corner_points=s,

@@ -710,6 +710,71 @@ def tuple_to_rep(chi, rho):
     return build(d, generators[: len(chi)], generators[len(chi) :])
 
 
+def hurwitz_moves(chi, rho):
+    """The tuples one move away from the d-sheet tuple ``(χ, ρ)``, in
+    ``permgroup``'s convention (``conjugate(p, q) = q p q⁻¹``), with
+    ``ε = (χ_1⋯χ_t)⁻¹``: each half-twist
+    ``(χ_i, χ_{i+1}) -> (χ_{i+1}, conjugate(χ_i, χ_{i+1}))`` and its inverse
+    ``(χ_i, χ_{i+1}) -> (conjugate(χ_{i+1}, χ_i), χ_i)``, which keep ε and
+    every ρ; and, for ``s >= 1``, the click
+    ``ρ -> ρ[1:] + (conjugate(ρ_2, ε⁻¹),)`` and its inverse
+    ``ρ -> (conjugate(ρ_s, ε),) + ρ[:-1]``, which keep χ.  The half-twists
+    move two cone points past each other, the click moves every corner
+    point one step around the boundary circle."""
+    d = len(rho[0])
+    for i in range(len(chi) - 1):
+        a, b = chi[i], chi[i + 1]
+        yield chi[:i] + (b, conjugate(a, b)) + chi[i + 2 :], rho
+        yield chi[:i] + (conjugate(b, a), a) + chi[i + 2 :], rho
+    if len(rho) > 1:
+        eps = inverse(compose_all(list(chi), d))
+        yield chi, rho[1:] + (conjugate(rho[1], inverse(eps)),)
+        yield chi, (conjugate(rho[-2], eps),) + rho[:-1]
+
+
+def relabeling_key(chi, rho) -> tuple:
+    """The least conjugate of the tuple ``(χ, ρ)`` over ``S_d``: one key per
+    relabeling class."""
+    d = len(rho[0])
+    return min(
+        (tuple(conjugate(p, g) for p in chi), tuple(conjugate(r, g) for r in rho))
+        for g in permutations(range(d))
+    )
+
+
+def components(d, t, s) -> list[list[tuple]]:
+    """The connected components of the space of generic real functions of
+    the cell ``(d, t, s)`` (ROADMAP item 18), each as its labelled
+    :func:`sheet_tuples`, in the order of their first tuples.
+
+    Fix the critical values.  The t cone points move in the interior of
+    the disk ``CP¹/conj`` and the s corner points on its boundary circle,
+    so the configuration space's fundamental group is ``B_t × Z`` (``B_t``
+    when ``s = 0``), generated by the half-twists of neighbouring cone
+    points and by one click of the boundary.  Its action on tuples up to
+    relabeling is :func:`hurwitz_moves`, and the functions of one
+    component are one orbit.  The moves commute with relabeling, so a
+    union-find over the relabeling classes, moving one tuple of each,
+    finds the orbits."""
+    classes: dict[tuple, list[tuple]] = {}
+    for tup in sheet_tuples(d, t, s):
+        classes.setdefault(relabeling_key(*tup), []).append(tup)
+    root = {key: key for key in classes}
+
+    def find(key):
+        while root[key] != key:
+            key = root[key]
+        return key
+
+    for key, members in classes.items():
+        for moved in hurwitz_moves(*members[0]):
+            root[find(key)] = find(relabeling_key(*moved))
+    found: dict[tuple, list[tuple]] = {}
+    for key, members in classes.items():
+        found.setdefault(find(key), []).extend(members)
+    return list(found.values())
+
+
 def real_type(m, sigma) -> tuple[int, bool]:
     """The topological type of the real curve of a rep with single corners
     and its real structure ``sigma`` (one of :func:`real_structures`),

@@ -88,14 +88,17 @@ def test_unknown_attribute_raises_attribute_error():
     ],
 )
 def test_cli_command_loads_only_what_it_uses(argv, unloaded):
-    code, ran = _child(
+    code, ran, dataclasses_loaded = _child(
         "import runpy\n"
         f"sys.argv = ['parkscope', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('parkscope.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, loaded()]))\n"
+        "print(json.dumps([code, loaded(), 'dataclasses' in sys.modules]))\n"
     )
     assert code == 0
     assert not set(ran) & set(unloaded), ran
+    # the package and the shared report type load no dataclasses either
+    if argv[0] in ("--help", "single-hurwitz"):
+        assert not dataclasses_loaded

@@ -15,6 +15,7 @@ from parkscope import (
     enumerate_monodromies,
     genus_from_counts,
     monodromy_to_park,
+    park_isomorphic,
     validate_genericity,
     validate_relations,
 )
@@ -23,7 +24,9 @@ from parkscope import monodromy, permgroup as pg
 from conftest import (
     EXAMPLE_REP_PATH,
     check_extraction,
+    components,
     enumerated_reps,
+    hurwitz_moves,
     make_chord_rep,
     make_loop3_rep,
     make_single_sheet_rep,
@@ -64,7 +67,7 @@ def test_seam_mismatch_reported():
     rep = build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)])
     report = validate_relations(rep)
     assert not report.ok
-    assert any("seam" in label for label, _ in report.failures)
+    assert any("seam" in label for label, _ in report.violations)
 
 
 def test_reflection_must_square_to_identity():
@@ -401,3 +404,79 @@ def test_every_sheet_tuple_is_a_realized_generic_rep():
             assert check_extraction(m) == park
     assert len(reps) == 4691
     assert sum(m.c[0] != pg.mirror_matching(m.degree) for m in reps) == 3065
+
+
+#: The sorted labelled sizes of the components of every nonempty cell with
+#: d <= 4 and t + s <= 5 but (4,5,0), whose 8 components take 3.8 s.
+COMPONENT_SIZES = {
+    (1, 0, 0): [1],
+    (2, 0, 2): [2],
+    (2, 0, 4): [2],
+    (2, 1, 0): [1, 1],
+    (2, 1, 2): [2],
+    (2, 1, 4): [2],
+    (2, 2, 0): [1, 1],
+    (2, 2, 2): [2],
+    (2, 3, 0): [1, 1],
+    (2, 3, 2): [2],
+    (2, 4, 0): [1, 1],
+    (2, 5, 0): [1, 1],
+    (3, 0, 4): [12],
+    (3, 1, 2): [12],
+    (3, 1, 4): [24, 24],
+    (3, 2, 0): [6, 6],
+    (3, 2, 2): [12, 36],
+    (3, 3, 0): [24, 24],
+    (3, 3, 2): [12, 48, 96],
+    (3, 4, 0): [6, 24, 54, 72],
+    (3, 5, 0): [240, 240],
+    (4, 1, 4): [96, 96, 96, 96],
+    (4, 2, 2): [48, 48, 48, 144],
+    (4, 3, 0): [96, 96, 96, 96],
+    (4, 3, 2): [144, 192, 192, 192, 384, 384, 384, 768],
+    (4, 4, 0): [72, 288, 288, 288, 288, 576, 576, 648],
+}
+COMPONENT_CELLS = [
+    (d, t, s) for d in (1, 2, 3, 4) for t in range(6) for s in range(6 - t) if (d, t, s) != (4, 5, 0)
+]
+
+
+def test_components_of_small_cells():
+    """ROADMAP item 18's components: 64 on the 26 nonempty cells, with
+    these labelled sizes; every other cell has no tuple."""
+    sizes = {}
+    for cell in COMPONENT_CELLS:
+        found = components(*cell)
+        if found:
+            sizes[cell] = sorted(map(len, found))
+    assert sizes == COMPONENT_SIZES
+    assert sum(map(len, sizes.values())) == 64
+
+
+def test_hurwitz_moves_stay_in_the_cell():
+    """Every half-twist and click maps each tuple of every cell of
+    ``COMPONENT_CELLS`` to a tuple of the cell, and one of the moves from
+    that tuple leads back."""
+    for cell in COMPONENT_CELLS:
+        tuples = sheet_tuples(*cell)
+        cell_set = set(tuples)
+        for tup in tuples:
+            for moved in hurwitz_moves(*tup):
+                assert moved in cell_set, (cell, tup, moved)
+                assert tup in hurwitz_moves(*moved), (cell, tup, moved)
+
+
+def test_components_keep_real_type_and_park():
+    """On the 995 tuples with d <= 3 and t + s <= 5, with the real
+    structure standard: ``real_type`` is constant on each component, and
+    ``monodromy_to_park`` gives isomorphic parks within one."""
+    seen = 0
+    for cell in TUPLE_CELLS:
+        sigma = pg.mirror_matching(cell[0])
+        for comp in components(*cell):
+            reps = [tuple_to_rep(*tup) for tup in comp]
+            assert len({real_type(m, sigma) for m in reps}) == 1, cell
+            parks = [monodromy_to_park(m) for m in reps]
+            assert all(park_isomorphic(parks[0], park) for park in parks), cell
+            seen += len(comp)
+    assert seen == 995

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,7 @@ from parkscope import (
     type_summary,
     validate_park,
 )
-from parkscope import enumerate_monodromies, equivalence
+from parkscope import enumerate_monodromies, equivalence, hurwitz
 from parkscope import park as park_module
 from parkscope.cli import main
 from parkscope.park import (
@@ -113,6 +114,14 @@ def test_from_json_dict_rejects_malformed(example_park_dict, mutate):
         from_json_dict(obj)
 
 
+@pytest.mark.parametrize("cells, cell", [("edges", "edge"), ("vertices", "vertex")])
+def test_from_json_dict_rejects_a_cell_that_is_not_an_object(example_park_dict, cells, cell):
+    obj = copy.deepcopy(example_park_dict)
+    obj["gardens"][0][cells] = [7]
+    with pytest.raises(ValueError, match=f"^each {cell} must be an object$"):
+        from_json_dict(obj)
+
+
 @pytest.mark.parametrize("obj", [[], "park", 3])
 def test_from_json_dict_rejects_what_is_not_an_object(obj):
     with pytest.raises(ValueError, match="^expected a JSON object, got "):
@@ -191,6 +200,19 @@ def test_validator_flags_pair_partner(example_park_dict):
 
 def _garden(obj, g_id):
     return obj["gardens"][g_id - 1]
+
+
+def test_find_park_involution_needs_an_exit_per_entrance(example_park_dict):
+    """A park whose ids and alleys resolve has no involution when its
+    entrances outnumber its exits: the search stops at the role count."""
+
+    def change(obj):
+        obj["nodes"][2]["role"] = "entrance"
+        obj["involution"] = {cells: {} for cells in obj["involution"]}
+
+    park = _mutated(example_park_dict, change)
+    assert sorted(node.role for node in park.nodes) == ["entrance"] * 3 + ["exit"]
+    assert find_park_involution(park) is None
 
 
 @pytest.mark.parametrize(
@@ -732,6 +754,32 @@ def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, mo
     result = enumerate_monodromies(3, 2, 2, dedup="park")
     assert (len(result.classes), len(searched)) == (6, 2)
     assert report_runs == [example_park]
+
+
+def test_nothing_past_the_park_gate_checks_again(monkeypatch):
+    """Past the gate, ``type_summary`` reads the degree and genus off the
+    gate's index and ``park_hurwitz`` multiplies through the unchecked
+    core: neither calls the checked ``total_degree``, ``genus`` or
+    ``interleaving_factor``, whose raises the rules already exclude."""
+    corners = next(
+        park
+        for rep, park in realized_reps(3, 4)
+        if (rep.degree, rep.cone_points, rep.corner_points) == (3, 2, 2)
+        and sum(node.role == "entrance" for node in park.nodes) == 2
+    )
+    parks = [load_example_park(), corners]
+    expected = [(type_summary(park), park_hurwitz(park)) for park in parks]
+    assert [(s.degree, s.genus, h) for s, h in expected] == [(4, 1, 4), (3, 1, Fraction(1, 2))]
+
+    def refuse(*args):
+        raise AssertionError("checked again past the gate")
+
+    monkeypatch.setattr(park_module, "total_degree", refuse)
+    monkeypatch.setattr(park_module, "genus", refuse)
+    monkeypatch.setattr(hurwitz, "interleaving_factor", refuse)
+    # the example park is loaded again, so the gate runs every rule on it
+    parks[0] = load_example_park()
+    assert [(type_summary(park), park_hurwitz(park)) for park in parks] == expected
 
 
 def test_validate_park_runs_every_rule_on_a_marked_park(report_runs, loop3_rep):
