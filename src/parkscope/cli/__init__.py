@@ -351,7 +351,7 @@ def _cmd_single_hurwitz(args, out: _Output) -> int:
 
 def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
     payload: dict[str, Any] = {"rotation": witness.rotation, "reflected": witness.reflected}
-    for name in park._CELL_TYPES:
+    for name in park.CELL_TYPES:
         payload[name] = {str(k): v for k, v in sorted(getattr(witness, name).items())}
     return payload
 
@@ -381,20 +381,13 @@ def _cmd_isomorphic(args, out: _Output) -> int:
         "isomorphic",
         f"corner rotation: {witness.rotation}"
         + (" (reflected)" if witness.reflected else ""),
-        "gardens: "
-        + " ".join(f"{k}->{v}" for k, v in sorted(witness.gardens.items())),
-        "faces:   "
-        + " ".join(f"{k}->{v}" for k, v in sorted(witness.faces.items())),
-        "edges:   "
-        + " ".join(f"{k}->{v}" for k, v in sorted(witness.edges.items())),
-        "nodes:   "
-        + " ".join(f"{k}->{v}" for k, v in sorted(witness.nodes.items())),
     ]
-    if witness.vertices:
-        lines.append(
-            "vertices: "
-            + " ".join(f"{k}->{v}" for k, v in sorted(witness.vertices.items()))
-        )
+    for name in ("gardens", "faces", "edges", "nodes", "vertices"):
+        cells = getattr(witness, name)
+        if cells or name != "vertices":
+            lines.append(
+                f"{name + ':':<8} " + " ".join(f"{k}->{v}" for k, v in sorted(cells.items()))
+            )
     out.emit(payload, lines)
     return EXIT_OK
 
@@ -403,27 +396,21 @@ def _cmd_equivalent(args, out: _Output) -> int:
     first = _load_monodromy(args.monodromy_a, args.max_sheets)
     second = _load_monodromy(args.monodromy_b, args.max_sheets)
     try:
-        monodromy._require_generic(first)
-        monodromy._require_generic(second)
+        witness = equivalence.monodromy_equivalent(first, second)
     except ValueError as exc:
         raise _CliFailure(
             EXIT_NEGATIVE,
             f"invalid representation input: {exc}",
             {"command": "equivalent", "ok": False},
         ) from exc
-    params = [(m.degree, m.cone_points, m.corner_points) for m in (first, second)]
-    if params[0] != params[1]:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            "not equivalent: (degree, cone, corner) parameters differ: "
-            f"{params[0]} against {params[1]}",
-            {"command": "equivalent", "equivalent": False},
-        )
-    witness = equivalence.monodromy_equivalent(first, second)
     if witness is None:
+        params = [(m.degree, m.cone_points, m.corner_points) for m in (first, second)]
         raise _CliFailure(
             EXIT_NEGATIVE,
-            "no intertwining relabeling found",
+            "no intertwining relabeling found"
+            if params[0] == params[1]
+            else "not equivalent: (degree, cone, corner) parameters differ: "
+            f"{params[0]} against {params[1]}",
             {"command": "equivalent", "equivalent": False},
         )
     payload = {
@@ -447,8 +434,6 @@ def _cmd_enumerate(args, out: _Output) -> int:
         )
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, str(exc)) from exc
-    except ResourceLimitError as exc:
-        raise _CliFailure(EXIT_RESOURCE, str(exc)) from exc
     payload = {
         "command": "enumerate",
         "degree": result.degree,
@@ -482,23 +467,37 @@ def _cmd_enumerate(args, out: _Output) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap(text: str) -> int:
+    """A non-negative integer; anything else is malformed input (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Each subcommand takes, of these, only the options its handler reads.
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
         "--json",
         action="store_true",
         help="machine-readable JSON on stdout; diagnostics stay on stderr",
     )
-    common.add_argument(
-        "--max-degree",
-        type=int,
-        help="largest total covering degree allowed in counting commands",
-    )
-    common.add_argument(
+    max_sheets = argparse.ArgumentParser(add_help=False)
+    max_sheets.add_argument(
         "--max-sheets",
-        type=int,
+        type=_cap,
         default=DEFAULT_MAX_SHEETS,
         help="largest ground-set size (twice the degree) accepted as input",
+    )
+    max_degree = argparse.ArgumentParser(add_help=False)
+    max_degree.add_argument(
+        "--max-degree",
+        type=_cap,
+        help="largest total covering degree allowed",
     )
 
     parser = argparse.ArgumentParser(
@@ -510,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "validate",
-        parents=[common],
+        parents=[as_json, max_sheets],
         help="check the defining relations and genericity of a representation",
     )
     p.add_argument("monodromy", help="representation JSON file")
@@ -523,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "extract",
-        parents=[common],
+        parents=[as_json, max_sheets],
         help="build the park of a valid generic representation",
     )
     p.add_argument("monodromy", help="representation JSON file")
@@ -531,14 +530,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser(
-        "validate-park", parents=[common], help="check every park axiom"
+        "validate-park", parents=[as_json], help="check every park axiom"
     )
     p.add_argument("park", help="park JSON file")
     p.set_defaults(handler=_cmd_validate_park)
 
     p = sub.add_parser(
         "info",
-        parents=[common],
+        parents=[as_json, max_sheets],
         help="numeric summary (degree, genus, counts, signatures); "
         "schema auto-detected",
     )
@@ -546,14 +545,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_info)
 
     p = sub.add_parser(
-        "hurwitz", parents=[common], help="composite Hurwitz number of a park"
+        "hurwitz", parents=[as_json, max_degree], help="composite Hurwitz number of a park"
     )
     p.add_argument("park", help="park JSON file")
     p.set_defaults(handler=_cmd_hurwitz)
 
     p = sub.add_parser(
         "single-hurwitz",
-        parents=[common],
+        parents=[as_json, max_degree],
         help="connected Hurwitz number for one boundary signature",
     )
     p.add_argument("genus", help="target genus (non-negative integer)")
@@ -562,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "isomorphic",
-        parents=[common],
+        parents=[as_json],
         help="search for a structure-preserving bijection between two parks",
     )
     p.add_argument("park_a", help="first park JSON file")
@@ -576,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "equivalent",
-        parents=[common],
+        parents=[as_json, max_sheets],
         help="search for a color-preserving relabeling intertwining two "
         "representations",
     )
@@ -586,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[common],
+        parents=[as_json, max_sheets],
         help="exhaustively list valid generic representations at fixed counts",
     )
     p.add_argument("--degree", type=int, required=True, help="covering degree d")

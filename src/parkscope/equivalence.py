@@ -56,7 +56,7 @@ from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_trusted, _Mark, _require_generic
 from .park import (
-    _CELL_TYPES,
+    CELL_TYPES,
     Involution,
     Park,
     _carries_boundary,
@@ -181,7 +181,7 @@ def _park_morphisms(
     then, garden pair by garden pair, vertices and edges by id against the
     cells of the image garden.  A step whose cell a twin bound is skipped.
     """
-    if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in _CELL_TYPES):
+    if any(len(getattr(src, t)) != len(getattr(dst, t)) for t in CELL_TYPES):
         return
     recolor = opposite_color if swap else _same
     target_role = "exit" if swap else "entrance"
@@ -191,8 +191,8 @@ def _park_morphisms(
         return
     white_faces = sorted(f for f, face in src.faces.items() if face.color == "white")
     dst_gardens = sorted(dst.gardens)
-    maps: _CellMaps = {t: {} for t in _CELL_TYPES}
-    images: dict[str, set[int]] = {t: set() for t in _CELL_TYPES}
+    maps: _CellMaps = {t: {} for t in CELL_TYPES}
+    images: dict[str, set[int]] = {t: set() for t in CELL_TYPES}
     trail: list[tuple[str, int]] = []
 
     def bind(cell: str, a: int, b: int) -> bool:
@@ -517,8 +517,9 @@ def monodromy_equivalent(
     generators onto the second's and conjugates ``e`` and every reflection
     ``c_i`` of the first onto the second.  The one returned is the first
     in ``permutations`` order of its white part, which fixes the rest.
-    ``None`` means only that this sufficient condition fails.  Both
-    representations must share ``(degree, cone, corner)`` parameters.
+    ``None`` means only that this sufficient condition fails; two valid
+    representations of different ``(degree, cone, corner)`` parameters
+    give ``None``, since their keys begin with those parameters.
 
     The decision is the key engine's (:func:`_canonical_images`): a
     witness exists exactly when the canonical keys agree, and the
@@ -528,9 +529,6 @@ def monodromy_equivalent(
     """
     _require_generic(m1)
     _require_generic(m2)
-    params = (m1.degree, m1.cone_points, m1.corner_points)
-    if params != (m2.degree, m2.cone_points, m2.corner_points):
-        raise ValueError("representations have different (degree, cone, corner) parameters")
     (key1, tied1), (key2, tied2) = _canonical_images((m1, m2))
     if key1 != key2:
         return None
@@ -926,6 +924,8 @@ def enumerate_monodromies(
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
         raise ValueError(f"unknown dedup mode {dedup!r}")
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (d, t, s)):
+        raise ValueError(f"parameters must be integers, got {(d, t, s)!r}")
     if d < 1 or t < 0 or s < 0:
         raise ValueError("parameters must satisfy d >= 1, t >= 0, s >= 0")
     if 2 * d > MAX_GROUND or t + s > MAX_CRITICAL:

@@ -409,17 +409,15 @@ def from_json_dict(obj: Any) -> MonodromyRep:
     """Parse the documented JSON schema into a :class:`MonodromyRep`.
 
     ``e`` may be omitted and is then derived from the ``x`` list.  Count
-    fields must match the array lengths.  Malformed input raises
-    ``ValueError``; defining conditions are *not* checked here.
+    fields must match the array lengths; the record checks the degree and
+    the generator shapes.  Malformed input raises ``ValueError``; defining
+    conditions are *not* checked here.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("degree", "cone_points", "corner_points", "x", "c"):
         if key not in obj:
             raise ValueError(f"missing required key {key!r}")
-    degree = obj["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ValueError(f"degree must be a positive integer, got {degree!r}")
     x_raw, c_raw = obj["x"], obj["c"]
     if not isinstance(x_raw, list) or not all(isinstance(p, list) for p in x_raw):
         raise ValueError("'x' must be a list of image arrays")
@@ -437,4 +435,4 @@ def from_json_dict(obj: Any) -> MonodromyRep:
     e_raw = obj.get("e")
     if e_raw is not None and not isinstance(e_raw, list):
         raise ValueError("'e' must be an image array when present")
-    return build(degree=degree, x=x_raw, c=c_raw, e=e_raw)
+    return build(degree=obj["degree"], x=x_raw, c=c_raw, e=e_raw)

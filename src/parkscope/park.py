@@ -64,7 +64,7 @@ GARDEN_KINDS = ("orientable", "non_orientable", "separated_pair_member")
 
 #: The five cell types that the involution and every park morphism map,
 #: in the order of the involution's JSON and of its checks.
-_CELL_TYPES = ("nodes", "faces", "edges", "vertices", "gardens")
+CELL_TYPES = ("nodes", "faces", "edges", "vertices", "gardens")
 
 #: Stable rule codes emitted by :func:`validate_park`.
 VALIDATION_RULES = (
@@ -285,7 +285,7 @@ class Involution:
     gardens: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in _CELL_TYPES:
+        for name in CELL_TYPES:
             raw = getattr(self, name)
             if not isinstance(raw, Mapping):
                 raise ValueError(f"involution {name} must be a mapping of ids")
@@ -463,7 +463,7 @@ class _ParkIndex:
                 raise ValueError(f"alley {a.id} references unknown face {a.face_id}")
             if a.node_id not in self.nodes:
                 raise ValueError(f"alley {a.id} references unknown node {a.node_id}")
-        for name in _CELL_TYPES:
+        for name in CELL_TYPES:
             table = getattr(self, name)
             for key, value in getattr(self.park.involution, name).items():
                 if key not in table:
@@ -684,7 +684,7 @@ def _index_report(index: _ParkIndex) -> Report:
     # -- involution --------------------------------------------------------
     inv = park.involution
     total = True
-    for name in _CELL_TYPES:
+    for name in CELL_TYPES:
         mapping: Mapping[int, int] = getattr(inv, name)
         missing = sorted(set(getattr(index, name)) - set(mapping))
         if missing:
@@ -1027,7 +1027,7 @@ def to_json_dict(park: Park) -> dict[str, Any]:
         ],
         "involution": {
             name: {str(k): v for k, v in sorted(getattr(park.involution, name).items())}
-            for name in _CELL_TYPES
+            for name in CELL_TYPES
         },
     }
 
@@ -1129,7 +1129,7 @@ def from_json_dict(obj: Any) -> Park:
     involution = Involution(
         **{
             name: _parse_int_map(inv_obj.get(name, {}), f"involution {name}")
-            for name in _CELL_TYPES
+            for name in CELL_TYPES
         }
     )
     return Park(

@@ -1,11 +1,12 @@
 """Unit tests for the command-line front end: exit codes and output routing."""
 
+import ast
 import json
 import os
 
 import pytest
 
-from parkscope import build, enumerate_monodromies, monodromy, monodromy_to_park, park
+from parkscope import build, cli, enumerate_monodromies, monodromy, monodromy_to_park, park
 from parkscope.cli import main
 
 from conftest import (
@@ -519,3 +520,83 @@ def test_json_that_is_not_an_object_is_exit_2(tmp_path, capsys, command):
         argv.append(str(path))
     assert main(argv) == 2
     assert capsys.readouterr().err == f"{path}: expected a JSON object, got list\n"
+
+
+#: Arguments with which each subcommand exits 0.
+COMMAND_ARGS = {
+    "validate": [str(EXAMPLE_REP_PATH)],
+    "extract": [str(EXAMPLE_REP_PATH)],
+    "validate-park": [str(EXAMPLE_PARK_PATH)],
+    "info": [str(EXAMPLE_REP_PATH)],
+    "hurwitz": [str(EXAMPLE_PARK_PATH)],
+    "single-hurwitz": ["0", "3"],
+    "isomorphic": [str(EXAMPLE_PARK_PATH), str(EXAMPLE_PARK_PATH)],
+    "equivalent": [str(EXAMPLE_REP_PATH), str(EXAMPLE_REP_PATH)],
+    "enumerate": ["--degree", "2", "--cone", "1", "--corner", "1"],
+}
+
+#: The cap each subcommand reads besides ``--json``, if any.
+COMMAND_CAP = {
+    "validate": "--max-sheets",
+    "extract": "--max-sheets",
+    "info": "--max-sheets",
+    "equivalent": "--max-sheets",
+    "enumerate": "--max-sheets",
+    "hurwitz": "--max-degree",
+    "single-hurwitz": "--max-degree",
+}
+
+KEPT_OPTIONS = [(c, "--json") for c in COMMAND_ARGS] + list(COMMAND_CAP.items())
+REMOVED_OPTIONS = [
+    (c, o) for c in COMMAND_ARGS for o in ("--max-degree", "--max-sheets") if COMMAND_CAP.get(c) != o
+]
+
+
+@pytest.mark.parametrize("command, option", KEPT_OPTIONS)
+def test_each_kept_option_is_read(command, option, capsys):
+    """``--json`` gives one JSON document; a cap of zero, still a valid
+    cap, is exceeded by every input, so the command read it."""
+    if option == "--json":
+        assert main([command, *COMMAND_ARGS[command], option]) == 0
+        json.loads(capsys.readouterr().out)
+    else:
+        assert main([command, *COMMAND_ARGS[command], option, "0"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
+def test_an_option_the_command_does_not_read_is_malformed(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_ARGS[command], option, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", list(COMMAND_CAP.items()))
+def test_negative_cap_is_malformed(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_ARGS[command], option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
+
+
+def test_cli_reads_no_private_library_name():
+    layers = {"monodromy", "park", "extraction", "equivalence", "hurwitz"}
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in layers
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -77,8 +77,9 @@ def test_conjugate_pair_witness_verifies(loop3_rep, chord_rep):
 
 
 def test_mismatched_parameters_rejected(loop3_rep, single_sheet_rep):
-    with pytest.raises(ValueError):
-        monodromy_equivalent(loop3_rep, single_sheet_rep)
+    # valid reps of different (d, t, s) are not equivalent: no witness
+    assert monodromy_equivalent(loop3_rep, single_sheet_rep) is None
+    assert monodromy_equivalent(single_sheet_rep, loop3_rep) is None
 
 
 def test_invalid_input_rejected(loop3_rep):
@@ -804,6 +805,14 @@ def test_enumeration_dedup_aliases():
     assert by_alias["park"] == by_alias["park_isomorphism"] == 2
     with pytest.raises(ValueError):
         enumerate_monodromies(2, 1, 0, dedup="bogus")
+
+
+@pytest.mark.parametrize(
+    "cell", [(2.0, 1, 0), (2, "1", 0), (2, 1, None), (True, 0, 0), (2, 1, False)], ids=repr
+)
+def test_enumeration_parameters_must_be_integers(cell):
+    with pytest.raises(ValueError, match=r"^parameters must be integers, got "):
+        enumerate_monodromies(*cell)
 
 
 @pytest.mark.parametrize("cell", [(6, 0, 0), (3, 5, 4)], ids=["ground 12", "critical 9"])
