@@ -692,6 +692,66 @@ def test_constructor_checks_raise(make, message):
             lambda obj: obj["involution"].update(faces=[[1, 4]]),
             "involution faces must be an object mapping ids to ids",
         ),
+        (lambda obj: obj.pop("alleys"), "missing required key 'alleys'"),
+        (lambda obj: obj.update(gardens={}), "'gardens' must be a list"),
+        (lambda obj: obj["gardens"].append(3), "each garden must be an object"),
+        (lambda obj: _garden(obj, 1).update(faces={}), "'faces' must be a list"),
+        (lambda obj: _garden(obj, 1).update(edges="x"), "'edges' must be a list"),
+        (lambda obj: _garden(obj, 1).update(vertices=None), "'vertices' must be a list"),
+        (lambda obj: _garden(obj, 1)["faces"].append([]), "each face must be an object"),
+        (lambda obj: _garden(obj, 1)["edges"].append(7), "each edge must be an object"),
+        (lambda obj: _garden(obj, 1).update(vertices=[7]), "each vertex must be an object"),
+        (
+            lambda obj: _garden(obj, 1)["faces"][0].update(boundary=None),
+            "'boundary' must be a list",
+        ),
+        (
+            lambda obj: _garden(obj, 1)["faces"][0].update(boundary="x"),
+            "'boundary' must be a list",
+        ),
+        (lambda obj: _garden(obj, 1)["edges"][0].update(ends="x"), "'ends' must be a list"),
+        (lambda obj: obj["nodes"].append(17), "each node must be an object, got 17"),
+        (lambda obj: obj["alleys"].append("x"), "each alley must be an object, got 'x'"),
+        (lambda obj: obj.update(involution=[]), "'involution' must be an object"),
+        (
+            lambda obj: obj["involution"]["nodes"].update(a=1),
+            "involution nodes key 'a' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["edges"].update({"9": "x"}),
+            "involution edges value must be an integer, got 'x'",
+        ),
+        # A file with several faults names the first one read: a garden's
+        # faces before its edges and its own fields, every garden before
+        # the nodes, the involution's keys before its values and the
+        # park's counts last.
+        (
+            lambda obj: (
+                _garden(obj, 1).update(id="x", edges=7),
+                _garden(obj, 1)["faces"][1].update(id="y", boundary=None),
+            ),
+            "'boundary' must be a list",
+        ),
+        (
+            lambda obj: _garden(obj, 1).update(id="x", edges=7),
+            "'edges' must be a list",
+        ),
+        (
+            lambda obj: (_garden(obj, 4).update(kind="flat"), obj.update(nodes={})),
+            "unknown garden kind 'flat'",
+        ),
+        (
+            lambda obj: (
+                obj.update(s=-1),
+                obj["involution"]["nodes"].update({"1": None}),
+                obj["involution"]["gardens"].update(b=1),
+            ),
+            "involution gardens key 'b' is not an integer",
+        ),
+        (
+            lambda obj: (obj.update(s=-1), obj["involution"]["nodes"].update({"1": None})),
+            "involution nodes value must be an integer, got None",
+        ),
     ],
     ids=[
         "s",
@@ -703,6 +763,28 @@ def test_constructor_checks_raise(make, message):
         "nodes not a list",
         "alleys not a list",
         "involution map not an object",
+        "missing key",
+        "gardens not a list",
+        "garden not an object",
+        "faces not a list",
+        "edges not a list",
+        "vertices not a list",
+        "face not an object",
+        "edge not an object",
+        "vertex not an object",
+        "null boundary",
+        "string boundary",
+        "string ends",
+        "node not an object",
+        "alley not an object",
+        "involution not an object",
+        "involution key",
+        "involution value",
+        "boundary before edges and garden fields",
+        "edges before garden fields",
+        "gardens before nodes",
+        "involution keys before values and counts",
+        "involution values before counts",
     ],
 )
 def test_constructor_checks_on_file_input_are_exit_2(
