@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also require every branch generator to fix all black sheets",
     )
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_validate, parser=p)
 
     p = sub.add_parser(
         "extract",
@@ -527,13 +527,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("monodromy", help="representation JSON file")
     p.add_argument("-o", "--output", help="write the park JSON here")
-    p.set_defaults(handler=_cmd_extract)
+    p.set_defaults(handler=_cmd_extract, parser=p)
 
     p = sub.add_parser(
         "validate-park", parents=[as_json], help="check every park axiom"
     )
     p.add_argument("park", help="park JSON file")
-    p.set_defaults(handler=_cmd_validate_park)
+    p.set_defaults(handler=_cmd_validate_park, parser=p)
 
     p = sub.add_parser(
         "info",
@@ -542,13 +542,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "schema auto-detected",
     )
     p.add_argument("file", help="representation or park JSON file")
-    p.set_defaults(handler=_cmd_info)
+    p.set_defaults(handler=_cmd_info, parser=p)
 
     p = sub.add_parser(
         "hurwitz", parents=[as_json, max_degree], help="composite Hurwitz number of a park"
     )
     p.add_argument("park", help="park JSON file")
-    p.set_defaults(handler=_cmd_hurwitz)
+    p.set_defaults(handler=_cmd_hurwitz, parser=p)
 
     p = sub.add_parser(
         "single-hurwitz",
@@ -557,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("genus", help="target genus (non-negative integer)")
     p.add_argument("degrees", help="comma-separated boundary degrees, e.g. 2,1")
-    p.set_defaults(handler=_cmd_single_hurwitz)
+    p.set_defaults(handler=_cmd_single_hurwitz, parser=p)
 
     p = sub.add_parser(
         "isomorphic",
@@ -571,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also allow the corner-label order to be reversed",
     )
-    p.set_defaults(handler=_cmd_isomorphic)
+    p.set_defaults(handler=_cmd_isomorphic, parser=p)
 
     p = sub.add_parser(
         "equivalent",
@@ -581,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("monodromy_a", help="first representation JSON file")
     p.add_argument("monodromy_b", help="second representation JSON file")
-    p.set_defaults(handler=_cmd_equivalent)
+    p.set_defaults(handler=_cmd_equivalent, parser=p)
 
     p = sub.add_parser(
         "enumerate",
@@ -597,14 +597,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default="raw",
         help="grouping: none, by relabeling equivalence, or by park isomorphism",
     )
-    p.set_defaults(handler=_cmd_enumerate)
+    p.set_defaults(handler=_cmd_enumerate, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # A command's own parser reports an option it does not take, with its usage.
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     out = _Output(args.json)
     try:
         return args.handler(args, out)

@@ -61,6 +61,12 @@ def _check_signature(genus: int, degrees) -> tuple[int, ...]:
     return degs
 
 
+def _check_degree_bound(degree_bound: int) -> int:
+    if not isinstance(degree_bound, int) or isinstance(degree_bound, bool) or degree_bound < 0:
+        raise ValueError(f"degree_bound must be a non-negative integer, got {degree_bound!r}")
+    return degree_bound
+
+
 def branch_count(genus: int, degrees) -> int:
     """Number of simple branch points forced by a boundary signature.
 
@@ -260,7 +266,7 @@ def single_hurwitz(
     :class:`ResourceLimitError`.
     """
     shape = tuple(sorted(_check_signature(genus, degrees), reverse=True))
-    return _single_hurwitz(genus, shape, degree_bound)
+    return _single_hurwitz(genus, shape, _check_degree_bound(degree_bound))
 
 
 def _single_hurwitz(genus: int, shape: tuple[int, ...], degree_bound: int) -> Fraction:
@@ -301,6 +307,7 @@ def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> 
     unchecked cores :func:`_single_hurwitz` and :func:`_interleaving_factor`
     assume of each entrance signature and branch count.
     """
+    _check_degree_bound(degree_bound)
     index = _park._validated_index(park)
     signatures = index.signatures
     branch_counts = []

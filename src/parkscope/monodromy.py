@@ -394,7 +394,7 @@ def genus_from_counts(m: MonodromyRep) -> int:
 
 
 def to_json_dict(m: MonodromyRep) -> dict[str, Any]:
-    """Plain-dict form of ``m`` matching the documented JSON schema."""
+    """Plain-dict form of ``m`` in README's representation file format."""
     return {
         "degree": m.degree,
         "cone_points": m.cone_points,
@@ -406,7 +406,7 @@ def to_json_dict(m: MonodromyRep) -> dict[str, Any]:
 
 
 def from_json_dict(obj: Any) -> MonodromyRep:
-    """Parse the documented JSON schema into a :class:`MonodromyRep`.
+    """Parse README's representation file format into a :class:`MonodromyRep`.
 
     ``e`` may be omitted and is then derived from the ``x`` list.  Count
     fields must match the array lengths; the record checks the degree and

@@ -986,50 +986,112 @@ def type_summary(park: Park) -> TopSummary:
 # ---------------------------------------------------------------------------
 
 
+#: The park file format of README's "File formats" section: for each record
+#: type, each JSON key in file order with the field it fills.
+_RECORD_KEYS: dict[type, dict[str, str]] = {
+    Face: {"id": "id", "color": "color", "degree": "degree", "boundary": "boundary"},
+    GardenEdge: {"id": "id", "length": "length", "kind": "kind", "ends": "ends"},
+    GardenVertex: {"id": "id", "corner": "corner_label", "pair": "pair_id"},
+    Garden: {"id": "id", "kind": "kind", "partner": "partner_id"},
+    ParkNode: {"id": "id", "role": "role", "genus": "genus"},
+    Alley: {"id": "id", "face": "face_id", "node": "node_id"},
+}
+
+#: A garden's cell lists, after its own keys: each key, which is also the
+#: field it fills, with the record type of an entry and the noun for one.
+_GARDEN_CELLS = (
+    ("faces", Face, "face"),
+    ("edges", GardenEdge, "edge"),
+    ("vertices", GardenVertex, "vertex"),
+)
+
+
 def to_json_dict(park: Park) -> dict[str, Any]:
-    """Plain-dict form of a park matching the documented JSON schema."""
+    """Plain-dict form of a park in README's park file format."""
     return {
         "s": park.corner_points,
         "t": park.cone_points,
-        "gardens": [
-            {
-                "id": g.id,
-                "kind": g.kind,
-                "partner": g.partner_id,
-                "faces": [
-                    {
-                        "id": f.id,
-                        "color": f.color,
-                        "degree": f.degree,
-                        "boundary": list(f.boundary),
-                    }
-                    for f in g.faces
-                ],
-                "edges": [
-                    {
-                        "id": e.id,
-                        "length": e.length,
-                        "kind": e.kind,
-                        "ends": list(e.ends) if e.ends is not None else None,
-                    }
-                    for e in g.edges
-                ],
-                "vertices": [
-                    {"id": v.id, "corner": v.corner_label, "pair": v.pair_id}
-                    for v in g.vertices
-                ],
-            }
-            for g in park.gardens
-        ],
-        "nodes": [{"id": n.id, "role": n.role, "genus": n.genus} for n in park.nodes],
-        "alleys": [
-            {"id": a.id, "face": a.face_id, "node": a.node_id} for a in park.alleys
-        ],
+        "gardens": [_write_record(g) for g in park.gardens],
+        "nodes": [_write_record(n) for n in park.nodes],
+        "alleys": [_write_record(a) for a in park.alleys],
         "involution": {
             name: {str(k): v for k, v in sorted(getattr(park.involution, name).items())}
             for name in CELL_TYPES
         },
     }
+
+
+def _write_record(record: Any) -> dict[str, Any]:
+    """The JSON object of one record: its keys from ``_RECORD_KEYS``, with
+    ``boundary`` and ``ends`` as lists, then a garden's cell lists."""
+    out = {}
+    for key, name in _RECORD_KEYS[type(record)].items():
+        value = getattr(record, name)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    for key, _, _ in _GARDEN_CELLS if type(record) is Garden else ():
+        out[key] = [_write_record(cell) for cell in getattr(record, key)]
+    return out
+
+
+def from_json_dict(obj: Any) -> Park:
+    """Parse README's park file format into a :class:`Park`.
+
+    Malformed shapes raise ``ValueError``; axiom checking is left to
+    :func:`validate_park`.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("s", "t", "gardens", "nodes", "alleys", "involution"):
+        if key not in obj:
+            raise ValueError(f"missing required key {key!r}")
+    gardens = tuple(_read_record(Garden, g, "garden") for g in _list_field(obj, "gardens"))
+    if not isinstance(obj["nodes"], list) or not isinstance(obj["alleys"], list):
+        raise ValueError("'nodes' and 'alleys' must be lists")
+    nodes = tuple(_read_record(ParkNode, n, "node", got=True) for n in obj["nodes"])
+    alleys = tuple(_read_record(Alley, a, "alley", got=True) for a in obj["alleys"])
+    inv_obj = obj["involution"]
+    if not isinstance(inv_obj, dict):
+        raise ValueError("'involution' must be an object")
+    involution = Involution(
+        **{
+            name: _parse_int_map(inv_obj.get(name, {}), f"involution {name}")
+            for name in CELL_TYPES
+        }
+    )
+    return Park(
+        corner_points=obj["s"],
+        cone_points=obj["t"],
+        gardens=gardens,
+        nodes=nodes,
+        alleys=alleys,
+        involution=involution,
+    )
+
+
+def _read_record(cls: type, raw: Any, noun: str, got: bool = False) -> Any:
+    """The ``cls`` record of the JSON object ``raw``: a missing key reads as
+    ``null``, a missing list as empty; the record checks the values.  With
+    ``got``, the message for a non-object shows it."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"each {noun} must be an object" + (f", got {raw!r}" if got else ""))
+    values = {name: raw.get(key) for key, name in _RECORD_KEYS[cls].items()}
+    if cls is Face:
+        values["boundary"] = tuple(_list_field(raw, "boundary"))
+    elif cls is GardenEdge and values["ends"] is not None:
+        values["ends"] = tuple(_list_field(raw, "ends"))
+    elif cls is Garden:
+        for key, cell, cell_noun in _GARDEN_CELLS:
+            values[key] = tuple(
+                _read_record(cell, entry, cell_noun) for entry in _list_field(raw, key)
+            )
+    return cls(**values)
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list")
+    return value
 
 
 def _parse_int_map(obj: Any, what: str) -> dict[int, Any]:
@@ -1044,110 +1106,3 @@ def _parse_int_map(obj: Any, what: str) -> dict[int, Any]:
             raise ValueError(f"{what} key {key!r} is not an integer") from None
         out[int_key] = value
     return out
-
-
-def from_json_dict(obj: Any) -> Park:
-    """Parse the documented JSON schema into a :class:`Park`.
-
-    Malformed shapes raise ``ValueError``; axiom checking is left to
-    :func:`validate_park`.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in ("s", "t", "gardens", "nodes", "alleys", "involution"):
-        if key not in obj:
-            raise ValueError(f"missing required key {key!r}")
-    gardens = []
-    if not isinstance(obj["gardens"], list):
-        raise ValueError("'gardens' must be a list")
-    for g in obj["gardens"]:
-        if not isinstance(g, dict):
-            raise ValueError("each garden must be an object")
-        faces = []
-        for f in _list_field(g, "faces"):
-            if not isinstance(f, dict):
-                raise ValueError("each face must be an object")
-            faces.append(
-                Face(
-                    id=f.get("id"),
-                    color=f.get("color"),
-                    degree=f.get("degree"),
-                    boundary=tuple(_list_field(f, "boundary")),
-                )
-            )
-        edges = []
-        for e in _list_field(g, "edges"):
-            if not isinstance(e, dict):
-                raise ValueError("each edge must be an object")
-            ends = e.get("ends")
-            if ends is not None and not isinstance(ends, list):
-                raise ValueError("'ends' must be a list")
-            edges.append(
-                GardenEdge(
-                    id=e.get("id"),
-                    length=e.get("length"),
-                    kind=e.get("kind"),
-                    ends=tuple(ends) if ends is not None else None,
-                )
-            )
-        vertices = []
-        for v in _list_field(g, "vertices"):
-            if not isinstance(v, dict):
-                raise ValueError("each vertex must be an object")
-            vertices.append(
-                GardenVertex(
-                    id=v.get("id"),
-                    corner_label=v.get("corner"),
-                    pair_id=v.get("pair"),
-                )
-            )
-        gardens.append(
-            Garden(
-                id=g.get("id"),
-                kind=g.get("kind"),
-                faces=tuple(faces),
-                edges=tuple(edges),
-                vertices=tuple(vertices),
-                partner_id=g.get("partner"),
-            )
-        )
-    if not isinstance(obj["nodes"], list) or not isinstance(obj["alleys"], list):
-        raise ValueError("'nodes' and 'alleys' must be lists")
-    nodes = tuple(
-        ParkNode(id=n.get("id"), role=n.get("role"), genus=n.get("genus"))
-        for n in obj["nodes"]
-        if isinstance(n, dict) or _bad_entry("node", n)
-    )
-    alleys = tuple(
-        Alley(id=a.get("id"), face_id=a.get("face"), node_id=a.get("node"))
-        for a in obj["alleys"]
-        if isinstance(a, dict) or _bad_entry("alley", a)
-    )
-    inv_obj = obj["involution"]
-    if not isinstance(inv_obj, dict):
-        raise ValueError("'involution' must be an object")
-    involution = Involution(
-        **{
-            name: _parse_int_map(inv_obj.get(name, {}), f"involution {name}")
-            for name in CELL_TYPES
-        }
-    )
-    return Park(
-        corner_points=obj["s"],
-        cone_points=obj["t"],
-        gardens=tuple(gardens),
-        nodes=nodes,
-        alleys=alleys,
-        involution=involution,
-    )
-
-
-def _list_field(obj: dict, key: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise ValueError(f"{key!r} must be a list")
-    return value
-
-
-def _bad_entry(what: str, value: Any) -> bool:
-    raise ValueError(f"each {what} must be an object, got {value!r}")

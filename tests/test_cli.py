@@ -569,7 +569,9 @@ def test_an_option_the_command_does_not_read_is_malformed(command, option, capsy
     with pytest.raises(SystemExit) as exc:
         main([command, *COMMAND_ARGS[command], option, "3"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: parkscope {command} [-h] [--json]")
+    assert err.endswith(f"\nparkscope {command}: error: unrecognized arguments: {option} 3\n")
 
 
 @pytest.mark.parametrize("command, option", list(COMMAND_CAP.items()))

@@ -101,6 +101,19 @@ def test_degree_bound_enforced(example_park):
     # takes unchecked from the park gate
     with pytest.raises(ResourceLimitError, match="^degree 3 exceeds the configured bound 2$"):
         park_hurwitz(example_park, degree_bound=2)
+    # zero is a valid bound, as it is for the CLI's --max-degree
+    with pytest.raises(ResourceLimitError, match="^degree 1 exceeds the configured bound 0$"):
+        single_hurwitz(0, (1,), degree_bound=0)
+
+
+@pytest.mark.parametrize("bound", [-1, 3.5, True, None, "6"])
+def test_degree_bound_must_be_a_non_negative_int(example_park, bound):
+    with pytest.raises(ValueError) as single:
+        single_hurwitz(0, (1,), degree_bound=bound)
+    with pytest.raises(ValueError) as composite:
+        park_hurwitz(example_park, degree_bound=bound)
+    message = f"degree_bound must be a non-negative integer, got {bound!r}"
+    assert str(single.value) == str(composite.value) == message
 
 
 def test_branch_count_bound_enforced():

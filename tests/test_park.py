@@ -25,6 +25,7 @@ from parkscope import (
 from parkscope import enumerate_monodromies, equivalence, hurwitz
 from parkscope import park as park_module
 from parkscope.cli import main
+from parkscope.errors import Report
 from parkscope.park import (
     VALIDATION_RULES,
     Alley,
@@ -45,6 +46,19 @@ from parkscope.park import (
 from conftest import EXAMPLE_PARK_PATH, load_example_park, realized_reps, run_cli
 
 PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
+
+
+def test_report_is_read_only_and_shows_its_violations():
+    report = Report([("edge-length", "edge 3 has length -1")])
+    with pytest.raises(AttributeError, match="^Report is read-only$"):
+        report.violations = ()
+    with pytest.raises(AttributeError, match="^Report is read-only$"):
+        del report.violations
+    assert report.violations == (("edge-length", "edge 3 has length -1"),)
+    assert repr(report) == (
+        "Report(ok=False, violations=(('edge-length', 'edge 3 has length -1'),))"
+    )
+    assert repr(Report(iter([]))) == "Report(ok=True, violations=())"
 
 
 def test_shipped_park_validates(example_park):
@@ -120,6 +134,24 @@ def test_from_json_dict_rejects_a_cell_that_is_not_an_object(example_park_dict, 
     obj["gardens"][0][cells] = [7]
     with pytest.raises(ValueError, match=f"^each {cell} must be an object$"):
         from_json_dict(obj)
+
+
+def test_from_json_dict_reads_absent_optional_keys_as_defaults(example_park_dict):
+    """An absent ``partner``, ``ends``, ``boundary`` or cell list reads as
+    ``None`` or empty, and a key the format does not list is ignored."""
+    obj = copy.deepcopy(example_park_dict)
+    obj["note"] = "hand-authored"
+    for garden in obj["gardens"]:
+        del garden["partner"], garden["vertices"]
+        for face in garden["faces"]:
+            del face["boundary"]
+        for edge in garden["edges"]:
+            del edge["ends"]
+            edge["note"] = 1
+    built = from_json_dict(obj)
+    assert all(g.partner_id is None and g.vertices == () for g in built.gardens)
+    assert all(f.boundary == () for f in built.all_faces()) and not built.is_fine()
+    assert all(e.ends is None for e in built.all_edges())
 
 
 @pytest.mark.parametrize("obj", [[], "park", 3])

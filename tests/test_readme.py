@@ -3,6 +3,8 @@
 import re
 import shlex
 
+from parkscope import park
+
 from conftest import REPO_ROOT, run_cli
 
 CLI = "python3 -m parkscope.cli "
@@ -45,3 +47,19 @@ def test_readme_shell_examples_run(tmp_path):
             assert out.startswith(wanted[:-3].rstrip()), (command, out)
         else:
             assert out == wanted + "\n", (command, out)
+
+
+def test_readme_lists_the_park_key_table():
+    """README's park record table gives each record type's JSON keys, in
+    file order, with the field each fills, as the park reader and writer
+    use them."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    listed, cells = {}, None
+    for name, keys in re.findall(r"^\| \w+ \| `(\w+)`: (.*) \|$", text, flags=re.MULTILINE):
+        keys, _, lists = keys.partition(", then the lists ")
+        if lists:
+            cells = re.findall(r"`(\w+)`", lists)
+        pairs = [re.findall(r"`(\w+)`", item) for item in keys.split(", ")]
+        listed[name] = [(pair[0], pair[-1]) for pair in pairs]
+    assert listed == {cls.__name__: list(keys.items()) for cls, keys in park._RECORD_KEYS.items()}
+    assert cells == [key for key, _, _ in park._GARDEN_CELLS]
