@@ -716,6 +716,48 @@ def test_enumerated_reps_are_pinned():
     assert digest.hexdigest() == GOLDEN_REPS_DIGEST
 
 
+#: SHA-256 of :func:`test_dedup_classes_are_pinned`'s class structure.
+GOLDEN_CLASSES_DIGEST = "480b039969f74fcce0904df30932553cdd437ed90a218bc0b68109ebc49d6cab"
+
+
+def test_dedup_classes_are_pinned():
+    """The classes of all three dedup levels, in order, pinned: for every
+    d <= 3 cell with t + s <= 5, then (4,1,4) and (4,3,0), each level's
+    ``dedup`` name, ``raw_count`` and ``class_count``, then per class its
+    ``size`` and the ``(x, c, e)`` of each member in order.  Every class
+    starts with its representative and counts its members, and each
+    ``park`` class joins whole ``jequiv`` classes in ``jequiv`` order."""
+    cells = [(d, t, s) for d in (1, 2, 3) for t in range(6) for s in range(6 - t)]
+    digest = hashlib.sha256()
+    totals = Counter()
+    for cell in cells + [(4, 1, 4), (4, 3, 0)]:
+        levels = {
+            dedup: enumerate_monodromies(*cell, dedup=dedup) for dedup in ("raw", "jequiv", "park")
+        }
+        for result in levels.values():
+            digest.update(repr((result.dedup, result.raw_count, result.class_count)).encode())
+            totals[result.dedup] += result.class_count
+            for cls in result.classes:
+                assert cls.representative is cls.members[0]
+                assert cls.size == len(cls.members)
+                members = tuple((m.x, m.c, m.e) for m in cls.members)
+                digest.update(repr((cls.size, members)).encode())
+        jequiv = [[(m.x, m.c, m.e) for m in cls.members] for cls in levels["jequiv"].classes]
+        position = {members[0]: i for i, members in enumerate(jequiv)}
+        joined = []
+        for cls in levels["park"].classes:
+            members = [(m.x, m.c, m.e) for m in cls.members]
+            parts = []
+            while len(members) > sum(len(jequiv[i]) for i in parts):
+                parts.append(position[members[sum(len(jequiv[i]) for i in parts)]])
+            assert parts == sorted(parts)
+            assert members == [m for i in parts for m in jequiv[i]]
+            joined += parts
+        assert sorted(joined) == list(range(len(jequiv)))
+    assert totals == {"none": 16938, "j_equivalence": 866, "park_isomorphism": 734}
+    assert digest.hexdigest() == GOLDEN_CLASSES_DIGEST
+
+
 @pytest.mark.parametrize(
     "d, s", [(d, s) for d in (1, 2, 3) for s in range(6)] + [(4, s) for s in range(5)]
 )

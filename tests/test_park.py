@@ -564,6 +564,44 @@ def test_validator_branch(example_park_dict, change, violation):
     assert {code for code, _ in report.violations} <= set(VALIDATION_RULES)
 
 
+def test_cells_moved_out_of_their_gardens_image_are_each_reported(example_park_dict):
+    """An involution that fixes the orientable gardens 3 and 4 but swaps
+    their faces, edges and vertices breaks the garden rule once per moved
+    cell: faces, then edges, then vertices, each cell's garden message
+    after its length or corner label message."""
+
+    def change(obj):
+        _vertex(obj, 3, 1, pair=2)
+        _vertex(obj, 4, 2, corner=2)
+        _garden(obj, 4)["edges"][0]["length"] = 2
+        involution = obj["involution"]
+        involution["faces"].update({"5": 8, "8": 5, "6": 7, "7": 6})
+        involution["edges"].update({"3": 4, "4": 3})
+        _swap_vertices(obj)
+
+    structure = [
+        "involution maps face 5 inconsistently with its garden",
+        "involution maps face 6 inconsistently with its garden",
+        "involution maps face 7 inconsistently with its garden",
+        "involution maps face 8 inconsistently with its garden",
+        "involution changes length/kind of edge 3",
+        "involution maps edge 3 inconsistently with its garden",
+        "involution changes length/kind of edge 4",
+        "involution maps edge 4 inconsistently with its garden",
+        "involution changes corner label of vertex 1",
+        "involution maps vertex 1 inconsistently with its garden",
+        "involution changes corner label of vertex 2",
+        "involution maps vertex 2 inconsistently with its garden",
+        "garden 3 is marked orientable but the involution fixes none of its edges",
+        "garden 4 is marked orientable but the involution fixes none of its edges",
+    ]
+    assert validate_park(_mutated(example_park_dict, change)).violations == (
+        ("vertex-edge-ends", "vertex 1 is incident to 0 edge-ends, expected 4"),
+        ("vertex-edge-ends", "vertex 2 is incident to 0 edge-ends, expected 4"),
+        *(("involution-structure", detail) for detail in structure),
+    )
+
+
 def test_corner_count_lists_the_first_missing_corners(example_park_dict, chord_park):
     obj = to_json_dict(chord_park)
     for v in obj["gardens"][0]["vertices"]:
