@@ -28,8 +28,8 @@
   shares with the last representation of its ``(c[1], x, e)``.
 * ``enumerate_monodromies`` generates all valid generic representations
   for small parameters, up to color-preserving relabeling of sheets, and
-  deduplicates at three levels: raw, relabeling-equivalence classes, or
-  park-isomorphism classes.
+  deduplicates at three levels, each grouping the one below: raw,
+  relabeling-equivalence classes, or park-isomorphism classes.
 
 Enumeration builds valid generic data and validates nothing (see
 ``enumerate_monodromies``): it marks the representations it builds, so
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
@@ -219,7 +219,7 @@ def _park_morphisms(
 
     def bind_garden(f: int, b: int) -> bool:
         """Bind the gardens of face ``f`` and of its image ``b``."""
-        a, image = src.owner_of_face[f], dst.owner_of_face[b]
+        a, image = src.garden_of["face"][f], dst.garden_of["face"][b]
         fits = a in maps["gardens"] or want("gardens", a) == _cell_shape(dst, "gardens", image)
         return fits and bind_twins("gardens", a, image)
 
@@ -442,7 +442,7 @@ def _least_rotations(index: _ParkIndex) -> tuple[tuple, list[int]]:
                 node.genus,
                 tuple(
                     sorted(
-                        (faces[f], gardens[index.owner_of_face[f]])
+                        (faces[f], gardens[index.garden_of["face"][f]])
                         for f in index.faces_of_node[n]
                     )
                 ),
@@ -841,7 +841,9 @@ def _complete_skeleton(
 
 @dataclass
 class MonodromyClass:
-    """One equivalence class from the enumeration."""
+    """One equivalence class from the enumeration: its members in
+    enumeration order, their number, and its first member as the
+    representative."""
 
     representative: MonodromyRep
     size: int
@@ -860,10 +862,6 @@ class EnumerationResult:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-
-def _rep_sort_key(m: MonodromyRep) -> tuple:
-    return (tuple(m.x), tuple(m.c), m.e)
 
 
 def enumerate_monodromies(
@@ -898,28 +896,27 @@ def enumerate_monodromies(
     marked valid and generic.  Every representation of one white skeleton
     carries the same mark, whose memo of the skeleton's faces and
     entrances the first extraction fills and the others read.  Orbits and
-    cycles come from the unchecked ``permgroup`` cores.  ``dedup`` goes
-    through the unvalidated ``_canonical_keys``, through
-    ``monodromy_to_park``, which checks nothing on a marked representation,
-    and through the park gate and ``_isomorphism``, the core of
-    ``park_isomorphic``; the gate checks nothing on the parks that
-    ``monodromy_to_park`` marks.  The chains grow depth first from
-    shared prefixes and are yielded one at a time, so memory holds the
-    representations, not the chains.  Three tables live for the call only,
-    each keyed on all that its computation reads: ``_chains``' steps, on
-    the last reflection and the move (so corner ``k`` acts on the whites
-    as move ``k``, read from the move sequence); each skeleton's inverse
-    white product, which ``_black_product_target`` reads; and
-    ``_complete_skeleton``'s connected completions, on the skeleton and
-    the last reflection.  The keys are taken in one batch
-    (``_canonical_images`` runs each stage once per distinct value of what
-    it reads, and the later reflections only past the prefix a rep shares
-    with the last rep of its ``(c[1], x, e)``), and the representations are
-    grouped by key tuple, one ``repr`` per class for the class order; the
-    park merge searches each class's park only against earlier parks of
-    equal ``_merge_signature``, and only at the rotations their least
-    rotations allow (see ``_isomorphism_groups``), so classes keep their
-    first-seen order.
+    cycles come from the unchecked ``permgroup`` cores.  The chains grow
+    depth first from shared prefixes and are yielded one at a time, so
+    memory holds the representations, not the chains.  Three tables live
+    for the call only, each keyed on all that its computation reads:
+    ``_chains``' steps, on the last reflection and the move (so corner
+    ``k`` acts on the whites as move ``k``, read from the move sequence);
+    each skeleton's inverse white product, which ``_black_product_target``
+    reads; and ``_complete_skeleton``'s connected completions, on the
+    skeleton and the last reflection.
+
+    The classes come from one pipeline over the sorted representations,
+    each level grouping the groups of the one below, and a class's
+    representative is its first member.  ``raw`` makes one class per
+    representation.  ``jequiv`` groups them by canonical key, taken in one
+    batch through the unvalidated ``_canonical_keys`` (see
+    ``_key_groups``), the classes in the order of their ``canonical_form``
+    strings.  ``park`` joins, in first-seen order, the ``jequiv`` classes
+    whose first members' parks are isomorphic (see
+    ``_isomorphism_groups``); the parks come from ``monodromy_to_park``,
+    which checks nothing on a marked representation and marks what it
+    returns, so the park gate checks none of them.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:
@@ -958,37 +955,17 @@ def enumerate_monodromies(
             if m is not None:
                 reps.append(m)
 
-    reps.sort(key=_rep_sort_key)
-    raw_count = len(reps)
-
-    if mode == "none":
-        classes = tuple(
-            MonodromyClass(representative=m, size=1, members=(m,)) for m in reps
+    reps.sort(key=lambda m: (m.x, m.c, m.e))
+    groups: Iterable[Sequence[MonodromyRep]] = ((m,) for m in reps)
+    if mode != "none":
+        groups = _key_groups(reps)
+    if mode == "park_isomorphism":
+        groups = (
+            [m for group in bucket for m in group]
+            for bucket in _isomorphism_groups((g, _park_or_none(g[0])) for g in groups)
         )
-        return EnumerationResult(d, t, s, mode, classes, raw_count)
-
-    j_classes = [
-        MonodromyClass(
-            representative=members[0], size=len(members), members=tuple(members)
-        )
-        for members in _key_groups(reps)
-    ]
-    if mode == "j_equivalence":
-        return EnumerationResult(d, t, s, mode, tuple(j_classes), raw_count)
-
-    # park_isomorphism: merge relabeling classes whose representative
-    # parks are isomorphic; unrealizable classes stay separate.
-    merged = _isomorphism_groups(
-        (cls, _park_or_none(cls.representative)) for cls in j_classes
+    classes = tuple(
+        MonodromyClass(representative=members[0], size=len(members), members=tuple(members))
+        for members in groups
     )
-    classes = []
-    for bucket in merged:
-        members = tuple(m for cls in bucket for m in cls.members)
-        classes.append(
-            MonodromyClass(
-                representative=bucket[0].representative,
-                size=len(members),
-                members=members,
-            )
-        )
-    return EnumerationResult(d, t, s, mode, tuple(classes), raw_count)
+    return EnumerationResult(d, t, s, mode, classes, len(reps))

@@ -409,9 +409,9 @@ def from_json_dict(obj: Any) -> MonodromyRep:
     """Parse README's representation file format into a :class:`MonodromyRep`.
 
     ``e`` may be omitted and is then derived from the ``x`` list.  Count
-    fields must match the array lengths; the record checks the degree and
-    the generator shapes.  Malformed input raises ``ValueError``; defining
-    conditions are *not* checked here.
+    fields must be integers that match the array lengths; the record checks
+    the degree and the generator shapes.  Malformed input raises
+    ``ValueError``; defining conditions are *not* checked here.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
@@ -423,11 +423,11 @@ def from_json_dict(obj: Any) -> MonodromyRep:
         raise ValueError("'x' must be a list of image arrays")
     if not isinstance(c_raw, list) or not all(isinstance(p, list) for p in c_raw):
         raise ValueError("'c' must be a list of image arrays")
-    if obj["cone_points"] != len(x_raw):
+    if _require_int(obj["cone_points"], "cone_points") != len(x_raw):
         raise ValueError(
             f"cone_points is {obj['cone_points']} but 'x' has {len(x_raw)} entries"
         )
-    if obj["corner_points"] != len(c_raw) - 1:
+    if _require_int(obj["corner_points"], "corner_points") != len(c_raw) - 1:
         raise ValueError(
             f"corner_points is {obj['corner_points']} but 'c' has {len(c_raw)} entries "
             "(expected corner_points + 1)"
@@ -436,3 +436,9 @@ def from_json_dict(obj: Any) -> MonodromyRep:
     if e_raw is not None and not isinstance(e_raw, list):
         raise ValueError("'e' must be an image array when present")
     return build(degree=obj["degree"], x=x_raw, c=c_raw, e=e_raw)
+
+
+def _require_int(value: Any, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -210,6 +210,24 @@ class Face:
         object.__setattr__(self, "boundary", entries)
 
 
+#: A garden's cell lists, in field and file order: each field, which is also
+#: its JSON key, with the record type of an entry and the noun for one.
+_GARDEN_CELLS = (
+    ("faces", Face, "face"),
+    ("edges", GardenEdge, "edge"),
+    ("vertices", GardenVertex, "vertex"),
+)
+
+
+def _store_records(record: Any, name: str, cls: type) -> None:
+    """Store the list field ``name`` of ``record`` as a tuple of ``cls``."""
+    entries = tuple(getattr(record, name))
+    for entry in entries:
+        if not isinstance(entry, cls):
+            raise ValueError(f"{name} must contain {cls.__name__} objects, got {entry!r}")
+    object.__setattr__(record, name, entries)
+
+
 @dataclass(frozen=True)
 class Garden:
     """A connected piece of the real-locus neighborhood with its cells."""
@@ -225,18 +243,8 @@ class Garden:
         _require_int(self.id, "garden id")
         if self.kind not in GARDEN_KINDS:
             raise ValueError(f"unknown garden kind {self.kind!r}")
-        object.__setattr__(self, "faces", tuple(self.faces))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        for f in self.faces:
-            if not isinstance(f, Face):
-                raise ValueError(f"faces must contain Face objects, got {f!r}")
-        for e in self.edges:
-            if not isinstance(e, GardenEdge):
-                raise ValueError(f"edges must contain GardenEdge objects, got {e!r}")
-        for v in self.vertices:
-            if not isinstance(v, GardenVertex):
-                raise ValueError(f"vertices must contain GardenVertex objects, got {v!r}")
+        for name, cls, _ in _GARDEN_CELLS:
+            _store_records(self, name, cls)
         _optional_int(self.partner_id, "garden partner_id")
 
 
@@ -327,18 +335,8 @@ class Park:
             raise ValueError(f"corner_points must be >= 0, got {self.corner_points}")
         if _require_int(self.cone_points, "cone_points") < 0:
             raise ValueError(f"cone_points must be >= 0, got {self.cone_points}")
-        object.__setattr__(self, "gardens", tuple(self.gardens))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "alleys", tuple(self.alleys))
-        for g in self.gardens:
-            if not isinstance(g, Garden):
-                raise ValueError(f"gardens must contain Garden objects, got {g!r}")
-        for n in self.nodes:
-            if not isinstance(n, ParkNode):
-                raise ValueError(f"nodes must contain ParkNode objects, got {n!r}")
-        for a in self.alleys:
-            if not isinstance(a, Alley):
-                raise ValueError(f"alleys must contain Alley objects, got {a!r}")
+        for name, cls in (("gardens", Garden), ("nodes", ParkNode), ("alleys", Alley)):
+            _store_records(self, name, cls)
         if not isinstance(self.involution, Involution):
             raise ValueError("involution must be an Involution")
 
@@ -388,6 +386,7 @@ class EntranceSignature:
 class _ParkIndex:
     """Resolved id tables for a park; raises ValueError on duplicate ids.
 
+    ``garden_of[noun]`` names the garden of each face, edge or vertex,
     ``faces_of_node`` lists each node's faces in alley order and
     ``node_of_face`` names the node of each face's last alley.
     """
@@ -400,22 +399,15 @@ class _ParkIndex:
         self.vertices: dict[int, GardenVertex] = {}
         self.nodes: dict[int, ParkNode] = {}
         self.alleys: dict[int, Alley] = {}
-        self.owner_of_face: dict[int, int] = {}
-        self.owner_of_edge: dict[int, int] = {}
-        self.owner_of_vertex: dict[int, int] = {}
+        self.garden_of: dict[str, dict[int, int]] = {noun: {} for _, _, noun in _GARDEN_CELLS}
         self.node_of_face: dict[int, int] = {}
         self.faces_of_node: dict[int, list[int]] = {}
         for garden in park.gardens:
             self._add(self.gardens, garden.id, garden, "garden")
-            for f in garden.faces:
-                self._add(self.faces, f.id, f, "face")
-                self.owner_of_face[f.id] = garden.id
-            for e in garden.edges:
-                self._add(self.edges, e.id, e, "edge")
-                self.owner_of_edge[e.id] = garden.id
-            for v in garden.vertices:
-                self._add(self.vertices, v.id, v, "vertex")
-                self.owner_of_vertex[v.id] = garden.id
+            for name, _, noun in _GARDEN_CELLS:
+                for cell in getattr(garden, name):
+                    self._add(getattr(self, name), cell.id, cell, noun)
+                    self.garden_of[noun][cell.id] = garden.id
         for n in park.nodes:
             self._add(self.nodes, n.id, n, "node")
             self.faces_of_node[n.id] = []
@@ -438,7 +430,7 @@ class _ParkIndex:
                 for v in e.ends:
                     if v not in self.vertices:
                         raise ValueError(f"edge {e.id} end references unknown vertex {v}")
-                    if self.owner_of_vertex[v] != self.owner_of_edge[e.id]:
+                    if self.garden_of["vertex"][v] != self.garden_of["edge"][e.id]:
                         raise ValueError(
                             f"edge {e.id} end vertex {v} lies in a different garden"
                         )
@@ -448,7 +440,7 @@ class _ParkIndex:
                     raise ValueError(
                         f"face {f.id} boundary references unknown edge {abs(entry)}"
                     )
-                if self.owner_of_edge[abs(entry)] != self.owner_of_face[f.id]:
+                if self.garden_of["edge"][abs(entry)] != self.garden_of["face"][f.id]:
                     raise ValueError(
                         f"face {f.id} boundary edge {abs(entry)} lies in a different garden"
                     )
@@ -684,6 +676,15 @@ def _index_report(index: _ParkIndex) -> Report:
     # -- involution --------------------------------------------------------
     inv = park.involution
     total = True
+
+    def keeps_garden(noun: str, cell: int, image: int) -> None:
+        garden_of = index.garden_of[noun]
+        if inv.gardens[garden_of[cell]] != garden_of[image]:
+            flag(
+                "involution-structure",
+                f"involution maps {noun} {cell} inconsistently with its garden",
+            )
+
     for name in CELL_TYPES:
         mapping: Mapping[int, int] = getattr(inv, name)
         missing = sorted(set(getattr(index, name)) - set(mapping))
@@ -727,11 +728,7 @@ def _index_report(index: _ParkIndex) -> Report:
                     "involution-structure",
                     f"involution changes degree of face {f_id} ({face.degree} -> {image.degree})",
                 )
-            if inv.gardens[index.owner_of_face[f_id]] != index.owner_of_face[image.id]:
-                flag(
-                    "involution-structure",
-                    f"involution maps face {f_id} inconsistently with its garden",
-                )
+            keeps_garden("face", f_id, image.id)
         for e_id, edge in index.edges.items():
             image = index.edges[inv.edges[e_id]]
             if image.length != edge.length or image.kind != edge.kind:
@@ -739,11 +736,7 @@ def _index_report(index: _ParkIndex) -> Report:
                     "involution-structure",
                     f"involution changes length/kind of edge {e_id}",
                 )
-            if inv.gardens[index.owner_of_edge[e_id]] != index.owner_of_edge[image.id]:
-                flag(
-                    "involution-structure",
-                    f"involution maps edge {e_id} inconsistently with its garden",
-                )
+            keeps_garden("edge", e_id, image.id)
             if edge.kind == "segment" and image.kind == "segment":
                 assert edge.ends is not None and image.ends is not None
                 if sorted(inv.vertices[v] for v in edge.ends) != sorted(image.ends):
@@ -758,11 +751,7 @@ def _index_report(index: _ParkIndex) -> Report:
                     "involution-structure",
                     f"involution changes corner label of vertex {v_id}",
                 )
-            if inv.gardens[index.owner_of_vertex[v_id]] != index.owner_of_vertex[image.id]:
-                flag(
-                    "involution-structure",
-                    f"involution maps vertex {v_id} inconsistently with its garden",
-                )
+            keeps_garden("vertex", v_id, image.id)
             if vertex.pair_id is not None:
                 if vertex.pair_id == v_id or inv.vertices[v_id] != vertex.pair_id:
                     flag(
@@ -997,14 +986,6 @@ _RECORD_KEYS: dict[type, dict[str, str]] = {
     Alley: {"id": "id", "face": "face_id", "node": "node_id"},
 }
 
-#: A garden's cell lists, after its own keys: each key, which is also the
-#: field it fills, with the record type of an entry and the noun for one.
-_GARDEN_CELLS = (
-    ("faces", Face, "face"),
-    ("edges", GardenEdge, "edge"),
-    ("vertices", GardenVertex, "vertex"),
-)
-
 
 def to_json_dict(park: Park) -> dict[str, Any]:
     """Plain-dict form of a park in README's park file format."""
@@ -1076,14 +1057,12 @@ def _read_record(cls: type, raw: Any, noun: str, got: bool = False) -> Any:
         raise ValueError(f"each {noun} must be an object" + (f", got {raw!r}" if got else ""))
     values = {name: raw.get(key) for key, name in _RECORD_KEYS[cls].items()}
     if cls is Face:
-        values["boundary"] = tuple(_list_field(raw, "boundary"))
+        values["boundary"] = _list_field(raw, "boundary")
     elif cls is GardenEdge and values["ends"] is not None:
-        values["ends"] = tuple(_list_field(raw, "ends"))
+        values["ends"] = _list_field(raw, "ends")
     elif cls is Garden:
         for key, cell, cell_noun in _GARDEN_CELLS:
-            values[key] = tuple(
-                _read_record(cell, entry, cell_noun) for entry in _list_field(raw, key)
-            )
+            values[key] = [_read_record(cell, entry, cell_noun) for entry in _list_field(raw, key)]
     return cls(**values)
 
 
@@ -1095,7 +1074,8 @@ def _list_field(obj: dict, key: str) -> list:
 
 
 def _parse_int_map(obj: Any, what: str) -> dict[int, Any]:
-    """``obj`` with integer keys; :class:`Involution` checks the values."""
+    """``obj`` with integer keys, each as ``str`` writes it, so that no two
+    keys name one id; :class:`Involution` checks the values."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be an object mapping ids to ids")
     out: dict[int, Any] = {}
@@ -1103,6 +1083,8 @@ def _parse_int_map(obj: Any, what: str) -> dict[int, Any]:
         try:
             int_key = int(key)
         except (TypeError, ValueError):
-            raise ValueError(f"{what} key {key!r} is not an integer") from None
+            int_key = None
+        if int_key is None or str(int_key) != key:
+            raise ValueError(f"{what} key {key!r} is not an integer")
         out[int_key] = value
     return out

@@ -509,6 +509,23 @@ def test_rep_whose_e_is_not_a_list_is_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"cone_points": 2.0}, "cone_points must be an integer, got 2.0"),
+        ({"corner_points": False}, "corner_points must be an integer, got False"),
+    ],
+)
+def test_rep_whose_count_is_not_an_integer_is_exit_2(tmp_path, capsys, changes, message):
+    obj = json.loads(EXAMPLE_REP_PATH.read_text())
+    obj.update(changes)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    for json_flag in ([], ["--json"]):
+        assert main(["validate", str(path), *json_flag]) == 2
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command", ["validate", "extract", "equivalent", "validate-park", "hurwitz", "isomorphic"]
 )
 def test_json_that_is_not_an_object_is_exit_2(tmp_path, capsys, command):

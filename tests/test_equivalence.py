@@ -747,9 +747,10 @@ def test_dedup_classes_are_pinned():
         joined = []
         for cls in levels["park"].classes:
             members = [(m.x, m.c, m.e) for m in cls.members]
-            parts = []
-            while len(members) > sum(len(jequiv[i]) for i in parts):
-                parts.append(position[members[sum(len(jequiv[i]) for i in parts)]])
+            parts, start = [], 0
+            while start < len(members):
+                parts.append(position[members[start]])
+                start += len(jequiv[parts[-1]])
             assert parts == sorted(parts)
             assert members == [m for i in parts for m in jequiv[i]]
             joined += parts

@@ -176,6 +176,28 @@ def test_from_json_dict_rejects_malformed(loop3_rep, mutate):
         monodromy.from_json_dict(obj)
 
 
+#: Count fields that equal their array's length but are not integers, and
+#: which fault a file with two names first: each count is checked just
+#: before it is compared.
+COUNT_CASES = [
+    ({"cone_points": 2.0}, "cone_points must be an integer, got 2.0"),
+    ({"cone_points": True, "x": [[1, 0, 2, 4, 3, 5]]}, "cone_points must be an integer, got True"),
+    ({"corner_points": False}, "corner_points must be an integer, got False"),
+    ({"corner_points": "0"}, "corner_points must be an integer, got '0'"),
+    ({"cone_points": 2.0, "corner_points": 3}, "cone_points must be an integer, got 2.0"),
+    ({"cone_points": 3, "corner_points": 0.0}, "cone_points is 3 but 'x' has 2 entries"),
+]
+
+
+@pytest.mark.parametrize("changes, message", COUNT_CASES)
+def test_from_json_dict_requires_integer_counts(changes, message):
+    obj = json.loads(EXAMPLE_REP_PATH.read_text())
+    obj.update(changes)
+    with pytest.raises(ValueError) as err:
+        monodromy.from_json_dict(obj)
+    assert str(err.value) == message
+
+
 def test_conjugate_rep_preserves_validity(loop3_rep):
     rng = random.Random(3)
     d = loop3_rep.degree

@@ -791,6 +791,32 @@ def test_constructor_checks_raise(make, message):
             lambda obj: obj["involution"]["edges"].update({"9": "x"}),
             "involution edges value must be an integer, got 'x'",
         ),
+        # A key must be an id as str writes it, so no two keys name one id:
+        # with "01" beside "1", the later key won silently.
+        (
+            lambda obj: obj["involution"]["nodes"].update({"01": 99}),
+            "involution nodes key '01' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["faces"].update({" 2": 3}),
+            "involution faces key ' 2' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["edges"].update({"1_0": 1}),
+            "involution edges key '1_0' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["gardens"].update({"+1": 2}),
+            "involution gardens key '+1' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["vertices"].update({"\u0661": 1}),
+            "involution vertices key '\u0661' is not an integer",
+        ),
+        (
+            lambda obj: obj["involution"]["nodes"].update({"-0": 1}),
+            "involution nodes key '-0' is not an integer",
+        ),
         # A file with several faults names the first one read: a garden's
         # faces before its edges and its own fields, every garden before
         # the nodes, the involution's keys before its values and the
@@ -850,6 +876,12 @@ def test_constructor_checks_raise(make, message):
         "involution not an object",
         "involution key",
         "involution value",
+        "involution key with a leading zero",
+        "involution key with a space",
+        "involution key with an underscore",
+        "involution key with a plus sign",
+        "involution key in Arabic-Indic digits",
+        "involution key minus zero",
         "boundary before edges and garden fields",
         "edges before garden fields",
         "gardens before nodes",
