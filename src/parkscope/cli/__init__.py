@@ -5,9 +5,11 @@ enumeration.  Exit codes: 0 success / affirmative, 1 completed run with
 a negative answer (invalid object, no witness, unrealizable input),
 2 malformed input, 3 configured resource limit exceeded.
 
-With ``--json`` the output stream carries exactly one JSON document and
-all human-readable diagnostics go to the error stream; identical
-invocations produce byte-identical JSON.
+Each command returns its answer, an exit code with a JSON payload and
+text lines, and :func:`main` alone prints it.  With ``--json`` the output
+stream carries exactly one JSON document and all human-readable
+diagnostics go to the error stream; identical invocations produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -32,35 +34,17 @@ DEFAULT_MAX_SHEETS = 10
 
 
 class _CliFailure(Exception):
-    """Internal control flow: carries the exit code and a message."""
+    """Internal control flow: carries the exit code, a message and the
+    JSON payload that :func:`main` prints with it."""
 
     def __init__(self, code: int, message: str, payload: dict[str, Any] | None = None):
         super().__init__(message)
         self.code = code
-        self.message = message
-        self.payload = payload
+        self.payload = payload or {}
 
 
-class _Output:
-    """Routes results to stdout (JSON or text) and diagnostics to stderr."""
-
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
-
-    def emit(self, payload: dict[str, Any], lines: list[str]) -> None:
-        if self.as_json:
-            sys.stdout.write(_dump_json(payload))
-        else:
-            for line in lines:
-                sys.stdout.write(line + "\n")
-
-    def fail(self, failure: _CliFailure) -> int:
-        sys.stderr.write(failure.message.rstrip("\n") + "\n")
-        if self.as_json:
-            payload = failure.payload or {}
-            payload.setdefault("error", failure.message)
-            sys.stdout.write(_dump_json(payload))
-        return failure.code
+#: What a command returns: its exit code, JSON payload and text lines.
+_Answer = tuple[int, dict[str, Any], list[str]]
 
 
 def _dump_json(payload: dict[str, Any]) -> str:
@@ -123,30 +107,15 @@ def _fraction_payload(value: Fraction) -> dict[str, Any]:
 
 
 def _report_payload(report: Report) -> dict[str, Any]:
-    return {"ok": report.ok, "problems": [[str(a), str(b)] for a, b in report.violations]}
+    return {"ok": report.ok, "problems": report.violations}
 
 
 def _signature_lists(summary: park.TopSummary) -> dict[str, Any]:
+    garden_fields = ("kind", "faces", "edges", "corner_labels")
+    node_fields = ("role", "genus", "circles", "degrees", "branch_points")
     return {
-        "garden_signatures": [
-            {
-                "kind": kind,
-                "faces": [[color, degree] for color, degree in faces],
-                "edges": [[ekind, length] for ekind, length in edges],
-                "corner_labels": list(labels),
-            }
-            for kind, faces, edges, labels in summary.garden_signatures
-        ],
-        "node_signatures": [
-            {
-                "role": role,
-                "genus": g,
-                "circles": k,
-                "degrees": list(degs),
-                "branch_points": b,
-            }
-            for role, g, k, degs, b in summary.node_signatures
-        ],
+        "garden_signatures": [dict(zip(garden_fields, sig)) for sig in summary.garden_signatures],
+        "node_signatures": [dict(zip(node_fields, sig)) for sig in summary.node_signatures],
     }
 
 
@@ -155,7 +124,7 @@ def _signature_lists(summary: park.TopSummary) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, out: _Output) -> int:
+def _cmd_validate(args) -> _Answer:
     rep = _load_monodromy(args.monodromy, args.max_sheets)
     relations = monodromy.validate_relations(rep)
     mode = "strict" if args.strict else "geometric"
@@ -172,11 +141,10 @@ def _cmd_validate(args, out: _Output) -> int:
     lines += [f"  {label}: {reason}" for label, reason in relations.violations]
     lines.append(f"genericity ({mode}): {'ok' if genericity else 'FAILED'}")
     lines += [f"  {label}: {reason}" for label, reason in genericity.violations]
-    out.emit(payload, lines)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return (EXIT_OK if ok else EXIT_NEGATIVE), payload, lines
 
 
-def _cmd_extract(args, out: _Output) -> int:
+def _cmd_extract(args) -> _Answer:
     rep = _load_monodromy(args.monodromy, args.max_sheets)
     try:
         built = extraction.monodromy_to_park(rep)
@@ -209,31 +177,28 @@ def _cmd_extract(args, out: _Output) -> int:
             f"n={summary.critical_values}",
             f"written to {args.output}",
         ]
-        out.emit(payload, lines)
-    else:
-        out.emit(park_obj, [_dump_json(park_obj).rstrip("\n")])
-    return EXIT_OK
+        return EXIT_OK, payload, lines
+    return EXIT_OK, park_obj, [_dump_json(park_obj).rstrip("\n")]
 
 
-def _cmd_validate_park(args, out: _Output) -> int:
+def _cmd_validate_park(args) -> _Answer:
     _, report = _load_park(args.park)
     payload = {
         "command": "validate-park",
         "ok": report.ok,
-        "violations": [[code, detail] for code, detail in report.violations],
+        "violations": report.violations,
     }
     lines = [f"park: {'ok' if report.ok else 'INVALID'}"]
     lines += [f"  {code}: {detail}" for code, detail in report.violations]
-    out.emit(payload, lines)
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+    return (EXIT_OK if report.ok else EXIT_NEGATIVE), payload, lines
 
 
-def _cmd_info(args, out: _Output) -> int:
+def _cmd_info(args) -> _Answer:
     obj = _load_json_file(args.file)
     if isinstance(obj, dict) and "degree" in obj:
-        return _info_monodromy(args, obj, out)
+        return _info_monodromy(args, obj)
     if isinstance(obj, dict) and "gardens" in obj:
-        return _info_park(args, obj, out)
+        return _info_park(args, obj)
     raise _CliFailure(
         EXIT_MALFORMED,
         f"{args.file}: cannot detect schema "
@@ -241,7 +206,7 @@ def _cmd_info(args, out: _Output) -> int:
     )
 
 
-def _info_monodromy(args, obj: Any, out: _Output) -> int:
+def _info_monodromy(args, obj: Any) -> _Answer:
     rep = _parse_monodromy(obj, args.file, args.max_sheets)
     relations = monodromy.validate_relations(rep)
     genericity = monodromy.validate_genericity(rep)
@@ -268,11 +233,10 @@ def _info_monodromy(args, obj: Any, out: _Output) -> int:
         f"relations: {'ok' if relations else 'FAILED'}",
         f"genericity: {'ok' if genericity else 'FAILED'}",
     ]
-    out.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _info_park(args, obj: Any, out: _Output) -> int:
+def _info_park(args, obj: Any) -> _Answer:
     built, report = _parse_park(obj, args.file)
     if not report:
         raise _CliFailure(
@@ -289,8 +253,8 @@ def _info_park(args, obj: Any, out: _Output) -> int:
         "critical_values": summary.critical_values,
         "cone_points": summary.cone_points,
         "corner_points": summary.corner_points,
+        **_signature_lists(summary),
     }
-    payload.update(_signature_lists(summary))
     lines = [
         f"park: d={summary.degree} g={summary.genus} n={summary.critical_values} "
         f"t={summary.cone_points} s={summary.corner_points}",
@@ -300,8 +264,7 @@ def _info_park(args, obj: Any, out: _Output) -> int:
     for role, g, k, degs, b in summary.node_signatures:
         degs_text = ",".join(str(x) for x in degs)
         lines.append(f"  {role}: genus={g} circles={k} degrees=({degs_text}) b={b}")
-    out.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def _degree_bound(args) -> int:
@@ -310,7 +273,7 @@ def _degree_bound(args) -> int:
     return hurwitz.DEFAULT_DEGREE_BOUND if args.max_degree is None else args.max_degree
 
 
-def _cmd_hurwitz(args, out: _Output) -> int:
+def _cmd_hurwitz(args) -> _Answer:
     built, _ = _load_park(args.park)
     try:
         value = hurwitz.park_hurwitz(built, _degree_bound(args))
@@ -318,13 +281,11 @@ def _cmd_hurwitz(args, out: _Output) -> int:
         raise _CliFailure(
             EXIT_NEGATIVE, f"{args.park}: {exc}", {"command": "hurwitz", "ok": False}
         ) from exc
-    payload = {"command": "hurwitz", "ok": True}
-    payload.update(_fraction_payload(value))
-    out.emit(payload, [str(value)])
-    return EXIT_OK
+    payload = {"command": "hurwitz", "ok": True, **_fraction_payload(value)}
+    return EXIT_OK, payload, [str(value)]
 
 
-def _cmd_single_hurwitz(args, out: _Output) -> int:
+def _cmd_single_hurwitz(args) -> _Answer:
     try:
         genus = int(args.genus)
         degrees = tuple(int(part) for part in args.degrees.split(","))
@@ -342,11 +303,10 @@ def _cmd_single_hurwitz(args, out: _Output) -> int:
     payload = {
         "command": "single-hurwitz",
         "genus": genus,
-        "degrees": list(degrees),
+        "degrees": degrees,
+        **_fraction_payload(value),
     }
-    payload.update(_fraction_payload(value))
-    out.emit(payload, [str(value)])
-    return EXIT_OK
+    return EXIT_OK, payload, [str(value)]
 
 
 def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
@@ -356,7 +316,7 @@ def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
     return payload
 
 
-def _cmd_isomorphic(args, out: _Output) -> int:
+def _cmd_isomorphic(args) -> _Answer:
     first, _ = _load_park(args.park_a)
     second, _ = _load_park(args.park_b)
     try:
@@ -375,8 +335,7 @@ def _cmd_isomorphic(args, out: _Output) -> int:
             "parks are not isomorphic",
             {"command": "isomorphic", "isomorphic": False},
         )
-    payload = {"command": "isomorphic", "isomorphic": True}
-    payload.update({"witness": _witness_payload(witness)})
+    payload = {"command": "isomorphic", "isomorphic": True, "witness": _witness_payload(witness)}
     lines = [
         "isomorphic",
         f"corner rotation: {witness.rotation}"
@@ -388,11 +347,10 @@ def _cmd_isomorphic(args, out: _Output) -> int:
             lines.append(
                 f"{name + ':':<8} " + " ".join(f"{k}->{v}" for k, v in sorted(cells.items()))
             )
-    out.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_equivalent(args, out: _Output) -> int:
+def _cmd_equivalent(args) -> _Answer:
     first = _load_monodromy(args.monodromy_a, args.max_sheets)
     second = _load_monodromy(args.monodromy_b, args.max_sheets)
     try:
@@ -416,14 +374,13 @@ def _cmd_equivalent(args, out: _Output) -> int:
     payload = {
         "command": "equivalent",
         "equivalent": True,
-        "witness": list(witness.mapping),
+        "witness": witness.mapping,
     }
     lines = ["equivalent", "relabeling: " + " ".join(str(v) for v in witness.mapping)]
-    out.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_enumerate(args, out: _Output) -> int:
+def _cmd_enumerate(args) -> _Answer:
     _check_sheets(2 * args.degree, args.max_sheets)
     try:
         result = equivalence.enumerate_monodromies(
@@ -458,8 +415,7 @@ def _cmd_enumerate(args, out: _Output) -> int:
             f"  class {idx}: size {cls.size}, x={list(map(list, rep.x))}, "
             f"c={list(map(list, rep.c))}"
         )
-    out.emit(payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +563,15 @@ def main(argv: list[str] | None = None) -> int:
     args, unknown = _build_parser().parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    out = _Output(args.json)
     try:
-        return args.handler(args, out)
-    except _CliFailure as failure:
-        return out.fail(failure)
-    except ResourceLimitError as exc:
-        return out.fail(_CliFailure(EXIT_RESOURCE, str(exc)))
+        code, payload, lines = args.handler(args)
+    except (_CliFailure, ResourceLimitError) as exc:
+        failure = exc if isinstance(exc, _CliFailure) else _CliFailure(EXIT_RESOURCE, str(exc))
+        sys.stderr.write(str(failure).rstrip("\n") + "\n")
+        code, payload, lines = failure.code, {"error": str(failure), **failure.payload}, []
+    if args.json:
+        sys.stdout.write(_dump_json(payload))
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 

@@ -221,7 +221,11 @@ _GARDEN_CELLS = (
 
 def _store_records(record: Any, name: str, cls: type) -> None:
     """Store the list field ``name`` of ``record`` as a tuple of ``cls``."""
-    entries = tuple(getattr(record, name))
+    value = getattr(record, name)
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must contain {cls.__name__} objects, got {value!r}") from None
     for entry in entries:
         if not isinstance(entry, cls):
             raise ValueError(f"{name} must contain {cls.__name__} objects, got {entry!r}")

@@ -8,8 +8,10 @@ import resource
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -773,6 +775,14 @@ def components(d, t, s) -> list[list[tuple]]:
     for key, members in classes.items():
         found.setdefault(find(key), []).extend(members)
     return list(found.values())
+
+
+def real_hurwitz_brute(component: list[tuple]) -> Fraction:
+    """The Hurwitz number of a component of :func:`components`: its
+    labelled d-sheet tuples counted up to relabeling, that is divided by
+    ``d!``."""
+    _, rho = component[0]
+    return Fraction(len(component), factorial(len(rho[0])))
 
 
 def real_type(m, sigma) -> tuple[int, bool]:

@@ -619,3 +619,54 @@ def test_cli_reads_no_private_library_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("command, option", [("validate", "--max-sheets"), ("hurwitz", "--max-degree")])
+def test_non_integer_cap_is_malformed(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_ARGS[command], option, "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: parkscope {command} [-h] [--json] [{option} ")
+    assert err.endswith(f"\nparkscope {command}: error: argument {option}: invalid int value: 'x'\n")
+
+
+def test_commands_return_their_answers_and_main_alone_prints():
+    """Each handler takes the parsed arguments (and ``info``'s helpers the
+    parsed document) and returns its exit code, payload and lines; no
+    function but ``main`` reads ``sys.stdout`` or ``sys.stderr``."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    streams = {
+        func.name
+        for func in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+        and node.attr in ("stdout", "stderr")
+    }
+    assert streams == {"main"}
+    handlers = {
+        func.name: [arg.arg for arg in func.args.args]
+        for func in functions
+        if func.name.startswith(("_cmd_", "_info_"))
+    }
+    assert len(handlers) == 11
+    for name, params in handlers.items():
+        assert params == (["args", "obj"] if name.startswith("_info_") else ["args"]), name
+
+
+def test_a_handler_prints_nothing(capsys):
+    args = cli._build_parser().parse_args(["single-hurwitz", "0", "4"])
+    payload = {
+        "command": "single-hurwitz",
+        "genus": 0,
+        "degrees": (4,),
+        "value": "4",
+        "numerator": 4,
+        "denominator": 1,
+    }
+    assert args.handler(args) == (0, payload, ["4"])
+    assert capsys.readouterr() == ("", "")

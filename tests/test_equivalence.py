@@ -24,7 +24,7 @@ from parkscope import (
 )
 from parkscope import equivalence, extraction, monodromy
 from parkscope import permgroup as pg
-from parkscope.park import _ParkIndex, to_json_dict
+from parkscope.park import _ParkIndex, from_json_dict, to_json_dict, validate_park
 
 from conftest import (
     canonical_form_brute,
@@ -479,6 +479,28 @@ def test_park_isomorphic_reflexive(loop3_park, chord_park, example_park):
         assert witness is not None
         assert witness.rotation == 0 and not witness.reflected
         check_park_isomorphism(park, park, witness)
+
+
+def test_park_search_binds_gardens_no_face_binds(example_park):
+    """The search's third phase binds each garden that holds no face: on
+    the example park with every boundary empty, plus a faceless pair of
+    gardens 98 and 99, each with one loop edge, swapped by the involution."""
+    obj = to_json_dict(example_park)
+    for garden in obj["gardens"]:
+        for face in garden["faces"]:
+            face["boundary"] = []
+    for gid, partner in ((98, 99), (99, 98)):
+        loop = {"id": gid, "length": 1, "kind": "loop", "ends": None}
+        garden = {"id": gid, "kind": "separated_pair_member", "partner": partner}
+        obj["gardens"].append({**garden, "faces": [], "edges": [loop], "vertices": []})
+        obj["involution"]["gardens"][str(gid)] = partner
+        obj["involution"]["edges"][str(gid)] = partner
+    coarse = from_json_dict(obj)
+    assert validate_park(coarse).ok
+    witness = park_isomorphic(coarse, coarse)
+    assert witness.gardens == {1: 1, 2: 2, 3: 3, 4: 4, 98: 98, 99: 99}
+    check_park_isomorphism(coarse, coarse, witness)
+    assert find_park_involution(coarse).gardens == {1: 2, 2: 1, 3: 3, 4: 4, 98: 99, 99: 98}
 
 
 def test_park_isomorphic_across_conjugation(chord_rep):

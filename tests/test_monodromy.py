@@ -15,6 +15,7 @@ from parkscope import (
     enumerate_monodromies,
     genus_from_counts,
     monodromy_to_park,
+    park_hurwitz,
     park_isomorphic,
     validate_genericity,
     validate_relations,
@@ -30,6 +31,7 @@ from conftest import (
     make_chord_rep,
     make_loop3_rep,
     make_single_sheet_rep,
+    real_hurwitz_brute,
     real_structures,
     real_type,
     sheet_tuples,
@@ -473,6 +475,76 @@ def test_components_of_small_cells():
             sizes[cell] = sorted(map(len, found))
     assert sizes == COMPONENT_SIZES
     assert sum(map(len, sizes.values())) == 64
+
+
+#: Each nonempty cell's count of real functions up to relabeling: the sum
+#: of ``real_hurwitz_brute`` over its components.
+REAL_HURWITZ = {
+    (1, 0, 0): 1,
+    (2, 0, 2): 1,
+    (2, 0, 4): 1,
+    (2, 1, 0): 1,
+    (2, 1, 2): 1,
+    (2, 1, 4): 1,
+    (2, 2, 0): 1,
+    (2, 2, 2): 1,
+    (2, 3, 0): 1,
+    (2, 3, 2): 1,
+    (2, 4, 0): 1,
+    (2, 5, 0): 1,
+    (3, 0, 4): 2,
+    (3, 1, 2): 2,
+    (3, 1, 4): 8,
+    (3, 2, 0): 2,
+    (3, 2, 2): 8,
+    (3, 3, 0): 8,
+    (3, 3, 2): 26,
+    (3, 4, 0): 26,
+    (3, 5, 0): 80,
+    (4, 1, 4): 16,
+    (4, 2, 2): 12,
+    (4, 3, 0): 16,
+    (4, 3, 2): 110,
+    (4, 4, 0): 126,
+}
+#: The components, by index in ``components`` order, whose park's
+#: ``park_hurwitz`` equals their ``real_hurwitz_brute``.
+PARK_HURWITZ_AGREES = {
+    (1, 0, 0): [0],
+    (2, 0, 2): [0],
+    (2, 0, 4): [0],
+    (2, 1, 0): [0, 1],
+    (2, 2, 0): [0, 1],
+    (2, 3, 0): [0, 1],
+    (2, 4, 0): [0, 1],
+    (2, 5, 0): [0, 1],
+    (3, 2, 0): [1],
+    (3, 3, 0): [0, 1],
+    (3, 4, 0): [1, 2],
+    (3, 5, 0): [0, 1],
+    (4, 3, 0): [0, 1, 2, 3],
+    (4, 4, 0): [2, 3, 6],
+}
+
+
+def test_park_hurwitz_against_the_count_of_each_component():
+    """ROADMAP item 1: each component's Hurwitz number, its labelled tuples
+    over ``d!``, sums to ``REAL_HURWITZ`` on each cell, and ``park_hurwitz``
+    of the park of the component's first tuple equals it on 27 of the 64
+    components: on none of the 28 with both cone and corner points, and on
+    25 of the 33 with no corner point."""
+    sums: dict[tuple, int] = {}
+    agrees: dict[tuple, list[int]] = {}
+    for cell in COMPONENT_CELLS:
+        for i, comp in enumerate(components(*cell)):
+            value = real_hurwitz_brute(comp)
+            sums[cell] = sums.get(cell, 0) + value
+            if park_hurwitz(monodromy_to_park(tuple_to_rep(*comp[0]))) == value:
+                agrees.setdefault(cell, []).append(i)
+    assert sums == REAL_HURWITZ
+    assert agrees == PARK_HURWITZ_AGREES
+    assert sum(map(len, agrees.values())) == 27
+    assert sum(len(agrees.get(cell, ())) for cell in COMPONENT_SIZES if cell[2] == 0) == 25
 
 
 def test_hurwitz_moves_stay_in_the_cell():

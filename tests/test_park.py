@@ -698,6 +698,14 @@ def _park(**fields):
             "faces must contain Face objects, got {'id': 1}",
         ),
         (
+            lambda: Garden(id=1, kind="orientable", faces=5),
+            "faces must contain Face objects, got 5",
+        ),
+        (
+            lambda: Park(0, 0, gardens=5, nodes=(), alleys=(), involution=Involution()),
+            "gardens must contain Garden objects, got 5",
+        ),
+        (
             lambda: Garden(id=1, kind="orientable", edges=[1]),
             "edges must contain GardenEdge objects, got 1",
         ),
