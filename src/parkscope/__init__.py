@@ -20,7 +20,7 @@ Submodules
 ``extraction``
     Building parks out of representations.
 ``hurwitz``
-    Single and composite Hurwitz numbers, brute-force cross-checks.
+    Single and composite Hurwitz numbers.
 ``equivalence``
     The park-morphism search behind park isomorphism and
     ``find_park_involution``, representation equivalence, enumeration.
@@ -31,7 +31,7 @@ Submodules
 import importlib.util
 import sys
 
-from .errors import InconsistencyError, NonRealizableError, ResourceLimitError
+from .errors import NonRealizableError, ResourceLimitError
 
 
 def _lazy(name: str):
@@ -56,24 +56,27 @@ _HOME = {
         " canonical_form enumerate_monodromies find_park_involution monodromy_equivalent"
         " park_isomorphic",
         "extraction": "monodromy_to_park",
-        "hurwitz": "branch_count interleaving_factor one_part_oracle park_hurwitz"
-        " single_hurwitz single_hurwitz_brute",
+        "hurwitz": "park_hurwitz single_hurwitz",
         "monodromy": "MonodromyRep build conjugate_rep genus_from_counts validate_genericity"
         " validate_relations",
         "park": "Alley EntranceSignature Face Garden GardenEdge GardenVertex Involution Park"
-        " ParkNode TopSummary euler_characteristic genus total_degree type_summary"
-        " validate_park",
+        " ParkNode TopSummary euler_characteristic genus type_summary validate_park",
     }.items()
     for name in names.split()
 }
 
 
 def __getattr__(name: str):
-    # Resolved on every access, not cached here: a name rebound in its
-    # home module (as a tracer does) is seen through the package too.
+    # Runs once per name: the first read loads the home module and binds
+    # the name here, so later reads are plain global lookups.  A tool that
+    # rebinds a function in its home module must rebind it here too, and a
+    # name first read while rebound keeps that binding.  perfbench's tracer
+    # rebinds and restores the globals of every parkscope module, this one
+    # included, after an untraced pass has read each name it wraps.
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[_HOME[name]], name)
+    value = globals()[name] = getattr(globals()[_HOME[name]], name)
+    return value
 
 
 def __dir__() -> list[str]:
@@ -82,6 +85,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    {*_HOME, *_LAYERS, "InconsistencyError", "NonRealizableError", "ResourceLimitError"}
-)
+__all__ = sorted({*_HOME, *_LAYERS, "NonRealizableError", "ResourceLimitError"})

@@ -12,8 +12,6 @@ across the package:
   surface has, a surface of another genus than the counts force).
 * ``ResourceLimitError`` -- the request exceeds the configured search
   bounds; nothing was computed.
-* ``InconsistencyError`` -- an internal invariant failed.  Reaching this
-  from public entry points on validated input is a bug.
 """
 
 from __future__ import annotations
@@ -46,10 +44,6 @@ class NonRealizableError(Exception):
 
 class ResourceLimitError(Exception):
     """Requested computation exceeds the configured bounds."""
-
-
-class InconsistencyError(Exception):
-    """An internal cross-check failed; indicates a bug, not bad input."""
 
 
 class Report:

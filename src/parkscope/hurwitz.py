@@ -11,10 +11,11 @@ simple branch points, normalized by ``1/d!``:
 Equivalently, with one fixed ``sigma`` per cycle type, the count divided
 by the centralizer order ``z = prod(degrees) * prod(multiplicity!)``.
 
-Two independent engines compute the count: a fast one (class-algebra
-walk for the raw product count, then inclusion-exclusion over the
-anchored orbit to enforce transitivity) and a literal brute-force
-enumerator used as the verification standard.  Results are exact
+Two independent engines compute the count: this module's fast one
+(class-algebra walk for the raw product count, then inclusion-exclusion
+over the anchored orbit to enforce transitivity), and the literal
+brute-force enumerator of ``tests/conftest.py``, which shares no code
+with it and is the verification standard.  Results are exact
 ``Fraction`` values.
 
 ``park_hurwitz`` multiplies the entrance contributions of a park with
@@ -32,7 +33,7 @@ from itertools import combinations
 
 from . import park as _park  # loads on first use: single_hurwitz never needs it
 from .errors import ResourceLimitError
-from .permgroup import compose, cycle_type, cycles, inverse, is_transitive
+from .permgroup import cycle_type
 
 #: Largest covering degree ``sum(degrees)`` accepted by default.
 DEFAULT_DEGREE_BOUND = 6
@@ -67,36 +68,14 @@ def _check_degree_bound(degree_bound: int) -> int:
     return degree_bound
 
 
-def branch_count(genus: int, degrees) -> int:
-    """Number of simple branch points forced by a boundary signature.
-
-    ``b = 2*genus - 2 + k + sum(degrees)`` with ``k = len(degrees)``,
-    never negative: each of the ``k >= 1`` degrees is at least 1.
-    """
-    degs = _check_signature(genus, degrees)
-    return 2 * genus - 2 + len(degs) + sum(degs)
-
-
-def centralizer_order(degrees) -> int:
-    """Order of the centralizer of a permutation with the given cycle type."""
-    return _centralizer_order(_check_signature(0, degrees))
-
-
 def _centralizer_order(degs: tuple[int, ...]) -> int:
+    """Order of the centralizer of a permutation of cycle type ``degs``."""
     return math.prod(degs) * math.prod(map(math.factorial, Counter(degs).values()))
 
 
-def interleaving_factor(branch_counts) -> int:
-    """Multinomial count of interleavings, ``(sum b_i)! / prod(b_i!)``."""
-    bs = list(branch_counts)
-    for b in bs:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-            raise ValueError(f"branch counts must be non-negative integers, got {b!r}")
-    return _interleaving_factor(bs)
-
-
 def _interleaving_factor(bs: list[int]) -> int:
-    """:func:`interleaving_factor` of checked, non-negative branch counts."""
+    """Multinomial count of interleavings, ``(sum b_i)! / prod(b_i!)``, of
+    non-negative branch counts ``bs``; unchecked."""
     out = math.factorial(sum(bs))
     for b in bs:
         out //= math.factorial(b)
@@ -199,59 +178,6 @@ def clear_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# brute-force engine (verification standard)
-# ---------------------------------------------------------------------------
-
-
-def single_hurwitz_brute(genus: int, degrees) -> Fraction:
-    """Literal enumeration of transposition tuples, with distance pruning.
-
-    Same value as :func:`single_hurwitz`; exponentially slower, used as
-    the independent verification path.  A total degree above
-    :data:`DEFAULT_DEGREE_BOUND` raises :class:`ResourceLimitError`.
-    """
-    degs = tuple(sorted(_check_signature(genus, degrees), reverse=True))
-    d = sum(degs)
-    if d > DEFAULT_DEGREE_BOUND:
-        raise ResourceLimitError(
-            f"degree {d} exceeds the configured bound {DEFAULT_DEGREE_BOUND}"
-        )
-    b = branch_count(genus, degs)
-    sigma = _perm_of_type(degs)
-    transpositions = [
-        tuple(j if a == i else i if a == j else a for a in range(d))
-        for i, j in combinations(range(d), 2)
-    ]
-    if d == 1:
-        count = 1 if b == 0 else 0
-        return Fraction(count, centralizer_order(degs))
-
-    identity = tuple(range(d))
-    count = 0
-
-    def rec(level: int, product, chosen: list):
-        nonlocal count
-        # distance pruning: remaining factors must suffice (and have the
-        # right parity) to move the partial product onto sigma.
-        need = compose(sigma, inverse(product))
-        distance = d - len(cycles(need, include_fixed=True))
-        remaining = b - level
-        if distance > remaining or (remaining - distance) % 2 != 0:
-            return
-        if level == b:
-            if product == sigma and is_transitive(chosen, d):
-                count += 1
-            return
-        for tau in transpositions:
-            chosen.append(tau)
-            rec(level + 1, compose(tau, product), chosen)
-            chosen.pop()
-
-    rec(0, identity, [])
-    return Fraction(count, centralizer_order(degs))
-
-
-# ---------------------------------------------------------------------------
 # public computations
 # ---------------------------------------------------------------------------
 
@@ -288,13 +214,6 @@ def _single_hurwitz(genus: int, shape: tuple[int, ...], degree_bound: int) -> Fr
             f"internal count for genus={genus} degrees={shape} is negative"
         )
     return Fraction(count, _centralizer_order(shape))
-
-
-def one_part_oracle(d: int) -> Fraction:
-    """Closed form for the genus-0 one-part signature: ``d**(d-3)``."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"degree must be a positive integer, got {d!r}")
-    return Fraction(d) ** (d - 3)
 
 
 def park_hurwitz(park: _park.Park, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Fraction:

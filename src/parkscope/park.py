@@ -9,7 +9,8 @@ the real locus.  Its cells:
   ``non_orientable`` or ``separated_pair_member``.  Extraction yields
   only ``orientable`` gardens; the other two kinds occur only in
   hand-authored parks, such as the separated pair of
-  ``examples/example1_park.json``.
+  ``examples/example1_park.json``.  Every garden holds at least one
+  face, edge or vertex.
 * **vertices** -- critical points lying over real critical values.  Each
   carries a ``corner_label`` in ``1..s`` giving which real critical value
   (in cyclic order) it sits over, and is incident to exactly four
@@ -40,11 +41,11 @@ the real locus.  Its cells:
 ``validate_park`` checks every axiom and reports violations under stable
 rule codes; structurally broken references (ids that do not resolve)
 raise ``ValueError`` instead.  The topological invariants
-(``euler_characteristic``, ``genus``, ``total_degree``) assume a
-validated park; the canonical ``type_summary`` checks its input through
-the park gate.  Comparing parks, with each other (``park_isomorphic``)
-or with their own mirror (``find_park_involution``), is
-:mod:`parkscope.equivalence`'s work.
+(``euler_characteristic``, ``genus``) assume a validated park; the
+canonical ``type_summary`` checks its input through the park gate.
+Comparing parks, with each other (``park_isomorphic``) or with their own
+mirror (``find_park_involution``), is :mod:`parkscope.equivalence`'s
+work.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import InconsistencyError, NonRealizableError, Report
+from .errors import NonRealizableError, Report
 
 FACE_COLORS = ("white", "black")
 NODE_ROLES = ("entrance", "exit")
@@ -73,6 +74,7 @@ VALIDATION_RULES = (
     "face-degree",
     "face-color-adjacency",
     "pair-mirror",
+    "garden-cells",
     "node-alley-presence",
     "signature-arithmetic",
     "alley-color",
@@ -349,12 +351,6 @@ class Park:
     def all_faces(self) -> list[Face]:
         return [f for g in self.gardens for f in g.faces]
 
-    def all_edges(self) -> list[GardenEdge]:
-        return [e for g in self.gardens for e in g.edges]
-
-    def all_vertices(self) -> list[GardenVertex]:
-        return [v for g in self.gardens for v in g.vertices]
-
     def is_fine(self) -> bool:
         """True when every face carries boundary data."""
         faces = self.all_faces()
@@ -587,8 +583,10 @@ def _index_report(index: _ParkIndex) -> Report:
                     f"edge {e_id} has two {colors[0]} sides; adjacent faces must alternate colors",
                 )
 
-    # -- separated pairs ---------------------------------------------------
+    # -- gardens: cells and separated pairs --------------------------------
     for g in index.gardens.values():
+        if not (g.faces or g.edges or g.vertices):
+            flag("garden-cells", f"garden {g.id} holds no face, edge or vertex")
         if g.kind == "separated_pair_member":
             if g.partner_id is None:
                 flag("pair-mirror", f"garden {g.id} is a pair member without a partner")
@@ -889,21 +887,6 @@ def _genus_of_characteristic(chi: int) -> int:
             euler_characteristic=chi,
         )
     return numerator // 2
-
-
-def total_degree(park: Park) -> int:
-    """Common sum of white and of black face degrees.
-
-    Raises :class:`InconsistencyError` when the two sums differ (the park
-    then fails validation as well).
-    """
-    white_sum = sum(f.degree for f in park.all_faces() if f.color == "white")
-    black_sum = sum(f.degree for f in park.all_faces() if f.color == "black")
-    if white_sum != black_sum:
-        raise InconsistencyError(
-            f"white degrees sum to {white_sum} but black degrees to {black_sum}"
-        )
-    return white_sum
 
 
 # ---------------------------------------------------------------------------

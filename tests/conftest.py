@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from parkscope import (
-    InconsistencyError,
     NonRealizableError,
+    ResourceLimitError,
     build,
     enumerate_monodromies,
     genus_from_counts,
@@ -55,6 +55,7 @@ from parkscope.permgroup import (
     from_cycles,
     inverse,
     is_matching,
+    is_transitive,
     mirror_matching,
     orbits,
     whites,
@@ -218,6 +219,10 @@ def assemble_park(m) -> Park:
     realizable; the rep is validated, the park is not."""
     _require_generic(m)
     return _build_park(m)
+
+
+class InconsistencyError(Exception):
+    """An oracle's cross-check failed: a bug in the library, not bad input."""
 
 
 def monodromy_to_park_full(m) -> Park:
@@ -427,10 +432,10 @@ def check_extraction(m) -> Park | None:
     vertex_of = corner_vertices(m)
     keys = sorted(set(vertex_of.values()))
     vertex_id = {key: vid for vid, key in enumerate(keys, start=1)}
-    vertices = {v.id: v for v in park.all_vertices()}
+    vertices = {v.id: v for v in all_cells(park, "vertices")}
     assert sorted(vertices) == list(vertex_id.values())
     assert [vertices[v].corner_label for v in vertex_id.values()] == [k for k, _ in keys]
-    edges = {x.id: x for x in park.all_edges()}
+    edges = {x.id: x for x in all_cells(park, "edges")}
     assert sum(x.kind == "segment" for x in edges.values()) == 2 * len(keys)
     for a in range(m.ground_size):  # the seam relation c_1 = e c_{s+1} e^-1
         assert c1[e[a]] == e[c[s][a]], a
@@ -512,7 +517,7 @@ def check_extraction(m) -> Park | None:
     for garden in realized.gardens:
         assert (garden.kind, garden.partner_id) == ("orientable", None), garden.id
         assert garden.edges, garden.id
-    assert all(vertex.pair_id is None for vertex in realized.all_vertices())
+    assert all(vertex.pair_id is None for vertex in all_cells(realized, "vertices"))
     for name in ("edges", "vertices", "gardens"):
         assert all(k == v for k, v in getattr(realized.involution, name).items()), name
     return realized
@@ -785,6 +790,91 @@ def real_hurwitz_brute(component: list[tuple]) -> Fraction:
     return Fraction(len(component), factorial(len(rho[0])))
 
 
+# The Hurwitz oracles share no code with parkscope.hurwitz: the fast engine
+# is what they check.
+
+#: Largest covering degree that :func:`single_hurwitz_brute` enumerates.
+BRUTE_DEGREE_BOUND = 6
+
+
+def branch_count(genus: int, degrees) -> int:
+    """Simple branch points forced by a boundary signature,
+    ``b = 2 genus - 2 + k + sum(degrees)`` with ``k = len(degrees)``."""
+    return 2 * genus - 2 + len(degrees) + sum(degrees)
+
+
+def centralizer_order(degrees) -> int:
+    """Order of the centralizer of a permutation of cycle type ``degrees``."""
+    order = 1
+    for degree, multiplicity in Counter(degrees).items():
+        order *= degree**multiplicity * factorial(multiplicity)
+    return order
+
+
+def interleaving_factor(branch_counts) -> int:
+    """Multinomial count of interleavings, ``(sum b_i)! / prod(b_i!)``."""
+    bs = list(branch_counts)
+    for b in bs:
+        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+            raise ValueError(f"branch counts must be non-negative integers, got {b!r}")
+    out = factorial(sum(bs))
+    for b in bs:
+        out //= factorial(b)
+    return out
+
+
+def one_part_oracle(d: int) -> Fraction:
+    """Closed form for the genus-0 one-part signature: ``d**(d-3)``."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"degree must be a positive integer, got {d!r}")
+    return Fraction(d) ** (d - 3)
+
+
+def single_hurwitz_brute(genus: int, degrees) -> Fraction:
+    """Literal enumeration of transposition tuples, with distance pruning.
+
+    Same value as ``single_hurwitz``; exponentially slower, used as the
+    independent verification path.  A total degree above
+    :data:`BRUTE_DEGREE_BOUND` raises ``ResourceLimitError``.
+    """
+    degs = tuple(sorted(degrees, reverse=True))
+    d = sum(degs)
+    if d > BRUTE_DEGREE_BOUND:
+        raise ResourceLimitError(f"degree {d} exceeds the configured bound {BRUTE_DEGREE_BOUND}")
+    b = branch_count(genus, degs)
+    sigma = []
+    for part in degs:  # one permutation of cycle type degs
+        start = len(sigma)
+        sigma += [*range(start + 1, start + part), start]
+    sigma = tuple(sigma)
+    transpositions = [
+        tuple(j if a == i else i if a == j else a for a in range(d))
+        for i, j in combinations(range(d), 2)
+    ]
+    count = 0
+
+    def rec(level: int, product, chosen: list):
+        nonlocal count
+        # distance pruning: remaining factors must suffice (and have the
+        # right parity) to move the partial product onto sigma.
+        need = compose(sigma, inverse(product))
+        distance = d - len(cycles(need, include_fixed=True))
+        remaining = b - level
+        if distance > remaining or (remaining - distance) % 2 != 0:
+            return
+        if level == b:
+            if product == sigma and is_transitive(chosen, d):
+                count += 1
+            return
+        for tau in transpositions:
+            chosen.append(tau)
+            rec(level + 1, compose(tau, product), chosen)
+            chosen.pop()
+
+    rec(0, tuple(range(d)), [])
+    return Fraction(count, centralizer_order(degs))
+
+
 def real_type(m, sigma) -> tuple[int, bool]:
     """The topological type of the real curve of a rep with single corners
     and its real structure ``sigma`` (one of :func:`real_structures`),
@@ -853,12 +943,29 @@ def real_type(m, sigma) -> tuple[int, bool]:
 CELL_TYPES = ("gardens", "faces", "edges", "vertices", "nodes")
 
 
+def all_cells(park: Park, name: str) -> list:
+    """Every garden's ``faces``, ``edges`` or ``vertices``, in garden order."""
+    return [cell for garden in park.gardens for cell in getattr(garden, name)]
+
+
+def total_degree(park: Park) -> int:
+    """Common sum of white and of black face degrees; raises
+    :class:`InconsistencyError` when the two sums differ."""
+    white_sum = sum(f.degree for f in park.all_faces() if f.color == "white")
+    black_sum = sum(f.degree for f in park.all_faces() if f.color == "black")
+    if white_sum != black_sum:
+        raise InconsistencyError(
+            f"white degrees sum to {white_sum} but black degrees to {black_sum}"
+        )
+    return white_sum
+
+
 def _cells(park: Park) -> dict:
     return {
         "gardens": {g.id: g for g in park.gardens},
         "faces": {f.id: f for f in park.all_faces()},
-        "edges": {e.id: e for e in park.all_edges()},
-        "vertices": {v.id: v for v in park.all_vertices()},
+        "edges": {e.id: e for e in all_cells(park, "edges")},
+        "vertices": {v.id: v for v in all_cells(park, "vertices")},
         "nodes": {n.id: n for n in park.nodes},
     }
 

@@ -22,15 +22,11 @@ from parkscope import (
     enumerate_monodromies,
     find_park_involution,
     genus,
-    interleaving_factor,
     monodromy_equivalent,
     monodromy_to_park,
-    one_part_oracle,
     park_hurwitz,
     park_isomorphic,
     single_hurwitz,
-    single_hurwitz_brute,
-    total_degree,
     validate_park,
 )
 from parkscope import monodromy
@@ -38,11 +34,15 @@ from parkscope.park import from_json_dict, to_json_dict
 
 from conftest import (
     EXAMPLE_PARK_PATH,
+    interleaving_factor,
     load_example_park,
     make_chord_rep,
     make_loop3_rep,
     make_two_entrance_rep,
+    one_part_oracle,
     run_cli,
+    single_hurwitz_brute,
+    total_degree,
 )
 
 

@@ -10,14 +10,12 @@ from itertools import combinations, permutations, product
 import pytest
 
 from parkscope import (
-    InconsistencyError,
     NonRealizableError,
     build,
     enumerate_monodromies,
     find_park_involution,
     genus,
     monodromy_to_park,
-    total_degree,
     validate_park,
 )
 from parkscope import extraction, park as park_module
@@ -27,6 +25,8 @@ from parkscope.park import Alley, euler_characteristic, from_json_dict, to_json_
 from parkscope.permgroup import compose, from_cycles
 
 from conftest import (
+    InconsistencyError,
+    all_cells,
     assemble_park,
     chains_product_brute,
     check_extraction,
@@ -38,6 +38,7 @@ from conftest import (
     nodes_from_weights,
     orbit_weights,
     realized_reps,
+    total_degree,
 )
 
 
@@ -285,9 +286,9 @@ def test_cheap_characteristic_invariants():
     for rep in reps:
         park = assemble_park(rep)
         # every vertex has four ends and every segment two
-        segments = [e for e in park.all_edges() if e.kind == "segment"]
+        segments = [e for e in all_cells(park, "edges") if e.kind == "segment"]
         vertices = set(corner_vertices(rep).values())
-        assert len(segments) == 2 * len(list(park.all_vertices())) == 2 * len(vertices)
+        assert len(segments) == 2 * len(list(all_cells(park, "vertices"))) == 2 * len(vertices)
         # entrances and the exits built from orbits pair off, one to one,
         # with equal signatures
         exits, paired = exits_from_orbits(rep)

@@ -4,21 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from parkscope import (
-    ResourceLimitError,
-    branch_count,
-    interleaving_factor,
-    monodromy_to_park,
-    one_part_oracle,
-    park_hurwitz,
-    single_hurwitz,
-    single_hurwitz_brute,
-)
+from parkscope import ResourceLimitError, monodromy_to_park, park_hurwitz, single_hurwitz
 from parkscope import hurwitz
-from parkscope.hurwitz import BRANCH_COUNT_BOUND, centralizer_order
+from parkscope.hurwitz import BRANCH_COUNT_BOUND
 from parkscope.park import from_json_dict, to_json_dict
 
-from conftest import realized_reps
+from conftest import (
+    branch_count,
+    centralizer_order,
+    interleaving_factor,
+    one_part_oracle,
+    realized_reps,
+    single_hurwitz_brute,
+)
 
 
 def _partitions(total, largest=None):

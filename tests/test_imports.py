@@ -1,13 +1,15 @@
 """The import contract: ``import parkscope`` registers every submodule but
 runs none, and each CLI command loads only the submodules it uses."""
 
+import ast
 import json
+import re
 
 import pytest
 
 import parkscope
 
-from conftest import EXAMPLE_PARK_PATH, EXAMPLE_REP_PATH, run_python
+from conftest import EXAMPLE_PARK_PATH, EXAMPLE_REP_PATH, REPO_ROOT, run_python
 
 LAYERS = ("cli", "equivalence", "extraction", "hurwitz", "monodromy", "park", "permgroup")
 
@@ -62,6 +64,32 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(ImportError):
         from parkscope import no_such_name  # noqa: F401
     assert set(parkscope.__all__) <= set(dir(parkscope))
+
+
+def _names_read(path):
+    """Every name that ``path`` reads, as a variable or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    """A name that ``parkscope`` exports, other than a layer module, is
+    read by a library module besides the package's own ``__init__``, or by
+    the benchmark, or is named in README's "What's inside" table: a name
+    that only tests read belongs in the tests."""
+    package = REPO_ROOT / "src" / "parkscope"
+    sources = [path for path in package.rglob("*.py") if path != package / "__init__.py"]
+    sources += (REPO_ROOT / "perfbench").glob("*.py")
+    read = set().union(*map(_names_read, sources))
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    inside = readme.split("## What's inside\n", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in inside.splitlines() if line.startswith("|"))
+    named = set(re.findall(r"`(\w+)`", table))
+    unread = [n for n in parkscope.__all__ if n not in LAYERS and n not in read | named]
+    assert unread == []
 
 
 @pytest.mark.parametrize(

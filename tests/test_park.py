@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 
 from parkscope import (
-    InconsistencyError,
     NonRealizableError,
     build,
     euler_characteristic,
@@ -18,11 +17,10 @@ from parkscope import (
     monodromy_to_park,
     park_hurwitz,
     park_isomorphic,
-    total_degree,
     type_summary,
     validate_park,
 )
-from parkscope import enumerate_monodromies, equivalence, hurwitz
+from parkscope import enumerate_monodromies, equivalence
 from parkscope import park as park_module
 from parkscope.cli import main
 from parkscope.errors import Report
@@ -43,7 +41,15 @@ from parkscope.park import (
     to_json_dict,
 )
 
-from conftest import EXAMPLE_PARK_PATH, load_example_park, realized_reps, run_cli
+from conftest import (
+    EXAMPLE_PARK_PATH,
+    InconsistencyError,
+    all_cells,
+    load_example_park,
+    realized_reps,
+    run_cli,
+    total_degree,
+)
 
 PARK_COMMANDS = ("validate-park", "info", "hurwitz", "isomorphic")
 
@@ -151,7 +157,7 @@ def test_from_json_dict_reads_absent_optional_keys_as_defaults(example_park_dict
     built = from_json_dict(obj)
     assert all(g.partner_id is None and g.vertices == () for g in built.gardens)
     assert all(f.boundary == () for f in built.all_faces()) and not built.is_fine()
-    assert all(e.ends is None for e in built.all_edges())
+    assert all(e.ends is None for e in all_cells(built, "edges"))
 
 
 @pytest.mark.parametrize("obj", [[], "park", 3])
@@ -333,7 +339,7 @@ def test_garden_kind_rule(example_park_dict, change, kind_messages, has_involuti
 def _edge_swaps(park):
     """``park`` with the involution images of two edges of equal kind,
     length and ends swapped, for each such pair of edges."""
-    for a, b in combinations(park.all_edges(), 2):
+    for a, b in combinations(all_cells(park, "edges"), 2):
         if (a.kind, a.length, a.ends) == (b.kind, b.length, b.ends):
             edges = dict(park.involution.edges)
             edges[a.id], edges[b.id] = edges[b.id], edges[a.id]
@@ -600,6 +606,25 @@ def test_cells_moved_out_of_their_gardens_image_are_each_reported(example_park_d
         ("vertex-edge-ends", "vertex 2 is incident to 0 edge-ends, expected 4"),
         *(("involution-structure", detail) for detail in structure),
     )
+
+
+def test_a_garden_with_no_cells_is_reported(tmp_path, capsys, example_park_dict):
+    """A garden needs a face, an edge or a vertex: an empty garden fixed
+    by the involution breaks ``garden-cells`` alone, and every park
+    command exits 1 on it."""
+    example_park_dict["gardens"].append(
+        {"id": 9, "kind": "non_orientable", "partner": None, "faces": [], "edges": [], "vertices": []}
+    )
+    example_park_dict["involution"]["gardens"]["9"] = 9
+    park = from_json_dict(example_park_dict)
+    assert validate_park(park).violations == (
+        ("garden-cells", "garden 9 holds no face, edge or vertex"),
+    )
+    path = _write_park(tmp_path, example_park_dict)
+    for command in PARK_COMMANDS:
+        assert main(_park_argv(command, path)) == 1, command
+        out, err = capsys.readouterr()
+        assert "garden-cells: garden 9 holds no face, edge or vertex" in out + err, command
 
 
 def test_corner_count_lists_the_first_missing_corners(example_park_dict, chord_park):
@@ -951,8 +976,9 @@ def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, mo
 def test_nothing_past_the_park_gate_checks_again(monkeypatch):
     """Past the gate, ``type_summary`` reads the degree and genus off the
     gate's index and ``park_hurwitz`` multiplies through the unchecked
-    core: neither calls the checked ``total_degree``, ``genus`` or
-    ``interleaving_factor``, whose raises the rules already exclude."""
+    core: neither calls the checked ``genus``, whose raise the rules
+    already exclude.  The library has no checked degree sum or
+    interleaving factor left to call."""
     corners = next(
         park
         for rep, park in realized_reps(3, 4)
@@ -966,9 +992,7 @@ def test_nothing_past_the_park_gate_checks_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("checked again past the gate")
 
-    monkeypatch.setattr(park_module, "total_degree", refuse)
     monkeypatch.setattr(park_module, "genus", refuse)
-    monkeypatch.setattr(hurwitz, "interleaving_factor", refuse)
     # the example park is loaded again, so the gate runs every rule on it
     parks[0] = load_example_park()
     assert [(type_summary(park), park_hurwitz(park)) for park in parks] == expected
@@ -1070,3 +1094,6 @@ def test_total_degree_raises_on_unbalanced_degrees(example_park_dict):
     )
     with pytest.raises(InconsistencyError, match="white degrees sum to 5 but black degrees to 4"):
         total_degree(park)
+    assert ("degree-balance", "white degrees sum to 5, black degrees to 4") in (
+        validate_park(park).violations
+    )

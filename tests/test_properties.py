@@ -28,6 +28,7 @@ from parkscope.permgroup import _cycles, _orbits, cycles, orbits
 from conftest import (
     EXAMPLE_PARK_PATH,
     EXAMPLE_REP_PATH,
+    all_cells,
     check_park_isomorphism,
     enumerated_reps,
     make_chord_rep,
@@ -118,8 +119,8 @@ def _renumbered(data, p):
     for kind, cells in (
         ("gardens", p.gardens),
         ("faces", p.all_faces()),
-        ("edges", p.all_edges()),
-        ("vertices", p.all_vertices()),
+        ("edges", all_cells(p, "edges")),
+        ("vertices", all_cells(p, "vertices")),
         ("nodes", p.nodes),
         ("alleys", p.alleys),
     ):
