@@ -35,13 +35,15 @@ Enumeration builds valid generic data and validates nothing (see
 ``enumerate_monodromies``): it marks the representations it builds, so
 the public ``monodromy_to_park`` it extracts through checks nothing
 again, and it keys through the unvalidated core ``_canonical_keys``.
-Parks have a gate of their own, ``park._validated_index``, which checks
-nothing on the parks that ``monodromy_to_park`` marks.  The park merge
-``_isomorphism_groups`` indexes each park once and searches it, through
-``_isomorphism``, the core that ``park_isomorphic`` wraps, only against
-earlier parks of equal ``_merge_signature``, an invariant of park
-isomorphism, and only at the corner rotations that the two parks' least
-rotations allow; the search still decides every merge.
+Parks have a gate of their own, ``park._validated_index``, which runs
+every rule on every park that ``park_isomorphic`` is given.  The park
+merge ``_isomorphism_groups`` takes only parks that ``monodromy_to_park``
+built, so it runs no rule: it indexes each park once, with
+``park._ParkIndex``, and searches it, through ``_isomorphism``, the core
+that ``park_isomorphic`` wraps, only against earlier parks of equal
+``_merge_signature``, an invariant of park isomorphism, and only at the
+corner rotations that the two parks' least rotations allow; the search
+still decides every merge.
 """
 
 from __future__ import annotations
@@ -290,9 +292,8 @@ def park_isomorphic(
     (plus a reflection when ``allow_reflection`` is set); fine face
     boundaries must correspond; the bijection must commute with both
     park involutions.  Returns the first witness in a fixed search
-    order, or ``None``.  Both parks must validate; each goes through the
-    park gate, which checks nothing on a park that ``monodromy_to_park``
-    built or that passed ``validate_park``.
+    order, or ``None``.  Both parks must validate, and each is checked
+    through the park gate on every call.
     """
     reflections = (False, True) if allow_reflection else (False,)
     rotations = range(p1.corner_points or 1)
@@ -471,16 +472,16 @@ def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[lis
     park of every earlier group of equal ``_merge_signature`` only, and
     only at the rotations that the two parks' :func:`_least_rotations`
     allow, in increasing order; so the groups are those of a plain
-    first-match pairwise merge.  Each park's index is built once, by the
-    park gate, which checks none of the parks that ``monodromy_to_park``
-    builds."""
+    first-match pairwise merge.  Each park's index is built once, and no
+    rule runs: the parks come from ``monodromy_to_park``, whose parks the
+    tests pin valid."""
     groups: list[list] = []
     by_signature: dict[tuple, list[tuple[list, _ParkIndex, list[int]]]] = {}
     for item, park in items:
         if park is None:
             groups.append([item])
             continue
-        index = _validated_index(park)
+        index = _ParkIndex(park)
         signature, rotations = _least_rotations(index)
         s = park.corner_points or 1
         same = by_signature.setdefault(signature, [])
@@ -915,8 +916,8 @@ def enumerate_monodromies(
     strings.  ``park`` joins, in first-seen order, the ``jequiv`` classes
     whose first members' parks are isomorphic (see
     ``_isomorphism_groups``); the parks come from ``monodromy_to_park``,
-    which checks nothing on a marked representation and marks what it
-    returns, so the park gate checks none of them.
+    which checks nothing on a marked representation, and the merge indexes
+    them without running a park rule.
     """
     mode = _DEDUP_ALIASES.get(dedup)
     if mode is None:

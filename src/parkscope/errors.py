@@ -1,4 +1,5 @@
-"""Shared exception and report types.
+"""Shared exception and report types, and the integer check of both
+record layers.
 
 A validator returns a :class:`Report`; a gate that refuses a check words
 its ``ValueError`` with :meth:`Report.first_three`.  Error taxonomy used
@@ -44,6 +45,14 @@ class NonRealizableError(Exception):
 
 class ResourceLimitError(Exception):
     """Requested computation exceeds the configured bounds."""
+
+
+def _require_int(value: object, what: str) -> int:
+    """``value`` when it is an ``int`` and not a ``bool``; ``ValueError``
+    naming ``what`` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class Report:

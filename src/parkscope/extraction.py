@@ -46,7 +46,7 @@ the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
 re-checked: the stages use the unchecked ``permgroup`` cores, the park
 records are made through ``monodromy._trusted``, and the park returned
-is marked valid.  What valid generic input and the construction imply is
+is not checked.  What valid generic input and the construction imply is
 pinned by the tests instead: ``c_1`` carries each white face onto one
 black face; each white face lies inside one entrance orbit, and the
 entrances' branch counts sum to ``t``; corner orbits have size 2 or 4,
@@ -360,7 +360,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     :class:`NonRealizableError` with the figures as attributes.  Only
     realizable data is then extracted and assembled.  A park that is
     returned passes :func:`validate_park`; the tests pin that, so it is
-    not re-checked here but marked valid (see :class:`parkscope.park.Park`).
+    not re-checked here.
     ``m`` is validated here, and each rep is checked once: a rep that
     enumeration built, or that passed an earlier public gate, is not
     checked again.
@@ -377,7 +377,4 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
             built_genus=built_genus,
             forced_genus=forced_genus,
         )
-    # Not in _build_park, which tests run on reps closing to no surface.
-    park = _build_park(m)
-    object.__setattr__(park, "_mark", True)
-    return park
+    return _build_park(m)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import permgroup as pg
-from .errors import NonRealizableError, Report
+from .errors import NonRealizableError, Report, _require_int
 from .permgroup import Perm
 
 # ---------------------------------------------------------------------------
@@ -436,9 +436,3 @@ def from_json_dict(obj: Any) -> MonodromyRep:
     if e_raw is not None and not isinstance(e_raw, list):
         raise ValueError("'e' must be an image array when present")
     return build(degree=obj["degree"], x=x_raw, c=c_raw, e=e_raw)
-
-
-def _require_int(value: Any, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value

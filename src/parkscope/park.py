@@ -25,7 +25,8 @@ the real locus.  Its cells:
   A face may carry its boundary as a cyclic list of signed edge ids
   (positive = forward); parks whose faces all carry boundaries are
   called *fine*, parks without boundary data *coarse*.  Some checks need
-  boundary data and run only on fine parks.
+  boundary data and run only on fine parks; a park whose faces carry
+  boundaries only in part is neither, and fails validation.
 * **nodes** -- the off-real-locus pieces of the covering: ``entrance``
   nodes (attached to white faces) and ``exit`` nodes (attached to black
   faces), each a surface of some ``genus`` with one boundary circle per
@@ -56,7 +57,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import NonRealizableError, Report
+from .errors import NonRealizableError, Report, _require_int
 
 FACE_COLORS = ("white", "black")
 NODE_ROLES = ("entrance", "exit")
@@ -73,6 +74,7 @@ VALIDATION_RULES = (
     "edge-length",
     "face-degree",
     "face-color-adjacency",
+    "face-boundaries",
     "pair-mirror",
     "garden-cells",
     "node-alley-presence",
@@ -111,12 +113,6 @@ def rotations_equal(a: Iterable[Any], b: Iterable[Any]) -> bool:
 def _least_rotation(seq: tuple) -> tuple:
     """The least cyclic rotation of ``seq``; ``()`` for ``()``."""
     return min((seq[k:] + seq[:k] for k in range(len(seq))), default=seq)
-
-
-def _require_int(value: Any, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _optional_int(value: Any, what: str) -> int | None:
@@ -318,12 +314,6 @@ class Park:
     ``corner_points`` (s) and ``cone_points`` (t) are the declared counts
     of real critical values and of conjugate pairs of non-real ones; the
     validator cross-checks both against the cell data.
-
-    A park that passed :func:`validate_park`, or that ``monodromy_to_park``
-    returned, is marked, and the park gate (:func:`_validated_index`)
-    checks nothing on it.  The mark is not a field: equality, ``repr`` and
-    JSON ignore it, and ``dataclasses.replace`` and :func:`from_json_dict`
-    make unmarked parks.
     """
 
     corner_points: int
@@ -332,9 +322,6 @@ class Park:
     nodes: tuple[ParkNode, ...]
     alleys: tuple[Alley, ...]
     involution: Involution
-
-    # Not annotated, so not a field: True once validated or extracted.
-    _mark = False
 
     def __post_init__(self) -> None:
         if _require_int(self.corner_points, "corner_points") < 0:
@@ -495,12 +482,14 @@ def validate_park(park: Park) -> Report:
     ``VALIDATION_RULES`` with a human-readable detail string per violation.
 
     Checks that need face boundary data (the four-edge-ends rule and
-    opposite-color adjacency) run only when the park is fine.  Two rules
-    run only when every other rule holds, in this order: the involution
-    must carry each face boundary, reversed and negated, onto its image
-    face's boundary up to rotation; and the Euler characteristic must be
-    even and at most 2, the characteristic of a closed orientable surface.
-    Every rule runs on every call, and a park that passes is marked.
+    opposite-color adjacency) run only when the park is fine, and a park
+    whose faces carry boundaries only in part fails ``face-boundaries``,
+    which names the faces without one.  Two rules run only when every
+    other rule holds, in this order: the involution must carry each face
+    boundary, reversed and negated, onto its image face's boundary up to
+    rotation; and the Euler characteristic must be even and at most 2, the
+    characteristic of a closed orientable surface.  Every rule runs on
+    every call, and nothing is recorded on the park.
     """
     return _index_report(_ParkIndex(park))
 
@@ -509,18 +498,18 @@ def _validated_index(park: Park) -> _ParkIndex:
     """The index of a park that passes :func:`validate_park`; raises
     ``ValueError`` naming the first violations otherwise.  The one gate of
     the public functions that take parks (``park_isomorphic``,
-    ``park_hurwitz`` and ``type_summary``); it checks nothing on a marked
-    park."""
+    ``park_hurwitz`` and ``type_summary``), which runs every rule on every
+    park it is given.  The library's own loops over parks it built index
+    them with :class:`_ParkIndex` and run no rule."""
     index = _ParkIndex(park)
-    if not park._mark:
-        report = _index_report(index)
-        if not report:
-            raise ValueError("park fails validation: " + report.first_three())
+    report = _index_report(index)
+    if not report:
+        raise ValueError("park fails validation: " + report.first_three())
     return index
 
 
 def _index_report(index: _ParkIndex) -> Report:
-    """:func:`validate_park` on a park's index; marks a park that passes."""
+    """:func:`validate_park` on a park's index."""
     index.check_references()
     park = index.park
     violations: list[tuple[str, str]] = []
@@ -582,6 +571,10 @@ def _index_report(index: _ParkIndex) -> Report:
                     "face-color-adjacency",
                     f"edge {e_id} has two {colors[0]} sides; adjacent faces must alternate colors",
                 )
+    elif any(f.boundary for f in index.faces.values()):
+        bare = sorted(f.id for f in index.faces.values() if not f.boundary)
+        more = f" and {len(bare) - 10} more" if len(bare) > 10 else ""
+        flag("face-boundaries", f"faces {bare[:10]}{more} carry no boundary, but other faces do")
 
     # -- gardens: cells and separated pairs --------------------------------
     for g in index.gardens.values():
@@ -796,8 +789,6 @@ def _index_report(index: _ParkIndex) -> Report:
                 f"no closed orientable surface has Euler characteristic {chi}",
             )
 
-    if not violations:
-        object.__setattr__(park, "_mark", True)
     return Report(violations)
 
 

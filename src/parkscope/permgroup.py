@@ -261,17 +261,6 @@ def _orbits(gens: Sequence[Perm], n: int, domain: Sequence[int]) -> list[tuple[i
     return out
 
 
-def is_transitive(gens: Sequence[Perm], n: int) -> bool:
-    """True when the generated group has a single orbit on ``0..n-1``.
-
-    >>> is_transitive([from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)])], 3)
-    True
-    >>> is_transitive([from_cycles(4, [(0, 1)])], 4)
-    False
-    """
-    return len(orbits(gens, n)) <= 1
-
-
 # ---------------------------------------------------------------------------
 # the two-colored ground set
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from parkscope.permgroup import (
     from_cycles,
     inverse,
     is_matching,
-    is_transitive,
     mirror_matching,
     orbits,
     whites,
@@ -863,7 +862,7 @@ def single_hurwitz_brute(genus: int, degrees) -> Fraction:
         if distance > remaining or (remaining - distance) % 2 != 0:
             return
         if level == b:
-            if product == sigma and is_transitive(chosen, d):
+            if product == sigma and len(orbits(chosen, d)) == 1:
                 count += 1
             return
         for tau in transpositions:

@@ -75,11 +75,25 @@ def _names_read(path):
     }
 
 
+def _public_definitions(path):
+    """The public names that the module ``path`` defines at its top level:
+    its functions, its classes and the names it assigns."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_name_has_a_reader_outside_the_tests():
-    """A name that ``parkscope`` exports, other than a layer module, is
-    read by a library module besides the package's own ``__init__``, or by
-    the benchmark, or is named in README's "What's inside" table: a name
-    that only tests read belongs in the tests."""
+    """A name that ``parkscope`` exports, other than a layer module, and a
+    public name that a layer module or ``errors`` defines at its top level,
+    is read by a library module besides the package's own ``__init__``, or
+    by the benchmark, or is named in README's "What's inside" table: a
+    name that only tests read belongs in the tests."""
     package = REPO_ROOT / "src" / "parkscope"
     sources = [path for path in package.rglob("*.py") if path != package / "__init__.py"]
     sources += (REPO_ROOT / "perfbench").glob("*.py")
@@ -88,7 +102,13 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     inside = readme.split("## What's inside\n", 1)[1].split("\n## ", 1)[0]
     table = "\n".join(line for line in inside.splitlines() if line.startswith("|"))
     named = set(re.findall(r"`(\w+)`", table))
-    unread = [n for n in parkscope.__all__ if n not in LAYERS and n not in read | named]
+    public = [("parkscope", n) for n in parkscope.__all__ if n not in LAYERS]
+    for module in (*LAYERS, "errors"):
+        path = package / f"{module}.py"
+        if not path.exists():
+            path = package / module / "__init__.py"
+        public += [(module, n) for n in _public_definitions(path)]
+    unread = [f"{module}.{n}" for module, n in public if n not in read | named]
     assert unread == []
 
 

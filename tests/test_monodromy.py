@@ -423,7 +423,7 @@ def test_every_sheet_tuple_is_a_realized_generic_rep():
         monodromy._require_generic(m)
         assert m._mark is not None and m._mark.cells is None
         park = monodromy_to_park(m)
-        assert m._mark.cells is not None and park._mark
+        assert m._mark.cells is not None
         if m.degree <= 3:
             assert check_extraction(m) == park
     assert len(reps) == 4691

@@ -382,10 +382,10 @@ def test_validator_raises_on_dangling_reference(example_park_dict):
 
 
 def test_type_summary_checks_its_park_through_the_gate(report_runs, example_park_dict, loop3_rep):
-    """``type_summary`` checks an unmarked park through the park gate: a
+    """``type_summary`` checks every park through the park gate: a
     dangling alley raises the ``ValueError`` that ``validate_park`` raises,
-    and a park that breaks a rule the gate's text; a marked park is not
-    checked."""
+    a park that breaks a rule the gate's text, and an extracted park runs
+    the rules once."""
     dangling = _mutated(example_park_dict, lambda obj: obj["alleys"][0].update(face=99))
     with pytest.raises(ValueError, match="^alley 1 references unknown face 99$"):
         validate_park(dangling)
@@ -397,7 +397,7 @@ def test_type_summary_checks_its_park_through_the_gate(report_runs, example_park
     assert report_runs == [dangling, dangling, failing]
     park = monodromy_to_park(loop3_rep)
     assert type_summary(park).degree == 3
-    assert report_runs == [dangling, dangling, failing]
+    assert report_runs == [dangling, dangling, failing, park]
 
 
 def test_genus_rejects_odd_characteristic():
@@ -625,6 +625,30 @@ def test_a_garden_with_no_cells_is_reported(tmp_path, capsys, example_park_dict)
         assert main(_park_argv(command, path)) == 1, command
         out, err = capsys.readouterr()
         assert "garden-cells: garden 9 holds no face, edge or vertex" in out + err, command
+
+
+def test_a_partly_fine_park_is_reported(tmp_path, capsys, chord_park):
+    """Boundaries on some faces and not on others break ``face-boundaries``,
+    which names the faces without one, so a fault in the boundaries that
+    are there cannot hide behind a blank one; a fully coarse park stays
+    valid, and every park command exits 1 on a partly fine file."""
+    obj = to_json_dict(chord_park)
+    faces = {f["id"]: f for f in obj["gardens"][0]["faces"]}
+    faces[2]["boundary"], faces[4]["boundary"] = [2, 3, 4, 1], [-1, -4, -3, -2]
+    assert validate_park(from_json_dict(obj)).violations == (
+        ("face-color-adjacency", "edge 1 appears 4 times in face boundaries, expected 2"),
+    )
+    faces[1]["boundary"] = []
+    message = "faces [1] carry no boundary, but other faces do"
+    assert validate_park(from_json_dict(obj)).violations == (("face-boundaries", message),)
+    path = _write_park(tmp_path, obj)
+    for command in PARK_COMMANDS:
+        assert main(_park_argv(command, path)) == 1, command
+        out, err = capsys.readouterr()
+        assert f"face-boundaries: {message}" in out + err, command
+    for face in faces.values():
+        face["boundary"] = []
+    assert validate_park(from_json_dict(obj))
 
 
 def test_corner_count_lists_the_first_missing_corners(example_park_dict, chord_park):
@@ -947,7 +971,10 @@ def report_runs(monkeypatch):
     return runs
 
 
-def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, monkeypatch):
+def test_the_park_merge_runs_no_rule(report_runs, example_park, monkeypatch):
+    """The public functions check every park they are given; the merge,
+    alone and in ``enumerate_monodromies(..., dedup="park")``, indexes the
+    parks that ``monodromy_to_park`` built and runs no rule."""
     built = [monodromy_to_park(rep) for rep, _ in realized_reps(3, 4)[::25]]
     assert report_runs == []
     assert validate_park(example_park)
@@ -955,6 +982,8 @@ def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, mo
     for park in built + [example_park]:
         park_hurwitz(park)
         assert park_isomorphic(park, park, allow_reflection=True) is not None
+    assert report_runs == [example_park] + [p for p in built + [example_park] for _ in range(3)]
+    report_runs.clear()
     searched = []
     search = equivalence._isomorphism
 
@@ -970,7 +999,7 @@ def test_park_gate_checks_nothing_on_a_marked_park(report_runs, example_park, mo
     searched.clear()
     result = enumerate_monodromies(3, 2, 2, dedup="park")
     assert (len(result.classes), len(searched)) == (6, 2)
-    assert report_runs == [example_park]
+    assert report_runs == []
 
 
 def test_nothing_past_the_park_gate_checks_again(monkeypatch):
@@ -998,12 +1027,12 @@ def test_nothing_past_the_park_gate_checks_again(monkeypatch):
     assert [(type_summary(park), park_hurwitz(park)) for park in parks] == expected
 
 
-def test_validate_park_runs_every_rule_on_a_marked_park(report_runs, loop3_rep):
+def test_validate_park_runs_every_rule_on_every_call(report_runs, loop3_rep):
     park = monodromy_to_park(loop3_rep)
     assert validate_park(park) and validate_park(park)
     assert report_runs == [park, park]
-    # A marked park cannot be changed in place, so its mark cannot go
-    # stale; a changed copy is unmarked, and validate_park finds what broke.
+    # A park cannot be changed in place; a changed copy is a new park, and
+    # validate_park finds what broke.
     with pytest.raises(AttributeError):
         park.involution.faces.clear()
     with pytest.raises(TypeError):
@@ -1015,15 +1044,14 @@ def test_validate_park_runs_every_rule_on_a_marked_park(report_runs, loop3_rep):
     report = validate_park(broken)
     assert not report
     assert report.violations[0][0] == "involution-involutive"
-    assert report_runs == [park, park, broken]
+    assert report_runs == [park, park, park, broken]
 
 
 def test_involution_maps_reject_change_in_place(chord_rep, example_park):
     """Every way to get an involution gives five read-only maps: item
     assignment raises ``TypeError``, and ``clear`` and ``update`` are not
-    there.  So the chord park cannot lose its face map between its mark
-    and the gate, and ``dataclasses.replace`` makes a new, unmarked park
-    that the gate checks."""
+    there.  So a park cannot lose its face map once built, and
+    ``dataclasses.replace`` makes a new park that the gate checks."""
     chord = monodromy_to_park(chord_rep)
     involutions = (
         chord.involution,
@@ -1046,16 +1074,15 @@ def test_involution_maps_reject_change_in_place(chord_rep, example_park):
     involution = Involution(nodes=source)
     source[1] = 1
     assert involution.nodes == {1: 2, 2: 1}
-    assert chord._mark and park_isomorphic(chord, chord) is not None
+    assert park_isomorphic(chord, chord) is not None
     replaced = dataclasses.replace(
         chord, involution=dataclasses.replace(chord.involution, faces={})
     )
-    assert not replaced._mark
     with pytest.raises(ValueError, match="^park fails validation: involution-involutive"):
         park_isomorphic(replaced, chord)
 
 
-def test_a_park_that_fails_is_never_marked(report_runs, example_park_dict):
+def test_a_park_that_fails_is_checked_on_every_call(report_runs, example_park_dict):
     bad = _mutated(example_park_dict, lambda obj: obj.update(t=5))
     expected = (
         "park fails validation: cone-count: entrance branch counts sum to 4, "
@@ -1071,20 +1098,29 @@ def test_a_park_that_fails_is_never_marked(report_runs, example_park_dict):
             call()
         assert str(err.value) == expected
     assert not validate_park(bad)
-    assert not bad._mark
     assert report_runs == [bad] * 4
 
 
-def test_copies_of_a_marked_park_are_unmarked(report_runs, chord_rep):
-    park = monodromy_to_park(chord_rep)
-    assert park._mark
-    for copied in (dataclasses.replace(park), from_json_dict(to_json_dict(park))):
-        assert copied == park and not copied._mark
-        park_hurwitz(copied)
-        park_hurwitz(copied)
-        assert copied._mark
-        assert report_runs[-1] is copied
-    assert len(report_runs) == 2
+def test_public_park_functions_check_every_park_and_change_none(
+    report_runs, chord_rep, example_park
+):
+    """``validate_park``, ``park_hurwitz``, ``park_isomorphic`` and
+    ``type_summary`` run the rules once on each park they are given, on
+    every call, and leave the park as it was: a park carries no record of
+    a check, whether it was extracted or read."""
+    calls = (
+        (validate_park, 1),
+        (park_hurwitz, 1),
+        (lambda park: park_isomorphic(park, park), 2),
+        (type_summary, 1),
+    )
+    for park in (monodromy_to_park(chord_rep), example_park):
+        before = dict(vars(park))
+        for call, runs in calls * 2:
+            report_runs.clear()
+            call(park)
+            assert report_runs == [park] * runs
+            assert vars(park) == before
 
 
 def test_total_degree_raises_on_unbalanced_degrees(example_park_dict):

@@ -78,8 +78,8 @@ def test_orbits_and_transitivity():
         (0, 1),
         (2, 3),
     ]
-    assert not pg.is_transitive([a, b], 4)
-    assert pg.is_transitive([a, b, pg.from_cycles(4, [(1, 2)])], 4)
+    assert len(pg.orbits([a, b], 4)) != 1
+    assert len(pg.orbits([a, b, pg.from_cycles(4, [(1, 2)])], 4)) == 1
 
 
 def test_orbits_reject_generators_of_another_size():
