@@ -57,7 +57,8 @@ def _load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad JSON or UTF-8, an integer past the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -88,6 +89,20 @@ def _parse_park(obj: Any, path: str) -> tuple[park.Park, Report]:
         return built, park.validate_park(built)
     except ValueError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path}: {exc}") from exc
+
+
+def _require_valid(payload: dict[str, Any], *inputs: tuple[str, Any]) -> None:
+    """Refuse, exit 1 with ``payload``, the first ``(path, input)`` that
+    fails its check, as ``<path>: <reason>``: a representation through the
+    library's gate, a park by the report that loading it made."""
+    for path, loaded in inputs:
+        try:
+            if not isinstance(loaded, Report):
+                monodromy.require_generic(loaded)
+            elif not loaded:
+                raise ValueError("park fails validation: " + loaded.first_three())
+        except ValueError as exc:
+            raise _CliFailure(EXIT_NEGATIVE, f"{path}: {exc}", payload) from exc
 
 
 def _check_sheets(sheets: int, max_sheets: int) -> None:
@@ -146,14 +161,12 @@ def _cmd_validate(args) -> _Answer:
 
 def _cmd_extract(args) -> _Answer:
     rep = _load_monodromy(args.monodromy, args.max_sheets)
+    refused = {"command": "extract", "ok": False}
+    _require_valid(refused, (args.monodromy, rep))
     try:
         built = extraction.monodromy_to_park(rep)
-    except (ValueError, NonRealizableError) as exc:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"{args.monodromy}: {exc}",
-            {"command": "extract", "ok": False},
-        ) from exc
+    except NonRealizableError as exc:
+        raise _CliFailure(EXIT_NEGATIVE, f"{args.monodromy}: {exc}", refused) from exc
     park_obj = park.to_json_dict(built)
     if args.output:
         try:
@@ -238,12 +251,7 @@ def _info_monodromy(args, obj: Any) -> _Answer:
 
 def _info_park(args, obj: Any) -> _Answer:
     built, report = _parse_park(obj, args.file)
-    if not report:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"{args.file}: park fails validation ({report.first_three()})",
-            {"command": "info", "schema": "park", "ok": False},
-        )
+    _require_valid({"command": "info", "schema": "park", "ok": False}, (args.file, report))
     summary = park.type_summary(built)
     payload = {
         "command": "info",
@@ -274,13 +282,9 @@ def _degree_bound(args) -> int:
 
 
 def _cmd_hurwitz(args) -> _Answer:
-    built, _ = _load_park(args.park)
-    try:
-        value = hurwitz.park_hurwitz(built, _degree_bound(args))
-    except ValueError as exc:
-        raise _CliFailure(
-            EXIT_NEGATIVE, f"{args.park}: {exc}", {"command": "hurwitz", "ok": False}
-        ) from exc
+    built, report = _load_park(args.park)
+    _require_valid({"command": "hurwitz", "ok": False}, (args.park, report))
+    value = hurwitz.park_hurwitz(built, _degree_bound(args))
     payload = {"command": "hurwitz", "ok": True, **_fraction_payload(value)}
     return EXIT_OK, payload, [str(value)]
 
@@ -317,18 +321,11 @@ def _witness_payload(witness: equivalence.ParkIsomorphism) -> dict[str, Any]:
 
 
 def _cmd_isomorphic(args) -> _Answer:
-    first, _ = _load_park(args.park_a)
-    second, _ = _load_park(args.park_b)
-    try:
-        witness = equivalence.park_isomorphic(
-            first, second, allow_reflection=args.allow_reflection
-        )
-    except ValueError as exc:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"invalid park input: {exc}",
-            {"command": "isomorphic", "ok": False},
-        ) from exc
+    first, first_report = _load_park(args.park_a)
+    second, second_report = _load_park(args.park_b)
+    refused = {"command": "isomorphic", "ok": False}
+    _require_valid(refused, (args.park_a, first_report), (args.park_b, second_report))
+    witness = equivalence.park_isomorphic(first, second, allow_reflection=args.allow_reflection)
     if witness is None:
         raise _CliFailure(
             EXIT_NEGATIVE,
@@ -353,14 +350,9 @@ def _cmd_isomorphic(args) -> _Answer:
 def _cmd_equivalent(args) -> _Answer:
     first = _load_monodromy(args.monodromy_a, args.max_sheets)
     second = _load_monodromy(args.monodromy_b, args.max_sheets)
-    try:
-        witness = equivalence.monodromy_equivalent(first, second)
-    except ValueError as exc:
-        raise _CliFailure(
-            EXIT_NEGATIVE,
-            f"invalid representation input: {exc}",
-            {"command": "equivalent", "ok": False},
-        ) from exc
+    refused = {"command": "equivalent", "ok": False}
+    _require_valid(refused, (args.monodromy_a, first), (args.monodromy_b, second))
+    witness = equivalence.monodromy_equivalent(first, second)
     if witness is None:
         params = [(m.degree, m.cone_points, m.corner_points) for m in (first, second)]
         raise _CliFailure(

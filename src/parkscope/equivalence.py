@@ -56,7 +56,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonRealizableError, ResourceLimitError
 from .extraction import monodromy_to_park
-from .monodromy import MonodromyRep, _generic_trusted, _Mark, _require_generic
+from .monodromy import MonodromyRep, _generic_trusted, _Mark, require_generic
 from .park import (
     CELL_TYPES,
     Involution,
@@ -253,27 +253,52 @@ def _park_morphisms(
             for f, face in src.faces.items()
         )
 
-    def search(steps: list[_Step], i: int, phase: int) -> Iterator[_CellMaps]:
-        if i == len(steps):
-            if phase < len(phases):
-                yield from search(steps + phases[phase](), i, phase + 1)
+    def fitting(cell: str, a: int, scope: list[int]) -> Iterator[int]:
+        """The targets in ``scope`` still unbound when tried, of the shape
+        that ``a``'s image needs as the maps stand when the step is reached."""
+        need = want(cell, a)
+        return (b for b in scope if b not in images[cell] and _cell_shape(dst, cell, b) == need)
+
+    def search() -> Iterator[_CellMaps]:
+        """The depth-first loop, on an explicit stack of choice points, so
+        that a park of any size stays clear of the recursion limit.  A
+        frame is a step's index, its untried targets, the trail mark and
+        the step count and phase when the step was reached."""
+        steps: list[_Step] = []
+        stack: list[tuple[int, Iterator[int], int, int, int]] = []
+        i = phase = 0
+        while True:
+            if i < len(steps):
+                cell, a, scope = steps[i]
+                if a in maps[cell]:
+                    i += 1
+                    continue
+                stack.append((i, fitting(cell, a, scope), len(trail), len(steps), phase))
+            elif phase < len(phases):
+                steps += phases[phase]()
+                phase += 1
+                continue
             elif boundaries_correspond():
                 yield {t: dict(mapping) for t, mapping in maps.items()}
-            return
-        cell, a, scope = steps[i]
-        if a in maps[cell]:
-            yield from search(steps, i + 1, phase)
-            return
-        need = want(cell, a)
-        mark = len(trail)
-        for b in scope:
-            if b in images[cell] or _cell_shape(dst, cell, b) != need:
-                continue
-            if bind_twins(cell, a, b) and (cell != "faces" or bind_garden(a, b)):
-                yield from search(steps, i + 1, phase)
-            undo(mark)
+            # bind the next target of the innermost step that has one left
+            while stack:
+                i, untried, mark, count, phase = stack[-1]
+                undo(mark)
+                del steps[count:]
+                cell, a, _ = steps[i]
+                for b in untried:
+                    if bind_twins(cell, a, b) and (cell != "faces" or bind_garden(a, b)):
+                        break
+                    undo(mark)
+                else:
+                    stack.pop()
+                    continue
+                i += 1
+                break
+            else:
+                return
 
-    yield from search([], 0, 0)
+    yield from search()
 
 
 def _rotated_label(label: int, s: int, rotation: int, reflected: bool) -> int:
@@ -528,8 +553,8 @@ def monodromy_equivalent(
     representation's canonical image and one ``j2`` that reaches the
     second's, so the first witness is the least of them.
     """
-    _require_generic(m1)
-    _require_generic(m2)
+    require_generic(m1)
+    require_generic(m2)
     (key1, tied1), (key2, tied2) = _canonical_images((m1, m2))
     if key1 != key2:
         return None
@@ -650,7 +675,7 @@ def canonical_form(m: MonodromyRep) -> str:
     ``m`` is validated here, once: a rep that enumeration built, or that
     passed an earlier public gate, is not checked again.
     """
-    _require_generic(m)
+    require_generic(m)
     return repr(next(_canonical_keys((m,))))
 
 

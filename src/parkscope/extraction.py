@@ -41,7 +41,7 @@ orbit order, and the node and alley records these fix.
 
 ``monodromy_to_park`` is the one public entry point, and the only path
 from a representation to its cells.  It validates its input through
-``monodromy._require_generic``, which checks each representation once:
+``monodromy.require_generic``, which checks each representation once:
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
 re-checked: the stages use the unchecked ``permgroup`` cores, the park
@@ -64,7 +64,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonRealizableError
-from .monodromy import MonodromyRep, _require_generic, _trusted, genus_from_counts
+from .monodromy import MonodromyRep, _trusted, genus_from_counts, require_generic
 from .park import (
     Alley,
     Face,
@@ -365,7 +365,7 @@ def monodromy_to_park(m: MonodromyRep) -> Park:
     enumeration built, or that passed an earlier public gate, is not
     checked again.
     """
-    _require_generic(m)
+    require_generic(m)
     chi = _euler_characteristic(m)
     built_genus = _genus_of_characteristic(chi)
     forced_genus = genus_from_counts(m)

@@ -69,7 +69,7 @@ class MonodromyRep:
     its own representations through :func:`_generic_trusted` instead,
     unchecked and marked valid and generic; any other representation is checked
     once, the first time a public entry point that needs valid generic
-    data sees it (see :func:`_require_generic`).  The mark is a
+    data sees it (see :func:`require_generic`).  The mark is a
     :class:`_Mark`, which also holds extraction's memo of what the park
     takes from the white skeleton: enumeration gives every representation
     of one skeleton the same mark, and a representation that passes the
@@ -84,7 +84,7 @@ class MonodromyRep:
     c: tuple[Perm, ...]
 
     # Not annotated, so not a field: None, or a _Mark set on an instance
-    # by _require_generic once it passed both validators, or by
+    # by require_generic once it passed both validators, or by
     # _generic_trusted for what enumeration built.
     _mark = None
 
@@ -179,7 +179,7 @@ def _generic_trusted(
     closing permutation ``e`` it already computed: made through
     :func:`_trusted` and carrying ``mark``, which enumeration shares among
     the representations of one white skeleton, so that
-    :func:`_require_generic` never checks it."""
+    :func:`require_generic` never checks it."""
     m = _trusted(MonodromyRep, degree=degree, x=x, e=e, c=c)
     object.__setattr__(m, "_mark", mark)
     return m
@@ -353,13 +353,13 @@ def validate_genericity(m: MonodromyRep, mode: str = "geometric") -> Report:
     return Report(violations)
 
 
-def _require_generic(m: MonodromyRep) -> None:
+def require_generic(m: MonodromyRep) -> None:
     """Raise ``ValueError`` unless ``m`` passes :func:`validate_relations`
     and geometric :func:`validate_genericity`, naming the first three
     failures of the first check that fails.  Each object is checked at
     most once: a rep that passes gets a fresh :class:`_Mark` of its own,
     and a marked rep returns at once.  The one gate of every public entry
-    point that needs valid generic data."""
+    point that needs valid generic data, and of the CLI commands that do."""
     if m._mark is not None:
         return
     relations = validate_relations(m)

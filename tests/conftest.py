@@ -32,7 +32,7 @@ from parkscope.equivalence import (
     _corner_moves,
 )
 from parkscope.extraction import _build_park, _euler_characteristic
-from parkscope.monodromy import _require_generic, validate_genericity, validate_relations
+from parkscope.monodromy import require_generic, validate_genericity, validate_relations
 from parkscope.park import (
     Alley,
     EntranceSignature,
@@ -216,7 +216,7 @@ def realized_reps(max_degree: int, max_critical: int) -> tuple:
 def assemble_park(m) -> Park:
     """The full park of a valid generic rep, built whether or not it is
     realizable; the rep is validated, the park is not."""
-    _require_generic(m)
+    require_generic(m)
     return _build_park(m)
 
 

@@ -46,6 +46,22 @@ def broken_file(tmp_path):
     return _write_rep(tmp_path / "bad.json", build(2, [(1, 0, 2, 3)], [(2, 3, 0, 1)]))
 
 
+#: What every park check says of ``failing_park_file``'s park.
+PARK_FAILURE = (
+    "park fails validation: cone-count: entrance branch counts sum to 4, declared cone_points is 5"
+)
+
+
+@pytest.fixture
+def failing_park_file(tmp_path):
+    """The example park, which parses, declaring one cone point too many."""
+    obj = json.loads(EXAMPLE_PARK_PATH.read_text())
+    obj["t"] = 5
+    path = tmp_path / "failing_park.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def test_validate_ok(loop3_file, capsys):
     assert main(["validate", loop3_file]) == 0
     out = capsys.readouterr().out
@@ -174,7 +190,7 @@ def test_info_park_closing_to_no_surface(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["park: INVALID", f"  {closure}"]
     assert main(["info", str(path), "--json"]) == 1
     captured = capsys.readouterr()
-    message = f"{path}: park fails validation ({closure})"
+    message = f"{path}: park fails validation: {closure}"
     assert json.loads(captured.out) == {
         "command": "info", "schema": "park", "ok": False, "error": message
     }
@@ -377,9 +393,81 @@ def test_equivalent_different_parameters(tmp_path, capsys):
 def test_equivalent_invalid_rep(loop3_file, broken_file, capsys):
     assert main(["equivalent", broken_file, loop3_file, "--json"]) == 1
     captured = capsys.readouterr()
-    message = f"invalid representation input: {SEAM_FAILURE}"
+    message = f"{broken_file}: {SEAM_FAILURE}"
     assert captured.err == message + "\n"
     assert json.loads(captured.out) == {"command": "equivalent", "ok": False, "error": message}
+
+
+@pytest.mark.parametrize(
+    "command, schema, position",
+    [
+        ("info", "park", 0),
+        ("hurwitz", "park", 0),
+        ("extract", "rep", 0),
+        ("isomorphic", "park", 0),
+        ("isomorphic", "park", 1),
+        ("equivalent", "rep", 0),
+        ("equivalent", "rep", 1),
+    ],
+)
+def test_a_refusal_names_its_file(
+    broken_file, failing_park_file, capsys, command, schema, position
+):
+    """Every command that needs valid input refuses an invalid file one
+    way: exit 1, ``<path>: <reason>`` on stderr, and with ``--json`` the
+    command's payload, whichever argument the file is."""
+    if schema == "park":
+        failing, reason, valid = failing_park_file, PARK_FAILURE, str(EXAMPLE_PARK_PATH)
+    else:
+        failing, reason, valid = broken_file, SEAM_FAILURE, str(EXAMPLE_REP_PATH)
+    files = [valid, valid] if command in ("isomorphic", "equivalent") else [valid]
+    files[position] = failing
+    message = f"{failing}: {reason}"
+    payload = {"command": command, "ok": False, "error": message}
+    if command == "info":
+        payload["schema"] = "park"
+    assert main([command, *files]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert main([command, *files, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert json.loads(captured.out) == payload
+
+
+@pytest.mark.parametrize("command", ["isomorphic", "equivalent"])
+def test_every_file_loads_before_any_is_checked(
+    tmp_path, broken_file, failing_park_file, capsys, command
+):
+    """An invalid first file and a malformed second one: exit 2 for the
+    second, since every file loads before any is checked.  Two invalid
+    files: the first is named."""
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{nope")
+    failing = failing_park_file if command == "isomorphic" else broken_file
+    assert main([command, failing, str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"{malformed} is not valid JSON: ")
+    also_failing = tmp_path / "also_failing.json"
+    also_failing.write_text(open(failing, encoding="utf-8").read())
+    assert main([command, failing, str(also_failing)]) == 1
+    assert capsys.readouterr().err.startswith(f"{failing}: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"degree": 3}', b"[" * 200000 + b"]" * 200000, b'{"degree": ' + b"7" * 5000 + b"}"],
+    ids=["not-utf-8", "nested-too-deep", "integer-past-digit-limit"],
+)
+def test_a_file_that_does_not_decode_is_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"{path} is not valid JSON: ")
+    message = captured.err.rstrip("\n")
+    assert main(["info", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and "Traceback" not in message
+    assert json.loads(captured.out) == {"error": message}
 
 
 def test_enumerate_output(capsys):

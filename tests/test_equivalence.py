@@ -22,7 +22,7 @@ from parkscope import (
     monodromy_to_park,
     park_isomorphic,
 )
-from parkscope import equivalence, extraction, monodromy
+from parkscope import cli, equivalence, extraction, monodromy
 from parkscope import permgroup as pg
 from parkscope.park import _ParkIndex, from_json_dict, to_json_dict, validate_park
 
@@ -501,6 +501,56 @@ def test_park_search_binds_gardens_no_face_binds(example_park):
     assert witness.gardens == {1: 1, 2: 2, 3: 3, 4: 4, 98: 98, 99: 99}
     check_park_isomorphism(coarse, coarse, witness)
     assert find_park_involution(coarse).gardens == {1: 2, 2: 1, 3: 3, 4: 4, 98: 99, 99: 98}
+
+
+def _garden_chain_park(n):
+    """A valid park of ``n`` orientable gardens, garden ``k`` holding one
+    loop edge ``k`` between white face ``2k - 1`` and black face ``2k``,
+    both of degree 1; every white face on one genus-0 entrance and every
+    black face on one genus-0 exit, so ``s = 0`` and ``t = 2n - 2``."""
+    gardens, alleys = [], []
+    for k in range(1, n + 1):
+        white, black = 2 * k - 1, 2 * k
+        faces = [
+            {"id": white, "color": "white", "degree": 1, "boundary": [k]},
+            {"id": black, "color": "black", "degree": 1, "boundary": [-k]},
+        ]
+        edge = {"id": k, "length": 1, "kind": "loop", "ends": None}
+        garden = {"id": k, "kind": "orientable", "partner": None, "faces": faces}
+        gardens.append({**garden, "edges": [edge], "vertices": []})
+        alleys += [{"id": white, "face": white, "node": 1}, {"id": black, "face": black, "node": 2}]
+    faces = {str(f): f + 1 if f % 2 else f - 1 for f in range(1, 2 * n + 1)}
+    return {
+        "s": 0,
+        "t": 2 * n - 2,
+        "gardens": gardens,
+        "nodes": [{"id": 1, "role": "entrance", "genus": 0}, {"id": 2, "role": "exit", "genus": 0}],
+        "alleys": alleys,
+        "involution": {
+            "nodes": {"1": 2, "2": 1},
+            "faces": faces,
+            "edges": {str(k): k for k in range(1, n + 1)},
+            "vertices": {},
+            "gardens": {str(k): k for k in range(1, n + 1)},
+        },
+    }
+
+
+def test_park_search_takes_a_park_past_the_recursion_limit(tmp_path, capsys):
+    """The search keeps its choice points on a stack of its own: a park of
+    2,000 gardens, 4,000 steps deep, is searched by both library calls
+    and by ``isomorphic``, where one frame a step ends in ``RecursionError``."""
+    obj = _garden_chain_park(2000)
+    big = from_json_dict(obj)
+    assert validate_park(big).ok
+    involution = find_park_involution(big)
+    assert (involution.faces[1], involution.faces[4000], involution.gardens[2000]) == (2, 3999, 2000)
+    witness = park_isomorphic(big, big)
+    assert witness.faces == {f: f for f in range(1, 4001)}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["isomorphic", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.startswith("isomorphic\ncorner rotation: 0\ngardens: 1->1 2->2 ")
 
 
 def test_park_isomorphic_across_conjugation(chord_rep):

@@ -420,7 +420,7 @@ def test_every_sheet_tuple_is_a_realized_generic_rep():
     cells = TUPLE_CELLS + [(4, 1, 3), (4, 2, 2), (4, 3, 0), (4, 4, 0)]
     reps = [tuple_to_rep(chi, rho) for cell in cells for chi, rho in sheet_tuples(*cell)]
     for m in reps:
-        monodromy._require_generic(m)
+        monodromy.require_generic(m)
         assert m._mark is not None and m._mark.cells is None
         park = monodromy_to_park(m)
         assert m._mark.cells is not None
