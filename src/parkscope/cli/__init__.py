@@ -57,9 +57,16 @@ def _load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise _CliFailure(EXIT_MALFORMED, f"cannot read {path}: {exc}") from exc
-    # bad JSON or UTF-8, an integer past the digit limit, or nesting too deep
-    except (ValueError, RecursionError) as exc:
+    # bad JSON or UTF-8, or nesting too deep
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _CliFailure(EXIT_MALFORMED, f"{path} is not valid JSON: {exc}") from exc
+    # the one other ValueError that parsing raises: an integer past the
+    # interpreter's digit limit
+    except ValueError as exc:
+        raise _CliFailure(
+            EXIT_MALFORMED,
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits",
+        ) from exc
 
 
 def _load_monodromy(path: str, max_sheets: int) -> monodromy.MonodromyRep:

@@ -48,13 +48,13 @@ still decides every merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NonRealizableError, ResourceLimitError
+from .errors import NonRealizableError, ResourceLimitError, _Record, _trusted
 from .extraction import monodromy_to_park
 from .monodromy import MonodromyRep, _generic_trusted, _Mark, require_generic
 from .park import (
@@ -106,17 +106,16 @@ _DEDUP_ALIASES = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParkIsomorphism:
+class ParkIsomorphism(_Record):
     """Witness for :func:`park_isomorphic`: all cell bijections."""
 
     rotation: int
     reflected: bool
-    gardens: dict[int, int] = field(default_factory=dict)
-    faces: dict[int, int] = field(default_factory=dict)
-    edges: dict[int, int] = field(default_factory=dict)
-    vertices: dict[int, int] = field(default_factory=dict)
-    nodes: dict[int, int] = field(default_factory=dict)
+    gardens: dict[int, int]
+    faces: dict[int, int]
+    edges: dict[int, int]
+    vertices: dict[int, int]
+    nodes: dict[int, int]
 
 
 #: One id map per cell type.
@@ -354,7 +353,7 @@ def _isomorphism(
         )
         maps = next(morphisms, None)
         if maps is not None:
-            return ParkIsomorphism(rotation=rotation, reflected=reflected, **maps)
+            return _trusted(ParkIsomorphism, rotation=rotation, reflected=reflected, **maps)
     return None
 
 
@@ -408,7 +407,9 @@ def find_park_involution(park: Park) -> Involution | None:
         required=required,
     )
     maps = next(filter(kinds_hold, morphisms), None)
-    return None if maps is None else Involution(**maps)
+    if maps is None:
+        return None
+    return _trusted(Involution, **{cell: MappingProxyType(m) for cell, m in maps.items()})
 
 
 def _merge_signature(park: Park) -> tuple:
@@ -526,8 +527,7 @@ def _isomorphism_groups(items: Iterable[tuple[object, Park | None]]) -> list[lis
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EquivalenceWitness:
+class EquivalenceWitness(_Record):
     """A color-preserving relabeling certifying topological equivalence."""
 
     mapping: Perm
@@ -559,7 +559,7 @@ def monodromy_equivalent(
     if key1 != key2:
         return None
     back = inverse(tied2[0])
-    return EquivalenceWitness(mapping=min(compose(back, j) for j in tied1))
+    return _trusted(EquivalenceWitness, mapping=min(compose(back, j) for j in tied1))
 
 
 def _relabelings(c1: Perm) -> Iterator[list[int]]:
@@ -865,8 +865,7 @@ def _complete_skeleton(
     return _generic_trusted(d, found[0], tuple(chain), found[1], mark)
 
 
-@dataclass
-class MonodromyClass:
+class MonodromyClass(_Record):
     """One equivalence class from the enumeration: its members in
     enumeration order, their number, and its first member as the
     representative."""
@@ -876,8 +875,7 @@ class MonodromyClass:
     members: tuple[MonodromyRep, ...]
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(_Record):
     degree: int
     cone_points: int
     corner_points: int
@@ -991,7 +989,17 @@ def enumerate_monodromies(
             for bucket in _isomorphism_groups((g, _park_or_none(g[0])) for g in groups)
         )
     classes = tuple(
-        MonodromyClass(representative=members[0], size=len(members), members=tuple(members))
+        _trusted(
+            MonodromyClass, representative=members[0], size=len(members), members=tuple(members)
+        )
         for members in groups
     )
-    return EnumerationResult(d, t, s, mode, classes, len(reps))
+    return _trusted(
+        EnumerationResult,
+        degree=d,
+        cone_points=t,
+        corner_points=s,
+        dedup=mode,
+        classes=classes,
+        raw_count=len(reps),
+    )

@@ -45,7 +45,7 @@ from a representation to its cells.  It validates its input through
 the ones enumeration builds arrive marked valid and generic, and any
 other is marked the first time it passes.  Past that gate nothing is
 re-checked: the stages use the unchecked ``permgroup`` cores, the park
-records are made through ``monodromy._trusted``, and the park returned
+records are made through ``errors._trusted``, and the park returned
 is not checked.  What valid generic input and the construction imply is
 pinned by the tests instead: ``c_1`` carries each white face onto one
 black face; each white face lies inside one entrance orbit, and the
@@ -63,8 +63,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import NonRealizableError
-from .monodromy import MonodromyRep, _trusted, genus_from_counts, require_generic
+from .errors import NonRealizableError, _trusted
+from .monodromy import MonodromyRep, genus_from_counts, require_generic
 from .park import (
     Alley,
     Face,

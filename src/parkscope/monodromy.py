@@ -44,11 +44,10 @@ count real structures by brute force (``tests/conftest.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import permgroup as pg
-from .errors import NonRealizableError, Report, _require_int
+from .errors import NonRealizableError, Report, _Record, _require_int, _trusted
 from .permgroup import Perm
 
 # ---------------------------------------------------------------------------
@@ -56,8 +55,7 @@ from .permgroup import Perm
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonodromyRep:
+class MonodromyRep(_Record, frozen=True):
     """Generator images of a degree-``degree`` real covering.
 
     Fields mirror the JSON schema: ``x`` has one permutation per cone
@@ -74,7 +72,7 @@ class MonodromyRep:
     takes from the white skeleton: enumeration gives every representation
     of one skeleton the same mark, and a representation that passes the
     check gets its own.  The mark is not a field: equality, hashing, ``repr``
-    and the JSON form ignore it, and ``dataclasses.replace``,
+    and the JSON form ignore it, and the constructor,
     :func:`conjugate_rep` and :func:`from_json_dict` make unmarked objects.
     """
 
@@ -142,17 +140,6 @@ class MonodromyRep:
                 f"corner index {k} outside 1..{self.corner_points}"
             )
         return pg.compose(self.c[k - 1], self.c[k])
-
-
-def _trusted(cls: type, **fields: Any) -> Any:
-    """An instance of the frozen dataclass ``cls`` with every field set as
-    given and no ``__post_init__`` run.  Only for records the library built
-    itself, whose fields are already the tuples, ints and read-only maps the
-    checked constructor would make; a missing field raises ``KeyError``."""
-    record = object.__new__(cls)
-    for name in cls.__dataclass_fields__:
-        object.__setattr__(record, name, fields[name])
-    return record
 
 
 class _Mark:

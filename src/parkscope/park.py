@@ -51,13 +51,12 @@ work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import NonRealizableError, Report, _require_int
+from .errors import NonRealizableError, Report, _Record, _require_int, _trusted
 
 FACE_COLORS = ("white", "black")
 NODE_ROLES = ("entrance", "exit")
@@ -126,8 +125,7 @@ def _optional_int(value: Any, what: str) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GardenVertex:
+class GardenVertex(_Record, frozen=True):
     """A critical point over a real critical value.
 
     ``corner_label`` says which real critical value (1-based position in
@@ -145,8 +143,7 @@ class GardenVertex:
         _optional_int(self.pair_id, "vertex pair_id")
 
 
-@dataclass(frozen=True)
-class GardenEdge:
+class GardenEdge(_Record, frozen=True):
     """An arc or closed curve of the real-locus preimage.
 
     A ``segment`` joins two (possibly equal) vertices given by ``ends``;
@@ -180,8 +177,7 @@ class GardenEdge:
                 raise ValueError(f"loop edge {self.id} must not have ends")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Record, frozen=True):
     """A disk piece of one color mapping with the given degree.
 
     ``boundary`` is the cyclic sequence of signed edge ids around the
@@ -230,8 +226,7 @@ def _store_records(record: Any, name: str, cls: type) -> None:
     object.__setattr__(record, name, entries)
 
 
-@dataclass(frozen=True)
-class Garden:
+class Garden(_Record, frozen=True):
     """A connected piece of the real-locus neighborhood with its cells."""
 
     id: int
@@ -250,8 +245,7 @@ class Garden:
         _optional_int(self.partner_id, "garden partner_id")
 
 
-@dataclass(frozen=True)
-class ParkNode:
+class ParkNode(_Record, frozen=True):
     """An off-real-locus piece: a surface of the given genus.
 
     ``entrance`` nodes sit on the white side, ``exit`` nodes on the black
@@ -269,8 +263,7 @@ class ParkNode:
         _require_int(self.genus, "node genus")
 
 
-@dataclass(frozen=True)
-class Alley:
+class Alley(_Record, frozen=True):
     """The unique attachment between a face and a node."""
 
     id: int
@@ -283,16 +276,15 @@ class Alley:
         _require_int(self.node_id, "alley node id")
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(_Record, frozen=True):
     """Cell-type-wise maps of the park involution (all ids, total maps),
     each stored as a read-only copy of the mapping given."""
 
-    nodes: Mapping[int, int] = field(default_factory=dict)
-    faces: Mapping[int, int] = field(default_factory=dict)
-    edges: Mapping[int, int] = field(default_factory=dict)
-    vertices: Mapping[int, int] = field(default_factory=dict)
-    gardens: Mapping[int, int] = field(default_factory=dict)
+    nodes: Mapping[int, int] = MappingProxyType({})
+    faces: Mapping[int, int] = MappingProxyType({})
+    edges: Mapping[int, int] = MappingProxyType({})
+    vertices: Mapping[int, int] = MappingProxyType({})
+    gardens: Mapping[int, int] = MappingProxyType({})
 
     def __post_init__(self) -> None:
         for name in CELL_TYPES:
@@ -307,8 +299,7 @@ class Involution:
             object.__setattr__(self, name, MappingProxyType(clean))
 
 
-@dataclass(frozen=True)
-class Park:
+class Park(_Record, frozen=True):
     """A full park: cells, attachments and the involution.
 
     ``corner_points`` (s) and ``cone_points`` (t) are the declared counts
@@ -349,8 +340,7 @@ class Park:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntranceSignature:
+class EntranceSignature(_Record, frozen=True):
     """Numeric type of a node: genus, boundary circles, attached degrees.
 
     ``branch_points`` is the number of simple critical points the node
@@ -367,7 +357,7 @@ class EntranceSignature:
         degs = tuple(sorted(degrees, reverse=True))
         k = len(degs)
         b = 2 * genus - 2 + k + sum(degs)
-        return cls(genus=genus, circles=k, degrees=degs, branch_points=b)
+        return _trusted(cls, genus=genus, circles=k, degrees=degs, branch_points=b)
 
 
 class _ParkIndex:
@@ -885,8 +875,7 @@ def _genus_of_characteristic(chi: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopSummary:
+class TopSummary(_Record, frozen=True):
     """Canonical numeric/structural summary of a park.
 
     ``cone_points`` and ``corner_points`` are the declared counts, which
@@ -937,7 +926,8 @@ def type_summary(park: Park) -> TopSummary:
         for n, sig in index.signatures.items()
     )
     t, s = park.cone_points, park.corner_points
-    return TopSummary(
+    return _trusted(
+        TopSummary,
         degree=sum(f.degree for f in index.faces.values() if f.color == "white"),
         genus=(2 - euler_characteristic(park)) // 2,
         critical_values=2 * t + s,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import resource
@@ -31,14 +32,30 @@ from parkscope.equivalence import (
     _black_product_target,
     _corner_moves,
 )
+from parkscope.equivalence import (
+    EnumerationResult,
+    EquivalenceWitness,
+    MonodromyClass,
+    ParkIsomorphism,
+)
 from parkscope.extraction import _build_park, _euler_characteristic
-from parkscope.monodromy import require_generic, validate_genericity, validate_relations
+from parkscope.monodromy import (
+    MonodromyRep,
+    require_generic,
+    validate_genericity,
+    validate_relations,
+)
 from parkscope.park import (
     Alley,
     EntranceSignature,
     Face,
+    Garden,
+    GardenEdge,
+    GardenVertex,
+    Involution,
     Park,
     ParkNode,
+    TopSummary,
     _genus_of_characteristic,
     _least_rotation,
     euler_characteristic as park_euler_characteristic,
@@ -185,6 +202,59 @@ def example_park() -> Park:
 def example_park_dict() -> dict:
     with open(EXAMPLE_PARK_PATH, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s type with ``changes`` over its fields,
+    made through the checked constructor, so it carries no mark."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
+#: Every record type of the package, with whether its fields are read-only.
+RECORD_TYPES = {
+    MonodromyRep: True,
+    GardenVertex: True,
+    GardenEdge: True,
+    Face: True,
+    Garden: True,
+    ParkNode: True,
+    Alley: True,
+    Involution: True,
+    Park: True,
+    EntranceSignature: True,
+    TopSummary: True,
+    ParkIsomorphism: False,
+    EquivalenceWitness: False,
+    MonodromyClass: False,
+    EnumerationResult: False,
+}
+
+
+@lru_cache(maxsize=None)
+def dataclass_twin(cls: type) -> type:
+    """The oracle of how a record type behaves: a stdlib dataclass of the
+    same name with ``cls``'s annotated fields in order, its class-level
+    defaults, its ``__post_init__`` and its entry in ``RECORD_TYPES``."""
+    fields = []
+    for name, annotation in cls.__annotations__.items():
+        if name in vars(cls):
+            factory = lambda value=vars(cls)[name]: value  # noqa: E731
+            fields.append((name, annotation, dataclasses.field(default_factory=factory)))
+        else:
+            fields.append((name, annotation))
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        fields,
+        namespace={"__post_init__": cls.__post_init__},
+        frozen=RECORD_TYPES[cls],
+    )
+
+
+def twin_of(record):
+    """``record``'s fields in an instance of its :func:`dataclass_twin`."""
+    twin = dataclass_twin(type(record))
+    return twin(**{f.name: getattr(record, f.name) for f in dataclasses.fields(twin)})
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import sys
 
 import pytest
 
@@ -453,16 +454,24 @@ def test_every_file_loads_before_any_is_checked(
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b'\xff\xfe{"degree": 3}', b"[" * 200000 + b"]" * 200000, b'{"degree": ' + b"7" * 5000 + b"}"],
+    "content, reason",
+    [
+        (b'\xff\xfe{"degree": 3}', " is not valid JSON: "),
+        (b"[" * 200000 + b"]" * 200000, " is not valid JSON: "),
+        (
+            b'{"degree": ' + b"7" * 5000 + b"}",
+            f": an integer has more than {sys.get_int_max_str_digits()} digits\n",
+        ),
+    ],
     ids=["not-utf-8", "nested-too-deep", "integer-past-digit-limit"],
 )
-def test_a_file_that_does_not_decode_is_exit_2(tmp_path, capsys, content):
+def test_a_file_that_does_not_decode_is_exit_2(tmp_path, capsys, content, reason):
+    """Exit 2 and a reason: the digit-limit case, whole, says which limit."""
     path = tmp_path / "undecodable.json"
     path.write_bytes(content)
     assert main(["info", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"{path} is not valid JSON: ")
+    assert captured.out == "" and captured.err.startswith(f"{path}{reason}")
     message = captured.err.rstrip("\n")
     assert main(["info", str(path), "--json"]) == 2
     captured = capsys.readouterr()

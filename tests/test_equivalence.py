@@ -1,6 +1,5 @@
 """Unit tests for relabeling equivalence, park isomorphism, enumeration."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -37,6 +36,7 @@ from conftest import (
     first_witness_brute,
     make_chord_rep,
     realized_reps,
+    replace,
     run_cli,
     run_python,
 )
@@ -466,8 +466,8 @@ def test_public_entry_points_validate(loop3_park):
                 entry(rep)
             assert str(caught.value) == message
     involution = loop3_park.involution
-    faces_fixed = dataclasses.replace(involution, faces={f: f for f in involution.faces})
-    corrupted = dataclasses.replace(loop3_park, involution=faces_fixed)
+    faces_fixed = replace(involution, faces={f: f for f in involution.faces})
+    corrupted = replace(loop3_park, involution=faces_fixed)
     for pair in ((corrupted, loop3_park), (loop3_park, corrupted)):
         with pytest.raises(ValueError):
             park_isomorphic(*pair)
@@ -592,15 +592,15 @@ def _recornered(park, corner, reverse):
         faces = g.faces
         if reverse:
             faces = tuple(
-                dataclasses.replace(f, boundary=tuple(-x for x in reversed(f.boundary)))
+                replace(f, boundary=tuple(-x for x in reversed(f.boundary)))
                 for f in g.faces
             )
         vertices = tuple(
-            dataclasses.replace(v, corner_label=corner(v.corner_label))
+            replace(v, corner_label=corner(v.corner_label))
             for v in g.vertices
         )
-        gardens.append(dataclasses.replace(g, faces=faces, vertices=vertices))
-    return dataclasses.replace(park, gardens=tuple(gardens))
+        gardens.append(replace(g, faces=faces, vertices=vertices))
+    return replace(park, gardens=tuple(gardens))
 
 
 def _rotated(park, k):

@@ -1,6 +1,5 @@
 """Unit tests for park extraction from representations."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -38,6 +37,7 @@ from conftest import (
     nodes_from_weights,
     orbit_weights,
     realized_reps,
+    replace,
     total_degree,
 )
 
@@ -156,28 +156,28 @@ def test_extracted_involution_is_refound(loop3_park, chord_park, example_park):
         assert found.edges == park.involution.edges
         assert found.vertices == park.involution.vertices
         assert found.gardens == park.involution.gardens
-        assert validate_park(dataclasses.replace(park, involution=found)).ok
+        assert validate_park(replace(park, involution=found)).ok
 
 
 def _broken(park, breakage):
     first = park.alleys[0]
     if breakage == "duplicate face id":
         garden = park.gardens[0]
-        copy = dataclasses.replace(garden, faces=garden.faces + garden.faces[:1])
-        return dataclasses.replace(park, gardens=(copy, *park.gardens[1:]))
+        copy = replace(garden, faces=garden.faces + garden.faces[:1])
+        return replace(park, gardens=(copy, *park.gardens[1:]))
     if breakage == "alley to an unknown node":
-        stray = dataclasses.replace(first, node_id=999)
-        return dataclasses.replace(park, alleys=(stray, *park.alleys[1:]))
+        stray = replace(first, node_id=999)
+        return replace(park, alleys=(stray, *park.alleys[1:]))
     if breakage == "face without an alley":
-        return dataclasses.replace(park, alleys=park.alleys[1:])
+        return replace(park, alleys=park.alleys[1:])
     if breakage == "boundary names an unknown edge":
         garden = park.gardens[0]
         face = garden.faces[0]
-        stray = dataclasses.replace(face, boundary=(999, *face.boundary[1:]))
-        copy = dataclasses.replace(garden, faces=(stray, *garden.faces[1:]))
-        return dataclasses.replace(park, gardens=(copy, *park.gardens[1:]))
+        stray = replace(face, boundary=(999, *face.boundary[1:]))
+        copy = replace(garden, faces=(stray, *garden.faces[1:]))
+        return replace(park, gardens=(copy, *park.gardens[1:]))
     extra = Alley(id=999, face_id=first.face_id, node_id=first.node_id)
-    return dataclasses.replace(park, alleys=(*park.alleys, extra))
+    return replace(park, alleys=(*park.alleys, extra))
 
 
 @pytest.mark.parametrize(
@@ -404,7 +404,7 @@ def test_park_bytes_are_pinned():
 
 def test_assembled_parks_equal_their_json_round_trip():
     """``_build_park`` makes every park record unchecked, through
-    ``monodromy._trusted``: each park of the pinned sweep equals the park
+    ``errors._trusted``: each park of the pinned sweep equals the park
     that the checked constructors make from its JSON, so no field holds a
     list, say, where they would make a tuple."""
     parks = [park for _, park in realized_reps(3, 5)]
@@ -539,8 +539,8 @@ def test_parks_of_one_skeleton_share_no_mutable_state():
     for name in names:
         assert getattr(p1.involution, name) is not getattr(p2.involution, name), name
     before = to_json_dict(p2)
-    replaced = dataclasses.replace(
-        p1, involution=dataclasses.replace(p1.involution, faces={}, nodes={})
+    replaced = replace(
+        p1, involution=replace(p1.involution, faces={}, nodes={})
     )
     assert replaced.involution.faces == {} and to_json_dict(p2) == before
     for name in names:

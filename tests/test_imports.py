@@ -123,6 +123,9 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         (["extract", str(EXAMPLE_REP_PATH)], ("equivalence", "hurwitz")),
         (["info", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence", "hurwitz")),
         (["hurwitz", str(EXAMPLE_PARK_PATH)], ("extraction", "equivalence")),
+        (["isomorphic", str(EXAMPLE_PARK_PATH), str(EXAMPLE_PARK_PATH)], ("hurwitz",)),
+        (["equivalent", str(EXAMPLE_REP_PATH), str(EXAMPLE_REP_PATH)], ("hurwitz",)),
+        (["enumerate", "--degree", "3", "--cone", "2", "--corner", "0"], ("hurwitz",)),
     ],
     ids=[
         "help",
@@ -133,20 +136,24 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         "extract",
         "info-park",
         "hurwitz",
+        "isomorphic",
+        "equivalent",
+        "enumerate",
     ],
 )
 def test_cli_command_loads_only_what_it_uses(argv, unloaded):
-    code, ran, dataclasses_loaded = _child(
+    code, ran, stdlib_loaded = _child(
         "import runpy\n"
         f"sys.argv = ['parkscope', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('parkscope.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, loaded(), 'dataclasses' in sys.modules]))\n"
+        "heavy = [n for n in ('dataclasses', 'inspect') if n in sys.modules]\n"
+        "print(json.dumps([code, loaded(), heavy]))\n"
     )
     assert code == 0
     assert not set(ran) & set(unloaded), ran
-    # the package and the shared report type load no dataclasses either
-    if argv[0] in ("--help", "single-hurwitz"):
-        assert not dataclasses_loaded
+    # records are built on errors._Record, so no command pays for
+    # dataclasses or the inspect module it imports
+    assert stdlib_loaded == []

@@ -1,7 +1,6 @@
 """Unit tests for the park data model, axiom validation and invariants."""
 
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -47,6 +46,7 @@ from conftest import (
     all_cells,
     load_example_park,
     realized_reps,
+    replace,
     run_cli,
     total_degree,
 )
@@ -321,7 +321,7 @@ def test_garden_kind_rule(example_park_dict, change, kind_messages, has_involuti
     found = find_park_involution(park)
     assert (found is not None) == has_involution
     if found is not None:
-        assert validate_park(dataclasses.replace(park, involution=found)).ok
+        assert validate_park(replace(park, involution=found)).ok
     gate = "park fails validation: " + "; ".join(
         f"{code}: {detail}" for code, detail in report.violations[:3]
     )
@@ -343,8 +343,8 @@ def _edge_swaps(park):
         if (a.kind, a.length, a.ends) == (b.kind, b.length, b.ends):
             edges = dict(park.involution.edges)
             edges[a.id], edges[b.id] = edges[b.id], edges[a.id]
-            yield dataclasses.replace(
-                park, involution=dataclasses.replace(park.involution, edges=edges)
+            yield replace(
+                park, involution=replace(park.involution, edges=edges)
             )
 
 
@@ -743,7 +743,7 @@ def _park(**fields):
         (lambda: _park(alleys=[1]), "alleys must contain Alley objects, got 1"),
         (lambda: _park(involution={}), "involution must be an Involution"),
         (
-            lambda: dataclasses.replace(load_example_park().gardens[0], faces=({"id": 1},)),
+            lambda: replace(load_example_park().gardens[0], faces=({"id": 1},)),
             "faces must contain Face objects, got {'id': 1}",
         ),
         (
@@ -1038,8 +1038,8 @@ def test_validate_park_runs_every_rule_on_every_call(report_runs, loop3_rep):
     with pytest.raises(TypeError):
         park.involution.faces[1] = 1
     park_hurwitz(park)
-    broken = dataclasses.replace(
-        park, involution=dataclasses.replace(park.involution, faces={})
+    broken = replace(
+        park, involution=replace(park.involution, faces={})
     )
     report = validate_park(broken)
     assert not report
@@ -1051,7 +1051,7 @@ def test_involution_maps_reject_change_in_place(chord_rep, example_park):
     """Every way to get an involution gives five read-only maps: item
     assignment raises ``TypeError``, and ``clear`` and ``update`` are not
     there.  So a park cannot lose its face map once built, and
-    ``dataclasses.replace`` makes a new park that the gate checks."""
+    a changed copy is a new park that the gate checks."""
     chord = monodromy_to_park(chord_rep)
     involutions = (
         chord.involution,
@@ -1075,8 +1075,8 @@ def test_involution_maps_reject_change_in_place(chord_rep, example_park):
     source[1] = 1
     assert involution.nodes == {1: 2, 2: 1}
     assert park_isomorphic(chord, chord) is not None
-    replaced = dataclasses.replace(
-        chord, involution=dataclasses.replace(chord.involution, faces={})
+    replaced = replace(
+        chord, involution=replace(chord.involution, faces={})
     )
     with pytest.raises(ValueError, match="^park fails validation: involution-involutive"):
         park_isomorphic(replaced, chord)

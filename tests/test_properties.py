@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -35,6 +34,7 @@ from conftest import (
     make_two_entrance_rep,
     make_unrealizable_rep,
     realized_reps,
+    replace,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -82,7 +82,7 @@ def _gate_outcomes(m, partner):
 
 
 def _record(m):
-    return m, hash(m), repr(m), monodromy.to_json_dict(m), dataclasses.fields(m)
+    return m, hash(m), repr(m), monodromy.to_json_dict(m), m._fields
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -98,11 +98,11 @@ def test_valid_mark_is_sound(data):
     ))
     name = data.draw(st.sampled_from(("e", "x", "c") if rep.x else ("e", "c")))
     if name == "e":
-        mutated = dataclasses.replace(rep, e=perm)
+        mutated = replace(rep, e=perm)
     else:
         gens = list(getattr(rep, name))
         gens[data.draw(st.integers(0, len(gens) - 1))] = perm
-        mutated = dataclasses.replace(rep, **{name: tuple(gens)})
+        mutated = replace(rep, **{name: tuple(gens)})
     fresh = build(mutated.degree, mutated.x, mutated.c, mutated.e)
     before = _record(mutated)
     assert _gate_outcomes(mutated, rep) == _gate_outcomes(fresh, rep)
@@ -135,12 +135,12 @@ def _renumbered(data, p):
         return tuple(data.draw(st.permutations(cells)))
 
     gardens = [
-        dataclasses.replace(
+        replace(
             g,
             id=new("gardens", g.id),
             partner_id=new("gardens", g.partner_id),
             faces=shuffled([
-                dataclasses.replace(
+                replace(
                     f,
                     id=new("faces", f.id),
                     boundary=tuple(new("edges", abs(x)) * (1 if x > 0 else -1) for x in f.boundary),
@@ -148,7 +148,7 @@ def _renumbered(data, p):
                 for f in g.faces
             ]),
             edges=shuffled([
-                dataclasses.replace(
+                replace(
                     e,
                     id=new("edges", e.id),
                     ends=None if e.ends is None else tuple(new("vertices", v) for v in e.ends),
@@ -156,7 +156,7 @@ def _renumbered(data, p):
                 for e in g.edges
             ]),
             vertices=shuffled([
-                dataclasses.replace(
+                replace(
                     v, id=new("vertices", v.id), pair_id=new("vertices", v.pair_id)
                 )
                 for v in g.vertices
@@ -168,12 +168,12 @@ def _renumbered(data, p):
         kind: {ids[kind][a]: ids[kind][b] for a, b in getattr(p.involution, kind).items()}
         for kind in ("nodes", "faces", "edges", "vertices", "gardens")
     })
-    return dataclasses.replace(
+    return replace(
         p,
         gardens=shuffled(gardens),
-        nodes=shuffled([dataclasses.replace(n, id=new("nodes", n.id)) for n in p.nodes]),
+        nodes=shuffled([replace(n, id=new("nodes", n.id)) for n in p.nodes]),
         alleys=shuffled([
-            dataclasses.replace(
+            replace(
                 a,
                 id=new("alleys", a.id),
                 face_id=new("faces", a.face_id),
